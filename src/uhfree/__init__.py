@@ -8,11 +8,9 @@ string-module picture for sl(1|1), and machine-checkable emptiness
 certificates for m, n >= 2.
 """
 
-from ._backend import BACKEND
 from .poly import Poly, ShiftMap, apply_shift, divides_exactly, poly_gcd
 
 __all__ = [
-    "BACKEND",
     "Poly",
     "ShiftMap",
     "apply_shift",

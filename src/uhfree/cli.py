@@ -99,19 +99,18 @@ def cmd_verify(args) -> int:
         "checked": report.checked,
         "violations": report.describe(p.m, p.n),
     }
-    if p.is_graded():
-        parity = parity_check(p)
+    parity = parity_check(p) if p.is_graded() else None
+    if parity is not None:
         payload["parity_ok"] = parity.ok
         payload["parity_failures"] = list(parity.failures)
     _write_out(args.out, payload)
     if not report.ok:
         lines.append(f"FAIL: {len(report.violations)} of {report.checked} relations violated")
-        lines.extend("  " + t for t in report.describe(p.m, p.n))
+        lines.extend("  " + t for t in payload["violations"])
         print("\n".join(_stamped(lines, args)))
         return 1
     lines.append(f"PASS: all {report.checked} generator relations hold")
-    if p.is_graded():
-        parity = parity_check(p)
+    if parity is not None:
         if parity.ok:
             lines.append("PASS: grading flag consistent with matrix shapes")
         else:

@@ -307,34 +307,56 @@ def _central_form(nv: int, m: int) -> Poly:
     return c
 
 
-def endo_ring_basis(p: Presentation, degree_bound: int) -> list[Mat2]:
-    """Basis diag(F(c+m-1), F(c)), F = X^k, k <= degree_bound, c = sum h_j."""
+def _family_frame(p: Presentation) -> tuple[Mat2, int]:
+    """Classification witness W of p and the offset d of its endomorphisms.
+
+    Endomorphisms of the family form are diag(F(c+d), F(c)) with
+    d = m - 1 for M(a, S) and d = -(m - 1) for Mbar(a, S); those of p
+    are W diag(F(c+d), F(c)) W^{-1}.
+    """
     if p.n != 1:
         raise MorphismError("endomorphism description applies to sl(m|1)")
-    nv, m = p.nvars, p.m
-    c = _central_form(nv, m)
+    params, w = classify_sl_m1(p)
+    return w, -(p.m - 1) if params.bar else p.m - 1
+
+
+def endo_ring_basis(p: Presentation, degree_bound: int) -> list[Mat2]:
+    """Basis W diag(F(c+d), F(c)) W^{-1}, F = X^k, k <= degree_bound.
+
+    c = h_1 + ... + h_m; W and d come from the classification of p (see
+    _family_frame), so every basis element is an endomorphism of p.
+    """
+    frame, offset = _family_frame(p)
+    finv = frame.inverse_unimodular()
+    nv = p.nvars
+    c = _central_form(nv, p.m)
     out = []
     for k in range(degree_bound + 1):
-        upper = (c + (m - 1)) ** k
+        upper = (c + offset) ** k
         lower = c**k
-        out.append(Mat2(((upper, Poly.zero(nv)), (Poly.zero(nv), lower))))
+        out.append(frame * Mat2(((upper, Poly.zero(nv)), (Poly.zero(nv), lower))) * finv)
     return out
 
 
 def endo_f_polynomial(p: Presentation, w: Mat2) -> Poly:
-    """Extract F with w = diag(F(c+m-1), F(c)); breach if not of that shape."""
-    nv, m = p.nvars, p.m
-    if not w.is_diagonal():
+    """Extract F with w = W diag(F(c+d), F(c)) W^{-1}; breach if not of that shape."""
+    frame, offset = _family_frame(p)
+    return _family_f(p, frame.inverse_unimodular() * w * frame, offset)
+
+
+def _family_f(p: Presentation, v: Mat2, offset: int) -> Poly:
+    """Extract F with v = diag(F(c+offset), F(c)) in family coordinates."""
+    if not v.is_diagonal():
         raise InvariantBreach("endomorphism is not diagonal")
-    lower = w[1, 1]
-    f = _collapse_to_univariate(lower, nv)
-    c = _central_form(nv, m)
-    if compose_univariate(f, c) != lower or compose_univariate(f, c + (m - 1)) != w[0, 0]:
+    lower = v[1, 1]
+    f = _collapse_to_univariate(lower)
+    c = _central_form(p.nvars, p.m)
+    if compose_univariate(f, c) != lower or compose_univariate(f, c + offset) != v[0, 0]:
         raise InvariantBreach("endomorphism is not a polynomial in the central form")
     return f
 
 
-def _collapse_to_univariate(g: Poly, nv: int) -> Poly:
+def _collapse_to_univariate(g: Poly) -> Poly:
     """Substitute h_1 = X, other variables = 0 (recovers F from F(c))."""
     terms = {}
     for exps, coeff in g.terms.items():
@@ -348,12 +370,14 @@ def _collapse_to_univariate(g: Poly, nv: int) -> Poly:
 def idempotent_scan(p: Presentation, degree_bound: int) -> list[Mat2]:
     """All idempotents in the endomorphism span up to the degree bound.
 
-    Endomorphisms of a classified presentation are diag(F(c+m-1), F(c));
-    F(X)^2 = F(X) in the integral domain Q[X] forces F in {0, 1}, so the
-    scan reduces to membership of the constants in the solved span.
+    Endomorphisms of a classified presentation are W diag(F(c+d), F(c))
+    W^{-1}; F(X)^2 = F(X) in the integral domain Q[X] forces F in {0, 1},
+    so the scan reduces to membership of the constants in the solved span.
     """
+    frame, offset = _family_frame(p)
     sols = solve_hom(p, p, degree_bound, category="auto")
-    fs = [endo_f_polynomial(p, s.w) for s in sols if not s.w.is_zero]
+    finv = frame.inverse_unimodular()
+    fs = [_family_f(p, finv * s.w * frame, offset) for s in sols if not s.w.is_zero]
     nv = p.nvars
     out = [Mat2.zero(nv)]
     if _in_span(Poly.one(1), fs):

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
-
-from ._backend import kernels
 
 Scalar = Union[int, Fraction]
 
@@ -52,6 +51,80 @@ def _as_fraction(c: Scalar) -> Fraction:
 def grlex_key(exps: tuple[int, ...]) -> tuple:
     """Sort key for the graded lexicographic order (h_1 largest)."""
     return (sum(exps), exps)
+
+
+# -- term maps -------------------------------------------------------------------
+#
+# A term map sends exponent tuples to nonzero Fraction coefficients.  The
+# helpers below are the hot inner loops of the whole package.
+
+
+def _add_terms(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for exps, coeff in b.items():
+        acc = out.get(exps)
+        if acc is None:
+            out[exps] = coeff
+        else:
+            acc = acc + coeff
+            if acc:
+                out[exps] = acc
+            else:
+                del out[exps]
+    return out
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            c = ca * cb
+            acc = out.get(key)
+            if acc is None:
+                out[key] = c
+            else:
+                acc = acc + c
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+    return out
+
+
+def _shift_terms(terms: dict, shifts: tuple[int, ...]) -> dict:
+    """Substitute h_i -> h_i - shifts[i] into a term map."""
+    out: dict = {}
+    for exps, coeff in terms.items():
+        # Seed with the unshifted part of the monomial, then expand each
+        # shifted factor (h_i - s)^e by the binomial theorem.  Exponent i
+        # is 0 in every seed key, so the expanded keys never collide.  The
+        # binomial weights are Python ints, so every coefficient is exact.
+        base = tuple(0 if shifts[i] else e for i, e in enumerate(exps))
+        partial = {base: coeff}
+        for i, s in enumerate(shifts):
+            e = exps[i]
+            if s == 0 or e == 0:
+                continue
+            nxt = {}
+            for k in range(e + 1):
+                c = comb(e, k) * (-s) ** (e - k)
+                for ex2, c2 in partial.items():
+                    nxt[ex2[:i] + (k,) + ex2[i + 1 :]] = c * c2
+            partial = nxt
+        for exps2, c2 in partial.items():
+            acc = out.get(exps2)
+            if acc is None:
+                out[exps2] = c2
+            else:
+                acc = acc + c2
+                if acc:
+                    out[exps2] = acc
+                else:
+                    del out[exps2]
+    return out
 
 
 class Poly:
@@ -166,12 +239,12 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Poly(self.nvars, kernels.add_terms(self.terms, other.terms))
+        return Poly(self.nvars, _add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, kernels.neg_terms(self.terms))
+        return Poly(self.nvars, {exps: -coeff for exps, coeff in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -184,11 +257,12 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(self.nvars, kernels.scale_terms(self.terms, _as_fraction(other)))
+            c = _as_fraction(other)
+            return Poly(self.nvars, {exps: coeff * c for exps, coeff in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Poly(self.nvars, kernels.mul_terms(self.terms, other.terms))
+        return Poly(self.nvars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -303,7 +377,7 @@ def apply_shift(s: ShiftMap, p: Poly) -> Poly:
         raise PolyError("shift-map length does not match variable count")
     if s.is_identity:
         return p
-    return Poly(p.nvars, kernels.shift_terms(p.terms, s.shifts))
+    return Poly(p.nvars, _shift_terms(p.terms, s.shifts))
 
 
 # -- divisibility and gcd ------------------------------------------------------

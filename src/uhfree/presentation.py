@@ -613,11 +613,14 @@ def presentation_from_dict(data: Mapping) -> Presentation:
             f"format-version mismatch: expected {FORMAT_PRESENTATION}, got {fmt!r}"
         )
     try:
-        m, n = int(data["m"]), int(data["n"])
+        m, n = data["m"], data["n"]
         grading = data["grading"]
         raw_e = data["E"]
     except KeyError as exc:
         raise PresentationError(f"missing key {exc.args[0]!r}") from None
+    for key, value in (("m", m), ("n", n)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise PresentationError(f"{key} must be a positive integer, got {value!r}")
     if grading not in GRADINGS:
         raise PresentationError(f"unknown grading {grading!r}")
     alg = algebra(m, n)

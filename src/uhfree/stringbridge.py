@@ -176,11 +176,15 @@ def check_intertwining(
 
     The module side is the canonical presentation matching the variant;
     the string side is the truncated diagram action.  N must leave room
-    for the images (N >= 2*max_deg + 3); failures are reported per
-    (generator, vector) pair.
+    for the images: h . (h^max_deg, 0) lands on u_{2*max_deg+4}, so
+    N >= 2*max_deg + 4.  Failures are reported per (generator, vector)
+    pair.
     """
-    if n < 2 * max_deg + 3:
-        raise StringBridgeError("truncation too small for the requested degree")
+    if n < 2 * max_deg + 4:
+        raise StringBridgeError(
+            f"truncation N = {n} too small for max degree {max_deg} "
+            f"(need N >= {2 * max_deg + 4})"
+        )
     from .presentation import act  # local to avoid a cycle at import time
     from .superlie import Root
 

@@ -62,6 +62,18 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         assert main(["verify", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value", [("m", -3), ("m", 0), ("m", "1"), ("m", True), ("n", 1.0)]
+    )
+    def test_bad_size_is_exit_2(self, tmp_path, capsys, key, value):
+        data = json.loads(presentation_to_json(build_mas(1, (1,), ())))
+        data[key] = value
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must be a positive integer, got {value!r}\n"
+
 
 class TestClassify:
     def test_family_parameters_printed(self, family_file, tmp_path, capsys):
@@ -162,6 +174,9 @@ class TestOtherCommands:
         payload = json.loads(out.read_text())
         assert len(payload["solutions"]) == 2
         assert len(payload["idempotents"]) == 2
+        bar = write(tmp_path, "bar.json", build_mas_bar(2, (1, 2), (1,)))
+        assert main(["endo", bar, "--bound", "1", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["idempotents"]) == 2
 
     def test_submodules_family(self, family_file, capsys):
         assert main(["submodules", family_file, "--length", "4"]) == 0
@@ -185,6 +200,11 @@ class TestOtherCommands:
         assert main(["string-check", "--max-deg", "3", "--N", "10"]) == 0
         assert main(["string-check", "--variant", "1", "--adjacency", "--max-deg", "2", "--N", "8"]) == 0
         assert "-x->" in capsys.readouterr().out
+        # h . (h^2, 0) lands on u_8, so N = 7 is refused up front
+        assert main(["string-check", "--variant", "1", "--max-deg", "2", "--N", "7"]) == 2
+        assert capsys.readouterr().err == (
+            "error: truncation N = 7 too small for max degree 2 (need N >= 8)\n"
+        )
 
     def test_canon_sl11(self, tmp_path, capsys):
         p = make_presentation(

@@ -244,6 +244,20 @@ class TestIdempotents:
         ws = idempotent_scan(build_mas(1, (1,), ()), 1)
         assert any(w.is_zero for w in ws)
 
+    def test_bar_family_and_polynomial_conjugates(self, rng):
+        # endomorphisms are diag(F(c-(m-1)), F(c)) on Mbar(a, S), and only
+        # diagonal after conjugating back to the family form
+        inputs = [build_mas_bar(2, (1, 2), (1,)), build_mas_bar(3, (1, 2, 3), (2,))]
+        inputs += [
+            conjugate(build_mas(2, (1, 3), (2,)), random_unimodular(rng, 2))
+            for _ in range(8)
+        ]
+        for p in inputs:
+            ws = idempotent_scan(p, 2)
+            assert len(ws) == 2 and Mat2.identity(p.nvars) in ws
+            for b in endo_ring_basis(p, 2):
+                assert check_intertwiner(p, p, b)
+
 
 class TestSubmodules:
     def test_unit_polynomial_gives_whole_module(self):

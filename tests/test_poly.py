@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uhfree.poly import (
     Poly,
@@ -121,6 +121,10 @@ class TestShiftAutomorphismLaws:
 
     @settings(max_examples=30, deadline=None)
     @given(polys(), SHIFTS)
+    # degrees >= 60, where binomial weights exceed float precision
+    @example(Poly(2, {(60, 0): 1}), (1, 0))
+    @example(Poly(2, {(80, 0): 1}), (2, -1))
+    @example(Poly(2, {(200, 3): 1}), (2, -1))
     def test_matches_substitution_oracle(self, p, s):
         assert apply_shift(ShiftMap(s), p) == shift_oracle(p, s, SYMS2)
 
