@@ -44,7 +44,7 @@ from .morphisms import (
 from .stringbridge import StringBridgeError, StringModule, check_intertwining
 from .emptiness import (
     EmptinessError,
-    certificate_from_dict,
+    certificate_from_json,
     emptiness_certificate,
     graded_emptiness,
     verify_certificate,
@@ -302,8 +302,7 @@ def cmd_string_check(args) -> int:
 
 def cmd_empty_check(args) -> int:
     if args.verify:
-        data = json.loads(Path(args.verify).read_text())
-        cert = certificate_from_dict(data)
+        cert = certificate_from_json(Path(args.verify).read_text())
         try:
             report = verify_certificate(cert)
         except EmptinessError as exc:
@@ -488,7 +487,6 @@ def main(argv=None) -> int:
         MorphismError,
         StringBridgeError,
         EmptinessError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,6 +35,7 @@ from .presentation import (
     InvariantBreach,
     Mat2,
     derive_even,
+    load_json,
     make_presentation,
     odd_positions,
 )
@@ -258,14 +259,11 @@ def _proportionality(
                 return False, None, MismatchWitness((r1, c1), (r2, c2), lhs, rhs)
     for r, c in cells:
         if a.mat[r, c].is_zero != b.mat[r, c].is_zero:
-            other = a.mat[r, c] if b.mat[r, c].is_zero else b.mat[r, c]
             return False, None, MismatchWitness((r, c), (r, c), a.mat[r, c], b.mat[r, c])
     lam = None
     for r, c in cells:
         if not b.mat[r, c].is_zero:
-            la, ca = a.mat[r, c].leading()
-            lb, cb = b.mat[r, c].leading()
-            lam = ca / cb
+            lam = a.mat[r, c].leading_coeff() / b.mat[r, c].leading_coeff()
             break
     return True, lam, None
 
@@ -425,34 +423,102 @@ def _support_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dic
     return None
 
 
+# x(x-1)(x-2)(x-3) = x^4 - 6x^3 + 11x^2 - 6x vanishes on the grid of
+# candidate coordinates, so x^4 may be replaced by 6x^3 - 11x^2 + 6x there.
+_GRID = (0, 1, 2, 3)
+
+
+def _grid_residue(e: int) -> tuple[int, int, int, int]:
+    """Coefficients of x^e modulo x(x-1)(x-2)(x-3), lowest degree first."""
+    if e < 4:
+        return tuple(int(j == e) for j in range(4))
+    r0, r1, r2, r3 = 0, 0, 0, 1
+    for _ in range(e - 3):
+        r0, r1, r2, r3 = 0, r0 + 6 * r3, r1 - 11 * r3, r2 + 6 * r3
+    return r0, r1, r2, r3
+
+
+def _grid_form(p: Poly, nb: int) -> Poly:
+    """p with the units at 1 and degree < 4 in each of the nb base variables.
+
+    It agrees with p on {0..3}^nb, and a polynomial of degree < 4 in each
+    variable that vanishes on that grid is zero, so the result is zero
+    exactly when p vanishes on the grid.
+    """
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in p.terms.items():
+        partial = {exps[:nb]: coeff}
+        for v in range(nb):
+            if exps[v] < 4:
+                continue
+            partial = {
+                key[:v] + (j,) + key[v + 1 :]: r * c
+                for key, c in partial.items()
+                for j, r in enumerate(_grid_residue(exps[v]))
+                if r
+            }
+        for key, c in partial.items():
+            terms[key] = terms.get(key, 0) + c
+    return Poly(nb, terms)
+
+
+def _substitute(p: Poly, v: int, value: int) -> Poly:
+    """p with variable v set to value."""
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in p.terms.items():
+        key = exps[:v] + (0,) + exps[v + 1 :]
+        terms[key] = terms.get(key, 0) + coeff * value ** exps[v]
+    return Poly(p.nvars, terms)
+
+
 def _eval_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dict]:
-    """A rational point at which no scalar matches the two routes."""
+    """A rational point at which no scalar matches the two routes.
+
+    The point is the lexicographically first one of {0..3}^(m+n-1), with
+    the units at 1, where some cross-difference a[e1]*b[e2] - a[e2]*b[e1]
+    is nonzero.  Each difference is put in grid form, which is zero
+    exactly when it vanishes on the grid; the coordinates are then fixed
+    one at a time, each to the smallest value that leaves some difference
+    nonzero.  None when the differences vanish on the whole grid.
+    """
     nb = ring.base_nvars
     names = ring.names
     cells = [(r, c) for r in range(2) for c in range(2)]
-    for point in itertools.product((0, 1, 2, 3), repeat=nb):
-        full = list(point) + [1, 1, 1, 1]
-        vals = {}
-        for r, c in cells:
-            vals[(r, c, "a")] = a.mat[r, c].evaluate(full)
-            vals[(r, c, "b")] = b.mat[r, c].evaluate(full)
-        for k1 in range(len(cells)):
-            for k2 in range(len(cells)):
-                if k1 == k2:
-                    continue
-                e1, e2 = cells[k1], cells[k2]
-                lhs = vals[(*e1, "a")] * vals[(*e2, "b")]
-                rhs = vals[(*e2, "a")] * vals[(*e1, "b")]
-                if lhs != rhs:
-                    return {
-                        "point": {
-                            names[v]: str(point[v]) for v in range(nb)
-                        },
-                        "entries": [list(e1), list(e2)],
-                        "lhs": str(lhs),
-                        "rhs": str(rhs),
-                    }
-    return None
+    diffs = [
+        _grid_form(a.mat[e1] * b.mat[e2] - a.mat[e2] * b.mat[e1], nb)
+        for e1, e2 in itertools.combinations(cells, 2)
+    ]
+    diffs = [d for d in diffs if d]
+    if not diffs:
+        return None
+    point = []
+    for v in range(nb):
+        for value in _GRID:
+            alive = [s for s in (_substitute(d, v, value) for d in diffs) if s]
+            if alive:
+                break
+        point.append(value)
+        diffs = alive
+    full = point + [1, 1, 1, 1]
+    vals = {}
+    for r, c in cells:
+        vals[(r, c, "a")] = a.mat[r, c].evaluate(full)
+        vals[(r, c, "b")] = b.mat[r, c].evaluate(full)
+    for k1 in range(len(cells)):
+        for k2 in range(len(cells)):
+            if k1 == k2:
+                continue
+            e1, e2 = cells[k1], cells[k2]
+            lhs = vals[(*e1, "a")] * vals[(*e2, "b")]
+            rhs = vals[(*e2, "a")] * vals[(*e1, "b")]
+            if lhs != rhs:
+                return {
+                    "point": {names[v]: str(point[v]) for v in range(nb)},
+                    "entries": [list(e1), list(e2)],
+                    "lhs": str(lhs),
+                    "rhs": str(rhs),
+                }
+    raise InvariantBreach("grid search ended at a point where the routes agree")
 
 
 def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCertificate:
@@ -545,46 +611,104 @@ def graded_emptiness(m: int, n: int) -> EmptinessCertificate:
 # -- re-verification -----------------------------------------------------------------------
 
 
+_JSON_KINDS = {
+    int: "an integer",
+    bool: "a boolean",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+}
+
+
+def _is_json(value, kind: type) -> bool:
+    """Is value a JSON value of the given kind (a boolean is not an integer)?"""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _field(obj: Mapping, key: str, kind: type, where: str):
+    """obj[key], which must be present and a JSON value of the given kind."""
+    if key not in obj:
+        raise EmptinessError(f"{where}: missing key {key!r}")
+    value = obj[key]
+    if not _is_json(value, kind):
+        raise EmptinessError(
+            f"{where}: {key} must be {_JSON_KINDS[kind]}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _array(value, length: int, kind: type, where: str) -> list:
+    """value, which must be a JSON array of `length` values of the given kind."""
+    if (
+        not isinstance(value, list)
+        or len(value) != length
+        or not all(_is_json(v, kind) for v in value)
+    ):
+        raise EmptinessError(
+            f"{where} must be an array of {length} items, each {_JSON_KINDS[kind]}"
+        )
+    return value
+
+
 def certificate_from_dict(data: Mapping) -> EmptinessCertificate:
+    """Read a certificate; malformed data raises EmptinessError."""
+    if not isinstance(data, Mapping):
+        raise EmptinessError("certificate must be a JSON object")
     if data.get("format") != FORMAT_CERT:
         raise EmptinessError(
             f"format-version mismatch: expected {FORMAT_CERT}, got {data.get('format')!r}"
         )
-    m, n = int(data["m"]), int(data["n"])
+    m = _field(data, "m", int, "certificate")
+    n = _field(data, "n", int, "certificate")
+    if m < 2 or n < 2:
+        raise EmptinessError("the emptiness theorem applies to m, n >= 2")
     ring = CertRing(m, n)
     names = ring.names
 
-    def parse_sm(d) -> ScaledMat:
+    def parse_sm(d: Mapping, where: str) -> ScaledMat:
+        rows = _array(d.get("mat"), 2, list, f"{where}.mat")
         mat = Mat2(
-            tuple(tuple(parse_poly(s, names) for s in row) for row in d["mat"])
+            tuple(
+                tuple(parse_poly(s, names) for s in _array(row, 2, str, f"{where}.mat"))
+                for row in rows
+            )
         )
-        return ScaledMat(mat, tuple(int(x) for x in d["den"]))
+        return ScaledMat(mat, tuple(_array(d.get("den"), 4, int, f"{where}.den")))
 
     log = []
-    for entry in data["branch_log"]:
+    for entry in _field(data, "branch_log", list, "certificate"):
+        if not isinstance(entry, dict):
+            raise EmptinessError("branch_log entries must be objects")
+        stage1 = _field(entry, "stage1", dict, "branch_log entry")
         stage2 = entry.get("stage2")
+        if stage2 is not None and not isinstance(stage2, dict):
+            raise EmptinessError("branch_log entry: stage2 must be an object or null")
         log.append(
             BranchOutcome(
-                dict(entry["choices"]),
-                bool(entry["stage1"]["equal"]),
-                entry["stage1"].get("detail"),
-                None if stage2 is None else bool(stage2["proportional"]),
+                _field(entry, "choices", dict, "branch_log entry"),
+                _field(stage1, "equal", bool, "stage1"),
+                stage1.get("detail"),
+                None if stage2 is None else _field(stage2, "proportional", bool, "stage2"),
                 None if stage2 is None else stage2.get("detail"),
             )
         )
-    surv = data["surviving"]
+    surv = _field(data, "surviving", dict, "certificate")
     return EmptinessCertificate(
         m=m,
         n=n,
-        i=int(data["i"]),
-        graded=bool(data["graded"]),
+        i=_field(data, "i", int, "certificate"),
+        graded=_field(data, "graded", bool, "certificate"),
         branch_log=tuple(log),
-        surviving_choices=dict(surv["choices"]),
-        route_a=parse_sm(surv["routeA"]),
-        route_b=parse_sm(surv["routeB"]),
-        support_witness=dict(surv["support_witness"]),
-        eval_witness=dict(surv["eval_witness"]),
+        surviving_choices=_field(surv, "choices", dict, "surviving"),
+        route_a=parse_sm(_field(surv, "routeA", dict, "surviving"), "routeA"),
+        route_b=parse_sm(_field(surv, "routeB", dict, "surviving"), "routeB"),
+        support_witness=_field(surv, "support_witness", dict, "surviving"),
+        eval_witness=_field(surv, "eval_witness", dict, "surviving"),
     )
+
+
+def certificate_from_json(text: str) -> EmptinessCertificate:
+    return certificate_from_dict(load_json(text, EmptinessError))
 
 
 def _eval_scaled(ring: CertRing, sm: ScaledMat, units: Sequence[Fraction]) -> Mat2:

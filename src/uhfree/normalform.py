@@ -293,9 +293,6 @@ def _read_family_entry(
     return Fraction(ai), in_s
 
 
-SWAP = None  # set below once Mat2 exists
-
-
 def _swap(nv: int) -> Mat2:
     return Mat2.of(nv, ((0, 1), (1, 0)))
 

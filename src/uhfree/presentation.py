@@ -649,9 +649,22 @@ def presentation_from_dict(data: Mapping) -> Presentation:
     return make_presentation(m, n, mats, grading=grading)
 
 
-def presentation_from_json(text: str) -> Presentation:
+def load_json(text: str, error: type[ValueError]):
+    """Parse JSON text; bad syntax and repeated object keys raise `error`."""
+
+    def unique_keys(pairs):
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise error(f"duplicate key {key!r}")
+            data[key] = value
+        return data
+
     try:
-        data = json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise PresentationError(f"invalid JSON: {exc}") from None
-    return presentation_from_dict(data)
+        raise error(f"invalid JSON: {exc}") from None
+
+
+def presentation_from_json(text: str) -> Presentation:
+    return presentation_from_dict(load_json(text, PresentationError))

@@ -1,11 +1,13 @@
 """Independent oracles used only by the test suite.
 
 Polynomial identities are cross-checked through sympy (a separate code
-base with its own expansion, substitution, gcd, and factorization), and
+base with its own expansion, substitution, gcd, and factorization);
 Lie-superalgebra structure constants through a from-scratch supermatrix
-commutator that shares no code with the package.
+commutator that shares no code with the package; and the emptiness
+evaluation witness through an exhaustive scan of its grid.
 """
 
+import itertools
 from fractions import Fraction
 
 import sympy
@@ -78,3 +80,37 @@ def matsub(a, b, sign=1):
 def supercommutator(x, y, parity_x, parity_y):
     sign = -1 if parity_x and parity_y else 1
     return matsub(matmul(x, y), matmul(y, x), sign)
+
+
+# -- brute-force evaluation witness ----------------------------------------------------
+
+
+def eval_witness_oracle(ring, a, b):
+    """The first point of {0..3}^(m+n-1), in itertools order with the units
+    at 1, where the two routes of a RouteView pair are non-proportional;
+    found by evaluating every entry at every grid point in turn.
+    """
+    nb = ring.base_nvars
+    names = ring.names
+    cells = [(r, c) for r in range(2) for c in range(2)]
+    for point in itertools.product((0, 1, 2, 3), repeat=nb):
+        full = list(point) + [1, 1, 1, 1]
+        vals = {}
+        for r, c in cells:
+            vals[(r, c, "a")] = a.mat[r, c].evaluate(full)
+            vals[(r, c, "b")] = b.mat[r, c].evaluate(full)
+        for k1 in range(len(cells)):
+            for k2 in range(len(cells)):
+                if k1 == k2:
+                    continue
+                e1, e2 = cells[k1], cells[k2]
+                lhs = vals[(*e1, "a")] * vals[(*e2, "b")]
+                rhs = vals[(*e2, "a")] * vals[(*e1, "b")]
+                if lhs != rhs:
+                    return {
+                        "point": {names[v]: str(point[v]) for v in range(nb)},
+                        "entries": [list(e1), list(e2)],
+                        "lhs": str(lhs),
+                        "rhs": str(rhs),
+                    }
+    return None

@@ -74,6 +74,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: {key} must be a positive integer, got {value!r}\n"
 
+    def test_duplicate_key_is_exit_2(self, tmp_path, capsys):
+        # the last "m" alone would make this a valid sl(1|1) module
+        text = presentation_to_json(build_mas(1, (1,), ()))
+        path = tmp_path / "dup.json"
+        path.write_text(text.replace('"m": 1', '"m": 5,\n  "m": 1'))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == "error: duplicate key 'm'\n"
+
 
 class TestClassify:
     def test_family_parameters_printed(self, family_file, tmp_path, capsys):
@@ -165,6 +173,66 @@ class TestEmptyCheckCommand:
 
     def test_out_of_scope_sizes(self, capsys):
         assert main(["empty-check", "--m", "2", "--n", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"format": "uhfree-emptiness-cert/1", "m": 2}', "certificate: missing key 'n'"),
+            ("[]", "certificate must be a JSON object"),
+            (
+                '{"format": "uhfree-emptiness-cert/1", "m": "x", "n": 2}',
+                "certificate: m must be an integer, got str",
+            ),
+            (
+                '{"format": "uhfree-emptiness-cert/1", "m": 2.0, "n": 2}',
+                "certificate: m must be an integer, got float",
+            ),
+        ],
+        ids=["missing-n", "top-level-array", "string-m", "float-m"],
+    )
+    def test_malformed_certificate_is_exit_2(self, tmp_path, capsys, text, message):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(text)
+        assert main(["empty-check", "--verify", str(cert_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(i=True), "certificate: i must be an integer, got bool"),
+            (lambda d: d["surviving"].pop("routeB"), "surviving: missing key 'routeB'"),
+            (
+                lambda d: d["surviving"]["routeA"].update(den=[1, 0, 0]),
+                "routeA.den must be an array of 4 items, each an integer",
+            ),
+            (
+                lambda d: d["surviving"]["routeA"]["mat"][0].__setitem__(0, 7),
+                "routeA.mat must be an array of 2 items, each a string",
+            ),
+            (lambda d: d["branch_log"].append(3), "branch_log entries must be objects"),
+        ],
+        ids=["bool-i", "missing-routeB", "short-den", "number-entry", "number-log-entry"],
+    )
+    def test_mistyped_certificate_field_is_exit_2(self, tmp_path, capsys, edit, message):
+        cert_path = tmp_path / "cert.json"
+        main(["empty-check", "--m", "2", "--n", "2", "--out", str(cert_path)])
+        data = json.loads(cert_path.read_text())
+        edit(data)
+        cert_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["empty-check", "--verify", str(cert_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_duplicate_certificate_key_is_exit_2(self, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        main(["empty-check", "--m", "2", "--n", "2", "--out", str(cert_path)])
+        text = cert_path.read_text().replace('"m": 2', '"m": 3,\n  "m": 2')
+        cert_path.write_text(text)
+        capsys.readouterr()
+        assert main(["empty-check", "--verify", str(cert_path)]) == 2
+        assert capsys.readouterr().err == "error: duplicate key 'm'\n"
 
 
 class TestOtherCommands:

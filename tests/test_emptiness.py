@@ -1,16 +1,26 @@
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from uhfree.poly import Poly
+from uhfree.presentation import Mat2
 from uhfree.emptiness import (
     CertRing,
     EmptinessError,
+    RouteView,
+    _eval_witness,
     certificate_from_dict,
     emptiness_certificate,
     graded_emptiness,
     verify_certificate,
 )
+
+from .oracles import eval_witness_oracle
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +83,98 @@ class TestCertificate22(object):
         assert again.to_json() == text
 
 
-@pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3), (2, 7), (7, 2), (40, 40)])
 def test_other_sizes_certify_and_verify(m, n):
     cert = emptiness_certificate(m, n)
     assert len(cert.branch_log) == 16
     verify_certificate(cert)
+
+
+@pytest.mark.parametrize(
+    "name, m, n, graded",
+    [("cert_2x2", 2, 2, False), ("cert_3x5", 3, 5, False), ("cert_7x7_graded", 7, 7, True)],
+)
+def test_certificates_match_the_golden_files(name, m, n, graded):
+    # the files were written by the exhaustive grid scan the search replaced
+    golden = (DATA / f"{name}.json").read_text()
+    assert emptiness_certificate(m, n, graded).to_json() == golden
+
+
+# -- the evaluation witness against the exhaustive grid scan ------------------------------
+
+
+def _vanishing(ring, v):
+    """h(h-1)(h-2)(h-3) in base variable v: zero on the whole evaluation grid."""
+    h = ring.hvar(v)
+    return h * (h - 1) * (h - 2) * (h - 3)
+
+
+@st.composite
+def grid_polys(draw, ring):
+    """Entries with base degree up to 5 in one variable and some unit factors."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 2))):
+        exps = [draw(st.integers(0, 1)) for _ in range(ring.nvars)]
+        exps[draw(st.integers(0, ring.base_nvars - 1))] = draw(st.integers(0, 5))
+        terms[tuple(exps)] = Fraction(draw(st.integers(-3, 3)))
+    p = Poly(ring.nvars, terms)
+    if draw(st.booleans()):
+        p = p * _vanishing(ring, draw(st.integers(0, ring.base_nvars - 1)))
+    return p
+
+
+@st.composite
+def route_pairs(draw):
+    """(ring, a, b, proportional on the grid) with at most four base variables."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5 - m))
+    ring = CertRing(m, n)
+    base_var = st.integers(0, ring.base_nvars - 1)
+
+    def mat():
+        c = [draw(grid_polys(ring)) for _ in range(4)]
+        return [[c[0], c[1]], [c[2], c[3]]]
+
+    a = mat()
+    kind = draw(st.sampled_from(["free", "proportional", "off-grid"]))
+    if kind == "free":
+        b = mat()
+    else:
+        lam = Fraction(draw(st.sampled_from([-2, 1, 3])), draw(st.integers(1, 3)))
+        scale = lam * ring.unit(draw(st.integers(0, 3)))
+        b = [[scale * q for q in row] for row in a]
+        if kind == "off-grid":
+            # still proportional on the grid, but not as polynomials
+            r, c = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+            b[r][c] += _vanishing(ring, draw(base_var)) * ring.hvar(draw(base_var))
+    zero = (0,) * 4
+    return (
+        ring,
+        RouteView(zero, Mat2(tuple(map(tuple, a)))),
+        RouteView(zero, Mat2(tuple(map(tuple, b)))),
+        kind != "free",
+    )
+
+
+def _vanishing_first_coordinate_case():
+    # the cross-difference is V(h2) + h1*h2 + V(h2)*h1*h2 with V vanishing on
+    # the grid: h1 = 0 leaves it nonzero as a polynomial but zero on the grid
+    ring = CertRing(2, 1)
+    one, zero = Poly.one(ring.nvars), Poly.zero(ring.nvars)
+    a = Mat2(((one + _vanishing(ring, 1), zero), (zero, one)))
+    b = Mat2(((one, zero), (zero, one + ring.hvar(0) * ring.hvar(1))))
+    return ring, RouteView((0,) * 4, a), RouteView((0,) * 4, b), False
+
+
+@settings(max_examples=80, deadline=None)
+@example(_vanishing_first_coordinate_case())
+@given(route_pairs())
+def test_eval_witness_matches_the_grid_scan(case):
+    ring, a, b, proportional_on_grid = case
+    found = _eval_witness(ring, a, b)
+    assert found == eval_witness_oracle(ring, a, b)
+    if proportional_on_grid:
+        assert found is None
 
 
 class TestGraded:
