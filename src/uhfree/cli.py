@@ -27,7 +27,7 @@ from .presentation import (
     pointwise_check,
     presentation_from_json,
     presentation_to_json,
-    verify_relations,
+    verified_report,
 )
 from .normalform import ClassificationError, classify_sl11, classify_sl_m1
 from .morphisms import (
@@ -61,9 +61,16 @@ class _Failure(Exception):
         self.lines = lines
 
 
+def _read_input(path: str, error: type[ValueError]) -> str:
+    """Text of an input file; bytes that are not UTF-8 raise `error` (exit 2)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_presentation(path: str) -> Presentation:
-    text = Path(path).read_text()
-    return presentation_from_json(text)
+    return presentation_from_json(_read_input(path, PresentationError))
 
 
 def _mat_strings(mat: Mat2, names) -> list[list[str]]:
@@ -80,7 +87,7 @@ def _names(p: Presentation):
 
 
 def _require_verified(p: Presentation, lines: list[str]) -> None:
-    report = verify_relations(p)
+    report = verified_report(p)
     if not report.ok:
         lines.append(f"FAIL: {len(report.violations)} relation(s) violated")
         lines.extend("  " + t for t in report.describe(p.m, p.n))
@@ -93,7 +100,7 @@ def _require_verified(p: Presentation, lines: list[str]) -> None:
 def cmd_verify(args) -> int:
     p = _load_presentation(args.file)
     lines = [f"presentation over sl({p.m}|{p.n}), grading {p.grading}"]
-    report = verify_relations(p)
+    report = verified_report(p)
     payload = {
         "ok": report.ok,
         "checked": report.checked,
@@ -167,8 +174,7 @@ def cmd_iso(args) -> int:
     dst = _load_presentation(args.dst)
     lines = [FIELD_NOTE]
     for tag, p in (("left", src), ("right", dst)):
-        rep = verify_relations(p)
-        if not rep.ok:
+        if not verified_report(p).ok:
             lines.append(f"FAIL: {tag} presentation violates relations")
             raise _Failure(lines)
     category = resolve_category(src, dst, args.category)
@@ -302,7 +308,7 @@ def cmd_string_check(args) -> int:
 
 def cmd_empty_check(args) -> int:
     if args.verify:
-        cert = certificate_from_json(Path(args.verify).read_text())
+        cert = certificate_from_json(_read_input(args.verify, EmptinessError))
         try:
             report = verify_certificate(cert)
         except EmptinessError as exc:
@@ -479,6 +485,10 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a directory or an unreadable file given as input or --out
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except (
         PolyError,

@@ -36,7 +36,7 @@ from .poly import (
     divides_exactly,
 )
 from .presentation import InvariantBreach, Mat2, Presentation, Vec2
-from .normalform import classify_sl_m1
+from .normalform import classified_sl_m1, classify_sl_m1
 from .superlie import Root
 
 
@@ -316,7 +316,7 @@ def _family_frame(p: Presentation) -> tuple[Mat2, int]:
     """
     if p.n != 1:
         raise MorphismError("endomorphism description applies to sl(m|1)")
-    params, w = classify_sl_m1(p)
+    params, w = classified_sl_m1(p)
     return w, -(p.m - 1) if params.bar else p.m - 1
 
 

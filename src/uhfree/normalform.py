@@ -39,7 +39,7 @@ from .presentation import (
     build_mas_bar,
     conjugate,
     parity_check,
-    verify_relations,
+    verified_report,
 )
 from .superlie import Root
 
@@ -236,11 +236,11 @@ class Sl11Class:
 
 
 def _require_verified(p: Presentation):
-    report = verify_relations(p, max_violations=1)
+    report = verified_report(p)
     if not report.ok:
         raise ClassificationError(
             "presentation does not satisfy the module relations: "
-            + "; ".join(report.describe(p.m, p.n))
+            + report.describe(p.m, p.n)[0]
         )
 
 
@@ -354,6 +354,14 @@ def classify_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
         if check.E(*pos) != mat:
             raise InvariantBreach("classification witness fails to reach the family form")
     return params, w
+
+
+def classified_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
+    """classify_sl_m1(p), computed once per presentation object."""
+    result = p._memo.get("sl_m1")
+    if result is None:
+        result = p._memo["sl_m1"] = classify_sl_m1(p)
+    return result
 
 
 def graded_equiv_witness(m: int, a: Sequence[Fraction], s: Iterable[int]) -> Mat2:

@@ -250,6 +250,9 @@ class Presentation:
     odd: tuple[tuple[tuple[int, int], Mat2], ...]
     _lookup: dict = field(init=False, repr=False, compare=False, hash=False)
     _even_cache: dict = field(init=False, repr=False, compare=False, hash=False)
+    # results computed once per object: "relations" (verified_report),
+    # "sl_m1" (normalform.classified_sl_m1)
+    _memo: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.grading not in GRADINGS:
@@ -266,6 +269,7 @@ class Presentation:
         object.__setattr__(self, "odd", ordered)
         object.__setattr__(self, "_lookup", dict(ordered))
         object.__setattr__(self, "_even_cache", {})
+        object.__setattr__(self, "_memo", {})
 
     @property
     def algebra(self) -> SuperAlgebra:
@@ -406,8 +410,8 @@ def verify_relations(p: Presentation, max_violations: Optional[int] = None) -> R
             x, y = roots[a], roots[b]
             Ex, Ey = p.E(x.row, x.col), p.E(y.row, y.col)
             tx, ty = alg.weight_shift(x), alg.weight_shift(y)
-            sign = -1 if alg.parity(x) and alg.parity(y) else 1
-            lhs = Ex * Ey.shifted(tx) - sign * (Ey * Ex.shifted(ty))
+            first, second = Ex * Ey.shifted(tx), Ey * Ex.shifted(ty)
+            lhs = first + second if alg.parity(x) and alg.parity(y) else first - second
             rhs = _bracket_matrix(p, alg.super_bracket(x, y))
             checked += 1
             if lhs != rhs:
@@ -415,6 +419,20 @@ def verify_relations(p: Presentation, max_violations: Optional[int] = None) -> R
                 if max_violations is not None and len(violations) >= max_violations:
                     return RelationReport(False, tuple(violations), checked)
     return RelationReport(not violations, tuple(violations), checked)
+
+
+def verified_report(p: Presentation) -> RelationReport:
+    """The full verify_relations report of p, computed once per object.
+
+    The report is kept on the immutable presentation, so the layers a
+    presentation passes through (CLI, classification, isomorphism,
+    endomorphisms) share one check.  `conjugate` and the parsers build
+    new objects, which are checked afresh.
+    """
+    report = p._memo.get("relations")
+    if report is None:
+        report = p._memo["relations"] = verify_relations(p)
+    return report
 
 
 def pointwise_check(p: Presentation, max_deg: int = 2) -> RelationReport:

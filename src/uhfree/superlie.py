@@ -11,9 +11,17 @@ where barred indices bj label the odd block.  Positions are encoded
 position space coincides with the variable space of the polynomial
 ring, so weights are ShiftMap vectors directly.
 
-Structure constants are not hard-coded: every basis element is realized
-as an (m+n) x (m+n) supermatrix and brackets are computed there, then
-re-expressed in the fixed basis.
+Brackets use the closed form of the supermatrix realization,
+
+    [e_ij, e_kl] = delta_jk e_il - (-1)^{|ij||kl|} delta_li e_kj,
+    [h_v, e_IJ]  = lambda_v(IJ) e_IJ,        [h_v, h_w] = 0,
+
+where lambda_v(IJ) = [I in pair_v] - [J in pair_v] is the h_v-eigenvalue
+(pair_v being the two diagonal positions of h_v).  A diagonal result
+e_ii -/+ e_jj is re-expressed on the Cartan basis.  Brackets and weight
+shifts are computed on first use and cached on the algebra, one entry
+per key; the supermatrix products themselves serve only as the test
+oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from types import MappingProxyType
+from typing import Mapping, Union
 
 from .poly import ShiftMap
 
@@ -46,7 +55,7 @@ class Root:
 
 
 BasisElement = Union[Cartan, Root]
-Combo = dict  # BasisElement -> Fraction
+Combo = Mapping  # BasisElement -> Fraction; read-only when cached
 
 
 class SuperAlgebra:
@@ -59,6 +68,8 @@ class SuperAlgebra:
         self.n = n
         self.dim = m + n
         self.nvars = m + n - 1
+        self._shifts: dict = {}
+        self._brackets: dict = {}
 
     # -- index helpers -------------------------------------------------------
 
@@ -113,10 +124,9 @@ class SuperAlgebra:
             return (pos, self.dim - 1)
         return (pos, self.m - 1)
 
-    def cartan_diag(self, var: int) -> tuple[int, ...]:
-        """Diagonal of the supermatrix of h_var (0/1 entries)."""
-        p1, p2 = self.cartan_diag_pair(var)
-        return tuple(1 if k in (p1, p2) else 0 for k in range(self.dim))
+    def _check_root(self, b: Root) -> None:
+        if b.row == b.col or not (0 <= b.row < self.dim and 0 <= b.col < self.dim):
+            raise SuperLieError(f"bad root indices ({b.row}, {b.col})")
 
     # -- weights ----------------------------------------------------------------
 
@@ -126,74 +136,59 @@ class SuperAlgebra:
         The entry at variable v is the h_v-eigenvalue of ad on e_IJ, so
         the induced substitution is h_v -> h_v - eigenvalue.
         """
-        if not isinstance(b, Root):
-            raise SuperLieError("weight shifts are defined for root vectors only")
-        shifts = []
-        for v in range(self.nvars):
-            diag = self.cartan_diag(v)
-            shifts.append(diag[b.row] - diag[b.col])
-        return ShiftMap(shifts)
+        shift = self._shifts.get(b)
+        if shift is None:
+            if not isinstance(b, Root):
+                raise SuperLieError("weight shifts are defined for root vectors only")
+            self._check_root(b)
+            pairs = [self.cartan_diag_pair(v) for v in range(self.nvars)]
+            shift = ShiftMap((b.row in pair) - (b.col in pair) for pair in pairs)
+            self._shifts[b] = shift
+        return shift
 
-    # -- matrix realization and brackets -----------------------------------------
+    # -- brackets ----------------------------------------------------------------
 
-    def matrix(self, b: BasisElement) -> tuple[tuple[int, ...], ...]:
-        if isinstance(b, Cartan):
-            diag = self.cartan_diag(b.var)
-            return tuple(
-                tuple(diag[i] if i == j else 0 for j in range(self.dim))
-                for i in range(self.dim)
-            )
-        if b.row == b.col or not (0 <= b.row < self.dim and 0 <= b.col < self.dim):
-            raise SuperLieError(f"bad root indices ({b.row}, {b.col})")
-        return tuple(
-            tuple(1 if (i, j) == (b.row, b.col) else 0 for j in range(self.dim))
-            for i in range(self.dim)
-        )
-
-    def decompose(self, mat) -> Combo:
-        """Express a supertraceless matrix in the fixed basis."""
-        combo: Combo = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if i != j and mat[i][j]:
-                    combo[Root(i, j)] = Fraction(mat[i][j])
-        diag = [Fraction(mat[k][k]) for k in range(self.dim)]
-        coeffs = [Fraction(0)] * self.nvars
-        for v in range(self.nvars):
-            if v != self.m - 1:
-                coeffs[v] = diag[v if v < self.m else v + 0]
+    def _cartan_combo(self, diag: Mapping[int, int]) -> dict:
+        """Express a supertraceless diagonal {position: entry} in the Cartan basis."""
+        coeffs = [diag.get(v, 0) for v in range(self.nvars)]
         # position m-1 collects h_m plus every barred Cartan element
-        coeffs[self.m - 1] = diag[self.m - 1] - sum(
-            coeffs[v] for v in range(self.m, self.nvars)
-        )
-        implied_last = sum(coeffs[v] for v in range(self.m))
-        if implied_last != diag[self.dim - 1]:
+        coeffs[self.m - 1] -= sum(coeffs[self.m :])
+        if sum(coeffs[: self.m]) != diag.get(self.dim - 1, 0):
             raise SuperLieError("matrix is not in the span of the fixed basis")
-        for v, c in enumerate(coeffs):
-            if c:
-                combo[Cartan(v)] = c
-        return combo
+        return {Cartan(v): Fraction(c) for v, c in enumerate(coeffs) if c}
+
+    def _bracket(self, b1: BasisElement, b2: BasisElement) -> dict:
+        for b in (b1, b2):
+            if isinstance(b, Root):
+                self._check_root(b)
+            else:
+                self.cartan_diag_pair(b.var)
+        if isinstance(b1, Cartan):
+            if isinstance(b2, Cartan):
+                return {}
+            c = self.weight_shift(b2).shifts[b1.var]
+            return {b2: Fraction(c)} if c else {}
+        if isinstance(b2, Cartan):
+            c = -self.weight_shift(b1).shifts[b2.var]
+            return {b1: Fraction(c)} if c else {}
+        (i, j), (k, l) = (b1.row, b1.col), (b2.row, b2.col)
+        sign = -1 if self.parity(b1) and self.parity(b2) else 1
+        if j == k and l == i:
+            return self._cartan_combo({i: 1, j: -sign})
+        if j == k:
+            return {Root(i, l): Fraction(1)}
+        if l == i:
+            return {Root(k, j): Fraction(-sign)}
+        return {}
 
     def super_bracket(self, b1: BasisElement, b2: BasisElement) -> Combo:
-        """Supercommutator [b1, b2] expanded in the fixed basis."""
-        x = self.matrix(b1)
-        y = self.matrix(b2)
-        sign = -1 if self.parity(b1) and self.parity(b2) else 1
-        xy = _matmul(x, y)
-        yx = _matmul(y, x)
-        bracket = tuple(
-            tuple(xy[i][j] - sign * yx[i][j] for j in range(self.dim))
-            for i in range(self.dim)
-        )
-        return self.decompose(bracket)
-
-
-def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+        """Supercommutator [b1, b2] expanded in the fixed basis (read-only)."""
+        key = (b1, b2)
+        combo = self._brackets.get(key)
+        if combo is None:
+            combo = MappingProxyType(self._bracket(b1, b2))
+            self._brackets[key] = combo
+        return combo
 
 
 @lru_cache(maxsize=None)

@@ -1,20 +1,26 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from uhfree import normalform, presentation
 from uhfree.cli import main
+from uhfree.normalform import ClassificationError, classify_sl11
 from uhfree.poly import Poly
 from uhfree.presentation import (
     Mat2,
     build_mas,
     build_mas_bar,
+    conjugate,
     make_presentation,
     presentation_from_json,
     presentation_to_json,
+    verified_report,
 )
 
 H = Poly.var(1, 0)
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -81,6 +87,28 @@ class TestExitCodes:
         path.write_text(text.replace('"m": 1', '"m": 5,\n  "m": 1'))
         assert main(["verify", str(path)]) == 2
         assert capsys.readouterr().err == "error: duplicate key 'm'\n"
+
+
+    NOT_UTF8 = "error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "{bad}"], NOT_UTF8),
+            (["empty-check", "--verify", "{bad}"], NOT_UTF8),
+            (["verify", "{dir}"], "error: {dir}: Is a directory\n"),
+            (["empty-check", "--verify", "{dir}"], "error: {dir}: Is a directory\n"),
+        ],
+        ids=["verify-not-utf8", "cert-not-utf8", "verify-directory", "cert-directory"],
+    )
+    def test_unreadable_input_is_exit_2(self, tmp_path, capsys, argv, message):
+        bad = tmp_path / "bom16.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        paths = {"bad": str(bad), "dir": str(tmp_path)}
+        assert main([a.format(**paths) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message.format(**paths)
+        assert captured.out == ""
 
 
 class TestClassify:
@@ -289,3 +317,115 @@ class TestOtherCommands:
         payload = json.loads(out.read_text())
         assert payload["class"] == "class-1"
         assert payload["canonical"][0] == [["0", "1"], ["0", "0"]]
+
+
+class TestVerifyOnce:
+    """A presentation object is checked by verify_relations at most once."""
+
+    @pytest.fixture
+    def verify_calls(self, monkeypatch):
+        calls = []
+        original = presentation.verify_relations
+
+        def counting(p, max_violations=None):
+            calls.append(p)
+            return original(p, max_violations)
+
+        monkeypatch.setattr(presentation, "verify_relations", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "{m21}"],
+            ["classify", "{m21}"],
+            ["classify", "{m11}"],
+            ["endo", "{m21}", "--bound", "1"],
+            ["endo", "{m11}", "--bound", "1"],
+            ["submodules", "{m21}", "--length", "2"],
+            ["submodules", "{m11}"],
+            ["canon-sl11", "{m11}"],
+        ],
+        ids=["verify", "classify", "classify-sl11", "endo", "endo-sl11",
+             "submodules", "submodules-sl11", "canon-sl11"],
+    )
+    def test_one_verify_per_input_file(self, tmp_path, verify_calls, argv):
+        paths = {
+            "m21": write(tmp_path, "m21.json", build_mas(2, (1, 2), (1,))),
+            "m11": write(tmp_path, "m11.json", build_mas(1, (1,), (1,))),
+        }
+        assert main([a.format(**paths) for a in argv]) == 0
+        assert len(verify_calls) == 1
+
+    def test_iso_verifies_each_side_once(self, tmp_path, verify_calls):
+        a = write(tmp_path, "a.json", build_mas(2, (1, 2), (1,)))
+        b = write(tmp_path, "b.json", build_mas(2, (3, 6), (1,)))
+        assert main(["iso", a, b]) == 0
+        assert len(verify_calls) == 2
+        assert verify_calls[0] is not verify_calls[1]
+
+    def test_endo_classifies_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = normalform.classify_sl_m1
+        monkeypatch.setattr(
+            normalform, "classify_sl_m1", lambda p: calls.append(p) or original(p)
+        )
+        path = write(tmp_path, "bar.json", build_mas_bar(2, (1, 2), (1,)))
+        assert main(["endo", path, "--bound", "1"]) == 0
+        assert len(calls) == 1
+
+    def test_failing_report_is_kept(self, tmp_path, capsys, verify_calls):
+        bad = make_presentation(1, 1, {(0, 1): Mat2.identity(1), (1, 0): Mat2.zero(1)})
+        first = verified_report(bad)
+        assert not first.ok and len(first.violations) > 1
+        assert verified_report(bad) is first
+        for _ in range(2):
+            with pytest.raises(ClassificationError) as exc:
+                classify_sl11(bad)
+            # the classification message names the first violation only
+            assert str(exc.value).endswith(first.describe(1, 1)[0])
+        assert verify_calls == [bad]
+        path = write(tmp_path, "bad.json", bad)
+        outputs = []
+        for _ in range(2):
+            assert main(["classify", path]) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert f"FAIL: {len(first.violations)} relation(s) violated" in outputs[0]
+
+    def test_conjugate_is_verified_afresh(self, verify_calls):
+        p = build_mas(2, (1, 2), (1,))
+        assert verified_report(p).ok
+        w = Mat2.of(2, ((1, Poly.var(2, 0)), (0, 1)))
+        q = conjugate(p, w)
+        assert verified_report(q).ok
+        assert verify_calls == [p, q]
+
+    def test_equal_objects_each_get_their_verdict(self, verify_calls):
+        good = [build_mas(2, (1, 2), (1,)) for _ in range(2)]
+        bad = [
+            make_presentation(1, 1, {(0, 1): Mat2.zero(1), (1, 0): Mat2.zero(1)})
+            for _ in range(2)
+        ]
+        for pair, ok in ((good, True), (bad, False)):
+            assert pair[0] == pair[1] and pair[0] is not pair[1]
+            assert [verified_report(p).ok for p in pair] == [ok, ok]
+        assert len(verify_calls) == 4
+
+
+@pytest.mark.parametrize(
+    "name, command, inputs, options, code",
+    [
+        ("verify_sl31_conjugate", "verify", ["sl31_conjugate"], [], 0),
+        ("verify_sl31_perturbed", "verify", ["sl31_perturbed"], [], 1),
+        ("classify_sl31_bar", "classify", ["sl31_bar"], [], 0),
+        ("iso_sl21", "iso", ["sl21_src", "sl21_dst"], [], 0),
+        ("endo_sl21_graded", "endo", ["sl21_graded"], ["--bound", "2"], 0),
+    ],
+)
+def test_family_payloads_match_the_golden_files(tmp_path, name, command, inputs, options, code):
+    # the golden files were written with the matrix-product brackets the closed form replaced
+    files = [str(DATA / f"family_in_{i}.json") for i in inputs]
+    out = tmp_path / "out.json"
+    assert main([command, *files, *options, "--out", str(out)]) == code
+    assert out.read_bytes() == (DATA / f"family_out_{name}.json").read_bytes()

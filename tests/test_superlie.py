@@ -5,12 +5,17 @@ import pytest
 from uhfree.superlie import (
     Cartan,
     Root,
+    SuperAlgebra,
     SuperLieError,
     algebra,
     parse_basis_label,
 )
 
 from .oracles import elementary, supercommutator
+
+# the acceptance sizes, then sizes past them: unequal blocks both ways,
+# equal blocks of three, and the largest sl(m|1) the benchmark reaches
+SIZES = [(1, 1), (2, 1), (3, 1), (2, 2), (4, 2), (2, 4), (3, 3), (6, 1)]
 
 
 def combo_to_matrix(alg, combo):
@@ -93,11 +98,11 @@ class TestWeightShift:
 
     def test_eigenvalue_consistency_with_matrix_oracle(self):
         # ad(h_v) x = lambda x with lambda the stored shift entry
-        for (m, n) in ((1, 1), (2, 1), (3, 1), (2, 2)):
+        for (m, n) in SIZES:
             alg = algebra(m, n)
             for x in alg.root_vectors():
                 shifts = alg.weight_shift(x).shifts
-                xmat = [list(r) for r in alg.matrix(x)]
+                xmat = elementary(alg.dim, x.row, x.col)
                 for v in range(alg.nvars):
                     hmat = combo_to_matrix(alg, {Cartan(v): Fraction(1)})
                     br = supercommutator(hmat, xmat, 0, alg.parity(x))
@@ -140,19 +145,22 @@ class TestSuperBracket:
             Cartan(1): Fraction(-1),
         }
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 1), (2, 2)])
+    @pytest.mark.parametrize("m,n", SIZES)
     def test_matches_matrix_oracle(self, m, n):
         alg = algebra(m, n)
         basis = alg.basis()
+        # integer entries keep the O(dim^3) oracle products cheap
+        mats = {
+            x: [[int(e) for e in row] for row in combo_to_matrix(alg, {x: 1})]
+            for x in basis
+        }
         for x in basis:
-            xm = [list(r) for r in alg.matrix(x)]
             for y in basis:
-                ym = [list(r) for r in alg.matrix(y)]
                 combo = alg.super_bracket(x, y)
-                direct = supercommutator(xm, ym, alg.parity(x), alg.parity(y))
+                direct = supercommutator(mats[x], mats[y], alg.parity(x), alg.parity(y))
                 assert combo_to_matrix(alg, combo) == direct
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 1), (2, 2)])
+    @pytest.mark.parametrize("m,n", SIZES)
     def test_anti_supersymmetry(self, m, n):
         alg = algebra(m, n)
         basis = alg.basis()
@@ -162,6 +170,37 @@ class TestSuperBracket:
                 left = alg.super_bracket(x, y)
                 right = {b: -sign * c for b, c in alg.super_bracket(y, x).items()}
                 assert left == right
+
+    def test_bad_elements_rejected(self):
+        alg = algebra(2, 1)
+        bad = ((Root(0, 0), Root(0, 2)), (Root(0, 2), Root(3, 0)), (Cartan(2), Root(0, 1)))
+        for x, y in bad:
+            with pytest.raises(SuperLieError):
+                alg.super_bracket(x, y)
+
+
+class TestCaches:
+    def test_filled_lazily_one_key_at_a_time(self):
+        # creating an algebra tabulates nothing; each key is filled on first use
+        alg = SuperAlgebra(7, 7)
+        assert alg._brackets == {} and alg._shifts == {}
+        alg.super_bracket(Root(0, 7), Root(7, 0))
+        assert list(alg._brackets) == [(Root(0, 7), Root(7, 0))]
+        assert alg._shifts == {}
+        alg.weight_shift(Root(0, 7))
+        assert list(alg._shifts) == [Root(0, 7)]
+
+    def test_cached_results_are_shared_and_read_only(self):
+        alg = SuperAlgebra(3, 1)
+        combo = alg.super_bracket(Root(0, 3), Root(3, 0))
+        with pytest.raises(TypeError):
+            combo[Cartan(1)] = Fraction(5)
+        assert alg.super_bracket(Root(0, 3), Root(3, 0)) is combo
+        assert combo == {Cartan(0): Fraction(1)}
+        shift = alg.weight_shift(Root(0, 3))
+        with pytest.raises(AttributeError):
+            shift.shifts = (0, 0, 0)
+        assert alg.weight_shift(Root(0, 3)) is shift
 
 
 def bracket_combo(alg, combo1, combo2):
@@ -173,7 +212,7 @@ def bracket_combo(alg, combo1, combo2):
     return {b: c for b, c in out.items() if c}
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("m,n", SIZES)
 def test_super_jacobi_identity(m, n):
     alg = algebra(m, n)
     basis = alg.basis()
