@@ -33,13 +33,13 @@ from .normalform import ClassificationError, classify_sl11, classify_sl_m1
 from .morphisms import (
     MorphismError,
     endo_ring_basis,
+    endo_solutions,
     filtration,
     filtration_separators,
     idempotent_scan,
     iso_test,
     resolve_category,
     sl11_submodule_shape,
-    solve_hom,
 )
 from .stringbridge import StringBridgeError, StringModule, check_intertwining
 from .emptiness import (
@@ -51,6 +51,9 @@ from .emptiness import (
 )
 
 FIELD_NOTE = "field: exact rationals (complex parameters are taken as rational witnesses)"
+
+# Violations printed to stdout; `verify --out` holds every one of them.
+MAX_SHOWN_VIOLATIONS = 20
 
 
 class _Failure(Exception):
@@ -86,11 +89,19 @@ def _names(p: Presentation):
     return default_names(p.nvars, p.m)
 
 
+def _violation_lines(texts: list[str], rest: str) -> list[str]:
+    """Indented lines for the first MAX_SHOWN_VIOLATIONS texts, then a count of the rest."""
+    lines = ["  " + t for t in texts[:MAX_SHOWN_VIOLATIONS]]
+    if len(texts) > MAX_SHOWN_VIOLATIONS:
+        lines.append(f"  ... and {len(texts) - MAX_SHOWN_VIOLATIONS} more ({rest})")
+    return lines
+
+
 def _require_verified(p: Presentation, lines: list[str]) -> None:
     report = verified_report(p)
     if not report.ok:
         lines.append(f"FAIL: {len(report.violations)} relation(s) violated")
-        lines.extend("  " + t for t in report.describe(p.m, p.n))
+        lines.extend(_violation_lines(report.describe(p.m, p.n), "see uhfree verify --out"))
         raise _Failure(lines)
 
 
@@ -113,7 +124,7 @@ def cmd_verify(args) -> int:
     _write_out(args.out, payload)
     if not report.ok:
         lines.append(f"FAIL: {len(report.violations)} of {report.checked} relations violated")
-        lines.extend("  " + t for t in payload["violations"])
+        lines.extend(_violation_lines(payload["violations"], "see --out"))
         print("\n".join(_stamped(lines, args)))
         return 1
     lines.append(f"PASS: all {report.checked} generator relations hold")
@@ -205,7 +216,7 @@ def cmd_endo(args) -> int:
     lines = [f"endomorphisms up to entry degree {args.bound}"]
     _require_verified(p, lines)
     names = _names(p)
-    sols = solve_hom(p, p, args.bound)
+    sols = endo_solutions(p, args.bound)
     basis = endo_ring_basis(p, args.bound)
     idems = idempotent_scan(p, args.bound)
     payload = {

@@ -367,6 +367,20 @@ def _collapse_to_univariate(g: Poly) -> Poly:
     return Poly(1, terms)
 
 
+def endo_solutions(p: Presentation, degree_bound: int) -> tuple[HomSolution, ...]:
+    """solve_hom(p, p, degree_bound), solved once per presentation and bound.
+
+    The solutions are kept on the immutable presentation, the way
+    `verified_report` keeps its relation check, so `uhfree endo` and
+    `idempotent_scan` share one solve.
+    """
+    key = ("endo", degree_bound)
+    sols = p._memo.get(key)
+    if sols is None:
+        sols = p._memo[key] = tuple(solve_hom(p, p, degree_bound))
+    return sols
+
+
 def idempotent_scan(p: Presentation, degree_bound: int) -> list[Mat2]:
     """All idempotents in the endomorphism span up to the degree bound.
 
@@ -375,7 +389,7 @@ def idempotent_scan(p: Presentation, degree_bound: int) -> list[Mat2]:
     so the scan reduces to membership of the constants in the solved span.
     """
     frame, offset = _family_frame(p)
-    sols = solve_hom(p, p, degree_bound, category="auto")
+    sols = endo_solutions(p, degree_bound)
     finv = frame.inverse_unimodular()
     fs = [_family_f(p, finv * s.w * frame, offset) for s in sols if not s.w.is_zero]
     nv = p.nvars

@@ -1,11 +1,17 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 Polynomials live in Q[h_1, ..., h_m, hb_1, ..., hb_{n-1}] with a fixed
-variable order h_1 > ... > h_m > hb_1 > ... and are kept canonical: no
-zero terms are ever stored, so equality is plain term-map equality.
-The module also provides the shift automorphisms h_i -> h_i - s_i that
-encode the weights of root-vector actions, a primitive-part Euclidean
-gcd, and exact division.  All values are immutable.
+variable order h_1 > ... > h_m > hb_1 > ...  A polynomial is stored as
+integer numerators over one positive common denominator: a map from
+exponent tuples to nonzero ints, and den >= 1 with gcd(den, every
+numerator) == 1 (the zero polynomial has den == 1).  That form is
+canonical, so equal polynomials have equal storage and equality compares
+ints.  The kernels add, multiply and shift integer term maps and reduce
+by one gcd per result; `Poly.terms` is a read-only {exponents: Fraction}
+view of the same value, built on first use.  The module also provides
+the shift automorphisms h_i -> h_i - s_i that encode the weights of
+root-vector actions, a primitive-part Euclidean gcd, and exact division.
+All values are immutable.
 
 The text grammar (used by every file format and the CLI):
 
@@ -22,10 +28,16 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, gcd, lcm
+from operator import add
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 class PolyError(ValueError):
@@ -55,18 +67,20 @@ def grlex_key(exps: tuple[int, ...]) -> tuple:
 
 # -- term maps -------------------------------------------------------------------
 #
-# A term map sends exponent tuples to nonzero Fraction coefficients.  The
-# helpers below are the hot inner loops of the whole package.
+# A term map sends exponent tuples to nonzero int numerators.  The helpers
+# below are the hot inner loops of the whole package.
 
 
-def _add_terms(a: dict, b: dict) -> dict:
+def _add_terms(a: dict, b: dict, k: int = 1) -> dict:
+    """a + k*b."""
     out = dict(a)
-    for exps, coeff in b.items():
-        acc = out.get(exps)
+    get = out.get
+    for exps, n in b.items():
+        acc = get(exps)
         if acc is None:
-            out[exps] = coeff
+            out[exps] = k * n
         else:
-            acc = acc + coeff
+            acc += k * n
             if acc:
                 out[exps] = acc
             else:
@@ -78,15 +92,15 @@ def _mul_terms(a: dict, b: dict) -> dict:
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
+    get = out.get
     for ea, ca in a.items():
         for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            c = ca * cb
-            acc = out.get(key)
+            key = tuple(map(add, ea, eb))
+            acc = get(key)
             if acc is None:
-                out[key] = c
+                out[key] = ca * cb
             else:
-                acc = acc + c
+                acc += ca * cb
                 if acc:
                     out[key] = acc
                 else:
@@ -94,32 +108,42 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return out
 
 
+# A workload needs few (e, s) pairs (weights are small) but looks them up
+# once per shifted factor of every monomial.
+@lru_cache(maxsize=1024)
+def _binomial_row(e: int, s: int) -> tuple[int, ...]:
+    """Coefficients of (x - s)^e, constant term first (exact ints)."""
+    return tuple(comb(e, k) * (-s) ** (e - k) for k in range(e + 1))
+
+
 def _shift_terms(terms: dict, shifts: tuple[int, ...]) -> dict:
     """Substitute h_i -> h_i - shifts[i] into a term map."""
+    moved = [(i, s) for i, s in enumerate(shifts) if s]
     out: dict = {}
+    get = out.get
     for exps, coeff in terms.items():
-        # Seed with the unshifted part of the monomial, then expand each
-        # shifted factor (h_i - s)^e by the binomial theorem.  Exponent i
-        # is 0 in every seed key, so the expanded keys never collide.  The
-        # binomial weights are Python ints, so every coefficient is exact.
-        base = tuple(0 if shifts[i] else e for i, e in enumerate(exps))
-        partial = {base: coeff}
-        for i, s in enumerate(shifts):
+        # Expand each shifted factor (h_i - s)^e of the monomial by the
+        # binomial theorem, replacing exponent i by k in every key, so the
+        # keys of one monomial's expansion never collide.
+        partial = None
+        for i, s in moved:
             e = exps[i]
-            if s == 0 or e == 0:
+            if not e:
                 continue
+            row = _binomial_row(e, s)
             nxt = {}
-            for k in range(e + 1):
-                c = comb(e, k) * (-s) ** (e - k)
-                for ex2, c2 in partial.items():
-                    nxt[ex2[:i] + (k,) + ex2[i + 1 :]] = c * c2
+            for ex2, c2 in (partial or {exps: coeff}).items():
+                head, tail = ex2[:i], ex2[i + 1 :]
+                for k, w in enumerate(row):
+                    nxt[head + (k,) + tail] = w * c2
             partial = nxt
-        for exps2, c2 in partial.items():
-            acc = out.get(exps2)
+        items = ((exps, coeff),) if partial is None else partial.items()
+        for exps2, c2 in items:
+            acc = get(exps2)
             if acc is None:
                 out[exps2] = c2
             else:
-                acc = acc + c2
+                acc += c2
                 if acc:
                     out[exps2] = acc
                 else:
@@ -128,9 +152,10 @@ def _shift_terms(terms: dict, shifts: tuple[int, ...]) -> dict:
 
 
 class Poly:
-    """Immutable multivariate polynomial with Fraction coefficients."""
+    """Immutable multivariate polynomial with rational coefficients."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    # _view and _hash stay unset until first asked for
+    __slots__ = ("nvars", "_num", "_den", "_view", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -141,9 +166,35 @@ class Poly:
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise PolyError(f"bad exponent vector {exps!r} for {nvars} variables")
             clean[tuple(exps)] = coeff
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        # Lowest-terms coefficients over the lcm of their denominators
+        # already have gcd(den, numerators) == 1.
+        den = lcm(*(c.denominator for c in clean.values()))
+        num = {exps: c.numerator * (den // c.denominator) for exps, c in clean.items()}
+        _set(self, "nvars", nvars)
+        _set(self, "_num", num)
+        _set(self, "_den", den)
+
+    @classmethod
+    def _of(cls, nvars: int, num: dict, den: int) -> "Poly":
+        """Wrap canonical integer storage without validation (kernel results)."""
+        p = _new(cls)
+        _set(p, "nvars", nvars)
+        _set(p, "_num", num)
+        _set(p, "_den", den)
+        return p
+
+    @classmethod
+    def _reduced(cls, nvars: int, num: dict, den: int) -> "Poly":
+        """Wrap integer storage after dividing out gcd(den, numerators)."""
+        if den != 1:
+            if not num:
+                den = 1
+            else:
+                g = gcd(den, *num.values())
+                if g != 1:
+                    num = {exps: n // g for exps, n in num.items()}
+                    den //= g
+        return cls._of(nvars, num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -152,12 +203,14 @@ class Poly:
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars, {})
+        return cls._of(nvars, {}, 1)
 
     @classmethod
     def const(cls, nvars: int, c: Scalar) -> "Poly":
         c = _as_fraction(c)
-        return cls(nvars, {(0,) * nvars: c} if c else {})
+        if not c:
+            return cls.zero(nvars)
+        return cls._of(nvars, {(0,) * nvars: c.numerator}, c.denominator)
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
@@ -168,59 +221,74 @@ class Poly:
         if not 0 <= i < nvars:
             raise PolyError(f"variable index {i} out of range for {nvars} variables")
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls._of(nvars, {exps: 1}, 1)
 
     # -- basic queries ------------------------------------------------------
 
     @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        """Read-only {exponents: nonzero Fraction} view, built once on demand."""
+        try:
+            return self._view
+        except AttributeError:
+            den = self._den
+            view = MappingProxyType({e: Fraction(n, den) for e, n in self._num.items()})
+            _set(self, "_view", view)
+            return view
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._num))
 
     def degree_in(self, i: int) -> int:
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self._num)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading (exponents, coefficient) under graded lex; zero is an error."""
-        if not self.terms:
+        if not self._num:
             raise PolyError("zero polynomial has no leading term")
-        exps = max(self.terms, key=grlex_key)
-        return exps, self.terms[exps]
+        exps = max(self._num, key=grlex_key)
+        return exps, Fraction(self._num[exps], self._den)
 
     def leading_coeff(self) -> Fraction:
         return self.leading()[1]
 
     def monic(self) -> "Poly":
         """Scale so the leading coefficient is 1; zero stays zero."""
-        if not self.terms:
+        if not self._num:
             return self
         return self * (1 / self.leading_coeff())
 
     def constant_value(self) -> Optional[Fraction]:
         """The value of a constant polynomial, None if non-constant."""
-        if not self.terms:
+        if not self._num:
             return Fraction(0)
-        if len(self.terms) == 1:
-            exps, coeff = next(iter(self.terms.items()))
+        if len(self._num) == 1:
+            exps, n = next(iter(self._num.items()))
             if not any(exps):
-                return coeff
+                return Fraction(n, self._den)
         return None
 
     def coeff(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._num.get(tuple(exps), 0), self._den)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        den = self._den
+        return [
+            (exps, Fraction(self._num[exps], den))
+            for exps in sorted(self._num, key=grlex_key, reverse=True)
+        ]
 
     def variables(self) -> set[int]:
-        return {i for exps in self.terms for i, e in enumerate(exps) if e}
+        return {i for exps in self._num for i, e in enumerate(exps) if e}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -235,34 +303,61 @@ class Poly:
             return Poly.const(self.nvars, other)
         return None
 
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign*other; other is already coerced."""
+        b = other._num
+        if not b:
+            return self
+        a = self._num
+        if not a:
+            return other if sign == 1 else -other
+        da, db = self._den, other._den
+        if da == db:
+            return Poly._reduced(self.nvars, _add_terms(a, b, sign), da)
+        den = lcm(da, db)
+        fa = den // da
+        a = {exps: fa * n for exps, n in a.items()} if fa != 1 else a
+        return Poly._reduced(self.nvars, _add_terms(a, b, sign * (den // db)), den)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Poly(self.nvars, _add_terms(self.terms, other.terms))
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, {exps: -coeff for exps, coeff in self.terms.items()})
+        if not self._num:
+            return self
+        return Poly._of(self.nvars, {exps: -n for exps, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Poly):
+            if other.nvars != self.nvars:
+                raise PolyError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
+            a, b = self._num, other._num
+            if not a:
+                return self
+            if not b:
+                return other
+            return Poly._reduced(self.nvars, _mul_terms(a, b), self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return Poly(self.nvars, {exps: coeff * c for exps, coeff in self.terms.items()})
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Poly(self.nvars, _mul_terms(self.terms, other.terms))
+            if not other:
+                return Poly.zero(self.nvars)
+            p, q = other.numerator, other.denominator
+            num = {exps: n * p for exps, n in self._num.items()}
+            return Poly._reduced(self.nvars, num, self._den * q)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -283,17 +378,28 @@ class Poly:
             other = Poly.const(self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (
+            self.nvars == other.nvars
+            and self._den == other._den
+            and self._num == other._num
+        )
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.nvars, tuple(sorted(self.terms.items()))))
-            object.__setattr__(self, "_hash", h)
-        return h
+        try:
+            return self._hash
+        except AttributeError:
+            # the hash of the sorted (exponents, Fraction) items; an int hashes
+            # like the equal Fraction
+            den = self._den
+            items = sorted(self._num.items())
+            if den != 1:
+                items = [(exps, Fraction(n, den)) for exps, n in items]
+            h = hash((self.nvars, tuple(items)))
+            _set(self, "_hash", h)
+            return h
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def __repr__(self):
         return f"Poly({format_poly(self, default_names(self.nvars))!r})"
@@ -305,13 +411,14 @@ class Poly:
             raise PolyError("wrong number of values")
         vals = [_as_fraction(v) for v in values]
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
+        for exps, n in self._num.items():
+            term = n
             for v, e in zip(vals, exps):
                 if e:
                     term *= v**e
             total += term
-        return total
+        return total / self._den
+
 
 # -- shift automorphisms ------------------------------------------------------
 
@@ -375,9 +482,12 @@ def apply_shift(s: ShiftMap, p: Poly) -> Poly:
     """Apply the ring automorphism h_i -> h_i - s_i to p."""
     if len(s.shifts) != p.nvars:
         raise PolyError("shift-map length does not match variable count")
-    if s.is_identity:
+    if s.is_identity or not p._num:
         return p
-    return Poly(p.nvars, _shift_terms(p.terms, s.shifts))
+    # An integer shift is an automorphism of Z[h], so it keeps the content
+    # of the numerators and the result needs no reduction.
+    num = _shift_terms(p._num, s.shifts)
+    return Poly._of(p.nvars, num, p._den)
 
 
 # -- divisibility and gcd ------------------------------------------------------
@@ -401,7 +511,8 @@ def divides_exactly(d: Poly, p: Poly) -> Optional[Poly]:
             return None
         q_coeff = r_coeff / d_coeff
         quo[q_exps] = q_coeff
-        rem = rem - Poly(p.nvars, {q_exps: q_coeff}) * d
+        mono = Poly._of(p.nvars, {q_exps: q_coeff.numerator}, q_coeff.denominator)
+        rem = rem - mono * d
     return Poly(p.nvars, quo)
 
 
@@ -414,20 +525,12 @@ def _max_active_var(*polys: Poly) -> Optional[int]:
 
 def _as_univariate(p: Poly, x: int) -> dict[int, Poly]:
     """View p as a polynomial in h_x with coefficients free of h_x."""
-    coeffs: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for exps, coeff in p.terms.items():
+    coeffs: dict[int, dict[tuple[int, ...], int]] = {}
+    for exps, n in p._num.items():
         k = exps[x]
         rest = exps[:x] + (0,) + exps[x + 1 :]
-        coeffs.setdefault(k, {})[rest] = coeff
-    return {k: Poly(p.nvars, t) for k, t in coeffs.items()}
-
-
-def _from_univariate(coeffs: Mapping[int, Poly], x: int, nvars: int) -> Poly:
-    out = Poly.zero(nvars)
-    for k, c in coeffs.items():
-        xk = Poly.var(nvars, x) ** k
-        out = out + c * xk
-    return out
+        coeffs.setdefault(k, {})[rest] = n
+    return {k: Poly._reduced(p.nvars, t, p._den) for k, t in coeffs.items()}
 
 
 def _content_in(p: Poly, x: int) -> Poly:

@@ -71,19 +71,27 @@ class Mat2:
         object.__setattr__(self, "rows", entries)
         object.__setattr__(self, "nvars", nv)
 
+    @classmethod
+    def _of(cls, rows: tuple) -> "Mat2":
+        """Wrap a 2x2 tuple of Polys with equal nvars without re-checking it."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "rows", rows)
+        object.__setattr__(mat, "nvars", rows[0][0].nvars)
+        return mat
+
     def __setattr__(self, name, value):
         raise AttributeError("Mat2 is immutable")
 
     @classmethod
     def zero(cls, nvars: int) -> "Mat2":
         z = Poly.zero(nvars)
-        return cls(((z, z), (z, z)))
+        return cls._of(((z, z), (z, z)))
 
     @classmethod
     def identity(cls, nvars: int) -> "Mat2":
         one = Poly.one(nvars)
         z = Poly.zero(nvars)
-        return cls(((one, z), (z, one)))
+        return cls._of(((one, z), (z, one)))
 
     @classmethod
     def scalar(cls, p: Poly) -> "Mat2":
@@ -106,41 +114,31 @@ class Mat2:
         return self.rows[rc[0]][rc[1]]
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        (a, b), (c, d) = self.rows
+        (e, f), (g, h) = other.rows
+        return Mat2._of(((a + e, b + f), (c + g, d + h)))
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        (a, b), (c, d) = self.rows
+        (e, f), (g, h) = other.rows
+        return Mat2._of(((a - e, b - f), (c - g, d - h)))
 
     def __neg__(self) -> "Mat2":
-        return Mat2(tuple(tuple(-a for a in r) for r in self.rows))
+        (a, b), (c, d) = self.rows
+        return Mat2._of(((-a, -b), (-c, -d)))
 
     def __mul__(self, other):
         if isinstance(other, Mat2):
-            a, b = self.rows
-            c, d = other.rows
-            return Mat2(
-                (
-                    (a[0] * c[0] + a[1] * d[0], a[0] * c[1] + a[1] * d[1]),
-                    (b[0] * c[0] + b[1] * d[0], b[0] * c[1] + b[1] * d[1]),
-                )
-            )
+            (a, b), (c, d) = self.rows
+            (e, f), (g, h) = other.rows
+            return Mat2._of(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
         if isinstance(other, (int, Fraction, Poly)):
-            return Mat2(tuple(tuple(a * other for a in r) for r in self.rows))
+            return Mat2._of(tuple(tuple(a * other for a in r) for r in self.rows))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
-            return Mat2(tuple(tuple(other * a for a in r) for r in self.rows))
+            return Mat2._of(tuple(tuple(other * a for a in r) for r in self.rows))
         return NotImplemented
 
     def __eq__(self, other):
@@ -159,7 +157,8 @@ class Mat2:
         return all(p.is_zero for r in self.rows for p in r)
 
     def shifted(self, s: ShiftMap) -> "Mat2":
-        return Mat2(tuple(tuple(apply_shift(s, p) for p in r) for r in self.rows))
+        (a, b), (c, d) = self.rows
+        return Mat2._of(((apply_shift(s, a), apply_shift(s, b)), (apply_shift(s, c), apply_shift(s, d))))
 
     def det(self) -> Poly:
         (a, b), (c, d) = self.rows
@@ -176,11 +175,11 @@ class Mat2:
             raise PresentationError("matrix determinant is not a nonzero constant")
         (a, b), (c, d) = self.rows
         inv = Fraction(1) / v
-        return Mat2(((d * inv, -b * inv), (-c * inv, a * inv)))
+        return Mat2._of(((d * inv, -b * inv), (-c * inv, a * inv)))
 
     def transpose(self) -> "Mat2":
         (a, b), (c, d) = self.rows
-        return Mat2(((a, c), (b, d)))
+        return Mat2._of(((a, c), (b, d)))
 
     def apply(self, v: "Vec2") -> "Vec2":
         (a, b), (c, d) = self.rows

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from uhfree import normalform, presentation
+from uhfree import morphisms, normalform, presentation
 from uhfree.cli import main
 from uhfree.normalform import ClassificationError, classify_sl11
 from uhfree.poly import Poly
@@ -14,6 +14,7 @@ from uhfree.presentation import (
     build_mas_bar,
     conjugate,
     make_presentation,
+    odd_positions,
     presentation_from_json,
     presentation_to_json,
     verified_report,
@@ -50,6 +51,23 @@ class TestExitCodes:
         bad = make_presentation(1, 1, {(0, 1): Mat2.zero(1), (1, 0): Mat2.zero(1)})
         path = write(tmp_path, "bad.json", bad)
         assert main(["verify", path]) == 1
+
+    def test_printed_violations_are_capped(self, tmp_path, capsys):
+        w = Mat2.of(3, ((1, Poly.var(3, 0)), (0, 1)))
+        bad = make_presentation(3, 1, {pos: w for pos in odd_positions(3, 1)})
+        path = write(tmp_path, "bad.json", bad)
+        out = tmp_path / "out.json"
+        assert main(["verify", path, "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        payload = json.loads(out.read_text())
+        assert len(payload["violations"]) == 60
+        assert lines[1] == "FAIL: 60 of 78 relations violated"
+        assert lines[2:22] == ["  " + t for t in payload["violations"][:20]]
+        assert lines[22:] == ["  ... and 40 more (see --out)"]
+        assert main(["classify", path]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-22] == "FAIL: 60 relation(s) violated"
+        assert lines[-1] == "  ... and 40 more (see uhfree verify --out)"
 
     def test_missing_file_is_exit_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.json")]) == 2
@@ -372,6 +390,20 @@ class TestVerifyOnce:
         )
         path = write(tmp_path, "bar.json", build_mas_bar(2, (1, 2), (1,)))
         assert main(["endo", path, "--bound", "1"]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_endo_solves_hom_once(self, tmp_path, monkeypatch, m):
+        calls = []
+        original = morphisms.solve_hom
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(morphisms, "solve_hom", counting)
+        path = write(tmp_path, "m.json", build_mas(m, (1, 2)[:m], (1,)))
+        assert main(["endo", path, "--bound", "2"]) == 0
         assert len(calls) == 1
 
     def test_failing_report_is_kept(self, tmp_path, capsys, verify_calls):

@@ -18,6 +18,7 @@ from uhfree.morphisms import (
     check_intertwiner,
     endo_f_polynomial,
     endo_ring_basis,
+    endo_solutions,
     filtration,
     filtration_separators,
     idempotent_scan,
@@ -257,6 +258,14 @@ class TestIdempotents:
             assert len(ws) == 2 and Mat2.identity(p.nvars) in ws
             for b in endo_ring_basis(p, 2):
                 assert check_intertwiner(p, p, b)
+
+    def test_endo_solutions_are_solved_once_per_bound(self):
+        p = build_mas(2, (1, 2), (1,))
+        for bound in (1, 2):
+            sols = endo_solutions(p, bound)
+            assert list(sols) == solve_hom(p, p, bound)
+            assert endo_solutions(p, bound) is sols
+        assert len(endo_solutions(p, 1)) < len(endo_solutions(p, 2))
 
 
 class TestSubmodules:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -18,7 +19,7 @@ from uhfree.poly import (
     poly_gcd,
 )
 
-from .oracles import common_divisors_oracle, gcd_oracle, shift_oracle
+from .oracles import common_divisors_oracle, from_sympy, gcd_oracle, shift_oracle, to_sympy
 
 NAMES2 = default_names(2)
 H1, H2 = Poly.var(2, 0), Poly.var(2, 1)
@@ -127,6 +128,144 @@ class TestShiftAutomorphismLaws:
     @example(Poly(2, {(200, 3): 1}), (2, -1))
     def test_matches_substitution_oracle(self, p, s):
         assert apply_shift(ShiftMap(s), p) == shift_oracle(p, s, SYMS2)
+
+
+@st.composite
+def rational_polys(draw, nvars, max_deg=6, max_terms=5):
+    """Coefficients n/d with d in 1..6, total degree <= max_deg."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in range(nvars))
+        if sum(exps) > max_deg:
+            continue
+        terms[exps] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+    return Poly(nvars, terms)
+
+
+@st.composite
+def rational_cases(draw):
+    """(p, q, scalar, shift) over a drawn number of variables, 1..6."""
+    n = draw(st.integers(1, 6))
+    scalar = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+    shift = tuple(draw(st.integers(-2, 2)) for _ in range(n))
+    return draw(rational_polys(n)), draw(rational_polys(n)), scalar, shift
+
+
+def _sparse(nvars, terms):
+    return Poly(nvars, {exps: Fraction(*c) for exps, c in terms.items()})
+
+
+# sparse inputs of degree >= 64 in up to 6 variables, and a difference that
+# cancels to zero only through the common denominator
+RATIONAL_EXAMPLES = [
+    (
+        _sparse(6, {(64, 0, 0, 0, 0, 3): (1, 5), (0, 0, 70, 0, 0, 0): (-2, 3)}),
+        _sparse(6, {(1, 0, 0, 0, 0, 0): (5, 6), (0, 65, 0, 0, 1, 0): (3, 4)}),
+        Fraction(-4, 3),
+        (1, -2, 0, 2, 0, -1),
+    ),
+    (
+        _sparse(2, {(80, 0): (1, 6), (0, 2): (1, 2)}),
+        _sparse(2, {(0, 64): (-5, 4), (0, 0): (2, 3)}),
+        Fraction(6),
+        (2, -1),
+    ),
+    (_sparse(2, {(1, 0): (1, 3)}), _sparse(2, {(1, 0): (1, 3)}), Fraction(3), (1, 1)),
+]
+
+
+def _canonical(p):
+    """Integer numerators over a positive denominator, reduced; zero over 1."""
+    assert p._den >= 1 and all(isinstance(n, int) and n for n in p._num.values())
+    assert gcd(p._den, *p._num.values()) == 1
+    return p
+
+
+def _with_examples(test):
+    for case in RATIONAL_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+class TestRationalKernelsAgainstSympy:
+    @staticmethod
+    def _syms(n):
+        return sympy.symbols(f"h1:{n + 1}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_cases())
+    @_with_examples
+    def test_sum_and_difference(self, case):
+        p, q, _, _ = case
+        syms = self._syms(p.nvars)
+        assert _canonical(p + q) == from_sympy(to_sympy(p, syms) + to_sympy(q, syms), syms)
+        assert _canonical(p - q) == from_sympy(to_sympy(p, syms) - to_sympy(q, syms), syms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_cases())
+    @_with_examples
+    def test_products(self, case):
+        p, q, c, _ = case
+        syms = self._syms(p.nvars)
+        assert _canonical(p * q) == from_sympy(to_sympy(p, syms) * to_sympy(q, syms), syms)
+        want = from_sympy(to_sympy(p, syms) * sympy.Rational(c.numerator, c.denominator), syms)
+        assert _canonical(p * c) == want
+        assert _canonical(c * p) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_cases())
+    @_with_examples
+    def test_shift(self, case):
+        p, q, _, s = case
+        syms = self._syms(p.nvars)
+        for f in (p, q):
+            assert _canonical(apply_shift(ShiftMap(s), f)) == shift_oracle(f, s, syms)
+
+    def test_cancels_to_zero_through_denominators(self):
+        third = P("1/3*h1")
+        assert _canonical(third - third) == Poly.zero(2)
+        assert _canonical(P("1/3*h1") + P("2/3*h1")) == H1
+        assert _canonical(P("1/6*h1 + 1/4*h2") * 12) == P("2*h1 + 3*h2")
+        assert _canonical(P("1/2*h1") * Fraction(0)) == Poly.zero(2)
+
+
+class TestCanonicalStorage:
+    def test_four_constructions_agree(self):
+        text = "3/4*h1^2*h2 - 1/6*h2 + 2"
+        parsed = P(text)
+        direct = Poly(2, {(2, 1): Fraction(3, 4), (0, 1): Fraction(-1, 6), (0, 0): 2})
+        built = Fraction(3, 4) * H1**2 * H2 - H2 * Fraction(1, 6) + 2
+        s = ShiftMap((3, -2))
+        round_trip = apply_shift(s.inverse(), apply_shift(s, parsed))
+        values = [parsed, direct, built, round_trip]
+        for v in values:
+            _canonical(v)
+            assert v == parsed and hash(v) == hash(parsed)
+            assert format_poly(v, NAMES2) == text
+
+    def test_zero_is_unique_and_falsy(self):
+        zeros = [
+            P("1/3*h1") - P("1/3*h1"),
+            P("1/2*h1 - 1/2*h2") + P("1/2*h2 - 1/2*h1"),
+            P("2/3*h1") * Poly.zero(2),
+            P("2/3*h1") * 0,
+            Poly(2, {(1, 0): Fraction(0)}),
+            parse_poly("0", NAMES2),
+            -Poly.zero(2),
+        ]
+        for z in zeros:
+            assert z == Poly.zero(2) and hash(z) == hash(Poly.zero(2))
+            assert not z and z.is_zero and z.total_degree() == -1
+            assert z == 0 and _canonical(z)._den == 1
+
+    def test_terms_view_is_read_only(self):
+        p = P("1/2*h1 + 3")
+        with pytest.raises(TypeError):
+            p.terms[(1, 0)] = Fraction(5)
+        with pytest.raises(TypeError):
+            del p.terms[(0, 0)]
+        assert p.terms == {(1, 0): Fraction(1, 2), (0, 0): Fraction(3)}
+        assert p == P("1/2*h1 + 3")
 
 
 class TestRingAxioms:
