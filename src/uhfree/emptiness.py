@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .poly import Poly, ShiftMap, default_names, divides_exactly, format_poly, parse_poly
+from .poly import Poly, ShiftMap, default_names, format_poly, grlex_key, parse_poly
 from .presentation import (
     InvariantBreach,
     Mat2,
@@ -117,7 +117,7 @@ class ScaledMat:
             content = None
             for r in range(2):
                 for c in range(2):
-                    for exps in self.num[r, c].terms:
+                    for exps in self.num[r, c]._num:
                         e = exps[base + k]
                         content = e if content is None else min(content, e)
             if content:
@@ -126,25 +126,22 @@ class ScaledMat:
                 mins[k] = 0
         if not any(mins):
             return self
-        divisor = Poly(
-            ring.nvars,
-            {
-                tuple(
-                    [0] * base + [mins[k] for k in range(4)]
-                ): Fraction(1)
-            },
-        )
-        rows = []
-        for r in range(2):
-            row = []
-            for c in range(2):
-                q = divides_exactly(divisor, self.num[r, c])
-                if q is None:
-                    raise InvariantBreach("unit content extraction failed")
-                row.append(q)
-            rows.append(tuple(row))
-        den = tuple(d - m0 for d, m0 in zip(self.den, mins))
-        return ScaledMat(Mat2(tuple(rows)), den)
+
+        def divided(p: Poly) -> Poly:
+            # the quotient by a monomial, in the grlex-descending order that
+            # long division produces (support witnesses read this order)
+            num = p._num
+            return Poly._of(
+                p.nvars,
+                {
+                    exps[:base] + tuple(e - d for e, d in zip(exps[base:], mins)): num[exps]
+                    for exps in sorted(num, key=grlex_key, reverse=True)
+                },
+                p._den,
+            )
+
+        num = Mat2._of(tuple(tuple(divided(p) for p in row) for row in self.num.rows))
+        return ScaledMat(num, tuple(d - m0 for d, m0 in zip(self.den, mins)))
 
 
 def _pair_matrices(ring: CertRing, key: str, branch: str) -> tuple[ScaledMat, ScaledMat]:
@@ -157,11 +154,11 @@ def _pair_matrices(ring: CertRing, key: str, branch: str) -> tuple[ScaledMat, Sc
     one = Poly.one(nv)
     unit_den = tuple(1 if j == k else 0 for j in range(4))
     if branch == "S":
-        upper = ScaledMat(Mat2(((zero, alpha * phi), (zero, zero))), (0, 0, 0, 0))
-        lower = ScaledMat(Mat2(((zero, zero), (one, zero))), unit_den)
+        upper = ScaledMat(Mat2._of(((zero, alpha * phi), (zero, zero))), (0, 0, 0, 0))
+        lower = ScaledMat(Mat2._of(((zero, zero), (one, zero))), unit_den)
     elif branch == "O":
-        upper = ScaledMat(Mat2(((zero, alpha), (zero, zero))), (0, 0, 0, 0))
-        lower = ScaledMat(Mat2(((zero, zero), (phi, zero))), unit_den)
+        upper = ScaledMat(Mat2._of(((zero, alpha), (zero, zero))), (0, 0, 0, 0))
+        lower = ScaledMat(Mat2._of(((zero, zero), (phi, zero))), unit_den)
     else:
         raise EmptinessError(f"unknown branch {branch!r}")
     return upper, lower
@@ -189,28 +186,19 @@ def _route(
 def _unit_content(ring: CertRing, mat: Mat2) -> tuple[tuple[int, ...], Mat2]:
     """Split num = alpha^gamma * (h-part); the alpha part must be uniform."""
     base = ring.base_nvars
-    gammas = {
-        exps[base:]
-        for r in range(2)
-        for c in range(2)
-        for exps in mat[r, c].terms
-    }
+    gammas = {exps[base:] for row in mat.rows for p in row for exps in p._num}
     if len(gammas) > 1:
         raise InvariantBreach("route matrix mixes unit monomials")
     if not gammas:
         return (0, 0, 0, 0), mat
     gamma = next(iter(gammas))
-    rows = []
-    for r in range(2):
-        row = []
-        for c in range(2):
-            terms = {
-                exps[:base] + (0, 0, 0, 0): coeff
-                for exps, coeff in mat[r, c].terms.items()
-            }
-            row.append(Poly(ring.nvars, terms))
-        rows.append(tuple(row))
-    return gamma, Mat2(tuple(rows))
+
+    def stripped(p: Poly) -> Poly:
+        # one unit monomial throughout, so dropping it keeps keys distinct
+        num = {exps[:base] + (0, 0, 0, 0): n for exps, n in p._num.items()}
+        return Poly._of(p.nvars, num, p._den)
+
+    return gamma, Mat2._of(tuple(tuple(stripped(p) for p in row) for row in mat.rows))
 
 
 @dataclass(frozen=True)
@@ -402,8 +390,8 @@ def _support_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dic
             pa, pb = a.mat[r, c], b.mat[r, c]
             for v in sorted(pa.variables()):
                 if pb.degree_in(v) <= 0 and not pb.is_zero:
-                    exps = next(e for e in pa.terms if e[v])
-                    mono = format_poly(Poly(ring.nvars, {exps: Fraction(1)}), names)
+                    exps = next(e for e in pa._num if e[v])
+                    mono = format_poly(Poly._of(ring.nvars, {exps: 1}, 1), names)
                     return {
                         "entry": [r, c],
                         "variable": names[v],
@@ -412,8 +400,8 @@ def _support_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dic
                     }
             for v in sorted(pb.variables()):
                 if pa.degree_in(v) <= 0 and not pa.is_zero:
-                    exps = next(e for e in pb.terms if e[v])
-                    mono = format_poly(Poly(ring.nvars, {exps: Fraction(1)}), names)
+                    exps = next(e for e in pb._num if e[v])
+                    mono = format_poly(Poly._of(ring.nvars, {exps: 1}, 1), names)
                     return {
                         "entry": [r, c],
                         "variable": names[v],
@@ -445,9 +433,9 @@ def _grid_form(p: Poly, nb: int) -> Poly:
     variable that vanishes on that grid is zero, so the result is zero
     exactly when p vanishes on the grid.
     """
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in p.terms.items():
-        partial = {exps[:nb]: coeff}
+    terms: dict[tuple[int, ...], int] = {}
+    for exps, n in p._num.items():
+        partial = {exps[:nb]: n}
         for v in range(nb):
             if exps[v] < 4:
                 continue
@@ -459,16 +447,16 @@ def _grid_form(p: Poly, nb: int) -> Poly:
             }
         for key, c in partial.items():
             terms[key] = terms.get(key, 0) + c
-    return Poly(nb, terms)
+    return Poly._reduced(nb, {key: c for key, c in terms.items() if c}, p._den)
 
 
 def _substitute(p: Poly, v: int, value: int) -> Poly:
     """p with variable v set to value."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in p.terms.items():
+    terms: dict[tuple[int, ...], int] = {}
+    for exps, n in p._num.items():
         key = exps[:v] + (0,) + exps[v + 1 :]
-        terms[key] = terms.get(key, 0) + coeff * value ** exps[v]
-    return Poly(p.nvars, terms)
+        terms[key] = terms.get(key, 0) + n * value ** exps[v]
+    return Poly._reduced(p.nvars, {key: c for key, c in terms.items() if c}, p._den)
 
 
 def _eval_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dict]:
@@ -714,23 +702,26 @@ def certificate_from_json(text: str) -> EmptinessCertificate:
 def _eval_scaled(ring: CertRing, sm: ScaledMat, units: Sequence[Fraction]) -> Mat2:
     """Specialize the unit variables to concrete scalars, over the base ring."""
     nb = ring.base_nvars
-    den = Fraction(1)
-    for k in range(4):
-        den *= Fraction(units[k]) ** sm.den[k]
-    rows = []
-    for r in range(2):
-        row = []
-        for c in range(2):
-            terms: dict[tuple[int, ...], Fraction] = {}
-            for exps, coeff in sm.num[r, c].terms.items():
-                scale = coeff
-                for k in range(4):
-                    scale *= Fraction(units[k]) ** exps[nb + k]
-                key = exps[:nb]
-                terms[key] = terms.get(key, Fraction(0)) + scale
-            row.append(Poly(nb, terms) * (1 / den))
-        rows.append(tuple(row))
-    return Mat2(tuple(rows))
+    units = [Fraction(u) for u in units]
+    scale = Fraction(1)
+    for u, d in zip(units, sm.den):
+        scale /= u**d
+
+    def specialized(p: Poly) -> Poly:
+        # over the common denominator den * prod(q_k^top_k), u_k = p_k / q_k
+        tops = [max((exps[nb + k] for exps in p._num), default=0) for k in range(4)]
+        den = p._den
+        for u, top in zip(units, tops):
+            den *= u.denominator**top
+        terms: dict[tuple[int, ...], int] = {}
+        for exps, n in p._num.items():
+            for u, e, top in zip(units, exps[nb:], tops):
+                n *= u.numerator**e * u.denominator ** (top - e)
+            key = exps[:nb]
+            terms[key] = terms.get(key, 0) + n
+        return Poly._reduced(nb, {k: n for k, n in terms.items() if n}, den) * scale
+
+    return Mat2._of(tuple(tuple(specialized(p) for p in row) for row in sm.num.rows))
 
 
 def _presentation_at_units(

@@ -3,7 +3,8 @@
 Polynomial identities are cross-checked through sympy (a separate code
 base with its own expansion, substitution, gcd, and factorization);
 Lie-superalgebra structure constants through a from-scratch supermatrix
-commutator that shares no code with the package; and the emptiness
+commutator that shares no code with the package; relation checks
+through the loop over every pair of root vectors; and the emptiness
 evaluation witness through an exhaustive scan of its grid.
 """
 
@@ -13,6 +14,8 @@ from fractions import Fraction
 import sympy
 
 from uhfree.poly import Poly
+from uhfree.presentation import Mat2, RelationReport, Violation
+from uhfree.superlie import Cartan
 
 
 def to_sympy(p: Poly, symbols):
@@ -80,6 +83,39 @@ def matsub(a, b, sign=1):
 def supercommutator(x, y, parity_x, parity_y):
     sign = -1 if parity_x and parity_y else 1
     return matsub(matmul(x, y), matmul(y, x), sign)
+
+
+# -- every root pair -------------------------------------------------------------------
+
+
+def all_pairs_report(p) -> RelationReport:
+    """Evaluate the twisted identity of every pair of root vectors, in order."""
+    alg = p.algebra
+    roots = alg.root_vectors()
+
+    def bracket_matrix(combo):
+        out = Mat2.zero(p.nvars)
+        for b, c in combo.items():
+            if isinstance(b, Cartan):
+                out = out + Mat2.scalar(Poly.var(p.nvars, b.var) * c)
+            else:
+                out = out + p.E(b.row, b.col) * c
+        return out
+
+    violations = []
+    checked = 0
+    for a in range(len(roots)):
+        for b in range(a, len(roots)):
+            x, y = roots[a], roots[b]
+            Ex, Ey = p.E(x.row, x.col), p.E(y.row, y.col)
+            tx, ty = alg.weight_shift(x), alg.weight_shift(y)
+            first, second = Ex * Ey.shifted(tx), Ey * Ex.shifted(ty)
+            lhs = first + second if alg.parity(x) and alg.parity(y) else first - second
+            rhs = bracket_matrix(alg.super_bracket(x, y))
+            checked += 1
+            if lhs != rhs:
+                violations.append(Violation(x, y, lhs, rhs))
+    return RelationReport(not violations, tuple(violations), checked, checked)
 
 
 # -- brute-force evaluation witness ----------------------------------------------------

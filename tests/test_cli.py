@@ -345,9 +345,9 @@ class TestVerifyOnce:
         calls = []
         original = presentation.verify_relations
 
-        def counting(p, max_violations=None):
+        def counting(p):
             calls.append(p)
-            return original(p, max_violations)
+            return original(p)
 
         monkeypatch.setattr(presentation, "verify_relations", counting)
         return calls

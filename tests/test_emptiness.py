@@ -11,6 +11,7 @@ from uhfree.emptiness import (
     CertRing,
     EmptinessError,
     RouteView,
+    _eval_scaled,
     _eval_witness,
     certificate_from_dict,
     emptiness_certificate,
@@ -81,6 +82,25 @@ class TestCertificate22(object):
         again = certificate_from_dict(json.loads(text))
         assert again.to_dict() == cert22.to_dict()
         assert again.to_json() == text
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 5)])
+def test_unit_specialization_matches_pointwise_evaluation(m, n):
+    # verification specializes at integer units; fractional ones exercise
+    # the common denominator of the integer storage
+    cert = emptiness_certificate(m, n)
+    ring = cert.ring()
+    units = (Fraction(2, 3), Fraction(-3), Fraction(5, 7), Fraction(-1, 2))
+    for route in (cert.route_a, cert.route_b):
+        scale = Fraction(1)
+        for u, d in zip(units, route.den):
+            scale *= u**d
+        got = _eval_scaled(ring, route, units)
+        for point in ([0] * ring.base_nvars, list(range(1, ring.base_nvars + 1))):
+            for r in range(2):
+                for c in range(2):
+                    want = route.num[r, c].evaluate(point + list(units)) / scale
+                    assert got[r, c].evaluate(point) == want
 
 
 @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3), (2, 7), (7, 2), (40, 40)])
