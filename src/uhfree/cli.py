@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .poly import Poly, PolyError, default_names, format_poly, parse_poly
+from .poly import Poly, UhfreeError, default_names, format_poly, parse_poly
 from .presentation import (
     Mat2,
     Presentation,
@@ -29,7 +29,7 @@ from .presentation import (
     presentation_to_json,
     verified_report,
 )
-from .normalform import ClassificationError, classify_sl11, classify_sl_m1
+from .normalform import classify_sl11, classify_sl_m1
 from .morphisms import (
     MorphismError,
     endo_ring_basis,
@@ -41,12 +41,11 @@ from .morphisms import (
     resolve_category,
     sl11_submodule_shape,
 )
-from .stringbridge import StringBridgeError, StringModule, check_intertwining
+from .stringbridge import StringModule, check_intertwining
 from .emptiness import (
     EmptinessError,
     certificate_from_json,
     emptiness_certificate,
-    graded_emptiness,
     verify_certificate,
 )
 
@@ -74,6 +73,14 @@ def _read_input(path: str, error: type[ValueError]) -> str:
 
 def _load_presentation(path: str) -> Presentation:
     return presentation_from_json(_read_input(path, PresentationError))
+
+
+def _rational(text: str) -> Fraction:
+    """A --lambdas entry such as 3, -1/2 or 0.25; anything else exits 2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise MorphismError(f"--lambdas: {text!r} is not a rational number") from None
 
 
 def _mat_strings(mat: Mat2, names) -> list[list[str]]:
@@ -109,6 +116,11 @@ def _require_verified(p: Presentation, lines: list[str]) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.pointwise is not None and args.pointwise < 0:
+        # checked before any work, so no --out file is left behind
+        raise PresentationError(
+            f"--pointwise must be non-negative, got {args.pointwise}"
+        )
     p = _load_presentation(args.file)
     lines = [f"presentation over sl({p.m}|{p.n}), grading {p.grading}"]
     report = verified_report(p)
@@ -264,9 +276,11 @@ def cmd_submodules(args) -> int:
                 f"  {s.label}: {format_poly(s.g1, ('h1',))} Q[h] (+) {format_poly(s.g2, ('h1',))} Q[h]"
             )
     else:
-        lambdas = [Fraction(t) for t in args.lambdas.split(",")] if args.lambdas else [
-            Fraction(k) for k in range(args.length)
-        ]
+        lambdas = (
+            [_rational(t) for t in args.lambdas.split(",")]
+            if args.lambdas
+            else [Fraction(k) for k in range(args.length)]
+        )
         chain = filtration(p, lambdas, args.length)
         seps = filtration_separators(p, chain)
         payload = {
@@ -330,10 +344,8 @@ def cmd_empty_check(args) -> int:
         print("\n".join(_stamped(lines, args)))
         return 0
     if args.m is None or args.n is None:
-        raise PolyError("empty-check needs --m and --n (or --verify FILE)")
-    cert = graded_emptiness(args.m, args.n) if args.graded else emptiness_certificate(
-        args.m, args.n
-    )
+        raise EmptinessError("empty-check needs --m and --n (or --verify FILE)")
+    cert = emptiness_certificate(args.m, args.n, graded=args.graded)
     _write_out(args.out, cert.to_dict())
     ring = cert.ring()
     names = ring.names
@@ -501,14 +513,7 @@ def main(argv=None) -> int:
         # a directory or an unreadable file given as input or --out
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
-    except (
-        PolyError,
-        PresentationError,
-        ClassificationError,
-        MorphismError,
-        StringBridgeError,
-        EmptinessError,
-    ) as exc:
+    except UhfreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,15 @@ non-proportional outright.  Non-proportionality is witnessed twice
 over, by a monomial-support mismatch and by a rational evaluation
 point, and the surviving combination's routes are re-derivable through
 the presentation module's independent twisted-product path.
+
+Each route depends on the branches of two pairs only (the route through
+b1 on i1 and m1, the route through bn on in and mn; see ROUTES), so a
+certificate is built from one branch table: the 8 (pair, branch) matrix
+pairs, built once, and each route, built on first use under its two
+pairs and their branches.  The support witness names the first entry
+(row by row, route A before route B) and variable (in index order) that
+separates the routes, with the grlex-largest monomial of that entry
+containing the variable; term storage order never enters a certificate.
 """
 
 from __future__ import annotations
@@ -30,7 +39,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .poly import Poly, ShiftMap, default_names, format_poly, grlex_key, parse_poly
+from .poly import (
+    Poly,
+    ShiftMap,
+    UhfreeError,
+    default_names,
+    format_poly,
+    grlex_key,
+    parse_poly,
+)
 from .presentation import (
     InvariantBreach,
     Mat2,
@@ -46,9 +63,18 @@ FORMAT_CERT = "uhfree-emptiness-cert/1"
 UNIT_NAMES = ("a1", "a2", "a3", "a4")
 PAIR_KEYS = ("i1", "m1", "in", "mn")
 BRANCHES = ("S", "O")
+# The two computations of E_{im} ("up") and E_{mi} ("down"), through b1 or
+# bn: the pair whose raising matrix comes first and the pair whose
+# lowering matrix follows.
+ROUTES = {
+    "up1": ("i1", "m1"),
+    "upn": ("in", "mn"),
+    "down1": ("m1", "i1"),
+    "downn": ("mn", "in"),
+}
 
 
-class EmptinessError(ValueError):
+class EmptinessError(UhfreeError):
     """Out-of-scope sizes or an invalid certificate."""
 
 
@@ -108,40 +134,13 @@ class ScaledMat:
     num: Mat2
     den: tuple[int, int, int, int]
 
-    def normalized(self, ring: CertRing) -> "ScaledMat":
-        base = ring.base_nvars
-        mins = list(self.den)
-        for k in range(4):
-            if mins[k] == 0:
-                continue
-            content = None
-            for r in range(2):
-                for c in range(2):
-                    for exps in self.num[r, c]._num:
-                        e = exps[base + k]
-                        content = e if content is None else min(content, e)
-            if content:
-                mins[k] = min(mins[k], content)
-            elif content == 0 or content is None:
-                mins[k] = 0
-        if not any(mins):
-            return self
 
-        def divided(p: Poly) -> Poly:
-            # the quotient by a monomial, in the grlex-descending order that
-            # long division produces (support witnesses read this order)
-            num = p._num
-            return Poly._of(
-                p.nvars,
-                {
-                    exps[:base] + tuple(e - d for e, d in zip(exps[base:], mins)): num[exps]
-                    for exps in sorted(num, key=grlex_key, reverse=True)
-                },
-                p._den,
-            )
+@dataclass(frozen=True)
+class RouteView:
+    """A route split as alpha^delta * mat (delta may have negative entries)."""
 
-        num = Mat2._of(tuple(tuple(divided(p) for p in row) for row in self.num.rows))
-        return ScaledMat(num, tuple(d - m0 for d, m0 in zip(self.den, mins)))
+    delta: tuple[int, ...]
+    mat: Mat2
 
 
 def _pair_matrices(ring: CertRing, key: str, branch: str) -> tuple[ScaledMat, ScaledMat]:
@@ -164,55 +163,53 @@ def _pair_matrices(ring: CertRing, key: str, branch: str) -> tuple[ScaledMat, Sc
     return upper, lower
 
 
+def _split(ring: CertRing, sm: ScaledMat) -> tuple[ScaledMat, RouteView]:
+    """sm in lowest terms, and its view alpha^delta * mat.
+
+    The numerator must carry one unit monomial alpha^gamma throughout.
+    With delta = gamma - den, the lowest-terms matrix has the unit
+    exponents max(delta, 0) in its numerator and max(-delta, 0) in its
+    denominator, and the view keeps the h-part with the units dropped.
+    """
+    base = ring.base_nvars
+    gammas = {exps[base:] for row in sm.num.rows for p in row for exps in p._num}
+    if len(gammas) > 1:
+        raise InvariantBreach("route matrix mixes unit monomials")
+    gamma = gammas.pop() if gammas else (0, 0, 0, 0)
+    delta = tuple(g - d for g, d in zip(gamma, sm.den))
+
+    def with_units(units: tuple[int, ...]) -> Mat2:
+        # one unit monomial throughout, so replacing it keeps keys distinct
+        def replaced(p: Poly) -> Poly:
+            return Poly._of(
+                p.nvars, {exps[:base] + units: n for exps, n in p._num.items()}, p._den
+            )
+
+        return Mat2._of(tuple(tuple(replaced(p) for p in row) for row in sm.num.rows))
+
+    lowest = ScaledMat(
+        with_units(tuple(max(d, 0) for d in delta)), tuple(max(-d, 0) for d in delta)
+    )
+    return lowest, RouteView(delta, with_units((0, 0, 0, 0)))
+
+
 def _route(
     ring: CertRing,
     first: ScaledMat,
     first_pos: tuple[int, int],
     second: ScaledMat,
     second_pos: tuple[int, int],
-) -> ScaledMat:
+) -> tuple[ScaledMat, RouteView]:
     """Twisted product E_first tau_first(E_second) + E_second tau_second(E_first)."""
     alg = algebra(ring.m, ring.n)
     tau1 = ring.extend_shift(alg.weight_shift(Root(*first_pos)))
     tau2 = ring.extend_shift(alg.weight_shift(Root(*second_pos)))
     num = first.num * second.num.shifted(tau1) + second.num * first.num.shifted(tau2)
     den = tuple(a + b for a, b in zip(first.den, second.den))
-    return ScaledMat(num, den).normalized(ring)
+    return _split(ring, ScaledMat(num, den))
 
 
 # -- proportionality analysis -----------------------------------------------------------
-
-
-def _unit_content(ring: CertRing, mat: Mat2) -> tuple[tuple[int, ...], Mat2]:
-    """Split num = alpha^gamma * (h-part); the alpha part must be uniform."""
-    base = ring.base_nvars
-    gammas = {exps[base:] for row in mat.rows for p in row for exps in p._num}
-    if len(gammas) > 1:
-        raise InvariantBreach("route matrix mixes unit monomials")
-    if not gammas:
-        return (0, 0, 0, 0), mat
-    gamma = next(iter(gammas))
-
-    def stripped(p: Poly) -> Poly:
-        # one unit monomial throughout, so dropping it keeps keys distinct
-        num = {exps[:base] + (0, 0, 0, 0): n for exps, n in p._num.items()}
-        return Poly._of(p.nvars, num, p._den)
-
-    return gamma, Mat2._of(tuple(tuple(stripped(p) for p in row) for row in mat.rows))
-
-
-@dataclass(frozen=True)
-class RouteView:
-    """A route split as alpha^delta * mat (delta may have negative entries)."""
-
-    delta: tuple[int, ...]
-    mat: Mat2
-
-
-def _route_view(ring: CertRing, sm: ScaledMat) -> RouteView:
-    gamma, mat = _unit_content(ring, sm.num)
-    delta = tuple(g - d for g, d in zip(gamma, sm.den))
-    return RouteView(delta, mat)
 
 
 @dataclass(frozen=True)
@@ -358,56 +355,31 @@ class EmptinessCertificate:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _routes_for(
-    ring: CertRing, mats: Mapping[tuple[str, str], ScaledMat], target: str
-) -> tuple[ScaledMat, ScaledMat]:
-    """The two computations of E_{im} ("up") or E_{mi} ("down")."""
-    m, n = ring.m, ring.n
-    b1, bn = m, m + n - 1
-    i, mm = 0, m - 1
-    if target == "up":
-        via1 = _route(
-            ring, mats[("i1", "raise")], (i, b1), mats[("m1", "lower")], (b1, mm)
-        )
-        vian = _route(
-            ring, mats[("in", "raise")], (i, bn), mats[("mn", "lower")], (bn, mm)
-        )
-    else:
-        via1 = _route(
-            ring, mats[("m1", "raise")], (mm, b1), mats[("i1", "lower")], (b1, i)
-        )
-        vian = _route(
-            ring, mats[("mn", "raise")], (mm, bn), mats[("in", "lower")], (bn, i)
-        )
-    return via1, vian
-
-
 def _support_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dict]:
-    """A variable present in a route entry and absent from the other route's."""
+    """A variable present in a route entry and absent from the other route's.
+
+    Entries are scanned row by row, route A before route B, variables in
+    index order; the recorded monomial is the grlex-largest one of the
+    entry that contains the variable, so the witness does not depend on
+    the order in which the entry's terms are stored.
+    """
     names = ring.names
     for r in range(2):
         for c in range(2):
-            pa, pb = a.mat[r, c], b.mat[r, c]
-            for v in sorted(pa.variables()):
-                if pb.degree_in(v) <= 0 and not pb.is_zero:
-                    exps = next(e for e in pa._num if e[v])
-                    mono = format_poly(Poly._of(ring.nvars, {exps: 1}, 1), names)
-                    return {
-                        "entry": [r, c],
-                        "variable": names[v],
-                        "monomial": mono,
-                        "route": "A",
-                    }
-            for v in sorted(pb.variables()):
-                if pa.degree_in(v) <= 0 and not pa.is_zero:
-                    exps = next(e for e in pb._num if e[v])
-                    mono = format_poly(Poly._of(ring.nvars, {exps: 1}, 1), names)
-                    return {
-                        "entry": [r, c],
-                        "variable": names[v],
-                        "monomial": mono,
-                        "route": "B",
-                    }
+            ea, eb = a.mat[r, c], b.mat[r, c]
+            for route, pa, pb in (("A", ea, eb), ("B", eb, ea)):
+                if pb.is_zero:
+                    continue
+                for v in sorted(pa.variables()):
+                    if pb.degree_in(v) <= 0:
+                        exps = max((e for e in pa._num if e[v]), key=grlex_key)
+                        mono = format_poly(Poly._of(ring.nvars, {exps: 1}, 1), names)
+                        return {
+                            "entry": [r, c],
+                            "variable": names[v],
+                            "monomial": mono,
+                            "route": route,
+                        }
     return None
 
 
@@ -522,18 +494,33 @@ def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCert
     if m < 2 or n < 2:
         raise EmptinessError("the emptiness theorem applies to m, n >= 2")
     ring = CertRing(m, n)
+    mats = {
+        (key, branch): _pair_matrices(ring, key, branch)
+        for key in PAIR_KEYS
+        for branch in BRANCHES
+    }
+    routes: dict[tuple[str, str, str, str], tuple[ScaledMat, RouteView]] = {}
+
+    def route(target: str, choices: Mapping[str, str]) -> tuple[ScaledMat, RouteView]:
+        first, second = ROUTES[target]
+        key = (first, choices[first], second, choices[second])
+        if key not in routes:
+            row, col = ring.pair_positions(second)
+            routes[key] = _route(
+                ring,
+                mats[first, choices[first]][0],
+                ring.pair_positions(first),
+                mats[second, choices[second]][1],
+                (col, row),
+            )
+        return routes[key]
+
     log: list[BranchOutcome] = []
     survivors = []
     names = ring.names
     for combo in itertools.product(BRANCHES, repeat=4):
         choices = dict(zip(PAIR_KEYS, combo))
-        mats: dict[tuple[str, str], ScaledMat] = {}
-        for key in PAIR_KEYS:
-            up, lo = _pair_matrices(ring, key, choices[key])
-            mats[(key, "raise")] = up
-            mats[(key, "lower")] = lo
-        up1, upn = _routes_for(ring, mats, "up")
-        va, vb = _route_view(ring, up1), _route_view(ring, upn)
+        (_, va), (_, vb) = route("up1", choices), route("upn", choices)
         equal, witness, constraint = _routes_reconcilable(va, vb)
         if not equal:
             detail = (
@@ -543,8 +530,7 @@ def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCert
             )
             log.append(BranchOutcome(choices, False, detail, None, None))
             continue
-        down1, downn = _routes_for(ring, mats, "down")
-        da, db = _route_view(ring, down1), _route_view(ring, downn)
+        (down1, da), (downn, db) = route("down1", choices), route("downn", choices)
         ok, _, w2 = _proportionality(da, db)
         detail2 = None if ok else w2.to_dict(names)
         log.append(
@@ -591,8 +577,6 @@ def graded_emptiness(m: int, n: int) -> EmptinessCertificate:
     module, so the same certificate applies; it is returned with the
     graded annotation set.
     """
-    if m < 2 or n < 2:
-        raise EmptinessError("out of theorem scope: need m, n >= 2")
     return emptiness_certificate(m, n, graded=True)
 
 
@@ -785,8 +769,7 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
                 )
     report.append("routes re-derived independently at two scalar specializations")
 
-    da = _route_view(ring, cert.route_a)
-    db = _route_view(ring, cert.route_b)
+    (_, da), (_, db) = _split(ring, cert.route_a), _split(ring, cert.route_b)
     sw = cert.support_witness
     v = names.index(sw["variable"])
     r, c = sw["entry"]

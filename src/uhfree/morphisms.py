@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 from .poly import (
     Poly,
     ShiftMap,
+    UhfreeError,
     apply_shift,
     compose_univariate,
     divides_exactly,
@@ -40,7 +41,7 @@ from .normalform import classified_sl_m1, classify_sl_m1
 from .superlie import Root
 
 
-class MorphismError(ValueError):
+class MorphismError(UhfreeError):
     """Incompatible presentations or invalid solver arguments."""
 
 
@@ -449,6 +450,8 @@ def filtration(
     p: Presentation, lambdas: Sequence[Fraction], k: int
 ) -> list[Submod]:
     """The chain M_{F_0} > M_{F_1} > ... > M_{F_k}, F_k = prod (X - lambda_r)."""
+    if k < 0:
+        raise MorphismError(f"filtration length must be non-negative, got {k}")
     if k > len(lambdas):
         raise MorphismError("not enough roots for the requested length")
     x = Poly.var(1, 0)

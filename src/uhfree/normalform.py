@@ -29,7 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import Poly, ShiftMap, apply_shift, divides_exactly, poly_gcd
+from .poly import (
+    Poly,
+    ShiftMap,
+    UhfreeError,
+    apply_shift,
+    divides_exactly,
+    poly_gcd,
+)
 from .presentation import (
     InvariantBreach,
     Mat2,
@@ -44,7 +51,7 @@ from .presentation import (
 from .superlie import Root
 
 
-class ClassificationError(ValueError):
+class ClassificationError(UhfreeError):
     """Input outside the operation's contract (relations fail, wrong size)."""
 
 

@@ -40,7 +40,15 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-class PolyError(ValueError):
+class UhfreeError(ValueError):
+    """Base of every error that a bad input or argument raises (CLI exit 2).
+
+    It lives here, in the lowest layer, so every module can derive from it.
+    Broken internal invariants raise presentation.InvariantBreach instead.
+    """
+
+
+class PolyError(UhfreeError):
     """Ill-formed polynomial operation (mismatched variables, bad input)."""
 
 

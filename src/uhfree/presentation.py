@@ -32,6 +32,7 @@ from .poly import (
     Poly,
     PolyError,
     ShiftMap,
+    UhfreeError,
     apply_shift,
     default_names,
     format_poly,
@@ -44,7 +45,7 @@ GRADINGS = ("ungraded", "g11", "g11bar")
 FORMAT_PRESENTATION = "uhfree-presentation/1"
 
 
-class PresentationError(ValueError):
+class PresentationError(UhfreeError):
     """Malformed presentation data or invalid operation on one."""
 
 

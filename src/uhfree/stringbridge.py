@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .poly import Poly
+from .poly import Poly, UhfreeError
 from .presentation import Mat2, Presentation, Vec2, make_presentation
 
 
-class StringBridgeError(ValueError):
+class StringBridgeError(UhfreeError):
     """Invalid index, truncation overflow, or malformed request."""
 
 
@@ -180,6 +180,8 @@ def check_intertwining(
     N >= 2*max_deg + 4.  Failures are reported per (generator, vector)
     pair.
     """
+    if max_deg < 0:
+        raise StringBridgeError(f"max degree must be non-negative, got {max_deg}")
     if n < 2 * max_deg + 4:
         raise StringBridgeError(
             f"truncation N = {n} too small for max degree {max_deg} "

@@ -32,10 +32,10 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Union
 
-from .poly import ShiftMap
+from .poly import ShiftMap, UhfreeError
 
 
-class SuperLieError(ValueError):
+class SuperLieError(UhfreeError):
     """Invalid basis index or decomposition failure."""
 
 

@@ -4,7 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from uhfree import morphisms, normalform, presentation
+from uhfree import (
+    cli,
+    emptiness,
+    morphisms,
+    normalform,
+    poly,
+    presentation,
+    stringbridge,
+    superlie,
+)
 from uhfree.cli import main
 from uhfree.normalform import ClassificationError, classify_sl11
 from uhfree.poly import Poly
@@ -106,6 +115,60 @@ class TestExitCodes:
         assert main(["verify", str(path)]) == 2
         assert capsys.readouterr().err == "error: duplicate key 'm'\n"
 
+
+    NOT_RATIONAL = "--lambdas: {!r} is not a rational number"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["submodules", "{file}", "--lambdas", "a,b"], NOT_RATIONAL.format("a")),
+            (["submodules", "{file}", "--lambdas", "1/0"], NOT_RATIONAL.format("1/0")),
+            (["submodules", "{file}", "--lambdas", "1,"], NOT_RATIONAL.format("")),
+            (
+                ["submodules", "{file}", "--length", "-1"],
+                "filtration length must be non-negative, got -1",
+            ),
+            (
+                ["verify", "{file}", "--pointwise", "-1"],
+                "--pointwise must be non-negative, got -1",
+            ),
+            (["string-check", "--max-deg", "-3"], "max degree must be non-negative, got -3"),
+        ],
+        ids=["lambdas-word", "lambdas-1/0", "lambdas-empty", "length", "pointwise", "max-deg"],
+    )
+    def test_bad_argument_is_exit_2(self, family_file, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.json"
+        argv = [a.format(file=family_file) for a in argv] + ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            poly.PolyError,
+            presentation.PresentationError,
+            normalform.ClassificationError,
+            morphisms.MorphismError,
+            stringbridge.StringBridgeError,
+            emptiness.EmptinessError,
+            superlie.SuperLieError,
+        ],
+    )
+    def test_every_module_error_is_exit_2(self, monkeypatch, capsys, error):
+        assert issubclass(error, poly.UhfreeError)
+
+        def failing(args):
+            raise error("bad input")
+
+        monkeypatch.setattr(cli, "cmd_string_check", failing)
+        assert main(["string-check"]) == 2
+        assert capsys.readouterr().err == "error: bad input\n"
+
+    def test_invariant_breach_is_not_a_user_error(self):
+        assert not issubclass(presentation.InvariantBreach, poly.UhfreeError)
 
     NOT_UTF8 = "error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
 

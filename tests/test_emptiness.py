@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -7,12 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from uhfree.poly import Poly
 from uhfree.presentation import Mat2
+from uhfree import emptiness
 from uhfree.emptiness import (
     CertRing,
     EmptinessError,
     RouteView,
     _eval_scaled,
     _eval_witness,
+    _split,
+    _support_witness,
     certificate_from_dict,
     emptiness_certificate,
     graded_emptiness,
@@ -118,6 +122,74 @@ def test_certificates_match_the_golden_files(name, m, n, graded):
     # the files were written by the exhaustive grid scan the search replaced
     golden = (DATA / f"{name}.json").read_text()
     assert emptiness_certificate(m, n, graded).to_json() == golden
+
+
+def test_every_certificate_and_report_matches_its_digest():
+    # sha256 of to_json() and of the verify_certificate report, one line
+    # each, for every (m, n) in {2..7}^2, graded and ungraded, as written
+    # by the implementation that rebuilt every route per branch combination
+    want = json.loads((DATA / "cert_digests.json").read_text())
+    assert len(want) == 72
+
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    got = {}
+    for key in want:
+        size, _, graded = key.partition("_")
+        m, n = map(int, size.split("x"))
+        cert = emptiness_certificate(m, n, graded == "graded")
+        got[key] = {
+            "certificate": sha(cert.to_json()),
+            "report": sha("\n".join(verify_certificate(cert)) + "\n"),
+        }
+    assert got == want
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 5)])
+def test_certificate_builds_each_pair_matrix_and_route_once(monkeypatch, m, n):
+    calls = {"pairs": [], "routes": 0}
+    pair_matrices, route = emptiness._pair_matrices, emptiness._route
+
+    def counted_pairs(ring, key, branch):
+        calls["pairs"].append((key, branch))
+        return pair_matrices(ring, key, branch)
+
+    def counted_route(*args):
+        calls["routes"] += 1
+        return route(*args)
+
+    monkeypatch.setattr(emptiness, "_pair_matrices", counted_pairs)
+    monkeypatch.setattr(emptiness, "_route", counted_route)
+    emptiness_certificate(m, n)
+    # 4 pairs x 2 branches; each route depends on 2 pairs, so it has at
+    # most 4 distinct values, and the 4 routes make at most 16
+    assert sorted(calls["pairs"]) == sorted(
+        (key, branch) for key in emptiness.PAIR_KEYS for branch in emptiness.BRANCHES
+    )
+    assert calls["routes"] <= 16
+
+
+def _reversed_terms(view):
+    """The same route view with every entry's terms stored in reverse order."""
+
+    def rev(p):
+        return Poly._of(p.nvars, dict(reversed(list(p._num.items()))), p._den)
+
+    return RouteView(
+        view.delta, Mat2(tuple(tuple(rev(p) for p in row) for row in view.mat.rows))
+    )
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 5), (7, 7)])
+def test_support_witness_ignores_term_storage_order(m, n):
+    cert = emptiness_certificate(m, n)
+    ring = cert.ring()
+    (_, a), (_, b) = _split(ring, cert.route_a), _split(ring, cert.route_b)
+    witness = _support_witness(ring, a, b)
+    assert witness == cert.support_witness
+    assert _support_witness(ring, _reversed_terms(a), _reversed_terms(b)) == witness
+    assert _support_witness(ring, _reversed_terms(a), b) == witness
 
 
 # -- the evaluation witness against the exhaustive grid scan ------------------------------
