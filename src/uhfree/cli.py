@@ -17,16 +17,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .poly import Poly, UhfreeError, default_names, format_poly, parse_poly
+from .poly import UhfreeError, default_names, format_poly, parse_poly
 from .presentation import (
-    Mat2,
     Presentation,
     PresentationError,
-    Vec2,
+    dump_json,
     parity_check,
     pointwise_check,
     presentation_from_json,
-    presentation_to_json,
     verified_report,
 )
 from .normalform import classify_sl11, classify_sl_m1
@@ -83,15 +81,6 @@ def _rational(text: str) -> Fraction:
         raise MorphismError(f"--lambdas: {text!r} is not a rational number") from None
 
 
-def _mat_strings(mat: Mat2, names) -> list[list[str]]:
-    return [[format_poly(q, names) for q in r] for r in mat.rows]
-
-
-def _write_out(path: Optional[str], payload) -> None:
-    if path:
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _names(p: Presentation):
     return default_names(p.nvars, p.m)
 
@@ -114,8 +103,12 @@ def _require_verified(p: Presentation, lines: list[str]) -> None:
 
 # -- subcommands ------------------------------------------------------------------
 
+# What each subcommand returns: (exit code, report lines, --out payload or None).
+# `main` writes the payload and prints the report.
+Outcome = tuple[int, list[str], Optional[dict]]
 
-def cmd_verify(args) -> int:
+
+def cmd_verify(args) -> Outcome:
     if args.pointwise is not None and args.pointwise < 0:
         # checked before any work, so no --out file is left behind
         raise PresentationError(
@@ -133,12 +126,10 @@ def cmd_verify(args) -> int:
     if parity is not None:
         payload["parity_ok"] = parity.ok
         payload["parity_failures"] = list(parity.failures)
-    _write_out(args.out, payload)
     if not report.ok:
         lines.append(f"FAIL: {len(report.violations)} of {report.checked} relations violated")
         lines.extend(_violation_lines(payload["violations"], "see --out"))
-        print("\n".join(_stamped(lines, args)))
-        return 1
+        return 1, lines, payload
     lines.append(f"PASS: all {report.checked} generator relations hold")
     if parity is not None:
         if parity.ok:
@@ -146,8 +137,7 @@ def cmd_verify(args) -> int:
         else:
             lines.append("FAIL: grading flag inconsistent")
             lines.extend("  " + t for t in parity.failures)
-            print("\n".join(_stamped(lines, args)))
-            return 1
+            return 1, lines, payload
     if args.pointwise is not None:
         sampled = pointwise_check(p, args.pointwise)
         verdict = "PASS" if sampled.ok else "FAIL"
@@ -155,13 +145,11 @@ def cmd_verify(args) -> int:
             f"{verdict}: pointwise cross-check on {sampled.checked} sampled identities"
         )
         if not sampled.ok:
-            print("\n".join(_stamped(lines, args)))
-            return 1
-    print("\n".join(_stamped(lines, args)))
-    return 0
+            return 1, lines, payload
+    return 0, lines, payload
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> Outcome:
     p = _load_presentation(args.file)
     lines = [f"presentation over sl({p.m}|{p.n}), grading {p.grading}", FIELD_NOTE]
     if p.n != 1:
@@ -174,25 +162,23 @@ def cmd_classify(args) -> int:
         cls = classify_sl11(p)
         payload = {
             "class": f"class-{cls.label}",
-            "witness": _mat_strings(cls.witness, names),
+            "witness": cls.witness.to_strings(names),
         }
         lines.append(f"class: class-{cls.label}")
     else:
         params, witness = classify_sl_m1(p)
         payload = params.to_dict()
         payload["normalized_a"] = [str(x) for x in params.normalized().a]
-        payload["witness"] = _mat_strings(witness, names)
+        payload["witness"] = witness.to_strings(names)
         lines.append(f"family parameters: {json.dumps(params.to_dict(), sort_keys=True)}")
         lines.append(
             "normalized (first parameter 1): "
             + json.dumps(payload["normalized_a"])
         )
-    _write_out(args.out, payload)
-    print("\n".join(_stamped(lines, args)))
-    return 0
+    return 0, lines, payload
 
 
-def cmd_iso(args) -> int:
+def cmd_iso(args) -> Outcome:
     src = _load_presentation(args.src)
     dst = _load_presentation(args.dst)
     lines = [FIELD_NOTE]
@@ -204,26 +190,22 @@ def cmd_iso(args) -> int:
     witness = iso_test(src, dst, category=category)
     if witness is None:
         lines.append(f"not isomorphic (category {category})")
-        _write_out(args.out, {"isomorphic": False, "category": category})
-        print("\n".join(_stamped(lines, args)))
-        return 1 if args.expect_iso else 0
-    names = _names(src)
+        payload = {"isomorphic": False, "category": category}
+        return (1 if args.expect_iso else 0), lines, payload
     payload = {
         "isomorphic": True,
         "category": category,
         "gamma": str(witness.gamma),
         "parity": witness.parity,
-        "witness": _mat_strings(witness.w, names),
+        "witness": witness.w.to_strings(_names(src)),
     }
-    _write_out(args.out, payload)
     lines.append(
         f"isomorphic in {category} with gamma = {witness.gamma} ({witness.parity} witness)"
     )
-    print("\n".join(_stamped(lines, args)))
-    return 0
+    return 0, lines, payload
 
 
-def cmd_endo(args) -> int:
+def cmd_endo(args) -> Outcome:
     p = _load_presentation(args.file)
     lines = [f"endomorphisms up to entry degree {args.bound}"]
     _require_verified(p, lines)
@@ -232,22 +214,18 @@ def cmd_endo(args) -> int:
     basis = endo_ring_basis(p, args.bound)
     idems = idempotent_scan(p, args.bound)
     payload = {
-        "solutions": [
-            {"parity": s.parity, "matrix": _mat_strings(s.w, names)} for s in sols
-        ],
-        "predicted_basis": [_mat_strings(b, names) for b in basis],
-        "idempotents": [_mat_strings(w, names) for w in idems],
+        "solutions": [{"parity": s.parity, "matrix": s.w.to_strings(names)} for s in sols],
+        "predicted_basis": [b.to_strings(names) for b in basis],
+        "idempotents": [w.to_strings(names) for w in idems],
     }
-    _write_out(args.out, payload)
     lines.append(f"solution space dimension: {len(sols)}")
-    for s in sols:
-        lines.append(f"  {s.parity}: {_mat_strings(s.w, names)}")
+    for s in payload["solutions"]:
+        lines.append(f"  {s['parity']}: {s['matrix']}")
     lines.append(f"idempotents found: {len(idems)} (zero and identity expected)")
-    print("\n".join(_stamped(lines, args)))
-    return 0
+    return 0, lines, payload
 
 
-def cmd_submodules(args) -> int:
+def cmd_submodules(args) -> Outcome:
     p = _load_presentation(args.file)
     lines = []
     _require_verified(p, lines)
@@ -271,10 +249,9 @@ def cmd_submodules(args) -> int:
             ],
         }
         lines.append(f"class-{cls.label}; admissible submodule shapes for J = ({args.gen}):")
-        for s in shapes:
-            lines.append(
-                f"  {s.label}: {format_poly(s.g1, ('h1',))} Q[h] (+) {format_poly(s.g2, ('h1',))} Q[h]"
-            )
+        for s in payload["shapes"]:
+            g1, g2 = s["generators"]
+            lines.append(f"  {s['label']}: {g1} Q[h] (+) {g2} Q[h]")
     else:
         lambdas = (
             [_rational(t) for t in args.lambdas.split(",")]
@@ -297,12 +274,10 @@ def cmd_submodules(args) -> int:
         for k, s in enumerate(chain):
             lines.append(f"  F_{k} = {format_poly(s.f, ('X',))}")
         lines.append("each step separated by the recorded vector outside the next layer")
-    _write_out(args.out, payload)
-    print("\n".join(_stamped(lines, args)))
-    return 0
+    return 0, lines, payload
 
 
-def cmd_string_check(args) -> int:
+def cmd_string_check(args) -> Outcome:
     variants = (1, 2) if args.variant == "both" else (int(args.variant),)
     lines = []
     payload = {}
@@ -326,43 +301,33 @@ def cmd_string_check(args) -> int:
             ]
             for i, g, j in module.adjacency():
                 lines.append(f"  u{i} -{g}-> u{j}")
-    _write_out(args.out, payload)
-    print("\n".join(_stamped(lines, args)))
-    return 0 if ok else 1
+    return (0 if ok else 1), lines, payload
 
 
-def cmd_empty_check(args) -> int:
+def cmd_empty_check(args) -> Outcome:
     if args.verify:
         cert = certificate_from_json(_read_input(args.verify, EmptinessError))
         try:
             report = verify_certificate(cert)
         except EmptinessError as exc:
-            print(f"FAIL: {exc}")
-            return 1
+            raise _Failure([f"FAIL: {exc}"]) from None
         lines = [f"certificate for sl({cert.m}|{cert.n}) re-verified:"]
         lines.extend("  " + t for t in report)
-        print("\n".join(_stamped(lines, args)))
-        return 0
+        return 0, lines, None
     if args.m is None or args.n is None:
         raise EmptinessError("empty-check needs --m and --n (or --verify FILE)")
     cert = emptiness_certificate(args.m, args.n, graded=args.graded)
-    _write_out(args.out, cert.to_dict())
-    ring = cert.ring()
-    names = ring.names
+    names = cert.ring().names
     lines = [
         f"category of rank-2 modules over sl({cert.m}|{cert.n}) is empty",
         f"branch combinations examined: {len(cert.branch_log)}; "
         f"surviving to the final contradiction: 1",
         f"surviving branch: {json.dumps(cert.surviving_choices, sort_keys=True)}",
-        "route through b1:",
     ]
-    for r in cert.route_a.num.rows:
-        lines.append("    " + str([format_poly(q, names) for q in r]))
-    lines.append(f"  divided by unit monomial exponents {list(cert.route_a.den)}")
-    lines.append("route through bn:")
-    for r in cert.route_b.num.rows:
-        lines.append("    " + str([format_poly(q, names) for q in r]))
-    lines.append(f"  divided by unit monomial exponents {list(cert.route_b.den)}")
+    for via, route in (("b1", cert.route_a), ("bn", cert.route_b)):
+        lines.append(f"route through {via}:")
+        lines.extend("    " + str(r) for r in route.num.to_strings(names))
+        lines.append(f"  divided by unit monomial exponents {list(route.den)}")
     lines.append(
         f"support witness: {cert.support_witness['monomial']} "
         f"(variable {cert.support_witness['variable']})"
@@ -379,11 +344,10 @@ def cmd_empty_check(args) -> int:
             )
     if cert.graded:
         lines.append("graded categories annotated empty as well")
-    print("\n".join(_stamped(lines, args)))
-    return 0
+    return 0, lines, cert.to_dict()
 
 
-def cmd_canon_sl11(args) -> int:
+def cmd_canon_sl11(args) -> Outcome:
     p = _load_presentation(args.file)
     lines = [FIELD_NOTE]
     if (p.m, p.n) != (1, 1):
@@ -393,27 +357,16 @@ def cmd_canon_sl11(args) -> int:
     names = ("h1",)
     payload = {
         "class": f"class-{cls.label}",
-        "canonical": [
-            _mat_strings(cls.canonical[0], names),
-            _mat_strings(cls.canonical[1], names),
-        ],
-        "witness": _mat_strings(cls.witness, names),
+        "canonical": [mat.to_strings(names) for mat in cls.canonical],
+        "witness": cls.witness.to_strings(names),
     }
-    _write_out(args.out, payload)
     lines.append(f"class: class-{cls.label}")
     lines.append(f"canonical pair: {payload['canonical']}")
     lines.append(f"witness: {payload['witness']}")
-    print("\n".join(_stamped(lines, args)))
-    return 0
+    return 0, lines, payload
 
 
 # -- driver -----------------------------------------------------------------------------
-
-
-def _stamped(lines, args):
-    if getattr(args, "stamp", False):
-        return lines + [f"generated: {datetime.now(timezone.utc).isoformat()}"]
-    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,7 +455,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, lines, payload = args.func(args)
+        if args.out and payload is not None:
+            Path(args.out).write_text(dump_json(payload))
     except _Failure as exc:
         print("\n".join(exc.lines))
         return 1
@@ -516,6 +471,10 @@ def main(argv=None) -> int:
     except UhfreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.stamp:
+        lines.append(f"generated: {datetime.now(timezone.utc).isoformat()}")
+    print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

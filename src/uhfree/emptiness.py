@@ -33,6 +33,7 @@ containing the variable; term storage order never enters a certificate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -52,6 +53,9 @@ from .presentation import (
     InvariantBreach,
     Mat2,
     derive_even,
+    dump_json,
+    json_array,
+    json_field,
     load_json,
     make_presentation,
     odd_positions,
@@ -311,14 +315,10 @@ class EmptinessCertificate:
         return CertRing(self.m, self.n)
 
     def to_dict(self) -> dict:
-        ring = self.ring()
-        names = ring.names
+        names = self.ring().names
 
         def sm_dict(sm: ScaledMat) -> dict:
-            return {
-                "den": list(sm.den),
-                "mat": [[format_poly(q, names) for q in r] for r in sm.num.rows],
-            }
+            return {"den": list(sm.den), "mat": sm.num.to_strings(names)}
 
         return {
             "format": FORMAT_CERT,
@@ -352,7 +352,7 @@ class EmptinessCertificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return dump_json(self.to_dict())
 
 
 def _support_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dict]:
@@ -583,43 +583,8 @@ def graded_emptiness(m: int, n: int) -> EmptinessCertificate:
 # -- re-verification -----------------------------------------------------------------------
 
 
-_JSON_KINDS = {
-    int: "an integer",
-    bool: "a boolean",
-    str: "a string",
-    list: "an array",
-    dict: "an object",
-}
-
-
-def _is_json(value, kind: type) -> bool:
-    """Is value a JSON value of the given kind (a boolean is not an integer)?"""
-    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
-
-
-def _field(obj: Mapping, key: str, kind: type, where: str):
-    """obj[key], which must be present and a JSON value of the given kind."""
-    if key not in obj:
-        raise EmptinessError(f"{where}: missing key {key!r}")
-    value = obj[key]
-    if not _is_json(value, kind):
-        raise EmptinessError(
-            f"{where}: {key} must be {_JSON_KINDS[kind]}, got {type(value).__name__}"
-        )
-    return value
-
-
-def _array(value, length: int, kind: type, where: str) -> list:
-    """value, which must be a JSON array of `length` values of the given kind."""
-    if (
-        not isinstance(value, list)
-        or len(value) != length
-        or not all(_is_json(v, kind) for v in value)
-    ):
-        raise EmptinessError(
-            f"{where} must be an array of {length} items, each {_JSON_KINDS[kind]}"
-        )
-    return value
+# the presentation module's JSON field checker, raising EmptinessError
+_field = functools.partial(json_field, error=EmptinessError)
 
 
 def certificate_from_dict(data: Mapping) -> EmptinessCertificate:
@@ -634,18 +599,12 @@ def certificate_from_dict(data: Mapping) -> EmptinessCertificate:
     n = _field(data, "n", int, "certificate")
     if m < 2 or n < 2:
         raise EmptinessError("the emptiness theorem applies to m, n >= 2")
-    ring = CertRing(m, n)
-    names = ring.names
+    names = CertRing(m, n).names
 
     def parse_sm(d: Mapping, where: str) -> ScaledMat:
-        rows = _array(d.get("mat"), 2, list, f"{where}.mat")
-        mat = Mat2(
-            tuple(
-                tuple(parse_poly(s, names) for s in _array(row, 2, str, f"{where}.mat"))
-                for row in rows
-            )
-        )
-        return ScaledMat(mat, tuple(_array(d.get("den"), 4, int, f"{where}.den")))
+        mat = Mat2.from_strings(d.get("mat"), names, f"{where}.mat", EmptinessError)
+        den = json_array(d.get("den"), 4, int, f"{where}.den", EmptinessError)
+        return ScaledMat(mat, tuple(den))
 
     log = []
     for entry in _field(data, "branch_log", list, "certificate"):
@@ -738,7 +697,9 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
     """
     report = []
     fresh = emptiness_certificate(cert.m, cert.n, graded=cert.graded)
-    if fresh.to_dict() != cert.to_dict():
+    # compared as JSON text, since 1, 1.0 and true are equal as Python values
+    recorded, replayed = (json.dumps(c.to_dict(), sort_keys=True) for c in (cert, fresh))
+    if recorded != replayed:
         raise EmptinessError("certificate does not match a fresh replay")
     report.append(f"replayed all {len(cert.branch_log)} branch combinations")
 

@@ -219,9 +219,6 @@ class CanonParams:
         g = self.a[0]
         return CanonParams(tuple(x / g for x in self.a), self.s, self.bar)
 
-    def scaled(self, g: Fraction) -> "CanonParams":
-        return CanonParams(tuple(g * x for x in self.a), self.s, self.bar)
-
     def to_dict(self) -> dict:
         return {
             "a": [str(x) for x in self.a],
@@ -237,9 +234,6 @@ class Sl11Class:
     label: int  # 1 or 2
     witness: Mat2
     canonical: tuple[Mat2, Mat2]
-
-    def to_dict(self) -> dict:
-        return {"class": f"class-{self.label}"}
 
 
 def _require_verified(p: Presentation):
@@ -329,6 +323,7 @@ def classify_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
         s = frozenset({1} if cls.label == 2 else set())
         params = CanonParams((Fraction(1),), s, bar)
         w = cls.witness * _swap(1) if bar else cls.witness
+        conj = conjugate(p, w)
     else:
         _require_verified(p)
         m, nv = p.m, p.nvars
@@ -353,12 +348,14 @@ def classify_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
             if in_s:
                 s.add(i)
         if bar:
-            w = w * _swap(nv)
+            # the swap is constant, so conjugating conj by it conjugates p by w * swap
+            swap = _swap(nv)
+            w = w * swap
+            conj = conjugate(conj, swap)
         params = CanonParams(tuple(a), frozenset(s), bar)
     target = (build_mas_bar if bar else build_mas)(p.m, params.a, params.s)
-    check = conjugate(p, w)
     for pos, mat in target.odd:
-        if check.E(*pos) != mat:
+        if conj.E(*pos) != mat:
             raise InvariantBreach("classification witness fails to reach the family form")
     return params, w
 

@@ -596,12 +596,12 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 
 
 def compose_univariate(f: Poly, g: Poly) -> Poly:
-    """Evaluate a univariate polynomial f at the polynomial g."""
+    """Evaluate a univariate polynomial f at the polynomial g (Horner's scheme)."""
     if f.nvars != 1:
         raise PolyError("composition expects a univariate outer polynomial")
     out = Poly.zero(g.nvars)
-    for (e,), coeff in f.terms.items():
-        out = out + coeff * g**e
+    for e in range(f.total_degree(), -1, -1):
+        out = out * g + f.coeff((e,))
     return out
 
 

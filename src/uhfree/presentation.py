@@ -150,9 +150,23 @@ class Mat2:
         return hash(self.rows)
 
     def __repr__(self):
-        names = default_names(self.nvars)
-        rows = [[format_poly(p, names) for p in r] for r in self.rows]
-        return f"Mat2({rows})"
+        return f"Mat2({self.to_strings(default_names(self.nvars))})"
+
+    def to_strings(self, names: Sequence[str]) -> list[list[str]]:
+        """The rows as polynomial strings, the form every uhfree file uses."""
+        return [[format_poly(q, names) for q in r] for r in self.rows]
+
+    @classmethod
+    def from_strings(
+        cls, rows, names: Sequence[str], where: str, error: type[ValueError]
+    ) -> "Mat2":
+        """Read a 2x2 JSON array of polynomial strings; any other shape raises `error`."""
+        return cls._of(
+            tuple(
+                tuple(parse_poly(s, names) for s in json_array(r, 2, str, where, error))
+                for r in json_array(rows, 2, list, where, error)
+            )
+        )
 
     @property
     def is_zero(self) -> bool:
@@ -354,12 +368,9 @@ class Violation:
     rhs: Mat2
 
     def describe(self, alg: SuperAlgebra, names: Sequence[str]) -> str:
-        def show(mat):
-            return [[format_poly(q, names) for q in r] for r in mat.rows]
-
         return (
             f"[{alg.show(self.left)}, {alg.show(self.right)}]: "
-            f"lhs {show(self.lhs)} != rhs {show(self.rhs)}"
+            f"lhs {self.lhs.to_strings(names)} != rhs {self.rhs.to_strings(names)}"
         )
 
 
@@ -665,22 +676,17 @@ def _gen_label(alg: SuperAlgebra, row: int, col: int) -> str:
 def presentation_to_dict(p: Presentation) -> dict:
     alg = p.algebra
     names = default_names(alg.nvars, p.m)
-    E = {}
-    for (row, col), mat in p.odd:
-        E[_gen_label(alg, row, col)] = [
-            [format_poly(q, names) for q in r] for r in mat.rows
-        ]
     return {
         "format": FORMAT_PRESENTATION,
         "m": p.m,
         "n": p.n,
         "grading": p.grading,
-        "E": E,
+        "E": {_gen_label(alg, *pos): mat.to_strings(names) for pos, mat in p.odd},
     }
 
 
 def presentation_to_json(p: Presentation) -> str:
-    return json.dumps(presentation_to_dict(p), indent=2, sort_keys=True) + "\n"
+    return dump_json(presentation_to_dict(p))
 
 
 def presentation_from_dict(data: Mapping) -> Presentation:
@@ -697,15 +703,15 @@ def presentation_from_dict(data: Mapping) -> Presentation:
         )
     try:
         m, n = data["m"], data["n"]
-        grading = data["grading"]
-        raw_e = data["E"]
     except KeyError as exc:
         raise PresentationError(f"missing key {exc.args[0]!r}") from None
     for key, value in (("m", m), ("n", n)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        if not _is_json(value, int) or value < 1:
             raise PresentationError(f"{key} must be a positive integer, got {value!r}")
+    grading = json_field(data, "grading", str, "presentation", PresentationError)
     if grading not in GRADINGS:
         raise PresentationError(f"unknown grading {grading!r}")
+    raw_e = json_field(data, "E", dict, "presentation", PresentationError)
     alg = algebra(m, n)
     names = default_names(alg.nvars, m)
     expected = {
@@ -717,19 +723,19 @@ def presentation_from_dict(data: Mapping) -> Presentation:
     missing = set(expected) - set(raw_e)
     if missing:
         raise PresentationError(f"missing generator keys: {sorted(missing)}")
-    mats = {}
-    for label, pos in expected.items():
-        rows = raw_e[label]
-        if (
-            not isinstance(rows, list)
-            or len(rows) != 2
-            or any(not isinstance(r, list) or len(r) != 2 for r in rows)
-        ):
-            raise PresentationError(f"{label}: matrix must be a 2x2 array of strings")
-        mats[pos] = Mat2(
-            tuple(tuple(parse_poly(entry, names) for entry in r) for r in rows)
-        )
+    mats = {
+        pos: Mat2.from_strings(raw_e[label], names, label, PresentationError)
+        for label, pos in expected.items()
+    }
     return make_presentation(m, n, mats, grading=grading)
+
+
+# -- the JSON codec shared by every uhfree file ------------------------------------------
+
+
+def dump_json(payload) -> str:
+    """The one encoding of every file uhfree writes: indent 2, sorted keys, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def load_json(text: str, error: type[ValueError]):
@@ -747,6 +753,41 @@ def load_json(text: str, error: type[ValueError]):
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise error(f"invalid JSON: {exc}") from None
+
+
+_JSON_KINDS = {
+    int: "an integer",
+    bool: "a boolean",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+}
+
+
+def _is_json(value, kind: type) -> bool:
+    """Is value a JSON value of the given kind (a boolean is not an integer)?"""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def json_field(obj: Mapping, key: str, kind: type, where: str, error: type[ValueError]):
+    """obj[key], which must be present and a JSON value of the given kind, else `error`."""
+    if key not in obj:
+        raise error(f"{where}: missing key {key!r}")
+    value = obj[key]
+    if not _is_json(value, kind):
+        raise error(f"{where}: {key} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def json_array(value, length: int, kind: type, where: str, error: type[ValueError]) -> list:
+    """value, which must be a JSON array of `length` values of the given kind, else `error`."""
+    if (
+        not isinstance(value, list)
+        or len(value) != length
+        or not all(_is_json(v, kind) for v in value)
+    ):
+        raise error(f"{where} must be an array of {length} items, each {_JSON_KINDS[kind]}")
+    return value
 
 
 def presentation_from_json(text: str) -> Presentation:

@@ -1,8 +1,13 @@
+import contextlib
+import functools
+import io
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uhfree import (
     cli,
@@ -115,6 +120,32 @@ class TestExitCodes:
         assert main(["verify", str(path)]) == 2
         assert capsys.readouterr().err == "error: duplicate key 'm'\n"
 
+    NOT_STRINGS = "e[1,b1] must be an array of 2 items, each a string"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(E=5), "presentation: E must be an object, got int"),
+            (lambda d: d.update(E=None), "presentation: E must be an object, got NoneType"),
+            (lambda d: d["E"]["e[1,b1]"][0].__setitem__(1, 0), NOT_STRINGS),
+            (lambda d: d["E"]["e[1,b1]"][1].__setitem__(0, None), NOT_STRINGS),
+            (
+                lambda d: d["E"].update({"e[1,b1]": "0"}),
+                "e[1,b1] must be an array of 2 items, each an array",
+            ),
+            (lambda d: d.update(grading=1), "presentation: grading must be a string, got int"),
+        ],
+        ids=["number-E", "null-E", "number-entry", "null-entry", "string-matrix", "number-grading"],
+    )
+    def test_mistyped_presentation_field_is_exit_2(self, tmp_path, capsys, edit, message):
+        data = json.loads(presentation_to_json(build_mas(1, (1,), ())))
+        edit(data)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     NOT_RATIONAL = "--lambdas: {!r} is not a rational number"
 
@@ -334,6 +365,17 @@ class TestEmptyCheckCommand:
         assert main(["empty-check", "--verify", str(cert_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
+    def test_index_of_another_type_fails_the_replay(self, tmp_path, capsys, value):
+        # equal to the recorded 1 as Python values, but not as JSON text
+        cert_path = tmp_path / "cert.json"
+        data = json.loads((DATA / "cert_2x2.json").read_text())
+        assert data["surviving"]["eval_witness"]["entries"][1] == [1, 1]
+        data["surviving"]["eval_witness"]["entries"][1][0] = value
+        cert_path.write_text(json.dumps(data))
+        assert main(["empty-check", "--verify", str(cert_path)]) == 1
+        assert capsys.readouterr().out == "FAIL: certificate does not match a fresh replay\n"
+
     def test_duplicate_certificate_key_is_exit_2(self, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"
         main(["empty-check", "--m", "2", "--n", "2", "--out", str(cert_path)])
@@ -524,3 +566,95 @@ def test_family_payloads_match_the_golden_files(tmp_path, name, command, inputs,
     out = tmp_path / "out.json"
     assert main([command, *files, *options, "--out", str(out)]) == code
     assert out.read_bytes() == (DATA / f"family_out_{name}.json").read_bytes()
+
+
+def _json_paths(node, prefix=()):
+    """The path to every object member and array item below node."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _replaced(data, path, value):
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+PRESENTATION_DATA = json.loads(presentation_to_json(build_mas(2, (1, 2), (1,))))
+CERT_DATA = json.loads((DATA / "cert_2x2.json").read_text())
+# every field of a presentation is type-checked; these are the checked certificate fields
+CERT_CHECKED = re.compile(
+    r"(format|m|n|i|graded|branch_log|surviving)"
+    r"|branch_log/\d+(/choices|/stage1(/equal)?|/stage2/proportional)?"
+    r"|surviving/(choices|support_witness|eval_witness)"
+    r"|surviving/route[AB](/mat(/\d(/\d)?)?|/den(/\d)?)?"
+)
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-3, 3, allow_nan=False),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
+
+
+class TestInputContractFuzz:
+    """One field or matrix entry swapped for a JSON value of another type."""
+
+    @staticmethod
+    def _run(directory, command, data):
+        path = directory / "input.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, str(path)])
+        return code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def _swap(data, draw, paths):
+        path = draw(st.sampled_from(paths))
+        old = functools.reduce(lambda node, key: node[key], path, data)
+        return path, _replaced(data, path, draw(JSON_VALUES.filter(lambda v: type(v) is not type(old))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mistyped_checked_field_is_exit_2(self, tmp_path_factory, data):
+        kind = data.draw(st.sampled_from(["presentation", "certificate"]))
+        if kind == "presentation":
+            source, command = PRESENTATION_DATA, ["verify"]
+            paths = list(_json_paths(source))
+        else:
+            source, command = CERT_DATA, ["empty-check", "--verify"]
+            paths = [
+                p for p in _json_paths(source) if CERT_CHECKED.fullmatch("/".join(map(str, p)))
+            ]
+        _, broken = self._swap(source, data.draw, paths)
+        code, out, err = self._run(tmp_path_factory.mktemp("fuzz"), command, broken)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_mistyped_certificate_value_keeps_the_contract(self, tmp_path_factory, data):
+        # fields the reader does not check are caught by the replay (exit 1) or unused
+        path, broken = self._swap(CERT_DATA, data.draw, list(_json_paths(CERT_DATA)))
+        directory = tmp_path_factory.mktemp("fuzz")
+        code, out, err = self._run(directory, ["empty-check", "--verify"], broken)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert code in (0, 1) and err == ""

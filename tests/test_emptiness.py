@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from uhfree.poly import Poly
 from uhfree.presentation import Mat2
 from uhfree import emptiness
+from uhfree.cli import main
 from uhfree.emptiness import (
     CertRing,
     EmptinessError,
@@ -118,10 +119,14 @@ def test_other_sizes_certify_and_verify(m, n):
     "name, m, n, graded",
     [("cert_2x2", 2, 2, False), ("cert_3x5", 3, 5, False), ("cert_7x7_graded", 7, 7, True)],
 )
-def test_certificates_match_the_golden_files(name, m, n, graded):
+def test_certificates_match_the_golden_files(tmp_path, name, m, n, graded):
     # the files were written by the exhaustive grid scan the search replaced
-    golden = (DATA / f"{name}.json").read_text()
-    assert emptiness_certificate(m, n, graded).to_json() == golden
+    golden = DATA / f"{name}.json"
+    assert emptiness_certificate(m, n, graded).to_json() == golden.read_text()
+    out = tmp_path / "cert.json"
+    argv = ["empty-check", "--m", str(m), "--n", str(n), "--out", str(out)]
+    assert main(argv + ["--graded"] * graded) == 0
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_every_certificate_and_report_matches_its_digest():

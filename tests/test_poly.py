@@ -381,3 +381,22 @@ class TestCompose:
         f = Poly(1, {(2,): 1, (0,): -1})  # X^2 - 1
         c = H1 + H2
         assert compose_univariate(f, c) == (H1 + H2) ** 2 - 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_composition_matches_sympy(self, data):
+        # outer degree up to 30 (sparse, so Horner runs through zero coefficients)
+        # and an inner polynomial in up to 4 variables
+        nvars = data.draw(st.integers(1, 4))
+        outer = {
+            (data.draw(st.integers(0, 30)),): Fraction(
+                data.draw(st.integers(-6, 6)), data.draw(st.integers(1, 6))
+            )
+            for _ in range(data.draw(st.integers(0, 4)))
+        }
+        f = Poly(1, outer)
+        g = data.draw(rational_polys(nvars, max_deg=2, max_terms=3))
+        syms = sympy.symbols(f"h1:{nvars + 1}")
+        x = sympy.Symbol("X")
+        want = to_sympy(f, (x,)).subs(x, to_sympy(g, syms))
+        assert _canonical(compose_univariate(f, g)) == from_sympy(want, syms)
