@@ -56,6 +56,7 @@ from .presentation import (
     dump_json,
     json_array,
     json_field,
+    json_keys,
     load_json,
     make_presentation,
     odd_positions,
@@ -238,14 +239,10 @@ def _proportionality(
 ) -> tuple[bool, Optional[Fraction], Optional[MismatchWitness]]:
     """Is mat_a = lambda * mat_b for some rational lambda != 0?"""
     cells = [(r, c) for r in range(2) for c in range(2)]
-    for k1 in range(len(cells)):
-        for k2 in range(k1 + 1, len(cells)):
-            r1, c1 = cells[k1]
-            r2, c2 = cells[k2]
-            lhs = a.mat[r1, c1] * b.mat[r2, c2]
-            rhs = a.mat[r2, c2] * b.mat[r1, c1]
-            if lhs != rhs:
-                return False, None, MismatchWitness((r1, c1), (r2, c2), lhs, rhs)
+    for e1, e2 in itertools.combinations(cells, 2):
+        lhs, rhs = a.mat[e1] * b.mat[e2], a.mat[e2] * b.mat[e1]
+        if lhs != rhs:
+            return False, None, MismatchWitness(e1, e2, lhs, rhs)
     for r, c in cells:
         if a.mat[r, c].is_zero != b.mat[r, c].is_zero:
             return False, None, MismatchWitness((r, c), (r, c), a.mat[r, c], b.mat[r, c])
@@ -460,24 +457,18 @@ def _eval_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dict]:
         point.append(value)
         diffs = alive
     full = point + [1, 1, 1, 1]
-    vals = {}
-    for r, c in cells:
-        vals[(r, c, "a")] = a.mat[r, c].evaluate(full)
-        vals[(r, c, "b")] = b.mat[r, c].evaluate(full)
-    for k1 in range(len(cells)):
-        for k2 in range(len(cells)):
-            if k1 == k2:
-                continue
-            e1, e2 = cells[k1], cells[k2]
-            lhs = vals[(*e1, "a")] * vals[(*e2, "b")]
-            rhs = vals[(*e2, "a")] * vals[(*e1, "b")]
-            if lhs != rhs:
-                return {
-                    "point": {names[v]: str(point[v]) for v in range(nb)},
-                    "entries": [list(e1), list(e2)],
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                }
+    va = {e: a.mat[e].evaluate(full) for e in cells}
+    vb = {e: b.mat[e].evaluate(full) for e in cells}
+    # (e2, e1) fails exactly when (e1, e2) does, so ordered pairs add nothing
+    for e1, e2 in itertools.combinations(cells, 2):
+        lhs, rhs = va[e1] * vb[e2], va[e2] * vb[e1]
+        if lhs != rhs:
+            return {
+                "point": {names[v]: str(point[v]) for v in range(nb)},
+                "entries": [list(e1), list(e2)],
+                "lhs": str(lhs),
+                "rhs": str(rhs),
+            }
     raise InvariantBreach("grid search ended at a point where the routes agree")
 
 
@@ -583,8 +574,9 @@ def graded_emptiness(m: int, n: int) -> EmptinessCertificate:
 # -- re-verification -----------------------------------------------------------------------
 
 
-# the presentation module's JSON field checker, raising EmptinessError
+# the presentation module's JSON field and key checkers, raising EmptinessError
 _field = functools.partial(json_field, error=EmptinessError)
+_keys = functools.partial(json_keys, error=EmptinessError)
 
 
 def certificate_from_dict(data: Mapping) -> EmptinessCertificate:
@@ -595,13 +587,19 @@ def certificate_from_dict(data: Mapping) -> EmptinessCertificate:
         raise EmptinessError(
             f"format-version mismatch: expected {FORMAT_CERT}, got {data.get('format')!r}"
         )
+    top = ("format", "m", "n", "i", "graded", "unit_names", "branch_log", "surviving")
+    _keys(data, top, "certificate")
     m = _field(data, "m", int, "certificate")
     n = _field(data, "n", int, "certificate")
     if m < 2 or n < 2:
         raise EmptinessError("the emptiness theorem applies to m, n >= 2")
+    units = _field(data, "unit_names", list, "certificate")
+    if units != list(UNIT_NAMES):
+        raise EmptinessError(f"certificate: unit_names must be {list(UNIT_NAMES)}, got {units}")
     names = CertRing(m, n).names
 
     def parse_sm(d: Mapping, where: str) -> ScaledMat:
+        _keys(d, ("den", "mat"), where)
         mat = Mat2.from_strings(d.get("mat"), names, f"{where}.mat", EmptinessError)
         den = json_array(d.get("den"), 4, int, f"{where}.den", EmptinessError)
         return ScaledMat(mat, tuple(den))
@@ -610,10 +608,14 @@ def certificate_from_dict(data: Mapping) -> EmptinessCertificate:
     for entry in _field(data, "branch_log", list, "certificate"):
         if not isinstance(entry, dict):
             raise EmptinessError("branch_log entries must be objects")
+        _keys(entry, ("choices", "stage1", "stage2"), "branch_log entry")
         stage1 = _field(entry, "stage1", dict, "branch_log entry")
+        _keys(stage1, ("equal", "detail"), "stage1")
         stage2 = entry.get("stage2")
-        if stage2 is not None and not isinstance(stage2, dict):
-            raise EmptinessError("branch_log entry: stage2 must be an object or null")
+        if stage2 is not None:
+            if not isinstance(stage2, dict):
+                raise EmptinessError("branch_log entry: stage2 must be an object or null")
+            _keys(stage2, ("proportional", "detail"), "stage2")
         log.append(
             BranchOutcome(
                 _field(entry, "choices", dict, "branch_log entry"),
@@ -624,6 +626,7 @@ def certificate_from_dict(data: Mapping) -> EmptinessCertificate:
             )
         )
     surv = _field(data, "surviving", dict, "certificate")
+    _keys(surv, ("choices", "routeA", "routeB", "support_witness", "eval_witness"), "surviving")
     return EmptinessCertificate(
         m=m,
         n=n,

@@ -26,16 +26,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .poly import (
-    Poly,
-    ShiftMap,
-    UhfreeError,
-    apply_shift,
-    compose_univariate,
-    divides_exactly,
-)
+from .poly import Poly, UhfreeError, compose_univariate, divides_exactly
 from .presentation import InvariantBreach, Mat2, Presentation, Vec2
 from .normalform import classified_sl_m1, classify_sl_m1
 from .superlie import Root
@@ -48,34 +41,48 @@ class MorphismError(UhfreeError):
 # -- exact linear algebra ----------------------------------------------------------
 
 
+def _subtract(target: dict[int, Fraction], f: Fraction, row: dict[int, Fraction]) -> None:
+    """target -= f * row in place, dropping the entries that become zero."""
+    for c, x in row.items():
+        y = target.get(c, 0) - f * x
+        if y:
+            target[c] = y
+        else:
+            del target[c]
+
+
 def _nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the solution space of a homogeneous system over Q."""
-    dense = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(dense)) if dense[i][c]), None)
-        if pivot is None:
+    """Basis of the solution space of a homogeneous system over Q.
+
+    Gauss-Jordan on the sparse rows, one row at a time: `rref` maps each
+    pivot column to its row of the reduced row echelon form (entry 1 at
+    the pivot, 0 at every other pivot). A new row is reduced against it,
+    pivots at its leftmost column and is eliminated from the older rows.
+    The RREF does not depend on row order, so neither does the basis: 1
+    at each free column f and -RREF[p][f] at each pivot p.
+    """
+    rref: dict[int, dict[int, Fraction]] = {}
+    for given in rows:
+        row = {c: x for c, x in given.items() if x}
+        for p in [c for c in row if c in rref]:
+            _subtract(row, row[p], rref[p])
+        if not row:
             continue
-        dense[r], dense[pivot] = dense[pivot], dense[r]
-        inv = 1 / dense[r][c]
-        dense[r] = [x * inv for x in dense[r]]
-        for i in range(len(dense)):
-            if i != r and dense[i][c]:
-                f = dense[i][c]
-                dense[i] = [x - f * y for x, y in zip(dense[i], dense[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(dense):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+        pivot = min(row)
+        inv = Fraction(1) / row[pivot]
+        row = {c: x * inv for c, x in row.items()}
+        for other in rref.values():
+            if pivot in other:
+                _subtract(other, other[pivot], row)
+        rref[pivot] = row
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -dense[i][fc]
-        basis.append(vec)
+    for fc in range(ncols):
+        if fc not in rref:
+            vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+            for p, row in rref.items():
+                vec[p] = -row.get(fc, Fraction(0))
+            basis.append(vec)
     return basis
 
 
@@ -102,18 +109,29 @@ class HomSolution:
 ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 DIAG = ((0, 0), (1, 1))
 ANTIDIAG = ((0, 1), (1, 0))
+# the systems solve_hom solves per category: the entries of W that may be
+# nonzero, the sign of the identity and the parity of the solutions
+# (None: read off the shape of each solution)
+SYSTEMS = {
+    "M2": ((ENTRIES, 1, None),),
+    "M11even": ((DIAG, 1, "even"),),
+    "M11": ((DIAG, 1, "even"), (ANTIDIAG, -1, "odd")),
+}
+
+
+def _defects(src: Presentation, dst: Presentation, w: Mat2, sign: int) -> Iterator[Mat2]:
+    """W * E_g^src - sign * E_g^dst * tau_g(W) for each odd generator g, in `src.odd` order."""
+    alg = src.algebra
+    for (row, col), e_src in src.odd:
+        tau = alg.weight_shift(Root(row, col))
+        yield w * e_src - sign * (dst.E(row, col) * w.shifted(tau))
 
 
 def check_intertwiner(
     src: Presentation, dst: Presentation, w: Mat2, sign: int = 1
 ) -> bool:
     """Exact re-verification of all intertwining identities for W."""
-    alg = src.algebra
-    for (row, col), e_src in src.odd:
-        tau = alg.weight_shift(Root(row, col))
-        if w * e_src != sign * (dst.E(row, col) * w.shifted(tau)):
-            return False
-    return True
+    return all(d.is_zero for d in _defects(src, dst, w, sign))
 
 
 def _solve_system(
@@ -124,59 +142,35 @@ def _solve_system(
     sign: int,
 ) -> list[Mat2]:
     nv = src.nvars
-    monos = _monomials_up_to(nv, bound)
-    unknowns = [(rc, mu) for rc in entries for mu in monos]
-    index = {key: k for k, key in enumerate(unknowns)}
-    shifted_mono: dict[tuple[ShiftMap, tuple[int, ...]], Poly] = {}
+    unknowns = [(rc, mu) for rc in entries for mu in _monomials_up_to(nv, bound)]
+    # the defect is linear in W: unknown (rc, mu) contributes the defects
+    # of the matrix with the monomial h^mu at rc and zeros elsewhere
+    defects = [
+        list(_defects(src, dst, _placed(nv, {rc: {mu: 1}}), sign)) for rc, mu in unknowns
+    ]
     rows: list[dict[int, Fraction]] = []
-    alg = src.algebra
-    for (grow, gcol), e_src in src.odd:
-        tau = alg.weight_shift(Root(grow, gcol))
-        e_dst = dst.E(grow, gcol)
-        # equation entry (R, C): sum_k W[R,k] e_src[k,C] - sign*e_dst[R,k] tau(W[k,C]) = 0
-        eq: dict[tuple[int, int], dict[int, Poly]] = {
-            (R, C): {} for R in range(2) for C in range(2)
-        }
-        for (r, c), mu in unknowns:
-            k = index[((r, c), mu)]
-            mono = Poly(nv, {mu: Fraction(1)})
-            key = (tau, mu)
-            tmono = shifted_mono.get(key)
-            if tmono is None:
-                tmono = apply_shift(tau, mono)
-                shifted_mono[key] = tmono
-            for C in range(2):
-                contrib = mono * e_src[c, C]
-                if not contrib.is_zero:
-                    acc = eq[(r, C)].get(k)
-                    eq[(r, C)][k] = contrib if acc is None else acc + contrib
-            for R in range(2):
-                contrib = e_dst[R, r] * tmono * (-sign)
-                if not contrib.is_zero:
-                    acc = eq[(R, c)].get(k)
-                    eq[(R, c)][k] = contrib if acc is None else acc + contrib
-        for cell, coeffs in eq.items():
+    for g in range(len(src.odd)):
+        for cell in ENTRIES:
             by_exp: dict[tuple[int, ...], dict[int, Fraction]] = {}
-            for k, polyval in coeffs.items():
-                for exps, coeff in polyval.terms.items():
+            for k, per_gen in enumerate(defects):
+                for exps, coeff in per_gen[g][cell].terms.items():
                     by_exp.setdefault(exps, {})[k] = coeff
             rows.extend(by_exp.values())
-    basis = _nullspace(rows, len(unknowns))
     mats = []
-    for vec in basis:
-        acc = {rc: Poly.zero(nv) for rc in ENTRIES}
-        for k, ((rc), mu) in enumerate(unknowns):
+    for vec in _nullspace(rows, len(unknowns)):
+        terms: dict = {}
+        for k, (rc, mu) in enumerate(unknowns):
             if vec[k]:
-                acc[rc] = acc[rc] + Poly(nv, {mu: vec[k]})
-        mats.append(
-            Mat2(
-                (
-                    (acc[(0, 0)], acc[(0, 1)]),
-                    (acc[(1, 0)], acc[(1, 1)]),
-                )
-            )
-        )
+                terms.setdefault(rc, {})[mu] = vec[k]
+        mats.append(_placed(nv, terms))
     return mats
+
+
+def _placed(nv: int, terms: dict[tuple[int, int], dict]) -> Mat2:
+    """The matrix whose entry rc has the given terms (zero where none are given)."""
+    return Mat2(
+        tuple(tuple(Poly(nv, terms.get((r, c), {})) for c in range(2)) for r in range(2))
+    )
 
 
 def _shape_parity(w: Mat2) -> str:
@@ -213,21 +207,12 @@ def solve_hom(
         raise MorphismError("presentations live over different superalgebras")
     if degree_bound < 0:
         raise MorphismError("degree bound must be non-negative")
-    category = resolve_category(src, dst, category)
     sols: list[HomSolution] = []
-    if category == "M2":
-        for w in _solve_system(src, dst, degree_bound, ENTRIES, +1):
-            sols.append(HomSolution(w, _shape_parity(w)))
-    else:
-        for w in _solve_system(src, dst, degree_bound, DIAG, +1):
-            sols.append(HomSolution(w, "even"))
-        if category == "M11":
-            for w in _solve_system(src, dst, degree_bound, ANTIDIAG, -1):
-                sols.append(HomSolution(w, "odd"))
-    for sol in sols:
-        sign = -1 if sol.parity == "odd" and category == "M11" else 1
-        if not check_intertwiner(src, dst, sol.w, sign):
-            raise InvariantBreach("solver produced a non-intertwining solution")
+    for entries, sign, parity in SYSTEMS[resolve_category(src, dst, category)]:
+        for w in _solve_system(src, dst, degree_bound, entries, sign):
+            if not check_intertwiner(src, dst, w, sign):
+                raise InvariantBreach("solver produced a non-intertwining solution")
+            sols.append(HomSolution(w, parity or _shape_parity(w)))
     return sols
 
 
@@ -389,10 +374,8 @@ def idempotent_scan(p: Presentation, degree_bound: int) -> list[Mat2]:
     W^{-1}; F(X)^2 = F(X) in the integral domain Q[X] forces F in {0, 1},
     so the scan reduces to membership of the constants in the solved span.
     """
-    frame, offset = _family_frame(p)
     sols = endo_solutions(p, degree_bound)
-    finv = frame.inverse_unimodular()
-    fs = [_family_f(p, finv * s.w * frame, offset) for s in sols if not s.w.is_zero]
+    fs = [endo_f_polynomial(p, s.w) for s in sols if not s.w.is_zero]
     nv = p.nvars
     out = [Mat2.zero(nv)]
     if _in_span(Poly.one(1), fs):

@@ -589,20 +589,12 @@ def build_mas(m: int, a: Sequence[Fraction], s: Iterable[int]) -> Presentation:
 
 
 def build_mas_bar(m: int, a: Sequence[Fraction], s: Iterable[int]) -> Presentation:
-    """The parity-swapped family: same data on the opposite corners."""
-    a, s = _check_family_params(m, a, s)
-    nv = m
-    mats: dict[tuple[int, int], Mat2] = {}
-    for i in range(1, m + 1):
-        hi = Poly.var(nv, i - 1)
-        ai = a[i - 1]
-        if i in s:
-            lower, upper = ai * hi, Poly.const(nv, 1 / ai)
-        else:
-            lower, upper = Poly.const(nv, ai), (1 / ai) * hi
-        mats[(i - 1, m)] = Mat2.of(nv, ((0, 0), (lower, 0)))
-        mats[(m, i - 1)] = Mat2.of(nv, ((0, upper), (0, 0)))
-    return make_presentation(m, 1, mats, grading="g11bar")
+    """The parity-swapped family Mbar(a, S): M(a, S) conjugated by the swap.
+
+    The constant antidiagonal swap moves every entry to the opposite
+    corner and turns the grading g11 into g11bar.
+    """
+    return conjugate(build_mas(m, a, s), Mat2.of(m, ((0, 1), (1, 0))))
 
 
 # -- grading bookkeeping -------------------------------------------------------------
@@ -692,10 +684,7 @@ def presentation_to_json(p: Presentation) -> str:
 def presentation_from_dict(data: Mapping) -> Presentation:
     if not isinstance(data, Mapping):
         raise PresentationError("presentation file must hold a JSON object")
-    allowed = {"format", "m", "n", "grading", "E"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise PresentationError(f"unknown keys in presentation: {sorted(unknown)}")
+    json_keys(data, ("format", "m", "n", "grading", "E"), "presentation", PresentationError)
     fmt = data.get("format", FORMAT_PRESENTATION)
     if fmt != FORMAT_PRESENTATION:
         raise PresentationError(
@@ -777,6 +766,13 @@ def json_field(obj: Mapping, key: str, kind: type, where: str, error: type[Value
     if not _is_json(value, kind):
         raise error(f"{where}: {key} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
     return value
+
+
+def json_keys(obj: Mapping, allowed: Sequence[str], where: str, error: type[ValueError]):
+    """Reject keys of obj outside `allowed`: a reader that skips a key cannot check it."""
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise error(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def json_array(value, length: int, kind: type, where: str, error: type[ValueError]) -> list:

@@ -339,6 +339,61 @@ class TestEmptyCheckCommand:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("unit_names",), 5, "certificate: unit_names must be an array, got int"),
+            (
+                ("unit_names",),
+                ["a1", "a2", "a3", "b4"],
+                "certificate: unit_names must be ['a1', 'a2', 'a3', 'a4'], "
+                "got ['a1', 'a2', 'a3', 'b4']",
+            ),
+            (("surprise",), [1], "unknown keys in certificate: ['surprise']"),
+            (("surviving", "extra"), 1, "unknown keys in surviving: ['extra']"),
+            (("surviving", "routeA", "extra"), 1, "unknown keys in routeA: ['extra']"),
+            (("surviving", "routeB", "extra"), 1, "unknown keys in routeB: ['extra']"),
+            (("branch_log", 0, "extra"), 1, "unknown keys in branch_log entry: ['extra']"),
+            (("branch_log", 0, "stage1", "extra"), 1, "unknown keys in stage1: ['extra']"),
+            (("branch_log", 10, "stage2", "extra"), 1, "unknown keys in stage2: ['extra']"),
+        ],
+        ids=[
+            "unit-names-int",
+            "unit-names-renamed",
+            "top-level",
+            "surviving",
+            "routeA",
+            "routeB",
+            "branch-log-entry",
+            "stage1",
+            "stage2",
+        ],
+    )
+    def test_fields_the_replay_never_sees_are_exit_2(self, tmp_path, capsys, path, value, message):
+        # the reader checks these; the replay would never look at them
+        data = _replaced(CERT_DATA, path, value)
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(data))
+        assert main(["empty-check", "--verify", str(cert_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("surviving", "routeB", "mat", 0, 1), "hb1"),
+            (("surviving", "eval_witness", "point", "h1"), "3"),
+            (("branch_log", 0, "stage1", "detail", "rhs"), "h1"),
+        ],
+        ids=["route", "point", "branch"],
+    )
+    def test_tampered_values_still_fail_the_replay(self, tmp_path, capsys, path, value):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(_replaced(CERT_DATA, path, value)))
+        assert main(["empty-check", "--verify", str(cert_path)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL: ")
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda d: d.update(i=True), "certificate: i must be an integer, got bool"),
@@ -594,7 +649,7 @@ PRESENTATION_DATA = json.loads(presentation_to_json(build_mas(2, (1, 2), (1,))))
 CERT_DATA = json.loads((DATA / "cert_2x2.json").read_text())
 # every field of a presentation is type-checked; these are the checked certificate fields
 CERT_CHECKED = re.compile(
-    r"(format|m|n|i|graded|branch_log|surviving)"
+    r"(format|m|n|i|graded|unit_names(/\d)?|branch_log|surviving)"
     r"|branch_log/\d+(/choices|/stage1(/equal)?|/stage2/proportional)?"
     r"|surviving/(choices|support_witness|eval_witness)"
     r"|surviving/route[AB](/mat(/\d(/\d)?)?|/den(/\d)?)?"

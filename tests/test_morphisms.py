@@ -1,8 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
 
-from uhfree.poly import Poly, apply_shift, compose_univariate
+from uhfree.poly import Poly, apply_shift, compose_univariate, default_names
 from uhfree.presentation import (
     Mat2,
     Vec2,
@@ -14,6 +18,7 @@ from uhfree.presentation import (
 )
 from uhfree.morphisms import (
     MorphismError,
+    _nullspace,
     Submod,
     check_intertwiner,
     endo_f_polynomial,
@@ -31,6 +36,8 @@ from uhfree.superlie import Root
 
 from .helpers import random_nonzero_fraction, random_unimodular
 
+DATA = Path(__file__).parent / "data"
+
 C = lambda nv, m: sum((Poly.var(nv, j) for j in range(m)), Poly.zero(nv))
 
 
@@ -44,6 +51,89 @@ def span_matches(sols, expected):
     # each expected basis vector solves the same system, and dimensions
     # agree, so comparing the generated F-polynomials suffices
     return True
+
+
+def _random_system(rng, nrows, ncols):
+    """Sparse rational rows: fresh ones (at most a random cap of them, so
+    tall systems keep a kernel too), combinations of earlier ones, zero
+    rows and empty rows."""
+    cap = rng.randint(0, min(nrows, ncols))
+    rows, fresh = [], 0
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.2:
+            rows.append({rng.randrange(ncols): Fraction(0)})
+        elif fresh < cap and (kind < 0.7 or len(rows) < 2):
+            fresh += 1
+            cols = rng.sample(range(ncols), rng.randint(1, min(ncols, 6)))
+            rows.append({c: random_nonzero_fraction(rng, 5) for c in cols})
+        elif len(rows) >= 2:
+            r1, r2 = rng.sample(rows, 2)
+            f1, f2 = random_nonzero_fraction(rng), random_nonzero_fraction(rng)
+            cols = set(r1) | set(r2)
+            rows.append({c: f1 * r1.get(c, 0) + f2 * r2.get(c, 0) for c in cols})
+        else:
+            rows.append({})
+    return rows
+
+
+def _sympy_nullspace(rows, ncols):
+    dense = [[sympy.Rational(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    mat = sympy.Matrix(dense) if rows else sympy.zeros(0, ncols)
+    return [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in mat.nullspace()]
+
+
+class TestNullspace:
+    SHAPES = [(0, 3), (1, 1), (3, 1), (1, 5), (4, 4), (6, 12), (12, 6), (8, 30), (30, 8)]
+    SHAPES += [(20, 20), (25, 40), (40, 25), (40, 40)]
+
+    @pytest.mark.parametrize("nrows,ncols", SHAPES)
+    def test_matches_sympy_vector_for_vector(self, rng, nrows, ncols):
+        for _ in range(6):
+            rows = _random_system(rng, nrows, ncols)
+            want = _sympy_nullspace(rows, ncols)
+            assert _nullspace(rows, ncols) == want
+            shuffled = [dict(r) for r in rows]
+            rng.shuffle(shuffled)
+            assert _nullspace(shuffled, ncols) == want
+
+    def test_rows_are_not_modified(self, rng):
+        rows = _random_system(rng, 12, 10)
+        before = [dict(r) for r in rows]
+        _nullspace(rows, 10)
+        assert rows == before
+
+
+def test_every_hom_basis_matches_its_digest():
+    # sha256 of the solve_hom output, one JSON line [parity, to_strings(W)]
+    # per solution, for M(a, S), Mbar(a, S) and a polynomial conjugate of
+    # M(a, S) with a = (2, -1/3, 5)[:m], S = {1}, as written by the solver
+    # that eliminated a dense matrix
+    want = json.loads((DATA / "hom_digests.json").read_text())
+    assert len(want) == 156
+
+    def inputs(m):
+        a = (Fraction(2), Fraction(-1, 3), Fraction(5))[:m]
+        plain = build_mas(m, a, (1,))
+        poly = conjugate(plain, Mat2.of(m, ((1, Poly.var(m, 0)), (0, 1))))
+        return {"plain": plain, "bar": build_mas_bar(m, a, (1,)), "poly": poly}
+
+    presentations = {m: inputs(m) for m in (1, 2, 3)}
+    got = {}
+    for key in want:
+        m, src, dst, category, bound = key.split("_")
+        ps = presentations[int(m[1:])]
+        sols = solve_hom(ps[src], ps[dst], int(bound[1:]), category)
+        names = default_names(ps[src].nvars)
+        lines = [json.dumps([s.parity, s.w.to_strings(names)]) for s in sols]
+        got[key] = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert got == want
+    # the odd (signed) system is covered: Hom(M, Mbar) has odd solutions
+    assert any(s.parity == "odd" for s in solve_hom(
+        presentations[2]["plain"], presentations[2]["bar"], 1, "M11"
+    ))
 
 
 class TestSolveHom:
