@@ -258,7 +258,7 @@ def cmd_submodules(args) -> Outcome:
             if args.lambdas
             else [Fraction(k) for k in range(args.length)]
         )
-        chain = filtration(p, lambdas, args.length)
+        chain = filtration(lambdas, args.length)
         seps = filtration_separators(p, chain)
         payload = {
             # ascending coefficient vectors of the F_k

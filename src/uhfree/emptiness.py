@@ -53,7 +53,6 @@ from .presentation import (
     InvariantBreach,
     Mat2,
     derive_even,
-    dump_json,
     json_array,
     json_field,
     json_keys,
@@ -348,9 +347,6 @@ class EmptinessCertificate:
             },
         }
 
-    def to_json(self) -> str:
-        return dump_json(self.to_dict())
-
 
 def _support_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dict]:
     """A variable present in a route entry and absent from the other route's.
@@ -559,16 +555,6 @@ def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCert
         support_witness=support,
         eval_witness=point,
     )
-
-
-def graded_emptiness(m: int, n: int) -> EmptinessCertificate:
-    """Emptiness of the graded categories, derived from the ungraded one.
-
-    A graded rank-(1|1) module is in particular an ungraded rank-2
-    module, so the same certificate applies; it is returned with the
-    graded annotation set.
-    """
-    return emptiness_certificate(m, n, graded=True)
 
 
 # -- re-verification -----------------------------------------------------------------------

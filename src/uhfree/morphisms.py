@@ -102,9 +102,6 @@ class HomSolution:
     w: Mat2
     parity: str  # "even" | "odd" | "mixed"
 
-    def is_invertible(self) -> bool:
-        return self.w.is_unimodular()
-
 
 ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 DIAG = ((0, 0), (1, 1))
@@ -263,8 +260,7 @@ def iso_test(
             parity = "even"
         else:
             # ungraded category, mismatched corner conventions: swap first
-            swap = Mat2.of(nv, ((0, 1), (1, 0)))
-            bridge = swap * _family_bridge(nv, gamma, pd.bar)
+            bridge = Mat2.swap(nv) * _family_bridge(nv, gamma, pd.bar)
             parity = "even"
         w = wd * bridge * ws.inverse_unimodular()
         sign = 1
@@ -343,14 +339,13 @@ def _family_f(p: Presentation, v: Mat2, offset: int) -> Poly:
 
 
 def _collapse_to_univariate(g: Poly) -> Poly:
-    """Substitute h_1 = X, other variables = 0 (recovers F from F(c))."""
-    terms = {}
-    for exps, coeff in g.terms.items():
-        if any(exps[1:]):
-            continue
-        key = (exps[0],)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Poly(1, terms)
+    """Substitute h_1 = X, other variables = 0 (recovers F from F(c)).
+
+    The kept terms have every exponent but the first at 0, so their keys
+    (e[0],) are distinct and nothing accumulates.
+    """
+    num = {(e[0],): n for e, n in g._num.items() if not any(e[1:])}
+    return Poly._reduced(1, num, g._den)
 
 
 def endo_solutions(p: Presentation, degree_bound: int) -> tuple[HomSolution, ...]:
@@ -429,9 +424,7 @@ def submodule_member(sub: Submod, m: int, v: Vec2) -> bool:
     )
 
 
-def filtration(
-    p: Presentation, lambdas: Sequence[Fraction], k: int
-) -> list[Submod]:
+def filtration(lambdas: Sequence[Fraction], k: int) -> list[Submod]:
     """The chain M_{F_0} > M_{F_1} > ... > M_{F_k}, F_k = prod (X - lambda_r)."""
     if k < 0:
         raise MorphismError(f"filtration length must be non-negative, got {k}")

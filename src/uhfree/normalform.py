@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .poly import (
     Poly,
@@ -41,7 +40,6 @@ from .presentation import (
     InvariantBreach,
     Mat2,
     Presentation,
-    PresentationError,
     build_mas,
     build_mas_bar,
     conjugate,
@@ -210,10 +208,6 @@ class CanonParams:
         if any(x == 0 for x in self.a):
             raise ClassificationError("parameters must be nonzero")
 
-    @property
-    def m(self) -> int:
-        return len(self.a)
-
     def normalized(self) -> "CanonParams":
         """The unique representative with first parameter 1."""
         g = self.a[0]
@@ -294,10 +288,6 @@ def _read_family_entry(
     return Fraction(ai), in_s
 
 
-def _swap(nv: int) -> Mat2:
-    return Mat2.of(nv, ((0, 1), (1, 0)))
-
-
 def classify_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
     """Classify a verified rank-2 presentation over sl(m|1) as M(a, S).
 
@@ -322,7 +312,7 @@ def classify_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
         cls = classify_sl11(p)
         s = frozenset({1} if cls.label == 2 else set())
         params = CanonParams((Fraction(1),), s, bar)
-        w = cls.witness * _swap(1) if bar else cls.witness
+        w = cls.witness * Mat2.swap(1) if bar else cls.witness
         conj = conjugate(p, w)
     else:
         _require_verified(p)
@@ -349,7 +339,7 @@ def classify_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
                 s.add(i)
         if bar:
             # the swap is constant, so conjugating conj by it conjugates p by w * swap
-            swap = _swap(nv)
+            swap = Mat2.swap(nv)
             w = w * swap
             conj = conjugate(conj, swap)
         params = CanonParams(tuple(a), frozenset(s), bar)
@@ -367,22 +357,3 @@ def classified_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
         result = p._memo["sl_m1"] = classify_sl_m1(p)
     return result
 
-
-def graded_equiv_witness(m: int, a: Sequence[Fraction], s: Iterable[int]) -> Mat2:
-    """The constant odd map intertwining M(a, S) with its bar twin.
-
-    Returns J = [0, -1; 1, 0]; as an odd morphism it satisfies the
-    sign-twisted identity J^{-1} E tau(J) = -E_bar for every odd
-    generator, and J * J = -I.
-    """
-    src = build_mas(m, a, s)
-    dst = build_mas_bar(m, a, s)
-    nv = src.nvars
-    j = Mat2.of(nv, ((0, -1), (1, 0)))
-    jinv = j.inverse_unimodular()
-    alg = src.algebra
-    for pos, mat in src.odd:
-        tau = alg.weight_shift(Root(*pos))
-        if jinv * mat * j.shifted(tau) != -dst.E(*pos):
-            raise InvariantBreach("odd intertwiner failed its defining identity")
-    return j

@@ -30,7 +30,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .poly import (
     Poly,
-    PolyError,
     ShiftMap,
     UhfreeError,
     apply_shift,
@@ -94,6 +93,16 @@ class Mat2:
         one = Poly.one(nvars)
         z = Poly.zero(nvars)
         return cls._of(((one, z), (z, one)))
+
+    @classmethod
+    def swap(cls, nvars: int) -> "Mat2":
+        """The constant antidiagonal [[0, 1], [1, 0]].
+
+        Conjugating by it turns M(a, S) into Mbar(a, S).
+        """
+        one = Poly.one(nvars)
+        z = Poly.zero(nvars)
+        return cls._of(((z, one), (one, z)))
 
     @classmethod
     def scalar(cls, p: Poly) -> "Mat2":
@@ -594,7 +603,7 @@ def build_mas_bar(m: int, a: Sequence[Fraction], s: Iterable[int]) -> Presentati
     The constant antidiagonal swap moves every entry to the opposite
     corner and turns the grading g11 into g11bar.
     """
-    return conjugate(build_mas(m, a, s), Mat2.of(m, ((0, 1), (1, 0))))
+    return conjugate(build_mas(m, a, s), Mat2.swap(m))
 
 
 # -- grading bookkeeping -------------------------------------------------------------

@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .poly import Poly, UhfreeError
-from .presentation import Mat2, Presentation, Vec2, make_presentation
+from .presentation import Mat2, Presentation, Vec2, act, make_presentation
+from .superlie import Root
 
 
 class StringBridgeError(UhfreeError):
@@ -67,18 +68,17 @@ class StringVector:
 class StringModule:
     """Truncation of one of the two alternating string modules."""
 
-    def __init__(self, variant: int, n: int, swap_arrows: bool = False):
+    def __init__(self, variant: int, n: int):
         if variant not in (1, 2):
             raise StringBridgeError("variant must be 1 or 2")
         if n < 1:
             raise StringBridgeError("truncation length must be positive")
         self.variant = variant
         self.n = n
-        self._swap = swap_arrows
 
     def arrow_label(self, i: int) -> str:
         """Generator labelling the arrow u_i -> u_{i+1}."""
-        first_x = (self.variant == 1) ^ self._swap
+        first_x = self.variant == 1
         if i % 2 == 1:
             return "x" if first_x else "y"
         return "y" if first_x else "x"
@@ -169,9 +169,7 @@ class IntertwiningReport:
     checked: int
 
 
-def check_intertwining(
-    variant: int, n: int, max_deg: int, swap_arrows: bool = False
-) -> IntertwiningReport:
+def check_intertwining(variant: int, n: int, max_deg: int) -> IntertwiningReport:
     """Verify phi(g . v) = g . phi(v) on all monomial vectors up to max_deg.
 
     The module side is the canonical presentation matching the variant;
@@ -187,11 +185,8 @@ def check_intertwining(
             f"truncation N = {n} too small for max degree {max_deg} "
             f"(need N >= {2 * max_deg + 4})"
         )
-    from .presentation import act  # local to avoid a cycle at import time
-    from .superlie import Root
-
     module = canonical_presentation(variant)
-    strings = StringModule(variant, n, swap_arrows=swap_arrows)
+    strings = StringModule(variant, n)
     gens = {"x": Root(0, 1), "y": Root(1, 0), "h": None}
     h = Poly.var(1, 0)
     failures = []
@@ -217,65 +212,3 @@ def check_intertwining(
                     )
     return IntertwiningReport(not failures, tuple(failures), checked)
 
-
-# -- the quiver presentation of the enveloping algebra ---------------------------------
-
-
-Word = tuple[str, ...]
-
-
-def _reduce_concat(w1: Word, w2: Word) -> Word | None:
-    """Concatenate modulo x^2 = y^2 = 0; None encodes the zero element."""
-    if w1 and w2 and w1[-1] == w2[0]:
-        return None
-    return w1 + w2
-
-
-class QuiverAlgebra:
-    """Words in x, y modulo the two-sided ideal (x^2, y^2).
-
-    Normal forms are the alternating words; elements are Q-linear
-    combinations of them.  The central element is h = xy + yx.
-    """
-
-    def element(self, items: Mapping[Word, Fraction]) -> dict[Word, Fraction]:
-        return {w: Fraction(c) for w, c in items.items() if c}
-
-    def mul(self, a: Mapping[Word, Fraction], b: Mapping[Word, Fraction]):
-        out: dict[Word, Fraction] = {}
-        for w1, c1 in a.items():
-            for w2, c2 in b.items():
-                w = _reduce_concat(w1, w2)
-                if w is None:
-                    continue
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
-        return {w: c for w, c in out.items() if c}
-
-    @property
-    def h(self) -> dict[Word, Fraction]:
-        return {("x", "y"): Fraction(1), ("y", "x"): Fraction(1)}
-
-    def words_up_to(self, max_len: int) -> list[Word]:
-        out: list[Word] = [()]
-        for length in range(1, max_len + 1):
-            for first in ("x", "y"):
-                word = tuple(
-                    (first if k % 2 == 0 else ("y" if first == "x" else "x"))
-                    for k in range(length)
-                )
-                out.append(word)
-        return out
-
-    def center_check(self, max_len: int = 6) -> bool:
-        """h commutes with every word up to the given length."""
-        h = self.h
-        for w in self.words_up_to(max_len):
-            elt = {w: Fraction(1)}
-            if self.mul(h, elt) != self.mul(elt, h):
-                return False
-        return True
-
-    def relations_check(self) -> bool:
-        x = {("x",): Fraction(1)}
-        y = {("y",): Fraction(1)}
-        return not self.mul(x, x) and not self.mul(y, y)

@@ -195,38 +195,3 @@ class SuperAlgebra:
 def algebra(m: int, n: int) -> SuperAlgebra:
     return SuperAlgebra(m, n)
 
-
-def parse_basis_label(label: str, m: int, n: int) -> BasisElement:
-    """Parse "e[i,j]" / "e[bj,i]" / "h[i]" / "h[bj]" labels."""
-    alg = algebra(m, n)
-    label = label.strip().replace(" ", "")
-
-    def parse_pos(token: str) -> int:
-        barred = token.startswith("b")
-        try:
-            k = int(token[1:] if barred else token)
-        except ValueError:
-            raise SuperLieError(f"bad index {token!r} in {label!r}") from None
-        if barred:
-            if not 1 <= k <= n:
-                raise SuperLieError(f"barred index out of range in {label!r}")
-            return m + k - 1
-        if not 1 <= k <= m:
-            raise SuperLieError(f"index out of range in {label!r}")
-        return k - 1
-
-    if label.startswith("h[") and label.endswith("]"):
-        pos = parse_pos(label[2:-1])
-        if pos == alg.dim - 1:
-            raise SuperLieError(f"{label!r} is not a Cartan basis element")
-        return Cartan(pos)
-    if label.startswith("e[") and label.endswith("]"):
-        inner = label[2:-1]
-        parts = inner.split(",")
-        if len(parts) != 2:
-            raise SuperLieError(f"bad basis label {label!r}")
-        row, col = parse_pos(parts[0]), parse_pos(parts[1])
-        if row == col:
-            raise SuperLieError(f"equal indices in {label!r}")
-        return Root(row, col)
-    raise SuperLieError(f"bad basis label {label!r}")

@@ -28,7 +28,6 @@ from uhfree.normalform import (
     apply_witness_pair,
     classify_sl11,
     classify_sl_m1,
-    graded_equiv_witness,
     nil_factor,
     reconstruct_nil,
 )
@@ -45,8 +44,9 @@ from uhfree.morphisms import (
     submodule_member,
     _in_span,
 )
-from uhfree.stringbridge import canonical_presentation, check_intertwining
-from uhfree.emptiness import emptiness_certificate, graded_emptiness, verify_certificate
+from uhfree import stringbridge
+from uhfree.stringbridge import StringModule, canonical_presentation, check_intertwining
+from uhfree.emptiness import emptiness_certificate, verify_certificate
 from uhfree.superlie import algebra
 
 from .helpers import random_nonzero_fraction, random_poly, random_unimodular
@@ -182,7 +182,7 @@ def test_criterion_5_submodule_lattice():
     with Budget(5, "submodule lattice", 10):
         p = build_mas(2, (Fraction(2), Fraction(3)), (1,))
         lambdas = [Fraction(k, 2) for k in range(10)]
-        chain = filtration(p, lambdas, 10)
+        chain = filtration(lambdas, 10)
         seps = filtration_separators(p, chain)  # raises unless strictly decreasing
         assert len(seps) == 10
         nv, m = p.nvars, p.m
@@ -214,12 +214,14 @@ def test_criterion_5_submodule_lattice():
                         assert shape.member(act(pres, b, v))
 
 
-def test_criterion_6_string_bridge():
+def test_criterion_6_string_bridge(monkeypatch):
     with Budget(6, "string-module bridge", 5):
         for variant in (1, 2):
             report = check_intertwining(variant, 25, 10)
             assert report.ok
-        negative = check_intertwining(1, 25, 10, swap_arrows=True)
+        # against the string with swapped arrow labels the bridge must fail
+        monkeypatch.setattr(stringbridge, "StringModule", lambda v, n: StringModule(3 - v, n))
+        negative = check_intertwining(1, 25, 10)
         assert not negative.ok
 
 
@@ -239,7 +241,7 @@ def test_criterion_7_emptiness():
         assert cert22.route_b.num[0, 0] == a4 * (h1 + 1) * h2
         assert cert22.route_b.num[1, 1] == a4 * h1 * (h2 - 1)
         assert cert22.route_b.den == (0, 0, 1, 0)
-        verify_certificate(graded_emptiness(2, 2))
+        verify_certificate(emptiness_certificate(2, 2, graded=True))
 
 
 def test_criterion_8_property_suites():
@@ -306,7 +308,7 @@ def test_criterion_8_property_suites():
             s = frozenset(i for i in range(1, m + 1) if rng.random() < 0.5)
             mm, mb = build_mas(m, a, s), build_mas_bar(m, a, s)
             assert parity_check(mm).ok and parity_check(mb).ok
-            graded_equiv_witness(m, a, s)  # validates the signed identities
             assert iso_test(mm, mb, category="M11even") is None
             odd = iso_test(mm, mb, category="M11")
             assert odd is not None and odd.parity == "odd"
+            assert check_intertwiner(mm, mb, odd.w, -1)  # the signed identities

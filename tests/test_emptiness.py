@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from uhfree.poly import Poly
-from uhfree.presentation import Mat2
+from uhfree.presentation import Mat2, dump_json
 from uhfree import emptiness
 from uhfree.cli import main
 from uhfree.emptiness import (
@@ -20,7 +20,6 @@ from uhfree.emptiness import (
     _support_witness,
     certificate_from_dict,
     emptiness_certificate,
-    graded_emptiness,
     verify_certificate,
 )
 
@@ -83,10 +82,10 @@ class TestCertificate22(object):
         assert any("evaluation witness" in line for line in report)
 
     def test_json_round_trip(self, cert22):
-        text = cert22.to_json()
+        text = dump_json(cert22.to_dict())
         again = certificate_from_dict(json.loads(text))
         assert again.to_dict() == cert22.to_dict()
-        assert again.to_json() == text
+        assert dump_json(again.to_dict()) == text
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 5)])
@@ -122,7 +121,7 @@ def test_other_sizes_certify_and_verify(m, n):
 def test_certificates_match_the_golden_files(tmp_path, name, m, n, graded):
     # the files were written by the exhaustive grid scan the search replaced
     golden = DATA / f"{name}.json"
-    assert emptiness_certificate(m, n, graded).to_json() == golden.read_text()
+    assert dump_json(emptiness_certificate(m, n, graded).to_dict()) == golden.read_text()
     out = tmp_path / "cert.json"
     argv = ["empty-check", "--m", str(m), "--n", str(n), "--out", str(out)]
     assert main(argv + ["--graded"] * graded) == 0
@@ -130,7 +129,7 @@ def test_certificates_match_the_golden_files(tmp_path, name, m, n, graded):
 
 
 def test_every_certificate_and_report_matches_its_digest():
-    # sha256 of to_json() and of the verify_certificate report, one line
+    # sha256 of the JSON text and of the verify_certificate report, one line
     # each, for every (m, n) in {2..7}^2, graded and ungraded, as written
     # by the implementation that rebuilt every route per branch combination
     want = json.loads((DATA / "cert_digests.json").read_text())
@@ -145,7 +144,7 @@ def test_every_certificate_and_report_matches_its_digest():
         m, n = map(int, size.split("x"))
         cert = emptiness_certificate(m, n, graded == "graded")
         got[key] = {
-            "certificate": sha(cert.to_json()),
+            "certificate": sha(dump_json(cert.to_dict())),
             "report": sha("\n".join(verify_certificate(cert)) + "\n"),
         }
     assert got == want
@@ -276,14 +275,14 @@ def test_eval_witness_matches_the_grid_scan(case):
 
 class TestGraded:
     def test_graded_annotation(self):
-        cert = graded_emptiness(2, 2)
+        cert = emptiness_certificate(2, 2, graded=True)
         assert cert.graded
         report = verify_certificate(cert)
         assert any("graded" in line for line in report)
 
     def test_out_of_scope(self):
         with pytest.raises(EmptinessError):
-            graded_emptiness(2, 1)
+            emptiness_certificate(2, 1, graded=True)
         with pytest.raises(EmptinessError):
             emptiness_certificate(1, 2)
 
@@ -296,7 +295,7 @@ class TestTampering:
             certificate_from_dict(data)
 
     def test_modified_route_fails_verification(self, cert22):
-        data = json.loads(cert22.to_json())
+        data = json.loads(dump_json(cert22.to_dict()))
         mat = data["surviving"]["routeA"]["mat"]
         mat[0][0] = mat[0][0] + " + 1"
         cert = certificate_from_dict(data)
@@ -304,7 +303,7 @@ class TestTampering:
             verify_certificate(cert)
 
     def test_modified_branch_log_fails_verification(self, cert22):
-        data = json.loads(cert22.to_json())
+        data = json.loads(dump_json(cert22.to_dict()))
         data["branch_log"][0]["stage1"]["equal"] = not data["branch_log"][0][
             "stage1"
         ]["equal"]

@@ -281,7 +281,7 @@ class TestIso:
         for src, dst, expect in cases:
             witness = iso_test(src, dst, category="M2")
             solved = solve_hom(src, dst, 1, category="M2")
-            has_invertible = any(s.is_invertible() for s in solved)
+            has_invertible = any(s.w.is_unimodular() for s in solved)
             assert (witness is not None) == expect == has_invertible
 
     def test_equivalence_relation(self, rng):
@@ -371,12 +371,12 @@ class TestSubmodules:
 
     def test_filtration_length_zero(self):
         p = build_mas(2, (1, 1), ())
-        chain = filtration(p, [], 0)
+        chain = filtration([], 0)
         assert len(chain) == 1 and chain[0].f == Poly.one(1)
 
     def test_single_step_with_separator(self):
         p = build_mas(2, (1, 1), ())
-        chain = filtration(p, [Fraction(0)], 1)
+        chain = filtration([Fraction(0)], 1)
         assert chain[1].f == Poly.var(1, 0)
         [sep] = filtration_separators(p, chain)
         # F_0(c+1) = 1 lies in M_0 but not in M_1
@@ -386,14 +386,14 @@ class TestSubmodules:
     def test_length_ten_strict(self):
         p = build_mas(2, (1, 1), ())
         lambdas = [Fraction(k % 3) for k in range(10)]  # repeats allowed
-        chain = filtration(p, lambdas, 10)
+        chain = filtration(lambdas, 10)
         seps = filtration_separators(p, chain)
         assert len(seps) == 10
 
     def test_too_few_roots_rejected(self):
         p = build_mas(2, (1, 1), ())
         with pytest.raises(MorphismError):
-            filtration(p, [Fraction(0)], 2)
+            filtration([Fraction(0)], 2)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_action_closure_of_mf(self, m, rng):

@@ -20,10 +20,10 @@ from uhfree.normalform import (
     canonicalize_pair,
     classify_sl11,
     classify_sl_m1,
-    graded_equiv_witness,
     nil_factor,
     reconstruct_nil,
 )
+from uhfree.morphisms import check_intertwiner, iso_test
 from uhfree.superlie import Root
 
 from .helpers import random_nonzero_fraction, random_poly, random_unimodular
@@ -262,17 +262,18 @@ def _fake_n2():
 
 
 class TestGradedEquivalence:
+    # M(a, S) and its bar twin are isomorphic in M11 through an odd map
     def test_constant_odd_map(self):
-        j = graded_equiv_witness(2, (1, 1), (1,))
-        assert j == Mat2.of(2, ((0, -1), (1, 0)))
-
-    def test_square_is_minus_identity(self):
-        j = graded_equiv_witness(1, (1,), ())
-        assert j * j == Mat2.identity(1) * Fraction(-1)
+        iso = iso_test(build_mas(2, (1, 1), (1,)), build_mas_bar(2, (1, 1), (1,)), "M11")
+        assert iso.parity == "odd"
+        assert iso.w == Mat2.of(2, ((0, -1), (1, 0)))
 
     def test_intertwines_for_various_parameters(self, rng):
         for _ in range(3):
             m = rng.choice([1, 2, 3])
             a = tuple(random_nonzero_fraction(rng) for _ in range(m))
             s = frozenset(i for i in range(1, m + 1) if rng.random() < 0.5)
-            graded_equiv_witness(m, a, s)  # raises on failure
+            src, dst = build_mas(m, a, s), build_mas_bar(m, a, s)
+            iso = iso_test(src, dst, "M11")
+            assert iso is not None and iso.parity == "odd"
+            assert check_intertwiner(src, dst, iso.w, -1)

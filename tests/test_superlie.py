@@ -8,7 +8,6 @@ from uhfree.superlie import (
     SuperAlgebra,
     SuperLieError,
     algebra,
-    parse_basis_label,
 )
 
 from .oracles import elementary, supercommutator
@@ -237,14 +236,3 @@ def test_super_jacobi_identity(m, n):
                 total = {b: c for b, c in total.items() if c}
                 assert lhs == total, (alg.show(x), alg.show(y), alg.show(z))
 
-
-class TestLabels:
-    def test_round_trip(self):
-        alg = algebra(2, 2)
-        for b in alg.basis():
-            assert parse_basis_label(alg.show(b), 2, 2) == b
-
-    def test_bad_labels(self):
-        for label in ("e[1,1]", "h[b2]", "e[5,b1]", "q[1,2]", "e[1]"):
-            with pytest.raises(SuperLieError):
-                parse_basis_label(label, 2, 2)
