@@ -19,6 +19,7 @@ from typing import Optional
 
 from .poly import UhfreeError, default_names, format_poly, parse_poly
 from .presentation import (
+    MAX_SHOWN_VIOLATIONS,
     Presentation,
     PresentationError,
     dump_json,
@@ -48,9 +49,6 @@ from .emptiness import (
 )
 
 FIELD_NOTE = "field: exact rationals (complex parameters are taken as rational witnesses)"
-
-# Violations printed to stdout; `verify --out` holds every one of them.
-MAX_SHOWN_VIOLATIONS = 20
 
 
 class _Failure(Exception):

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Mapping, Optional, Sequence
 
 from .poly import (
@@ -46,13 +46,13 @@ from .poly import (
     UhfreeError,
     default_names,
     format_poly,
-    grlex_key,
     parse_poly,
 )
 from .presentation import (
     InvariantBreach,
     Mat2,
     derive_even,
+    dump_json,
     json_array,
     json_field,
     json_keys,
@@ -365,8 +365,8 @@ def _support_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dic
                     continue
                 for v in sorted(pa.variables()):
                     if pb.degree_in(v) <= 0:
-                        exps = max((e for e in pa._num if e[v]), key=grlex_key)
-                        mono = format_poly(Poly._of(ring.nvars, {exps: 1}, 1), names)
+                        exps = next(e for e, _ in pa.sorted_terms() if e[v])
+                        mono = format_poly(Poly(ring.nvars, {exps: 1}), names)
                         return {
                             "entry": [r, c],
                             "variable": names[v],
@@ -376,96 +376,39 @@ def _support_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dic
     return None
 
 
-# x(x-1)(x-2)(x-3) = x^4 - 6x^3 + 11x^2 - 6x vanishes on the grid of
-# candidate coordinates, so x^4 may be replaced by 6x^3 - 11x^2 + 6x there.
-_GRID = (0, 1, 2, 3)
-
-
-def _grid_residue(e: int) -> tuple[int, int, int, int]:
-    """Coefficients of x^e modulo x(x-1)(x-2)(x-3), lowest degree first."""
-    if e < 4:
-        return tuple(int(j == e) for j in range(4))
-    r0, r1, r2, r3 = 0, 0, 0, 1
-    for _ in range(e - 3):
-        r0, r1, r2, r3 = 0, r0 + 6 * r3, r1 - 11 * r3, r2 + 6 * r3
-    return r0, r1, r2, r3
-
-
-def _grid_form(p: Poly, nb: int) -> Poly:
-    """p with the units at 1 and degree < 4 in each of the nb base variables.
-
-    It agrees with p on {0..3}^nb, and a polynomial of degree < 4 in each
-    variable that vanishes on that grid is zero, so the result is zero
-    exactly when p vanishes on the grid.
-    """
-    terms: dict[tuple[int, ...], int] = {}
-    for exps, n in p._num.items():
-        partial = {exps[:nb]: n}
-        for v in range(nb):
-            if exps[v] < 4:
-                continue
-            partial = {
-                key[:v] + (j,) + key[v + 1 :]: r * c
-                for key, c in partial.items()
-                for j, r in enumerate(_grid_residue(exps[v]))
-                if r
-            }
-        for key, c in partial.items():
-            terms[key] = terms.get(key, 0) + c
-    return Poly._reduced(nb, {key: c for key, c in terms.items() if c}, p._den)
-
-
-def _substitute(p: Poly, v: int, value: int) -> Poly:
-    """p with variable v set to value."""
-    terms: dict[tuple[int, ...], int] = {}
-    for exps, n in p._num.items():
-        key = exps[:v] + (0,) + exps[v + 1 :]
-        terms[key] = terms.get(key, 0) + n * value ** exps[v]
-    return Poly._reduced(p.nvars, {key: c for key, c in terms.items() if c}, p._den)
-
-
 def _eval_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dict]:
     """A rational point at which no scalar matches the two routes.
 
     The point is the lexicographically first one of {0..3}^(m+n-1), with
     the units at 1, where some cross-difference a[e1]*b[e2] - a[e2]*b[e1]
-    is nonzero.  Each difference is put in grid form, which is zero
-    exactly when it vanishes on the grid; the coordinates are then fixed
-    one at a time, each to the smallest value that leaves some difference
-    nonzero.  None when the differences vanish on the whole grid.
+    is nonzero; None if there is none.  The scan runs over {0..3}^k in lex
+    order for the k base variables that occur in some route entry, every
+    other coordinate at 0.  It finds the same point: a variable absent
+    from every entry changes no cross-difference, so zeroing it in the
+    first hit gives a hit no later in lex order, and that hit is scanned.
+    Certificates have k = 3 (h_1, h_m, hb_1), so at most 64 points.
     """
     nb = ring.base_nvars
-    names = ring.names
     cells = [(r, c) for r in range(2) for c in range(2)]
-    diffs = [
-        _grid_form(a.mat[e1] * b.mat[e2] - a.mat[e2] * b.mat[e1], nb)
-        for e1, e2 in itertools.combinations(cells, 2)
-    ]
-    diffs = [d for d in diffs if d]
-    if not diffs:
-        return None
-    point = []
-    for v in range(nb):
-        for value in _GRID:
-            alive = [s for s in (_substitute(d, v, value) for d in diffs) if s]
-            if alive:
-                break
-        point.append(value)
-        diffs = alive
-    full = point + [1, 1, 1, 1]
-    va = {e: a.mat[e].evaluate(full) for e in cells}
-    vb = {e: b.mat[e].evaluate(full) for e in cells}
-    # (e2, e1) fails exactly when (e1, e2) does, so ordered pairs add nothing
-    for e1, e2 in itertools.combinations(cells, 2):
-        lhs, rhs = va[e1] * vb[e2], va[e2] * vb[e1]
-        if lhs != rhs:
-            return {
-                "point": {names[v]: str(point[v]) for v in range(nb)},
-                "entries": [list(e1), list(e2)],
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-            }
-    raise InvariantBreach("grid search ended at a point where the routes agree")
+    entries = [mat[e] for mat in (a.mat, b.mat) for e in cells]
+    scanned = sorted({v for p in entries for v in p.variables() if v < nb})
+    # the entries as polynomials in the scanned variables
+    values = [None if v in scanned else 0 for v in range(nb)] + [1, 1, 1, 1]
+    sa, sb = ({e: mat[e].specialize(values) for e in cells} for mat in (a.mat, b.mat))
+    for coords in itertools.product(range(4), repeat=len(scanned)):
+        va, vb = ({e: p.evaluate(coords) for e, p in s.items()} for s in (sa, sb))
+        # (e2, e1) fails exactly when (e1, e2) does, so ordered pairs add nothing
+        for e1, e2 in itertools.combinations(cells, 2):
+            lhs, rhs = va[e1] * vb[e2], va[e2] * vb[e1]
+            if lhs != rhs:
+                point = dict(zip(scanned, coords))
+                return {
+                    "point": {ring.names[v]: str(point.get(v, 0)) for v in range(nb)},
+                    "entries": [list(e1), list(e2)],
+                    "lhs": str(lhs),
+                    "rhs": str(rhs),
+                }
+    return None
 
 
 def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCertificate:
@@ -633,27 +576,9 @@ def certificate_from_json(text: str) -> EmptinessCertificate:
 
 def _eval_scaled(ring: CertRing, sm: ScaledMat, units: Sequence[Fraction]) -> Mat2:
     """Specialize the unit variables to concrete scalars, over the base ring."""
-    nb = ring.base_nvars
-    units = [Fraction(u) for u in units]
-    scale = Fraction(1)
-    for u, d in zip(units, sm.den):
-        scale /= u**d
-
-    def specialized(p: Poly) -> Poly:
-        # over the common denominator den * prod(q_k^top_k), u_k = p_k / q_k
-        tops = [max((exps[nb + k] for exps in p._num), default=0) for k in range(4)]
-        den = p._den
-        for u, top in zip(units, tops):
-            den *= u.denominator**top
-        terms: dict[tuple[int, ...], int] = {}
-        for exps, n in p._num.items():
-            for u, e, top in zip(units, exps[nb:], tops):
-                n *= u.numerator**e * u.denominator ** (top - e)
-            key = exps[:nb]
-            terms[key] = terms.get(key, 0) + n
-        return Poly._reduced(nb, {k: n for k, n in terms.items() if n}, den) * scale
-
-    return Mat2._of(tuple(tuple(specialized(p) for p in row) for row in sm.num.rows))
+    values = [None] * ring.base_nvars + list(units)
+    rows = tuple(tuple(p.specialize(values) for p in row) for row in sm.num.rows)
+    return Mat2._of(rows) * prod(Fraction(u) ** -d for u, d in zip(units, sm.den))
 
 
 def _presentation_at_units(
@@ -687,7 +612,7 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
     report = []
     fresh = emptiness_certificate(cert.m, cert.n, graded=cert.graded)
     # compared as JSON text, since 1, 1.0 and true are equal as Python values
-    recorded, replayed = (json.dumps(c.to_dict(), sort_keys=True) for c in (cert, fresh))
+    recorded, replayed = (dump_json(c.to_dict()) for c in (cert, fresh))
     if recorded != replayed:
         raise EmptinessError("certificate does not match a fresh replay")
     report.append(f"replayed all {len(cert.branch_log)} branch combinations")

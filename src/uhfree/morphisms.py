@@ -331,21 +331,12 @@ def _family_f(p: Presentation, v: Mat2, offset: int) -> Poly:
     if not v.is_diagonal():
         raise InvariantBreach("endomorphism is not diagonal")
     lower = v[1, 1]
-    f = _collapse_to_univariate(lower)
+    # F(c) with h_1 = X and every other variable at 0 is F(X)
+    f = lower.specialize([None] + [0] * (lower.nvars - 1))
     c = _central_form(p.nvars, p.m)
     if compose_univariate(f, c) != lower or compose_univariate(f, c + offset) != v[0, 0]:
         raise InvariantBreach("endomorphism is not a polynomial in the central form")
     return f
-
-
-def _collapse_to_univariate(g: Poly) -> Poly:
-    """Substitute h_1 = X, other variables = 0 (recovers F from F(c)).
-
-    The kept terms have every exponent but the first at 0, so their keys
-    (e[0],) are distinct and nothing accumulates.
-    """
-    num = {(e[0],): n for e, n in g._num.items() if not any(e[1:])}
-    return Poly._reduced(1, num, g._den)
 
 
 def endo_solutions(p: Presentation, degree_bound: int) -> tuple[HomSolution, ...]:

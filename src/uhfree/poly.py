@@ -6,11 +6,11 @@ integer numerators over one positive common denominator: a map from
 exponent tuples to nonzero ints, and den >= 1 with gcd(den, every
 numerator) == 1 (the zero polynomial has den == 1).  That form is
 canonical, so equal polynomials have equal storage and equality compares
-ints.  The kernels add, multiply and shift integer term maps and reduce
-by one gcd per result; `Poly.terms` is a read-only {exponents: Fraction}
-view of the same value, built on first use.  The module also provides
-the shift automorphisms h_i -> h_i - s_i that encode the weights of
-root-vector actions, a primitive-part Euclidean gcd, and exact division.
+ints.  The kernels add, multiply, shift and specialize integer term maps
+and reduce by one gcd per result; `Poly.terms` is a read-only view
+{exponents: Fraction} of the same value, built on first use.  It also
+provides the shift automorphisms h_i -> h_i - s_i that encode the weights
+of root-vector actions, a primitive-part Euclidean gcd and exact division.
 All values are immutable.
 
 The text grammar (used by every file format and the CLI):
@@ -412,20 +412,43 @@ class Poly:
     def __repr__(self):
         return f"Poly({format_poly(self, default_names(self.nvars))!r})"
 
-    # -- evaluation and composition ------------------------------------------
+    # -- substitution and evaluation ------------------------------------------
 
-    def evaluate(self, values: Sequence[Scalar]) -> Fraction:
+    def specialize(self, values: Sequence[Optional[Scalar]]) -> "Poly":
+        """Set variable i to values[i] wherever that is not None.
+
+        The variables left at None become the result's variables, in order.
+        The kernel stays on ints: a value p/q of a variable whose largest
+        exponent is top enters a term of exponent e as p^e * q^(top - e),
+        and q^top joins the common denominator.
+        """
         if len(values) != self.nvars:
             raise PolyError("wrong number of values")
-        vals = [_as_fraction(v) for v in values]
-        total = Fraction(0)
+        keep, fixed, den = [], [], self._den
+        for i, v in enumerate(values):
+            if v is None:
+                keep.append(i)
+                continue
+            v = v if isinstance(v, int) else _as_fraction(v)
+            q = v.denominator
+            top = max((e[i] for e in self._num), default=0) if q != 1 else 0
+            den *= q**top
+            fixed.append((i, v.numerator, q, top))
+        out: dict = {}
         for exps, n in self._num.items():
-            term = n
-            for v, e in zip(vals, exps):
-                if e:
-                    term *= v**e
-            total += term
-        return total / self._den
+            for i, p, q, top in fixed:
+                e = exps[i]
+                if top:
+                    n *= p**e * q ** (top - e)
+                elif e:
+                    n *= p**e
+            key = tuple([exps[i] for i in keep])
+            out[key] = out.get(key, 0) + n
+        return Poly._reduced(len(keep), {k: n for k, n in out.items() if n}, den)
+
+    def evaluate(self, values: Sequence[Scalar]) -> Fraction:
+        """The value at a point: `specialize` with every variable set."""
+        return self.specialize(values).constant_value()
 
 
 # -- shift automorphisms ------------------------------------------------------

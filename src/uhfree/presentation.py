@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .poly import (
     Poly,
@@ -42,6 +43,9 @@ from .superlie import BasisElement, Cartan, Root, SuperAlgebra, algebra
 GRADINGS = ("ungraded", "g11", "g11bar")
 
 FORMAT_PRESENTATION = "uhfree-presentation/1"
+
+# How many violations or keys a report names before it counts the rest.
+MAX_SHOWN_VIOLATIONS = 20
 
 
 class PresentationError(UhfreeError):
@@ -250,14 +254,12 @@ class Vec2:
 # -- presentations ---------------------------------------------------------------
 
 
-def odd_positions(m: int, n: int) -> list[tuple[int, int]]:
-    """Canonical order of the odd generator positions e[i,bj], e[bj,i]."""
-    out = []
+def odd_positions(m: int, n: int) -> Iterator[tuple[int, int]]:
+    """The odd generator positions e[i,bj], e[bj,i] in canonical order, lazily."""
     for i in range(m):
         for j in range(n):
-            out.append((i, m + j))
-            out.append((m + j, i))
-    return out
+            yield (i, m + j)
+            yield (m + j, i)
 
 
 @dataclass(frozen=True)
@@ -269,16 +271,15 @@ class Presentation:
     grading: str
     odd: tuple[tuple[tuple[int, int], Mat2], ...]
     _lookup: dict = field(init=False, repr=False, compare=False, hash=False)
-    _even_cache: dict = field(init=False, repr=False, compare=False, hash=False)
-    # results computed once per object: "relations" (verified_report),
-    # "sl_m1" (normalform.classified_sl_m1)
+    # results computed once per object: "relations" (verified_report), "sl_m1"
+    # (normalform.classified_sl_m1), ("even", row, col, via) (derive_even)
     _memo: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.grading not in GRADINGS:
             raise PresentationError(f"unknown grading {self.grading!r}")
         alg = self.algebra
-        expected = odd_positions(self.m, self.n)
+        expected = list(odd_positions(self.m, self.n))
         got = {pos: mat for pos, mat in self.odd}
         if sorted(got) != sorted(expected):
             raise PresentationError("odd generator set must be exactly e[i,bj], e[bj,i]")
@@ -288,7 +289,6 @@ class Presentation:
         ordered = tuple((pos, got[pos]) for pos in expected)
         object.__setattr__(self, "odd", ordered)
         object.__setattr__(self, "_lookup", dict(ordered))
-        object.__setattr__(self, "_even_cache", {})
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -350,8 +350,8 @@ def derive_even(p: Presentation, row: int, col: int, via: Optional[int] = None) 
     if alg.is_barred(row) != alg.is_barred(col):
         raise PresentationError("odd matrices are stored, not derived")
     default_via = alg.m if alg.is_barred(row) is False else 0
-    key = (row, col, via)
-    cached = p._even_cache.get(key)
+    key = ("even", row, col, via)
+    cached = p._memo.get(key)
     if cached is not None:
         return cached
     mid = default_via if via is None else via
@@ -362,7 +362,7 @@ def derive_even(p: Presentation, row: int, col: int, via: Optional[int] = None) 
     tau_first = alg.weight_shift(Root(row, mid))
     tau_second = alg.weight_shift(Root(mid, col))
     result = first * second.shifted(tau_first) + second * first.shifted(tau_second)
-    p._even_cache[key] = result
+    p._memo[key] = result
     return result
 
 
@@ -674,6 +674,32 @@ def _gen_label(alg: SuperAlgebra, row: int, col: int) -> str:
     return alg.show(Root(row, col))
 
 
+_GEN_LABEL = re.compile(r"e\[(b?)([1-9][0-9]*),(b?)([1-9][0-9]*)\]")
+
+
+def _gen_position(alg: SuperAlgebra, label: str) -> Optional[tuple[int, int]]:
+    """The odd position that a generator label names; None if it names none."""
+    match = _GEN_LABEL.fullmatch(label)
+    if match is None or bool(match[1]) == bool(match[3]):
+        return None
+    pos = []
+    for bar, digits in (match.group(1, 2), match.group(3, 4)):
+        base, size = (alg.m, alg.n) if bar else (0, alg.m)
+        # compare lengths first: int() refuses very long digit strings
+        if len(digits) > len(str(size)) or int(digits) > size:
+            return None
+        pos.append(base + int(digits) - 1)
+    return pos[0], pos[1]
+
+
+def _some_keys(keys: Iterable[str], total: int) -> str:
+    """The first MAX_SHOWN_VIOLATIONS keys, then a count of the rest."""
+    text = str(list(itertools.islice(keys, MAX_SHOWN_VIOLATIONS)))
+    if total > MAX_SHOWN_VIOLATIONS:
+        text += f" and {total - MAX_SHOWN_VIOLATIONS} more"
+    return text
+
+
 def presentation_to_dict(p: Presentation) -> dict:
     alg = p.algebra
     names = default_names(alg.nvars, p.m)
@@ -710,20 +736,23 @@ def presentation_from_dict(data: Mapping) -> Presentation:
     if grading not in GRADINGS:
         raise PresentationError(f"unknown grading {grading!r}")
     raw_e = json_field(data, "E", dict, "presentation", PresentationError)
+    # The key checks take time and print text in proportion to the file,
+    # not to the 2mn generators that m and n announce.
     alg = algebra(m, n)
-    names = default_names(alg.nvars, m)
-    expected = {
-        _gen_label(alg, row, col): (row, col) for row, col in odd_positions(m, n)
-    }
-    unknown = set(raw_e) - set(expected)
+    found = {label: _gen_position(alg, label) for label in raw_e}
+    unknown = sorted(label for label, pos in found.items() if pos is None)
     if unknown:
-        raise PresentationError(f"unknown generator keys: {sorted(unknown)}")
-    missing = set(expected) - set(raw_e)
-    if missing:
-        raise PresentationError(f"missing generator keys: {sorted(missing)}")
+        raise PresentationError(f"unknown generator keys: {_some_keys(unknown, len(unknown))}")
+    given = set(found.values())
+    if len(given) < 2 * m * n:
+        missing = (_gen_label(alg, *pos) for pos in odd_positions(m, n) if pos not in given)
+        raise PresentationError(
+            f"missing generator keys: {_some_keys(missing, 2 * m * n - len(given))}"
+        )
+    names = default_names(alg.nvars, m)
     mats = {
         pos: Mat2.from_strings(raw_e[label], names, label, PresentationError)
-        for label, pos in expected.items()
+        for label, pos in found.items()
     }
     return make_presentation(m, n, mats, grading=grading)
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .poly import Poly, UhfreeError
-from .presentation import Mat2, Presentation, Vec2, act, make_presentation
+from .presentation import Presentation, Vec2, act, build_mas
 from .superlie import Root
 
 
@@ -118,17 +118,10 @@ class StringModule:
 
 
 def canonical_presentation(label: int) -> Presentation:
-    """The canonical sl(1|1) presentation of class 1 or 2."""
-    h = Poly.var(1, 0)
-    if label == 1:
-        p = Mat2.of(1, ((0, 1), (0, 0)))
-        q = Mat2(((Poly.zero(1), Poly.zero(1)), (h, Poly.zero(1))))
-    elif label == 2:
-        p = Mat2(((Poly.zero(1), h), (Poly.zero(1), Poly.zero(1))))
-        q = Mat2.of(1, ((0, 0), (1, 0)))
-    else:
+    """The canonical sl(1|1) presentation of class 1 or 2: M((1,), S), S = {} or {1}."""
+    if label not in (1, 2):
         raise StringBridgeError("class must be 1 or 2")
-    return make_presentation(1, 1, {(0, 1): p, (1, 0): q})
+    return build_mas(1, (1,), () if label == 1 else (1,))
 
 
 def phi_map(variant: int, v: Vec2, n: int) -> StringVector:

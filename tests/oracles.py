@@ -34,7 +34,8 @@ def from_sympy(expr, symbols) -> Poly:
     poly = sympy.Poly(expr, *symbols) if symbols else None
     nvars = len(symbols)
     if poly is None:
-        return Poly.const(0, Fraction(int(expr)))
+        q = sympy.Rational(expr)
+        return Poly.const(0, Fraction(int(q.p), int(q.q)))
     terms = {}
     for exps, coeff in poly.terms():
         q = sympy.Rational(coeff)

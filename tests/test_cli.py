@@ -100,6 +100,16 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         assert main(["verify", str(path)]) == 2
 
+    def test_key_check_is_bounded_by_the_file(self, tmp_path, capsys):
+        # 2 * 10^6 generators announced, none given: 20 named, the rest counted
+        path = tmp_path / "huge.json"
+        path.write_text('{"m": 1000000, "n": 1, "grading": "ungraded", "E": {}}')
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 4096
+        assert "missing generator keys: ['e[1,b1]', 'e[b1,1]'," in err
+        assert err.rstrip().endswith("and 1999980 more")
+
     @pytest.mark.parametrize(
         "key, value", [("m", -3), ("m", 0), ("m", "1"), ("m", True), ("n", 1.0)]
     )

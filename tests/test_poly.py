@@ -221,6 +221,50 @@ class TestRationalKernelsAgainstSympy:
         for f in (p, q):
             assert _canonical(apply_shift(ShiftMap(s), f)) == shift_oracle(f, s, syms)
 
+    @settings(max_examples=60, deadline=None)
+    @given(rational_cases())
+    @_with_examples
+    def test_specialize(self, case):
+        # the shift picks the variables: 0 keeps one, k sets it to k*scalar
+        # (rational, negative, or zero with the scalar); the full point sets
+        # the kept ones to -1/2, 0, 1/2, ... in turn
+        p, q, c, s = case
+        syms = self._syms(p.nvars)
+        partial = [k * c if k else None for k in s]
+        full = [k * c if k else Fraction(i - 1, 2) for i, k in enumerate(s)]
+        kept = [x for x, v in zip(syms, partial) if v is None]
+
+        def at(values):
+            pairs = ((x, v) for x, v in zip(syms, values) if v is not None)
+            return {x: sympy.Rational(v.numerator, v.denominator) for x, v in pairs}
+
+        for f in (p, q):
+            expr = to_sympy(f, syms)
+            want = from_sympy(expr.subs(at(partial), simultaneous=True), kept)
+            assert _canonical(f.specialize(partial)) == want
+            value = sympy.Rational(expr.subs(at(full), simultaneous=True))
+            assert f.evaluate(full) == Fraction(int(value.p), int(value.q))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_cases())
+    @_with_examples
+    def test_exact_division(self, case):
+        # {d} is a Groebner basis of (d) in any order, so sympy's remainder
+        # is zero exactly when d divides; p*q + 1 is divisible only by a
+        # constant q (dividing p itself sends sympy through a long reduction
+        # on the degree-70 example)
+        p, q, _, _ = case
+        if q.is_zero:
+            return
+        syms = self._syms(p.nvars)
+        for f in (p * q, p * q + 1):
+            quo, rem = sympy.div(to_sympy(f, syms), to_sympy(q, syms), *syms)
+            got = divides_exactly(q, f)
+            if rem == 0:
+                assert got is not None and _canonical(got) == from_sympy(quo, syms)
+            else:
+                assert got is None
+
     def test_cancels_to_zero_through_denominators(self):
         third = P("1/3*h1")
         assert _canonical(third - third) == Poly.zero(2)
@@ -325,25 +369,27 @@ class TestGcd:
         assert divides_exactly(g, q) is not None
 
     @settings(max_examples=20, deadline=None)
-    @given(polys(max_deg=2, max_terms=2), polys(max_deg=2, max_terms=2))
-    def test_any_oracle_common_divisor_divides_it(self, p, q):
+    @given(st.data())
+    def test_any_oracle_common_divisor_divides_it(self, data):
+        # rational coefficients in 1..6 variables
+        n = data.draw(st.integers(1, 6))
+        p, q, c = (data.draw(rational_polys(n, max_deg=2, max_terms=3)) for _ in range(3))
+        p, q = p * c, q * c
         if p.is_zero or q.is_zero:
             return
         g = poly_gcd(p, q)
-        for d in common_divisors_oracle(p, SYMS2):
+        for d in common_divisors_oracle(p, sympy.symbols(f"h1:{n + 1}")):
             if divides_exactly(d, q) is not None:
                 assert divides_exactly(d, g) is not None
 
-    def test_matches_oracle_on_structured_products(self, rng):
-        from .helpers import random_poly
-
-        for _ in range(10):
-            a = random_poly(rng, 2, 2, allow_zero=False)
-            b = random_poly(rng, 2, 2, allow_zero=False)
-            c = random_poly(rng, 2, 1, allow_zero=False)
-            got = poly_gcd(a * c, b * c)
-            want = gcd_oracle(a * c, b * c, SYMS2)
-            assert got == want.monic() or got == want
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_on_structured_products(self, data):
+        # a common factor c of degree <= 2, rational coefficients, 1..6 variables
+        n = data.draw(st.integers(1, 6))
+        a, b, c = (data.draw(rational_polys(n, max_deg=2, max_terms=3)) for _ in range(3))
+        got = poly_gcd(a * c, b * c)
+        assert _canonical(got) == gcd_oracle(a * c, b * c, sympy.symbols(f"h1:{n + 1}")).monic()
 
 
 class TestGrammar:

@@ -200,7 +200,7 @@ def family_cases(draw):
     if variant in ("conjugate", "both"):
         p = conjugate(p, random_unimodular(rng, m))
     if variant in ("perturbed", "both"):
-        pos = rng.choice(odd_positions(m, 1))
+        pos = rng.choice(list(odd_positions(m, 1)))
         r, c = rng.randrange(2), rng.randrange(2)
         rows = [list(row) for row in p.E(*pos).rows]
         rows[r][c] = rows[r][c] + random_poly(rng, m, 1, allow_zero=False)
@@ -377,6 +377,27 @@ class TestInterchange:
         del data["E"]["e[1,b1]"]
         with pytest.raises(PresentationError, match="missing generator"):
             presentation_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "label",
+        # out of range, leading zero, zero, even, and too long for int()
+        ["e[2,b1]", "e[1,b2]", "e[01,b1]", "e[0,b1]", "e[1,1]", "e[b1,b1]"]
+        + ["e[1,b" + "9" * 5000 + "]"],
+    )
+    def test_labels_outside_the_algebra_are_unknown(self, label):
+        data = presentation_to_dict(build_mas(1, (1,), ()))
+        data["E"][label] = [["0", "0"], ["0", "0"]]
+        with pytest.raises(PresentationError, match="unknown generator keys"):
+            presentation_from_json(json.dumps(data))
+
+    def test_named_unknown_keys_are_capped(self):
+        data = presentation_to_dict(build_mas(1, (1,), ()))
+        for k in range(30):
+            data["E"][f"x{k:02}"] = [["0", "0"], ["0", "0"]]
+        with pytest.raises(PresentationError) as info:
+            presentation_from_json(json.dumps(data))
+        names = [f"x{k:02}" for k in range(20)]
+        assert str(info.value) == f"unknown generator keys: {names} and 10 more"
 
     def test_format_version_checked(self):
         data = presentation_to_dict(build_mas(1, (1,), ()))
