@@ -10,6 +10,7 @@ grammar errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -391,12 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also sample the relations on monomial vectors up to this degree",
     )
     common(sp)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("classify", help="classify a verified sl(m|1) presentation")
     sp.add_argument("file")
     common(sp)
-    sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("iso", help="decide isomorphism of two presentations")
     sp.add_argument("src")
@@ -409,13 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--expect-iso", action="store_true")
     common(sp)
-    sp.set_defaults(func=cmd_iso)
 
     sp = sub.add_parser("endo", help="endomorphism space and idempotents")
     sp.add_argument("file")
     sp.add_argument("--bound", type=int, default=4, help="entry degree bound")
     common(sp)
-    sp.set_defaults(func=cmd_endo)
 
     sp = sub.add_parser("submodules", help="filtrations / submodule shapes")
     sp.add_argument("file")
@@ -423,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambdas", help="comma-separated rational roots")
     sp.add_argument("--gen", default="h1", help="ideal generator for rank-2 sl(1|1)")
     common(sp)
-    sp.set_defaults(func=cmd_submodules)
 
     sp = sub.add_parser("string-check", help="string-module intertwining check")
     sp.add_argument("--variant", default="both", choices=["1", "2", "both"])
@@ -431,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-deg", type=int, default=10)
     sp.add_argument("--adjacency", action="store_true", help="emit the arrow diagram")
     common(sp)
-    sp.set_defaults(func=cmd_string_check)
 
     sp = sub.add_parser("empty-check", help="emptiness certificates for m, n >= 2")
     sp.add_argument("--m", type=int)
@@ -439,21 +434,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graded", action="store_true")
     sp.add_argument("--verify", help="re-verify a stored certificate")
     common(sp)
-    sp.set_defaults(func=cmd_empty_check)
 
     sp = sub.add_parser("canon-sl11", help="canonical form of an sl(1|1) presentation")
     sp.add_argument("file")
     common(sp)
-    sp.set_defaults(func=cmd_canon_sl11)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the handler cmd_<command> is looked up per call, not kept in the parser
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        code, lines, payload = args.func(args)
+        code, lines, payload = command(args)
         if args.out and payload is not None:
             Path(args.out).write_text(dump_json(payload))
     except _Failure as exc:

@@ -21,6 +21,9 @@ over, by a monomial-support mismatch and by a rational evaluation
 point, and the surviving combination's routes are re-derivable through
 the presentation module's independent twisted-product path.
 
+Every matrix is computed as a unit monomial a^delta times a matrix over
+Q[h] (RouteView); the units are variables only in the file form (ScaledMat).
+
 Each route depends on the branches of two pairs only (the route through
 b1 on i1 and m1, the route through bn on in and mn; see ROUTES), so a
 certificate is built from one branch table: the 8 (pair, branch) matrix
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -42,7 +46,6 @@ from typing import Mapping, Optional, Sequence
 
 from .poly import (
     Poly,
-    ShiftMap,
     UhfreeError,
     default_names,
     format_poly,
@@ -52,7 +55,6 @@ from .presentation import (
     InvariantBreach,
     Mat2,
     derive_even,
-    dump_json,
     json_array,
     json_field,
     json_keys,
@@ -82,11 +84,13 @@ class EmptinessError(UhfreeError):
     """Out-of-scope sizes or an invalid certificate."""
 
 
-# -- the extended ring --------------------------------------------------------------
+# -- the ring and the route form --------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CertRing:
+    """Q[h] in the m+n-1 base variables; the file form adds a1..a4 after them."""
+
     m: int
     n: int
 
@@ -103,13 +107,7 @@ class CertRing:
         return default_names(self.base_nvars, self.m) + UNIT_NAMES
 
     def hvar(self, i: int) -> Poly:
-        return Poly.var(self.nvars, i)
-
-    def unit(self, k: int) -> Poly:
-        return Poly.var(self.nvars, self.base_nvars + k)
-
-    def extend_shift(self, s: ShiftMap) -> ShiftMap:
-        return ShiftMap(tuple(s.shifts) + (0, 0, 0, 0))
+        return Poly.var(self.base_nvars, i)
 
     def pair_positions(self, key: str) -> tuple[int, int]:
         """Positions (row of the raising generator, barred column)."""
@@ -133,7 +131,7 @@ class CertRing:
 
 @dataclass(frozen=True)
 class ScaledMat:
-    """A 2x2 matrix num / (a1^d1 a2^d2 a3^d3 a4^d4) over the extended ring."""
+    """The file form of a route: num / (a1^d1 a2^d2 a3^d3 a4^d4), num over Q[h, a]."""
 
     num: Mat2
     den: tuple[int, int, int, int]
@@ -141,76 +139,60 @@ class ScaledMat:
 
 @dataclass(frozen=True)
 class RouteView:
-    """A route split as alpha^delta * mat (delta may have negative entries)."""
+    """The matrix a1^d1 a2^d2 a3^d3 a4^d4 * mat, with mat over Q[h].
+
+    Routes lose nothing in this form.  A pair matrix is a^(+-e_k) times a
+    matrix over Q[h].  Weight shifts act on h only and fix a1..a4, so both
+    terms of a twisted product E_x tau_x(E_y) + E_y tau_y(E_x) carry the
+    one unit monomial a^(delta_x + delta_y).
+    """
 
     delta: tuple[int, ...]
     mat: Mat2
 
+    def file_form(self) -> ScaledMat:
+        """a^max(delta, 0) * mat over Q[h, a], over the denominator a^max(-delta, 0)."""
+        units = tuple(max(d, 0) for d in self.delta)
 
-def _pair_matrices(ring: CertRing, key: str, branch: str) -> tuple[ScaledMat, ScaledMat]:
-    """Action matrices (raising, lowering) of a pair in the chosen branch."""
-    k = PAIR_KEYS.index(key)
-    alpha = ring.unit(k)
-    phi = ring.pair_scalar(key)
-    nv = ring.nvars
-    zero = Poly.zero(nv)
-    one = Poly.one(nv)
-    unit_den = tuple(1 if j == k else 0 for j in range(4))
-    if branch == "S":
-        upper = ScaledMat(Mat2._of(((zero, alpha * phi), (zero, zero))), (0, 0, 0, 0))
-        lower = ScaledMat(Mat2._of(((zero, zero), (one, zero))), unit_den)
-    elif branch == "O":
-        upper = ScaledMat(Mat2._of(((zero, alpha), (zero, zero))), (0, 0, 0, 0))
-        lower = ScaledMat(Mat2._of(((zero, zero), (phi, zero))), unit_den)
-    else:
+        def lift(p: Poly) -> Poly:
+            terms = {exps + units: c for exps, c in p.terms.items()}
+            return Poly(p.nvars + len(units), terms)
+
+        num = Mat2._of(tuple(tuple(lift(p) for p in row) for row in self.mat.rows))
+        return ScaledMat(num, tuple(max(-d, 0) for d in self.delta))
+
+
+def _pair_matrices(ring: CertRing, key: str, branch: str) -> tuple[RouteView, RouteView]:
+    """Action matrices (raising, lowering) of a pair in the chosen branch:
+    a_k [[0, x], [0, 0]] and a_k^-1 [[0, 0], [y, 0]], with (x, y) = (phi, 1)
+    in branch S and (1, phi) in branch O."""
+    if branch not in BRANCHES:
         raise EmptinessError(f"unknown branch {branch!r}")
-    return upper, lower
-
-
-def _split(ring: CertRing, sm: ScaledMat) -> tuple[ScaledMat, RouteView]:
-    """sm in lowest terms, and its view alpha^delta * mat.
-
-    The numerator must carry one unit monomial alpha^gamma throughout.
-    With delta = gamma - den, the lowest-terms matrix has the unit
-    exponents max(delta, 0) in its numerator and max(-delta, 0) in its
-    denominator, and the view keeps the h-part with the units dropped.
-    """
-    base = ring.base_nvars
-    gammas = {exps[base:] for row in sm.num.rows for p in row for exps in p._num}
-    if len(gammas) > 1:
-        raise InvariantBreach("route matrix mixes unit monomials")
-    gamma = gammas.pop() if gammas else (0, 0, 0, 0)
-    delta = tuple(g - d for g, d in zip(gamma, sm.den))
-
-    def with_units(units: tuple[int, ...]) -> Mat2:
-        # one unit monomial throughout, so replacing it keeps keys distinct
-        def replaced(p: Poly) -> Poly:
-            return Poly._of(
-                p.nvars, {exps[:base] + units: n for exps, n in p._num.items()}, p._den
-            )
-
-        return Mat2._of(tuple(tuple(replaced(p) for p in row) for row in sm.num.rows))
-
-    lowest = ScaledMat(
-        with_units(tuple(max(d, 0) for d in delta)), tuple(max(-d, 0) for d in delta)
+    k = PAIR_KEYS.index(key)
+    unit = tuple(1 if j == k else 0 for j in range(4))
+    nb = ring.base_nvars
+    phi, one, zero = ring.pair_scalar(key), Poly.one(nb), Poly.zero(nb)
+    upper, lower = (phi, one) if branch == "S" else (one, phi)
+    return (
+        RouteView(unit, Mat2._of(((zero, upper), (zero, zero)))),
+        RouteView(tuple(-u for u in unit), Mat2._of(((zero, zero), (lower, zero)))),
     )
-    return lowest, RouteView(delta, with_units((0, 0, 0, 0)))
 
 
 def _route(
     ring: CertRing,
-    first: ScaledMat,
+    first: RouteView,
     first_pos: tuple[int, int],
-    second: ScaledMat,
+    second: RouteView,
     second_pos: tuple[int, int],
-) -> tuple[ScaledMat, RouteView]:
+) -> RouteView:
     """Twisted product E_first tau_first(E_second) + E_second tau_second(E_first)."""
     alg = algebra(ring.m, ring.n)
-    tau1 = ring.extend_shift(alg.weight_shift(Root(*first_pos)))
-    tau2 = ring.extend_shift(alg.weight_shift(Root(*second_pos)))
-    num = first.num * second.num.shifted(tau1) + second.num * first.num.shifted(tau2)
-    den = tuple(a + b for a, b in zip(first.den, second.den))
-    return _split(ring, ScaledMat(num, den))
+    tau1 = alg.weight_shift(Root(*first_pos))
+    tau2 = alg.weight_shift(Root(*second_pos))
+    a, b = first.mat, second.mat
+    delta = tuple(x + y for x, y in zip(first.delta, second.delta))
+    return RouteView(delta, a * b.shifted(tau1) + b * a.shifted(tau2))
 
 
 # -- proportionality analysis -----------------------------------------------------------
@@ -264,12 +246,11 @@ def _routes_reconcilable(
     ok, lam, witness = _proportionality(a, b)
     if not ok:
         return False, witness, None
-    if a.delta == b.delta and lam != 1:
-        return False, None, f"forced ratio {lam} with no free scalar"
-    constraint = None
     if a.delta != b.delta:
-        constraint = _ratio_text(a.delta, b.delta, lam)
-    return True, None, constraint
+        return True, None, _ratio_text(a.delta, b.delta, lam)
+    if lam != 1:
+        return False, None, f"forced ratio {lam} with no free scalar"
+    return True, None, None
 
 
 def _ratio_text(da, db, lam) -> str:
@@ -348,7 +329,7 @@ class EmptinessCertificate:
         }
 
 
-def _support_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dict]:
+def _support_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[dict]:
     """A variable present in a route entry and absent from the other route's.
 
     Entries are scanned row by row, route A before route B, variables in
@@ -356,17 +337,18 @@ def _support_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dic
     entry that contains the variable, so the witness does not depend on
     the order in which the entry's terms are stored.
     """
-    names = ring.names
+    nb = ring.base_nvars
+    names = ring.names[:nb]
     for r in range(2):
         for c in range(2):
-            ea, eb = a.mat[r, c], b.mat[r, c]
+            ea, eb = a[r, c], b[r, c]
             for route, pa, pb in (("A", ea, eb), ("B", eb, ea)):
                 if pb.is_zero:
                     continue
                 for v in sorted(pa.variables()):
                     if pb.degree_in(v) <= 0:
                         exps = next(e for e, _ in pa.sorted_terms() if e[v])
-                        mono = format_poly(Poly(ring.nvars, {exps: 1}), names)
+                        mono = format_poly(Poly(nb, {exps: 1}), names)
                         return {
                             "entry": [r, c],
                             "variable": names[v],
@@ -376,11 +358,11 @@ def _support_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dic
     return None
 
 
-def _eval_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dict]:
+def _eval_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[dict]:
     """A rational point at which no scalar matches the two routes.
 
-    The point is the lexicographically first one of {0..3}^(m+n-1), with
-    the units at 1, where some cross-difference a[e1]*b[e2] - a[e2]*b[e1]
+    The point is the lexicographically first one of {0..3}^(m+n-1) where
+    some cross-difference a[e1]*b[e2] - a[e2]*b[e1]
     is nonzero; None if there is none.  The scan runs over {0..3}^k in lex
     order for the k base variables that occur in some route entry, every
     other coordinate at 0.  It finds the same point: a variable absent
@@ -390,11 +372,11 @@ def _eval_witness(ring: CertRing, a: RouteView, b: RouteView) -> Optional[dict]:
     """
     nb = ring.base_nvars
     cells = [(r, c) for r in range(2) for c in range(2)]
-    entries = [mat[e] for mat in (a.mat, b.mat) for e in cells]
-    scanned = sorted({v for p in entries for v in p.variables() if v < nb})
+    entries = [mat[e] for mat in (a, b) for e in cells]
+    scanned = sorted({v for p in entries for v in p.variables()})
     # the entries as polynomials in the scanned variables
-    values = [None if v in scanned else 0 for v in range(nb)] + [1, 1, 1, 1]
-    sa, sb = ({e: mat[e].specialize(values) for e in cells} for mat in (a.mat, b.mat))
+    values = [None if v in scanned else 0 for v in range(nb)]
+    sa, sb = ({e: mat[e].specialize(values) for e in cells} for mat in (a, b))
     for coords in itertools.product(range(4), repeat=len(scanned)):
         va, vb = ({e: p.evaluate(coords) for e, p in s.items()} for s in (sa, sb))
         # (e2, e1) fails exactly when (e1, e2) does, so ordered pairs add nothing
@@ -429,9 +411,9 @@ def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCert
         for key in PAIR_KEYS
         for branch in BRANCHES
     }
-    routes: dict[tuple[str, str, str, str], tuple[ScaledMat, RouteView]] = {}
+    routes: dict[tuple[str, str, str, str], RouteView] = {}
 
-    def route(target: str, choices: Mapping[str, str]) -> tuple[ScaledMat, RouteView]:
+    def route(target: str, choices: Mapping[str, str]) -> RouteView:
         first, second = ROUTES[target]
         key = (first, choices[first], second, choices[second])
         if key not in routes:
@@ -447,43 +429,32 @@ def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCert
 
     log: list[BranchOutcome] = []
     survivors = []
-    names = ring.names
+    names = ring.names[: ring.base_nvars]
     for combo in itertools.product(BRANCHES, repeat=4):
         choices = dict(zip(PAIR_KEYS, combo))
-        (_, va), (_, vb) = route("up1", choices), route("upn", choices)
-        equal, witness, constraint = _routes_reconcilable(va, vb)
+        equal, witness, constraint = _routes_reconcilable(
+            route("up1", choices), route("upn", choices)
+        )
         if not equal:
-            detail = (
-                witness.to_dict(names)
-                if witness is not None
-                else {"reason": constraint}
-            )
+            detail = {"reason": constraint} if witness is None else witness.to_dict(names)
             log.append(BranchOutcome(choices, False, detail, None, None))
             continue
-        (down1, da), (downn, db) = route("down1", choices), route("downn", choices)
+        da, db = route("down1", choices), route("downn", choices)
         ok, _, w2 = _proportionality(da, db)
         detail2 = None if ok else w2.to_dict(names)
-        log.append(
-            BranchOutcome(
-                choices,
-                True,
-                {"scalar_constraint": constraint},
-                ok,
-                detail2,
-            )
-        )
+        log.append(BranchOutcome(choices, True, {"scalar_constraint": constraint}, ok, detail2))
         if ok:
             raise InvariantBreach(
                 f"branch {choices} admits a consistent module; emptiness fails"
             )
-        survivors.append((choices, down1, downn, da, db))
+        survivors.append((choices, da, db))
     if len(survivors) != 1:
         raise InvariantBreach(
             f"expected exactly one branch to reach the second stage, got {len(survivors)}"
         )
-    choices, route_a, route_b, da, db = survivors[0]
-    support = _support_witness(ring, da, db)
-    point = _eval_witness(ring, da, db)
+    choices, da, db = survivors[0]
+    support = _support_witness(ring, da.mat, db.mat)
+    point = _eval_witness(ring, da.mat, db.mat)
     if support is None or point is None:
         raise InvariantBreach("non-proportionality witnesses not found")
     return EmptinessCertificate(
@@ -493,8 +464,8 @@ def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCert
         graded=graded,
         branch_log=tuple(log),
         surviving_choices=choices,
-        route_a=route_a,
-        route_b=route_b,
+        route_a=da.file_form(),
+        route_b=db.file_form(),
         support_witness=support,
         eval_witness=point,
     )
@@ -590,13 +561,12 @@ def _presentation_at_units(
     the derived products along the pinned routes are meaningful.
     """
     m, n = ring.m, ring.n
-    nb = ring.base_nvars
-    mats = {pos: Mat2.zero(nb) for pos in odd_positions(m, n)}
+    mats = {pos: Mat2.zero(ring.base_nvars) for pos in odd_positions(m, n)}
     for key in PAIR_KEYS:
-        up, lo = _pair_matrices(ring, key, choices[key])
         row, col = ring.pair_positions(key)
-        mats[(row, col)] = _eval_scaled(ring, up, units)
-        mats[(col, row)] = _eval_scaled(ring, lo, units)
+        up, lo = _pair_matrices(ring, key, choices[key])
+        for pos, view in (((row, col), up), ((col, row), lo)):
+            mats[pos] = view.mat * prod(u**d for u, d in zip(units, view.delta))
     return make_presentation(m, n, mats)
 
 
@@ -611,8 +581,9 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
     """
     report = []
     fresh = emptiness_certificate(cert.m, cert.n, graded=cert.graded)
-    # compared as JSON text, since 1, 1.0 and true are equal as Python values
-    recorded, replayed = (dump_json(c.to_dict()) for c in (cert, fresh))
+    # compared as JSON text, since 1, 1.0 and true are equal as Python values;
+    # compact text, since indentation sends json to its slower pure-Python encoder
+    recorded, replayed = (json.dumps(c.to_dict(), sort_keys=True) for c in (cert, fresh))
     if recorded != replayed:
         raise EmptinessError("certificate does not match a fresh replay")
     report.append(f"replayed all {len(cert.branch_log)} branch combinations")
@@ -644,12 +615,13 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
                 )
     report.append("routes re-derived independently at two scalar specializations")
 
-    (_, da), (_, db) = _split(ring, cert.route_a), _split(ring, cert.route_b)
+    # the routes' matrices over Q[h]: their file forms at the units 1
+    da, db = (_eval_scaled(ring, route, (1, 1, 1, 1)) for route in (cert.route_a, cert.route_b))
     sw = cert.support_witness
     v = names.index(sw["variable"])
     r, c = sw["entry"]
-    pa = da.mat[r, c] if sw["route"] == "A" else db.mat[r, c]
-    pb = db.mat[r, c] if sw["route"] == "A" else da.mat[r, c]
+    pa = da[r, c] if sw["route"] == "A" else db[r, c]
+    pb = db[r, c] if sw["route"] == "A" else da[r, c]
     if pa.degree_in(v) <= 0 or pb.degree_in(v) > 0 or pb.is_zero:
         raise EmptinessError("support witness does not hold")
     report.append(
@@ -659,10 +631,10 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
 
     ew = cert.eval_witness
     nb = ring.base_nvars
-    point = [Fraction(ew["point"][names[k]]) for k in range(nb)] + [Fraction(1)] * 4
+    point = [Fraction(ew["point"][names[k]]) for k in range(nb)]
     (r1, c1), (r2, c2) = ew["entries"]
-    lhs = da.mat[r1, c1].evaluate(point) * db.mat[r2, c2].evaluate(point)
-    rhs = da.mat[r2, c2].evaluate(point) * db.mat[r1, c1].evaluate(point)
+    lhs = da[r1, c1].evaluate(point) * db[r2, c2].evaluate(point)
+    rhs = da[r2, c2].evaluate(point) * db[r1, c1].evaluate(point)
     if lhs == rhs or str(lhs) != ew["lhs"] or str(rhs) != ew["rhs"]:
         raise EmptinessError("evaluation witness does not hold")
     report.append("evaluation witness holds: routes are non-proportional at a point")

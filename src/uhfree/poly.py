@@ -27,6 +27,7 @@ Whitespace is insignificant.  Examples: "3/2*h1^2*h2 - 1", "h1 + hb1 - h2".
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -683,11 +684,18 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
         pos += 1
         return tok
 
+    def to_int(value: str, col: int) -> int:
+        try:
+            return int(value)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise PolyParseError(f"integer has more than {limit} digits", col) from None
+
     def parse_int() -> int:
         kind, value, col = take()
         if kind != "int":
             raise PolyParseError(f"expected integer, got {value!r}", col)
-        return int(value)
+        return to_int(value, col)
 
     def parse_factor_tail(name: str, col: int) -> tuple[int, int]:
         i = index.get(name)
@@ -706,7 +714,7 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
         coeff = Fraction(sign)
         kind, value, col = take()
         if kind == "int":
-            coeff *= int(value)
+            coeff *= to_int(value, col)
             if peek()[:2] == ("op", "/"):
                 take()
                 den = parse_int()

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -780,6 +781,12 @@ def load_json(text: str, error: type[ValueError]):
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise error(f"invalid JSON: {exc}") from None
+    except error:
+        raise
+    except ValueError:
+        # json's other ValueError: a number past the int-conversion limit
+        limit = sys.get_int_max_str_digits()
+        raise error(f"invalid JSON: an integer has more than {limit} digits") from None
 
 
 _JSON_KINDS = {

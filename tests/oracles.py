@@ -123,19 +123,18 @@ def all_pairs_report(p) -> RelationReport:
 
 
 def eval_witness_oracle(ring, a, b):
-    """The first point of {0..3}^(m+n-1), in itertools order with the units
-    at 1, where the two routes of a RouteView pair are non-proportional;
-    found by evaluating every entry at every grid point in turn.
+    """The first point of {0..3}^(m+n-1), in itertools order, where the two
+    route matrices a and b over Q[h] are non-proportional; found by
+    evaluating every entry at every grid point in turn.
     """
     nb = ring.base_nvars
     names = ring.names
     cells = [(r, c) for r in range(2) for c in range(2)]
     for point in itertools.product((0, 1, 2, 3), repeat=nb):
-        full = list(point) + [1, 1, 1, 1]
         vals = {}
         for r, c in cells:
-            vals[(r, c, "a")] = a.mat[r, c].evaluate(full)
-            vals[(r, c, "b")] = b.mat[r, c].evaluate(full)
+            vals[(r, c, "a")] = a[r, c].evaluate(point)
+            vals[(r, c, "b")] = b[r, c].evaluate(point)
         for k1 in range(len(cells)):
             for k2 in range(len(cells)):
                 if k1 == k2:

@@ -233,7 +233,7 @@ def test_criterion_7_emptiness():
         cert22 = emptiness_certificate(2, 2)
         ring = cert22.ring()
         h1, h2, hb1 = (Poly.var(ring.nvars, k) for k in range(3))
-        a2, a4 = ring.unit(1), ring.unit(3)
+        a2, a4 = (Poly.var(ring.nvars, ring.base_nvars + k) for k in (1, 3))
         A = h1 + hb1 - h2
         assert cert22.route_a.num[0, 0] == a2 * hb1 * (A + 1)
         assert cert22.route_a.num[1, 1] == a2 * (hb1 - 1) * A

@@ -51,6 +51,19 @@ def write(tmp_path, name, presentation):
     return str(path)
 
 
+def _with_long_integer(where):
+    """An input file with a 5000-digit integer literal at `where`."""
+    digits = "1" * 5000
+    if where == "certificate-m":
+        return (DATA / "cert_2x2.json").read_text().replace('"m": 2', '"m": ' + digits)
+    text = presentation_to_json(build_mas(1, (1,), ()))
+    if where == "presentation-m":
+        return text.replace('"m": 1', '"m": ' + digits)
+    data = json.loads(text)
+    data["E"]["e[1,b1]"][0][1] = "h1 + " + digits
+    return json.dumps(data)
+
+
 class TestExitCodes:
     def test_verify_constructed_module(self, family_file, capsys):
         assert main(["verify", family_file]) == 0
@@ -207,6 +220,41 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_string_check", failing)
         assert main(["string-check"]) == 2
         assert capsys.readouterr().err == "error: bad input\n"
+
+    TOO_LONG = "integer has more than 4300 digits"
+
+    @pytest.mark.parametrize(
+        "where, argv, message",
+        [
+            ("presentation-m", ["verify"], "invalid JSON: an " + TOO_LONG),
+            ("certificate-m", ["empty-check", "--verify"], "invalid JSON: an " + TOO_LONG),
+            ("matrix-coefficient", ["verify"], TOO_LONG + " (column 6)"),
+        ],
+        ids=["presentation-m", "certificate-m", "matrix-coefficient"],
+    )
+    def test_integer_past_the_conversion_limit_is_exit_2(
+        self, tmp_path, capsys, where, argv, message
+    ):
+        # Python converts integer literals of at most 4300 digits
+        path = tmp_path / "long.json"
+        path.write_text(_with_long_integer(where))
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, family_file, capsys):
+        calls = []
+        build = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for command in ("verify", "classify", "verify"):
+            assert main([command, family_file]) == 0
+        assert len(calls) <= 1
 
     def test_invariant_breach_is_not_a_user_error(self):
         assert not issubclass(presentation.InvariantBreach, poly.UhfreeError)

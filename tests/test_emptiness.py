@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,6 @@ from uhfree.emptiness import (
     RouteView,
     _eval_scaled,
     _eval_witness,
-    _split,
     _support_witness,
     certificate_from_dict,
     emptiness_certificate,
@@ -61,7 +61,7 @@ class TestCertificate22(object):
         ring = cert22.ring()
         names = ring.names
         h1, h2, hb1 = (Poly.var(ring.nvars, k) for k in range(3))
-        a2, a4 = ring.unit(1), ring.unit(3)
+        a2, a4 = (Poly.var(ring.nvars, ring.base_nvars + k) for k in (1, 3))
         A = h1 + hb1 - h2
         z = Poly.zero(ring.nvars)
         # route through b1: alpha_{m,b1}/alpha_{i,b1} * diag(...)
@@ -177,22 +177,21 @@ def test_certificate_builds_each_pair_matrix_and_route_once(monkeypatch, m, n):
     assert calls["routes"] <= 16
 
 
-def _reversed_terms(view):
-    """The same route view with every entry's terms stored in reverse order."""
+def _reversed_terms(mat):
+    """The same matrix with every entry's terms stored in reverse order."""
 
     def rev(p):
         return Poly._of(p.nvars, dict(reversed(list(p._num.items()))), p._den)
 
-    return RouteView(
-        view.delta, Mat2(tuple(tuple(rev(p) for p in row) for row in view.mat.rows))
-    )
+    return Mat2(tuple(tuple(rev(p) for p in row) for row in mat.rows))
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 5), (7, 7)])
 def test_support_witness_ignores_term_storage_order(m, n):
     cert = emptiness_certificate(m, n)
     ring = cert.ring()
-    (_, a), (_, b) = _split(ring, cert.route_a), _split(ring, cert.route_b)
+    # the routes' matrices over Q[h], read from the file form at the units 1
+    a, b = (_eval_scaled(ring, route, (1, 1, 1, 1)) for route in (cert.route_a, cert.route_b))
     witness = _support_witness(ring, a, b)
     assert witness == cert.support_witness
     assert _support_witness(ring, _reversed_terms(a), _reversed_terms(b)) == witness
@@ -210,13 +209,13 @@ def _vanishing(ring, v):
 
 @st.composite
 def grid_polys(draw, ring):
-    """Entries with base degree up to 5 in one variable and some unit factors."""
+    """Entries over Q[h] with degree up to 5 in one variable."""
     terms = {}
     for _ in range(draw(st.integers(0, 2))):
-        exps = [draw(st.integers(0, 1)) for _ in range(ring.nvars)]
+        exps = [draw(st.integers(0, 1)) for _ in range(ring.base_nvars)]
         exps[draw(st.integers(0, ring.base_nvars - 1))] = draw(st.integers(0, 5))
         terms[tuple(exps)] = Fraction(draw(st.integers(-3, 3)))
-    p = Poly(ring.nvars, terms)
+    p = Poly(ring.base_nvars, terms)
     if draw(st.booleans()):
         p = p * _vanishing(ring, draw(st.integers(0, ring.base_nvars - 1)))
     return p
@@ -224,7 +223,8 @@ def grid_polys(draw, ring):
 
 @st.composite
 def route_pairs(draw):
-    """(ring, a, b, proportional on the grid) with at most four base variables."""
+    """(ring, a, b, proportional on the grid): route matrices over at most
+    four base variables."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 5 - m))
     ring = CertRing(m, n)
@@ -240,29 +240,22 @@ def route_pairs(draw):
         b = mat()
     else:
         lam = Fraction(draw(st.sampled_from([-2, 1, 3])), draw(st.integers(1, 3)))
-        scale = lam * ring.unit(draw(st.integers(0, 3)))
-        b = [[scale * q for q in row] for row in a]
+        b = [[lam * q for q in row] for row in a]
         if kind == "off-grid":
             # still proportional on the grid, but not as polynomials
             r, c = draw(st.integers(0, 1)), draw(st.integers(0, 1))
             b[r][c] += _vanishing(ring, draw(base_var)) * ring.hvar(draw(base_var))
-    zero = (0,) * 4
-    return (
-        ring,
-        RouteView(zero, Mat2(tuple(map(tuple, a)))),
-        RouteView(zero, Mat2(tuple(map(tuple, b)))),
-        kind != "free",
-    )
+    return ring, Mat2(tuple(map(tuple, a))), Mat2(tuple(map(tuple, b))), kind != "free"
 
 
 def _vanishing_first_coordinate_case():
     # the cross-difference is V(h2) + h1*h2 + V(h2)*h1*h2 with V vanishing on
     # the grid: h1 = 0 leaves it nonzero as a polynomial but zero on the grid
     ring = CertRing(2, 1)
-    one, zero = Poly.one(ring.nvars), Poly.zero(ring.nvars)
+    one, zero = Poly.one(ring.base_nvars), Poly.zero(ring.base_nvars)
     a = Mat2(((one + _vanishing(ring, 1), zero), (zero, one)))
     b = Mat2(((one, zero), (zero, one + ring.hvar(0) * ring.hvar(1))))
-    return ring, RouteView((0,) * 4, a), RouteView((0,) * 4, b), False
+    return ring, a, b, False
 
 
 @settings(max_examples=80, deadline=None)
@@ -274,6 +267,27 @@ def test_eval_witness_matches_the_grid_scan(case):
     assert found == eval_witness_oracle(ring, a, b)
     if proportional_on_grid:
         assert found is None
+
+
+@st.composite
+def views_and_units(draw):
+    """(ring, a^delta * mat with delta in {-2..2}^4, nonzero rational units)."""
+    ring = CertRing(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    delta = tuple(draw(st.integers(-2, 2)) for _ in range(4))
+    mat = Mat2(tuple(tuple(draw(grid_polys(ring)) for _ in range(2)) for _ in range(2)))
+    nonzero = st.integers(-5, 5).filter(bool)
+    units = tuple(Fraction(draw(nonzero), draw(st.integers(1, 5))) for _ in range(4))
+    return ring, RouteView(delta, mat), units
+
+
+@settings(max_examples=80, deadline=None)
+@given(views_and_units())
+def test_file_form_evaluates_to_the_view(case):
+    ring, view, units = case
+    form = view.file_form()
+    assert form.den == tuple(max(-d, 0) for d in view.delta)
+    scale = prod(u**d for u, d in zip(units, view.delta))
+    assert _eval_scaled(ring, form, units) == view.mat * scale
 
 
 class TestGraded:

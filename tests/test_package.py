@@ -1,4 +1,5 @@
-"""Package-wide guards: every import is used, every traced name exists."""
+"""Package-wide guards: every import is used, Poly's storage stays inside
+poly.py, every traced name exists."""
 
 import ast
 import importlib
@@ -38,6 +39,31 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in unused_imports(path)]
+    assert found == []
+
+
+def private_poly_access(path: Path) -> list[str]:
+    """Reads of Poly's integer storage or calls of its unchecked constructors."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Attribute):
+            continue
+        storage = node.attr in ("_num", "_den", "_view")
+        constructor = node.attr in ("_of", "_reduced") and (
+            isinstance(node.value, ast.Name) and node.value.id == "Poly"
+        )
+        if storage or constructor:
+            found.append(f"{path.name}:{node.lineno} {node.attr}")
+    return found
+
+
+def test_poly_storage_is_private_to_poly():
+    found = [
+        entry
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "poly.py"
+        for entry in private_poly_access(path)
+    ]
     assert found == []
 
 
