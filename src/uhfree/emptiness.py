@@ -49,7 +49,6 @@ from .poly import (
     UhfreeError,
     default_names,
     format_poly,
-    parse_poly,
 )
 from .presentation import (
     InvariantBreach,
@@ -578,6 +577,12 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
     agree with the presentation module's derive_even along both
     intermediates at two scalar specializations; and both
     non-proportionality witnesses hold.
+
+    The recorded identities are checked as text.  Once the replay
+    matches, each recorded lhs/rhs pair is format_poly of a fresh witness
+    whose two sides differ as polynomials, and parse_poly(format_poly(p))
+    == p, so two different texts name two different polynomials: an
+    identity re-fails exactly when its lhs and rhs texts differ.
     """
     report = []
     fresh = emptiness_certificate(cert.m, cert.n, graded=cert.graded)
@@ -588,19 +593,16 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
         raise EmptinessError("certificate does not match a fresh replay")
     report.append(f"replayed all {len(cert.branch_log)} branch combinations")
 
-    ring = cert.ring()
-    names = ring.names
     for outcome in cert.branch_log:
         for detail in (outcome.stage1_detail, outcome.stage2_detail):
-            if detail and "lhs" in detail:
-                lhs = parse_poly(detail["lhs"], names)
-                rhs = parse_poly(detail["rhs"], names)
-                if lhs == rhs:
-                    raise EmptinessError(
-                        f"recorded failing identity holds for {outcome.choices}"
-                    )
+            if detail and "lhs" in detail and detail["lhs"] == detail["rhs"]:
+                raise EmptinessError(
+                    f"recorded failing identity holds for {outcome.choices}"
+                )
     report.append("all recorded branch-killing identities re-fail")
 
+    ring = cert.ring()
+    names = ring.names
     m, n = cert.m, cert.n
     b1, bn = m, m + n - 1
     for units in ((1, 1, 1, 1), (2, 3, 5, 7)):

@@ -709,9 +709,12 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
                 raise PolyParseError("exponent must be positive", col)
         return i, power
 
-    def parse_term(sign: int) -> Poly:
+    # every term is added into one map, and one Poly is built from it
+    acc: dict[tuple[int, ...], Scalar] = {}
+
+    def parse_term(sign: int) -> None:
         exps = [0] * nvars
-        coeff = Fraction(sign)
+        coeff = sign
         kind, value, col = take()
         if kind == "int":
             coeff *= to_int(value, col)
@@ -720,7 +723,7 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
                 den = parse_int()
                 if den < 1:
                     raise PolyParseError("denominator must be positive", col)
-                coeff /= den
+                coeff = Fraction(coeff, den)
         elif kind == "name":
             i, power = parse_factor_tail(value, col)
             exps[i] += power
@@ -735,45 +738,62 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
                 )
             i, power = parse_factor_tail(value, col)
             exps[i] += power
-        return Poly(nvars, {tuple(exps): coeff})
+        key = tuple(exps)
+        acc[key] = acc.get(key, 0) + coeff
 
     sign = 1
     kind, value, col = peek()
     if kind == "op" and value in "+-":
         take()
         sign = -1 if value == "-" else 1
-    result = parse_term(sign)
+    parse_term(sign)
     while pos < len(tokens):
         kind, value, col = take()
         if kind != "op" or value not in "+-":
             raise PolyParseError(f"expected '+' or '-', got {value!r}", col)
-        result = result + parse_term(-1 if value == "-" else 1)
-    return result
+        parse_term(-1 if value == "-" else 1)
+    return Poly(nvars, acc)
 
 
 def format_poly(p: Poly, names: Sequence[str]) -> str:
-    """Canonical printer: graded-lex descending, stable for golden tests."""
+    """Canonical printer: graded-lex descending, stable for golden tests.
+
+    Each coefficient n/den is printed in lowest terms, as str(Fraction)
+    prints it.  Python converts at most sys.get_int_max_str_digits()
+    digits of an int to text; a longer numerator or denominator raises
+    PolyError.
+    """
     if len(names) != p.nvars:
         raise PolyError("name list does not match variable count")
-    if p.is_zero:
+    num, den = p._num, p._den
+    if not num:
         return "0"
     pieces: list[str] = []
-    for k, (exps, coeff) in enumerate(p.sorted_terms()):
-        if k == 0:
-            sign = "-" if coeff < 0 else ""
+    for exps in sorted(num, key=grlex_key, reverse=True):
+        n = num[exps]
+        if pieces:
+            sign = " - " if n < 0 else " + "
         else:
-            sign = " - " if coeff < 0 else " + "
-        mag = abs(coeff)
+            sign = "-" if n < 0 else ""
+        n = abs(n)
+        d = den
+        if d != 1:
+            g = gcd(n, d)
+            n //= g
+            d //= g
         factors = [
             name if e == 1 else f"{name}^{e}"
             for name, e in zip(names, exps)
             if e
         ]
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
+        if d == 1 and n == 1 and factors:
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
+            try:
+                mag = str(n) if d == 1 else f"{n}/{d}"
+            except ValueError:
+                limit = sys.get_int_max_str_digits()
+                raise PolyError(f"coefficient has more than {limit} digits to print") from None
+            body = "*".join([mag] + factors)
         pieces.append(sign + body)
     return "".join(pieces)

@@ -43,6 +43,28 @@ def from_sympy(expr, symbols) -> Poly:
     return Poly(nvars, terms)
 
 
+def format_oracle(p: Poly, names) -> str:
+    """The printed form of p built from its Fraction view and str(Fraction):
+    graded-lex descending terms, a coefficient of magnitude 1 left off a
+    non-constant monomial."""
+    pieces = []
+    order = sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    for exps, coeff in order:
+        sign = ("-" if coeff < 0 else "") if not pieces else (" - " if coeff < 0 else " + ")
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        pieces.append(sign + "*".join(factors))
+    return "".join(pieces) or "0"
+
+
+def sympy_text(text: str, names):
+    """A polynomial text of the uhfree grammar read by sympy's own parser."""
+    return sympy.expand(
+        sympy.sympify(text.replace("^", "**"), locals={n: sympy.Symbol(n) for n in names})
+    )
+
+
 def shift_oracle(p: Poly, shifts, symbols) -> Poly:
     """Substitution h_i -> h_i - s_i performed entirely inside sympy."""
     expr = to_sympy(p, symbols)

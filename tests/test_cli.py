@@ -243,6 +243,25 @@ class TestExitCodes:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out-file"])
+    def test_printed_coefficient_past_the_conversion_limit_is_exit_2(
+        self, tmp_path, capsys, with_out
+    ):
+        # sl(1|1) with two 3000-digit multiples of h1: the violation prints
+        # their 6000-digit product
+        data = json.loads(presentation_to_json(build_mas(1, (1,), ())))
+        data["E"]["e[1,b1]"][0][1] = "7" * 3000 + "*h1"
+        data["E"]["e[b1,1]"][1][0] = "3" + "1" * 2999 + "*h1"
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        argv = ["verify", str(path)] + (["--out", str(out)] if with_out else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: coefficient has more than 4300 digits to print\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_parser_is_built_once_per_process(self, monkeypatch, family_file, capsys):
         calls = []
         build = cli.build_parser

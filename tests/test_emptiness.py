@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from uhfree.poly import Poly
+from uhfree.poly import Poly, format_poly, parse_poly
 from uhfree.presentation import Mat2, dump_json
 from uhfree import emptiness
 from uhfree.cli import main
@@ -20,6 +21,7 @@ from uhfree.emptiness import (
     _eval_witness,
     _support_witness,
     certificate_from_dict,
+    certificate_from_json,
     emptiness_certificate,
     verify_certificate,
 )
@@ -327,3 +329,66 @@ class TestTampering:
         cert = certificate_from_dict(data)
         with pytest.raises(EmptinessError):
             verify_certificate(cert)
+
+    @staticmethod
+    def _identities(data):
+        """The recorded branch-killing identities, in branch-log order."""
+        for outcome in data["branch_log"]:
+            for stage in (outcome["stage1"], outcome["stage2"]):
+                detail = (stage or {}).get("detail") or {}
+                if "lhs" in detail:
+                    yield detail
+
+    def test_identity_made_to_hold_fails_verification(self, cert22):
+        data = json.loads(dump_json(cert22.to_dict()))
+        detail = next(self._identities(data))
+        detail["rhs"] = detail["lhs"]
+        with pytest.raises(EmptinessError, match="fresh replay"):
+            verify_certificate(certificate_from_dict(data))
+
+    def test_identity_made_to_hold_fails_the_text_check(self, cert22, monkeypatch):
+        # a replay that returns the tampered certificate itself reaches the
+        # check of the recorded identities
+        data = json.loads(dump_json(cert22.to_dict()))
+        detail = next(self._identities(data))
+        detail["rhs"] = detail["lhs"]
+        cert = certificate_from_dict(data)
+        monkeypatch.setattr(emptiness, "emptiness_certificate", lambda *a, **k: cert)
+        with pytest.raises(EmptinessError, match="recorded failing identity holds"):
+            verify_certificate(cert)
+
+    def test_reordered_identity_fails_the_replay(self, cert22):
+        data = json.loads(dump_json(cert22.to_dict()))
+        names = cert22.ring().names
+        detail = next(d for d in self._identities(data) if " " in d["lhs"])
+        p = parse_poly(detail["lhs"], names)
+        # the same polynomial with its terms printed in ascending order
+        text = ""
+        for exps, c in reversed(p.sorted_terms()):
+            term = format_poly(Poly(p.nvars, {exps: c}), names)
+            text += (" - " + term[1:]) if term.startswith("-") else (" + " + term)
+        text = text[3:] if text.startswith(" + ") else "-" + text[3:]
+        assert text != detail["lhs"] and parse_poly(text, names) == p
+        detail["lhs"] = text
+        with pytest.raises(EmptinessError, match="fresh replay"):
+            verify_certificate(certificate_from_dict(data))
+
+
+def test_verify_parses_only_the_route_entries(monkeypatch):
+    """Reading cert_3x5.json parses its 8 route entries; verifying parses none."""
+    texts = []
+
+    def counting(text, names):
+        texts.append(text)
+        return parse_poly(text, names)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("uhfree") and hasattr(module, "parse_poly"):
+            monkeypatch.setattr(module, "parse_poly", counting)
+    text = (DATA / "cert_3x5.json").read_text()
+    data = json.loads(text)
+    cert = certificate_from_json(text)
+    routes = [data["surviving"][r]["mat"] for r in ("routeA", "routeB")]
+    assert texts == [entry for mat in routes for row in mat for entry in row]
+    verify_certificate(cert)
+    assert len(texts) == 8

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -19,7 +20,15 @@ from uhfree.poly import (
     poly_gcd,
 )
 
-from .oracles import common_divisors_oracle, from_sympy, gcd_oracle, shift_oracle, to_sympy
+from .oracles import (
+    common_divisors_oracle,
+    format_oracle,
+    from_sympy,
+    gcd_oracle,
+    shift_oracle,
+    sympy_text,
+    to_sympy,
+)
 
 NAMES2 = default_names(2)
 H1, H2 = Poly.var(2, 0), Poly.var(2, 1)
@@ -420,6 +429,98 @@ class TestGrammar:
     def test_canonical_order_is_graded_lex(self):
         p = P("h2 + h1^2 + h1*h2 + 1")
         assert format_poly(p, NAMES2) == "h1^2 + h1*h2 + h2 + 1"
+
+
+@st.composite
+def named_polys(draw):
+    """(p, names): 1..6 variables, some of them barred, and rational
+    coefficients whose numerators and denominators reach 30 digits."""
+    nvars = draw(st.integers(1, 6))
+    names = default_names(nvars, draw(st.integers(1, nvars)))
+    big = st.integers(1, 10**30) | st.integers(1, 12)
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in range(nvars))
+        terms[exps] = Fraction(draw(big) * draw(st.sampled_from((-1, 1))), draw(big))
+    return Poly(nvars, terms), names
+
+
+@st.composite
+def raw_texts(draw):
+    """(text, names): a sum of drawn terms over a small pool of monomials, so
+    monomials repeat and cancel; factors may repeat inside a term (h1*h1)."""
+    nvars = draw(st.integers(1, 4))
+    names = default_names(nvars, draw(st.integers(1, nvars)))
+    pool = [
+        [draw(st.sampled_from(names)) + draw(st.sampled_from(("", "^2")))
+         for _ in range(draw(st.integers(0, 3)))]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    text = ""
+    for k in range(draw(st.integers(1, 8))):
+        factors = list(draw(st.sampled_from(pool)))
+        if not factors or draw(st.booleans()):
+            coeff = str(draw(st.integers(0, 9)))
+            if draw(st.booleans()):
+                coeff += "/" + str(draw(st.integers(1, 6)))
+            factors.insert(0, coeff)
+        sign = draw(st.sampled_from(("+", "-")))
+        if k == 0:
+            sign = draw(st.sampled_from(("", "-")))
+        text += f" {sign} " + "*".join(factors)
+    return text, names
+
+
+class TestCodecProperties:
+    """parse_poly(format_poly(p)) == p, the printer against the Fraction
+    printer and sympy, and the parser against sympy's reading of the text."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(named_polys())
+    def test_round_trip(self, case):
+        p, names = case
+        assert _canonical(parse_poly(format_poly(p, names), names)) == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(named_polys())
+    def test_printer_matches_the_fraction_printer(self, case):
+        p, names = case
+        assert format_poly(p, names) == format_oracle(p, names)
+
+    @settings(max_examples=60, deadline=None)
+    @given(named_polys())
+    def test_printer_matches_sympy(self, case):
+        p, names = case
+        syms = [sympy.Symbol(n) for n in names]
+        assert sympy.expand(sympy_text(format_poly(p, names), names) - to_sympy(p, syms)) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw_texts())
+    def test_parser_matches_sympy(self, case):
+        text, names = case
+        syms = [sympy.Symbol(n) for n in names]
+        p = _canonical(parse_poly(text, names))
+        assert p == from_sympy(sympy_text(text, names), syms)
+
+    def test_repeated_and_cancelling_monomials(self):
+        names = default_names(2, 1)
+        for text, printed in (
+            ("h1 + h1", "2*h1"),
+            ("h1 - h1", "0"),
+            ("1/2*hb1 - 2/4*hb1 + 3", "3"),
+            ("h1*h1 - h1^2 + 1/3*h1*hb1 + 1/6*hb1*h1", "1/2*h1*hb1"),
+            ("-0*h1 + 0/5", "0"),
+        ):
+            p = _canonical(parse_poly(text, names))
+            assert format_poly(p, names) == printed
+
+    def test_coefficients_past_the_digit_limit_are_poly_errors(self):
+        limit = sys.get_int_max_str_digits()
+        widest = 10 ** (limit - 1)
+        assert format_poly(Poly.const(1, widest), ("h1",)) == str(widest)
+        for c in (10 * widest, Fraction(1, 10 * widest), Fraction(-3, 10 * widest)):
+            with pytest.raises(PolyError, match=f"more than {limit} digits"):
+                format_poly(Poly(1, {(1,): c}), ("h1",))
 
 
 class TestCompose:
