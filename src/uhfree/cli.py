@@ -5,15 +5,21 @@ empty-check, canon-sl11.  Human-readable reports go to stdout; machine
 output (deterministic JSON, no timestamps) goes to --out.  Exit codes:
 0 for pass/success verdicts, 1 for fail verdicts, 2 for usage, file, or
 grammar errors.
+
+The layers beyond poly, superlie and presentation load on first use, so
+a process compiles only what its subcommand runs: verify loads none of
+them, classify and canon-sl11 load normalform, iso, endo and submodules
+load morphisms (which imports normalform), string-check loads
+stringbridge and empty-check loads emptiness.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import sys
-from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -29,25 +35,30 @@ from .presentation import (
     presentation_from_json,
     verified_report,
 )
-from .normalform import classify_sl11, classify_sl_m1
-from .morphisms import (
-    MorphismError,
-    endo_ring_basis,
-    endo_solutions,
-    filtration,
-    filtration_separators,
-    idempotent_scan,
-    iso_test,
-    resolve_category,
-    sl11_submodule_shape,
-)
-from .stringbridge import StringModule, check_intertwining
-from .emptiness import (
-    EmptinessError,
-    certificate_from_json,
-    emptiness_certificate,
-    verify_certificate,
-)
+
+
+def _lazy(name: str):
+    """The module uhfree.<name>, executed on its first attribute access.
+
+    A module already imported is returned as it is, so a caller that
+    imported and patched it before importing cli patches the copy cli uses.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+normalform = _lazy("normalform")
+morphisms = _lazy("morphisms")
+stringbridge = _lazy("stringbridge")
+emptiness = _lazy("emptiness")
 
 FIELD_NOTE = "field: exact rationals (complex parameters are taken as rational witnesses)"
 
@@ -77,7 +88,7 @@ def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise MorphismError(f"--lambdas: {text!r} is not a rational number") from None
+        raise morphisms.MorphismError(f"--lambdas: {text!r} is not a rational number") from None
 
 
 def _names(p: Presentation):
@@ -158,14 +169,14 @@ def cmd_classify(args) -> Outcome:
     _require_verified(p, lines)
     names = _names(p)
     if p.m == 1:
-        cls = classify_sl11(p)
+        cls = normalform.classify_sl11(p)
         payload = {
             "class": f"class-{cls.label}",
             "witness": cls.witness.to_strings(names),
         }
         lines.append(f"class: class-{cls.label}")
     else:
-        params, witness = classify_sl_m1(p)
+        params, witness = normalform.classify_sl_m1(p)
         payload = params.to_dict()
         payload["normalized_a"] = [str(x) for x in params.normalized().a]
         payload["witness"] = witness.to_strings(names)
@@ -185,8 +196,8 @@ def cmd_iso(args) -> Outcome:
         if not verified_report(p).ok:
             lines.append(f"FAIL: {tag} presentation violates relations")
             raise _Failure(lines)
-    category = resolve_category(src, dst, args.category)
-    witness = iso_test(src, dst, category=category)
+    category = morphisms.resolve_category(src, dst, args.category)
+    witness = morphisms.iso_test(src, dst, category=category)
     if witness is None:
         lines.append(f"not isomorphic (category {category})")
         payload = {"isomorphic": False, "category": category}
@@ -209,9 +220,9 @@ def cmd_endo(args) -> Outcome:
     lines = [f"endomorphisms up to entry degree {args.bound}"]
     _require_verified(p, lines)
     names = _names(p)
-    sols = endo_solutions(p, args.bound)
-    basis = endo_ring_basis(p, args.bound)
-    idems = idempotent_scan(p, args.bound)
+    sols = morphisms.endo_solutions(p, args.bound)
+    basis = morphisms.endo_ring_basis(p, args.bound)
+    idems = morphisms.idempotent_scan(p, args.bound)
     payload = {
         "solutions": [{"parity": s.parity, "matrix": s.w.to_strings(names)} for s in sols],
         "predicted_basis": [b.to_strings(names) for b in basis],
@@ -226,13 +237,24 @@ def cmd_endo(args) -> Outcome:
 
 def cmd_submodules(args) -> Outcome:
     p = _load_presentation(args.file)
+    sl11 = (p.m, p.n) == (1, 1)
+    # --gen is read for sl(1|1) only, --length and --lambdas for every other input
+    given = {"--gen": args.gen, "--length": args.length, "--lambdas": args.lambdas}
+    unread = [
+        opt for opt, value in given.items() if value is not None and (opt == "--gen") != sl11
+    ]
+    if unread:
+        raise morphisms.MorphismError(
+            f"submodules on sl({p.m}|{p.n}) takes no {' or '.join(unread)}"
+        )
     lines = []
     _require_verified(p, lines)
     names = _names(p)
-    if p.m == 1 and p.n == 1:
-        cls = classify_sl11(p)
-        gen = parse_poly(args.gen, ("h1",))
-        shapes = sl11_submodule_shape(cls.label, gen)
+    if sl11:
+        cls = normalform.classify_sl11(p)
+        gen_text = "h1" if args.gen is None else args.gen
+        gen = parse_poly(gen_text, ("h1",))
+        shapes = morphisms.sl11_submodule_shape(cls.label, gen)
         payload = {
             "class": f"class-{cls.label}",
             "ideal_generator": format_poly(gen, ("h1",)),
@@ -247,18 +269,19 @@ def cmd_submodules(args) -> Outcome:
                 for s in shapes
             ],
         }
-        lines.append(f"class-{cls.label}; admissible submodule shapes for J = ({args.gen}):")
+        lines.append(f"class-{cls.label}; admissible submodule shapes for J = ({gen_text}):")
         for s in payload["shapes"]:
             g1, g2 = s["generators"]
             lines.append(f"  {s['label']}: {g1} Q[h] (+) {g2} Q[h]")
     else:
+        length = 10 if args.length is None else args.length
         lambdas = (
             [_rational(t) for t in args.lambdas.split(",")]
-            if args.lambdas
-            else [Fraction(k) for k in range(args.length)]
+            if args.lambdas is not None
+            else [Fraction(k) for k in range(length)]
         )
-        chain = filtration(lambdas, args.length)
-        seps = filtration_separators(p, chain)
+        chain = morphisms.filtration(lambdas, length)
+        seps = morphisms.filtration_separators(p, chain)
         payload = {
             # ascending coefficient vectors of the F_k
             "filtration": [
@@ -269,7 +292,7 @@ def cmd_submodules(args) -> Outcome:
                 [format_poly(v.f1, names), format_poly(v.f2, names)] for v in seps
             ],
         }
-        lines.append(f"strict filtration of length {args.length}:")
+        lines.append(f"strict filtration of length {length}:")
         for k, s in enumerate(chain):
             lines.append(f"  F_{k} = {format_poly(s.f, ('X',))}")
         lines.append("each step separated by the recorded vector outside the next layer")
@@ -282,7 +305,7 @@ def cmd_string_check(args) -> Outcome:
     payload = {}
     ok = True
     for v in variants:
-        report = check_intertwining(v, args.n, args.max_deg)
+        report = stringbridge.check_intertwining(v, args.n, args.max_deg)
         payload[f"variant{v}"] = {
             "ok": report.ok,
             "checked": report.checked,
@@ -294,7 +317,7 @@ def cmd_string_check(args) -> Outcome:
         )
         ok = ok and report.ok
         if args.adjacency:
-            module = StringModule(v, args.n)
+            module = stringbridge.StringModule(v, args.n)
             payload[f"variant{v}"]["adjacency"] = [
                 list(t) for t in module.adjacency()
             ]
@@ -305,17 +328,25 @@ def cmd_string_check(args) -> Outcome:
 
 def cmd_empty_check(args) -> Outcome:
     if args.verify:
-        cert = certificate_from_json(_read_input(args.verify, EmptinessError))
+        given = [opt for opt, value in (("--m", args.m), ("--n", args.n)) if value is not None]
+        if args.graded:
+            given.append("--graded")
+        if given:
+            raise emptiness.EmptinessError(
+                f"--verify takes no {' or '.join(given)}: "
+                "the certificate gives m, n and the grading"
+            )
+        cert = emptiness.certificate_from_json(_read_input(args.verify, emptiness.EmptinessError))
         try:
-            report = verify_certificate(cert)
-        except EmptinessError as exc:
+            report = emptiness.verify_certificate(cert)
+        except emptiness.EmptinessError as exc:
             raise _Failure([f"FAIL: {exc}"]) from None
         lines = [f"certificate for sl({cert.m}|{cert.n}) re-verified:"]
         lines.extend("  " + t for t in report)
         return 0, lines, None
     if args.m is None or args.n is None:
-        raise EmptinessError("empty-check needs --m and --n (or --verify FILE)")
-    cert = emptiness_certificate(args.m, args.n, graded=args.graded)
+        raise emptiness.EmptinessError("empty-check needs --m and --n (or --verify FILE)")
+    cert = emptiness.emptiness_certificate(args.m, args.n, graded=args.graded)
     names = cert.ring().names
     lines = [
         f"category of rank-2 modules over sl({cert.m}|{cert.n}) is empty",
@@ -352,7 +383,7 @@ def cmd_canon_sl11(args) -> Outcome:
     if (p.m, p.n) != (1, 1):
         raise PresentationError("canon-sl11 expects a presentation with m = n = 1")
     _require_verified(p, lines)
-    cls = classify_sl11(p)
+    cls = normalform.classify_sl11(p)
     names = ("h1",)
     payload = {
         "class": f"class-{cls.label}",
@@ -416,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("submodules", help="filtrations / submodule shapes")
     sp.add_argument("file")
-    sp.add_argument("--length", type=int, default=10)
-    sp.add_argument("--lambdas", help="comma-separated rational roots")
-    sp.add_argument("--gen", default="h1", help="ideal generator for rank-2 sl(1|1)")
+    sp.add_argument("--length", type=int, help="filtration length (default 10; not for sl(1|1))")
+    sp.add_argument("--lambdas", help="comma-separated rational roots (not for sl(1|1))")
+    sp.add_argument("--gen", help="ideal generator for rank-2 sl(1|1) (default h1)")
     common(sp)
 
     sp = sub.add_parser("string-check", help="string-module intertwining check")
@@ -470,6 +501,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.stamp:
+        from datetime import datetime, timezone
+
         lines.append(f"generated: {datetime.now(timezone.utc).isoformat()}")
     print("\n".join(lines))
     return code

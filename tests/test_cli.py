@@ -2,7 +2,10 @@ import contextlib
 import functools
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +39,7 @@ from uhfree.presentation import (
 
 H = Poly.var(1, 0)
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -178,6 +182,7 @@ class TestExitCodes:
             (["submodules", "{file}", "--lambdas", "a,b"], NOT_RATIONAL.format("a")),
             (["submodules", "{file}", "--lambdas", "1/0"], NOT_RATIONAL.format("1/0")),
             (["submodules", "{file}", "--lambdas", "1,"], NOT_RATIONAL.format("")),
+            (["submodules", "{file}", "--lambdas="], NOT_RATIONAL.format("")),
             (
                 ["submodules", "{file}", "--length", "-1"],
                 "filtration length must be non-negative, got -1",
@@ -187,12 +192,38 @@ class TestExitCodes:
                 "--pointwise must be non-negative, got -1",
             ),
             (["string-check", "--max-deg", "-3"], "max degree must be non-negative, got -3"),
+            (["submodules", "{file}", "--gen", "h1"], "submodules on sl(2|1) takes no --gen"),
+            (
+                ["submodules", "{sl11}", "--lambdas", "1,2"],
+                "submodules on sl(1|1) takes no --lambdas",
+            ),
+            (
+                ["submodules", "{sl11}", "--length", "4", "--lambdas", "1"],
+                "submodules on sl(1|1) takes no --length or --lambdas",
+            ),
+            (
+                ["empty-check", "--verify", "{cert}", "--m", "2"],
+                "--verify takes no --m: the certificate gives m, n and the grading",
+            ),
+            (
+                ["empty-check", "--verify", "{cert}", "--n", "0", "--graded"],
+                "--verify takes no --n or --graded: the certificate gives m, n and the grading",
+            ),
         ],
-        ids=["lambdas-word", "lambdas-1/0", "lambdas-empty", "length", "pointwise", "max-deg"],
+        ids=[
+            "lambdas-word", "lambdas-1/0", "lambdas-empty", "lambdas-blank", "length",
+            "pointwise", "max-deg", "gen-off-sl11", "lambdas-on-sl11", "length-on-sl11",
+            "verify-with-m", "verify-with-n-graded",
+        ],
     )
     def test_bad_argument_is_exit_2(self, family_file, tmp_path, capsys, argv, message):
         out = tmp_path / "out.json"
-        argv = [a.format(file=family_file) for a in argv] + ["--out", str(out)]
+        files = {
+            "file": family_file,
+            "sl11": write(tmp_path, "sl11.json", build_mas(1, (1,), (1,))),
+            "cert": str(DATA / "cert_2x2.json"),
+        }
+        argv = [a.format(**files) for a in argv] + ["--out", str(out)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
@@ -680,6 +711,94 @@ class TestVerifyOnce:
             assert pair[0] == pair[1] and pair[0] is not pair[1]
             assert [verified_report(p).ok for p in pair] == [ok, ok]
         assert len(verify_calls) == 4
+
+
+LAYERS = ("normalform", "morphisms", "stringbridge", "emptiness")
+
+# Runs the CLI as `python -m uhfree.cli ARGV...` does, then prints which layers
+# were executed: type() reads a module that cli loads on first use without
+# loading it.
+RUN_AND_LIST_LAYERS = f"""
+import json, runpy, sys, types
+try:
+    runpy.run_module("uhfree.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+loaded = [n for n in {LAYERS!r} if type(sys.modules.get("uhfree." + n)) is types.ModuleType]
+print(json.dumps({{"code": code, "loaded": loaded, "datetime": "datetime" in sys.modules}}))
+"""
+
+
+# cli must share one module object per layer with every other importer,
+# whichever of them imports first, or a patch lands on a copy cli never calls
+ONE_COPY_PER_LAYER = {
+    "layers-first": f"""
+import importlib, sys
+first = {{n: importlib.import_module("uhfree." + n) for n in {LAYERS!r}}}
+import uhfree.cli
+for n, module in first.items():
+    assert getattr(uhfree.cli, n) is module is sys.modules["uhfree." + n], n
+""",
+    "cli-first": f"""
+import importlib, sys
+import uhfree.cli
+for n in {LAYERS!r}:
+    module = importlib.import_module("uhfree." + n)
+    assert getattr(uhfree, n) is module is getattr(uhfree.cli, n), n
+""",
+}
+
+
+def _run_python(args, cwd=None):
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestLayerLoading:
+    @pytest.mark.parametrize("order", sorted(ONE_COPY_PER_LAYER))
+    def test_one_module_object_per_layer(self, order):
+        run = _run_python(["-c", ONE_COPY_PER_LAYER[order]])
+        assert run.returncode == 0, run.stderr
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["verify", "{m21}"], []),
+            (["verify", "{m21}", "--stamp"], []),
+            (["classify", "{m21}"], ["normalform"]),
+            (["canon-sl11", "{m11}"], ["normalform"]),
+            (["iso", "{m21}", "{m21}"], ["normalform", "morphisms"]),
+            (["endo", "{m21}", "--bound", "1"], ["normalform", "morphisms"]),
+            (["submodules", "{m21}", "--length", "2"], ["normalform", "morphisms"]),
+            (["submodules", "{m11}"], ["normalform", "morphisms"]),
+            (["string-check", "--N", "9", "--max-deg", "2"], ["stringbridge"]),
+            (["empty-check", "--m", "2", "--n", "2"], ["emptiness"]),
+            (["empty-check", "--verify", "{cert}"], ["emptiness"]),
+        ],
+        ids=[
+            "verify", "verify-stamp", "classify", "canon-sl11", "iso", "endo", "submodules",
+            "submodules-sl11", "string-check", "empty-check", "empty-check-verify",
+        ],
+    )
+    def test_a_fresh_process_loads_only_the_layers_it_runs(self, tmp_path, argv, loaded):
+        paths = {
+            "m21": write(tmp_path, "m21.json", build_mas(2, (1, 2), (1,))),
+            "m11": write(tmp_path, "m11.json", build_mas(1, (1,), (1,))),
+            "cert": str(DATA / "cert_2x2.json"),
+        }
+        run = _run_python(
+            ["-c", RUN_AND_LIST_LAYERS, *(a.format(**paths) for a in argv)], cwd=tmp_path
+        )
+        assert run.returncode == 0, run.stderr
+        report = json.loads(run.stdout.splitlines()[-1])
+        assert report == {"code": 0, "loaded": loaded, "datetime": "--stamp" in argv}
 
 
 @pytest.mark.parametrize(

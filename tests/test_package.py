@@ -4,6 +4,8 @@ poly.py, every traced name exists."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -78,3 +80,30 @@ def test_every_tracer_target_resolves(monkeypatch):
         importlib.import_module(f"uhfree.{path.split('.')[0]}")
     for name, path, _ in tracer.TARGETS:
         assert callable(tracer._resolve(path)), (name, path)
+
+
+# perfbench/trace_child.py imports the tracer and uhfree.cli alone, then installs
+# the tracer; the layers that cli loads on first use must resolve from there
+TRACE_CHILD_IMPORTS = """
+import tracer
+import uhfree.cli
+
+for name, path, _ in tracer.TARGETS:
+    assert callable(tracer._resolve(path)), (name, path)
+t = tracer.Tracer()
+t.install()
+t.uninstall()
+"""
+
+
+def test_every_tracer_target_resolves_after_importing_only_the_cli():
+    pythonpath = [str(TRACER.parent), str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    run = subprocess.run(
+        # -B: no bytecode written next to the tracer
+        [sys.executable, "-B", "-c", TRACE_CHILD_IMPORTS],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
