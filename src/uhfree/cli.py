@@ -327,7 +327,7 @@ def cmd_string_check(args) -> Outcome:
 
 
 def cmd_empty_check(args) -> Outcome:
-    if args.verify:
+    if args.verify is not None:
         given = [opt for opt, value in (("--m", args.m), ("--n", args.n)) if value is not None]
         if args.graded:
             given.append("--graded")

@@ -18,8 +18,8 @@ combination a failed polynomial identity: either the two E_{im} routes
 cannot be reconciled by any scalar choice, or the two E_{mi} routes are
 non-proportional outright.  Non-proportionality is witnessed twice
 over, by a monomial-support mismatch and by a rational evaluation
-point, and the surviving combination's routes are re-derivable through
-the presentation module's independent twisted-product path.
+point, and the surviving combination's routes are re-derived by the
+presentation module's `twisted_bracket`, independently of `_route`.
 
 Every matrix is computed as a unit monomial a^delta times a matrix over
 Q[h] (RouteView); the units are variables only in the file form (ScaledMat).
@@ -53,13 +53,11 @@ from .poly import (
 from .presentation import (
     InvariantBreach,
     Mat2,
-    derive_even,
     json_array,
     json_field,
     json_keys,
     load_json,
-    make_presentation,
-    odd_positions,
+    twisted_bracket,
 )
 from .superlie import Root, algebra
 
@@ -551,22 +549,17 @@ def _eval_scaled(ring: CertRing, sm: ScaledMat, units: Sequence[Fraction]) -> Ma
     return Mat2._of(rows) * prod(Fraction(u) ** -d for u, d in zip(units, sm.den))
 
 
-def _presentation_at_units(
+def _pinned_at_units(
     ring: CertRing, choices: Mapping[str, str], units: Sequence[Fraction]
-):
-    """A plain presentation carrying the branch matrices at concrete scalars.
-
-    Generators outside the four pinned pairs are filled with zeros; only
-    the derived products along the pinned routes are meaningful.
-    """
-    m, n = ring.m, ring.n
-    mats = {pos: Mat2.zero(ring.base_nvars) for pos in odd_positions(m, n)}
+) -> dict[Root, Mat2]:
+    """The 8 pinned generators' matrices in the chosen branches at concrete scalars."""
+    pinned = {}
     for key in PAIR_KEYS:
         row, col = ring.pair_positions(key)
         up, lo = _pair_matrices(ring, key, choices[key])
-        for pos, view in (((row, col), up), ((col, row), lo)):
-            mats[pos] = view.mat * prod(u**d for u, d in zip(units, view.delta))
-    return make_presentation(m, n, mats)
+        for root, view in ((Root(row, col), up), (Root(col, row), lo)):
+            pinned[root] = view.mat * prod(u**d for u, d in zip(units, view.delta))
+    return pinned
 
 
 def verify_certificate(cert: EmptinessCertificate) -> list[str]:
@@ -574,9 +567,11 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
 
     Checks: a fresh replay produces the same branch outcomes and routes;
     every recorded failing identity still fails; the surviving routes
-    agree with the presentation module's derive_even along both
-    intermediates at two scalar specializations; and both
-    non-proportionality witnesses hold.
+    agree with `presentation.twisted_bracket` of the pinned matrices
+    through b1 and through bn at two scalar specializations; and both
+    non-proportionality witnesses hold.  The re-derivation writes the
+    twisted product apart from the generator's `_route`, so it catches a
+    generator whose replay agrees with itself but whose routes are wrong.
 
     The recorded identities are checked as text.  Once the replay
     matches, each recorded lhs/rhs pair is format_poly of a fresh witness
@@ -604,13 +599,14 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
     ring = cert.ring()
     names = ring.names
     m, n = cert.m, cert.n
-    b1, bn = m, m + n - 1
+    alg = algebra(m, n)
     for units in ((1, 1, 1, 1), (2, 3, 5, 7)):
         units = tuple(Fraction(u) for u in units)
-        pres = _presentation_at_units(ring, cert.surviving_choices, units)
-        via1 = derive_even(pres, m - 1, 0, via=b1)
-        vian = derive_even(pres, m - 1, 0, via=bn)
-        for recorded, recomputed in ((cert.route_a, via1), (cert.route_b, vian)):
+        pinned = _pinned_at_units(ring, cert.surviving_choices, units)
+        # E_{mi} through b1 (route A) and through bn (route B)
+        for recorded, via in ((cert.route_a, m), (cert.route_b, m + n - 1)):
+            x, y = Root(m - 1, via), Root(via, 0)
+            recomputed = twisted_bracket(alg, x, pinned[x], y, pinned[y])
             if _eval_scaled(ring, recorded, units) != recomputed:
                 raise EmptinessError(
                     "recorded route disagrees with the independent derivation"

@@ -479,10 +479,6 @@ class ShiftMap:
         return cls(tuple(power if j == i else 0 for j in range(nvars)))
 
     @property
-    def nvars(self) -> int:
-        return len(self.shifts)
-
-    @property
     def is_identity(self) -> bool:
         return not any(self.shifts)
 
@@ -494,20 +490,11 @@ class ShiftMap:
     def inverse(self) -> "ShiftMap":
         return ShiftMap(-s for s in self.shifts)
 
-    def __pow__(self, k: int) -> "ShiftMap":
-        return ShiftMap(k * s for s in self.shifts)
-
     def __eq__(self, other):
         return isinstance(other, ShiftMap) and self.shifts == other.shifts
 
-    def __hash__(self):
-        return hash(self.shifts)
-
     def __repr__(self):
         return f"ShiftMap{self.shifts}"
-
-    def __call__(self, p: Poly) -> Poly:
-        return apply_shift(self, p)
 
 
 def apply_shift(s: ShiftMap, p: Poly) -> Poly:

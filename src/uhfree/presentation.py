@@ -139,10 +139,6 @@ class Mat2:
         (e, f), (g, h) = other.rows
         return Mat2._of(((a - e, b - f), (c - g, d - h)))
 
-    def __neg__(self) -> "Mat2":
-        (a, b), (c, d) = self.rows
-        return Mat2._of(((-a, -b), (-c, -d)))
-
     def __mul__(self, other):
         if isinstance(other, Mat2):
             (a, b), (c, d) = self.rows
@@ -271,9 +267,10 @@ class Presentation:
     n: int
     grading: str
     odd: tuple[tuple[tuple[int, int], Mat2], ...]
+    # action matrices by (row, col): the odd ones, then each even one derive_even makes
     _lookup: dict = field(init=False, repr=False, compare=False, hash=False)
     # results computed once per object: "relations" (verified_report), "sl_m1"
-    # (normalform.classified_sl_m1), ("even", row, col, via) (derive_even)
+    # (normalform.classified_sl_m1), ("endo", bound) (morphisms.endo_solutions)
     _memo: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -338,32 +335,36 @@ def act_combo(p: Presentation, combo: Mapping[BasisElement, Fraction], v: Vec2) 
     return out
 
 
-def derive_even(p: Presentation, row: int, col: int, via: Optional[int] = None) -> Mat2:
-    """Even action matrix as the twisted product through an odd intermediate.
+def twisted_bracket(alg: SuperAlgebra, x: Root, ex: Mat2, y: Root, ey: Mat2) -> Mat2:
+    """E_x tau_x(E_y) -+ E_y tau_y(E_x), with + when x and y are both odd.
 
-    For an unbarred pair (i, k) the route runs through a barred index
-    (default b1); for a barred pair through an unbarred one (default 1).
-    The result is cached per presentation for the default route.
+    This is the supercommutator of the actions of x and y on Q[h]^2.
+    """
+    first, second = ex * ey.shifted(alg.weight_shift(x)), ey * ex.shifted(alg.weight_shift(y))
+    return first + second if alg.parity(x) and alg.parity(y) else first - second
+
+
+def _intermediate(alg: SuperAlgebra, row: int) -> int:
+    """derive_even's odd intermediate for a row: b1 if unbarred, 1 if barred."""
+    return 0 if alg.is_barred(row) else alg.m
+
+
+def derive_even(p: Presentation, row: int, col: int) -> Mat2:
+    """Even action matrix: the twisted bracket of e[row,k] and e[k,col].
+
+    k is `_intermediate(row)`, of the other parity, so both factors are
+    stored odd matrices.  The result goes into the table `Presentation.E`
+    reads first, so each even matrix is derived once per presentation.
     """
     alg = p.algebra
     if row == col:
         raise PresentationError("no root vector with equal indices")
     if alg.is_barred(row) != alg.is_barred(col):
         raise PresentationError("odd matrices are stored, not derived")
-    default_via = alg.m if alg.is_barred(row) is False else 0
-    key = ("even", row, col, via)
-    cached = p._memo.get(key)
-    if cached is not None:
-        return cached
-    mid = default_via if via is None else via
-    if alg.is_barred(mid) == alg.is_barred(row):
-        raise PresentationError("intermediate index must have opposite parity")
-    first = p._lookup[(row, mid)]
-    second = p._lookup[(mid, col)]
-    tau_first = alg.weight_shift(Root(row, mid))
-    tau_second = alg.weight_shift(Root(mid, col))
-    result = first * second.shifted(tau_first) + second * first.shifted(tau_second)
-    p._memo[key] = result
+    k = _intermediate(alg, row)
+    x, y = Root(row, k), Root(k, col)
+    result = twisted_bracket(alg, x, p._lookup[row, k], y, p._lookup[k, col])
+    p._lookup[row, col] = result
     return result
 
 
@@ -418,10 +419,7 @@ def _bracket_matrix(p: Presentation, combo: Mapping[BasisElement, Fraction]) -> 
 def _violation(p: Presentation, x: Root, y: Root) -> Optional[Violation]:
     """The twisted identity of the root pair (x, y): None if it holds."""
     alg = p.algebra
-    Ex, Ey = p.E(x.row, x.col), p.E(y.row, y.col)
-    tx, ty = alg.weight_shift(x), alg.weight_shift(y)
-    first, second = Ex * Ey.shifted(tx), Ey * Ex.shifted(ty)
-    lhs = first + second if alg.parity(x) and alg.parity(y) else first - second
+    lhs = twisted_bracket(alg, x, p.E(x.row, x.col), y, p.E(y.row, y.col))
     rhs = _bracket_matrix(p, alg.super_bracket(x, y))
     return None if lhs == rhs else Violation(x, y, lhs, rhs)
 
@@ -429,12 +427,22 @@ def _violation(p: Presentation, x: Root, y: Root) -> Optional[Violation]:
 def _generating_pairs(alg: SuperAlgebra) -> list[tuple[Root, Root]]:
     """The root pairs whose relations imply all others (see verify_relations).
 
-    (i) every odd x odd pair, x = y included, then (ii) every simple even
-    root vector e[i,i+1], e[i+1,i] inside one block against every odd
-    root vector.
+    (i) every odd x odd pair, x = y included, except each pair
+    {e[i,k], e[k,j]} with i != j and k = `_intermediate(i)`, then (ii)
+    every simple even root vector e[i,i+1], e[i+1,i] inside one block
+    against every odd root vector.
     """
     odd = alg.odd_roots()
-    pairs = [(x, y) for a, x in enumerate(odd) for y in odd[a:]]
+
+    def defines_even(x: Root, y: Root) -> bool:
+        return x.row != y.col and x.col == y.row == _intermediate(alg, x.row)
+
+    pairs = [
+        (x, y)
+        for a, x in enumerate(odd)
+        for y in odd[a:]
+        if not (defines_even(x, y) or defines_even(y, x))
+    ]
     for i in range(alg.dim - 1):
         if alg.is_barred(i) == alg.is_barred(i + 1):
             for s in (Root(i, i + 1), Root(i + 1, i)):
@@ -459,6 +467,10 @@ def verify_relations(p: Presentation) -> RelationReport:
     identity of (x, y) says [rho x, rho y] = rho [x, y] in End(Q[h]^2),
     because tau_x tau_y = tau_{x+y} is invertible.  Suppose (i) every
     odd x odd identity and (ii) every simple even x odd identity hold.
+    The odd pairs {e[i,k], e[k,j]}, i != j, k = `_intermediate(i)`, hold
+    without evaluation: their identity is twisted_bracket(e[i,k], e[k,j])
+    == E[i,j], and derive_even defines the right side as the left side.
+    The pairs with i = j are evaluated, since their bracket lies in h.
 
     - Every even e_ij equals [e_ik, e_kj] with k in the other block, so
       (i) gives rho(e) = [rho c, rho d] for odd c = e_ik, d = e_kj.

@@ -209,11 +209,15 @@ class TestExitCodes:
                 ["empty-check", "--verify", "{cert}", "--n", "0", "--graded"],
                 "--verify takes no --n or --graded: the certificate gives m, n and the grading",
             ),
+            (
+                ["empty-check", "--verify", "", "--m", "2"],
+                "--verify takes no --m: the certificate gives m, n and the grading",
+            ),
         ],
         ids=[
             "lambdas-word", "lambdas-1/0", "lambdas-empty", "lambdas-blank", "length",
             "pointwise", "max-deg", "gen-off-sl11", "lambdas-on-sl11", "length-on-sl11",
-            "verify-with-m", "verify-with-n-graded",
+            "verify-with-m", "verify-with-n-graded", "verify-empty-path-with-m",
         ],
     )
     def test_bad_argument_is_exit_2(self, family_file, tmp_path, capsys, argv, message):
@@ -318,8 +322,13 @@ class TestExitCodes:
             (["empty-check", "--verify", "{bad}"], NOT_UTF8),
             (["verify", "{dir}"], "error: {dir}: Is a directory\n"),
             (["empty-check", "--verify", "{dir}"], "error: {dir}: Is a directory\n"),
+            # an empty path reads as the current directory, as for verify
+            (["empty-check", "--verify", ""], "error: .: Is a directory\n"),
         ],
-        ids=["verify-not-utf8", "cert-not-utf8", "verify-directory", "cert-directory"],
+        ids=[
+            "verify-not-utf8", "cert-not-utf8", "verify-directory", "cert-directory",
+            "cert-empty-path",
+        ],
     )
     def test_unreadable_input_is_exit_2(self, tmp_path, capsys, argv, message):
         bad = tmp_path / "bom16.json"

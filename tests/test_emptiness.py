@@ -357,6 +357,21 @@ class TestTampering:
         with pytest.raises(EmptinessError, match="recorded failing identity holds"):
             verify_certificate(cert)
 
+    def test_consistently_wrong_routes_fail_the_re_derivation(self, monkeypatch):
+        # a generator that doubles every route agrees with its own replay,
+        # and its witnesses and recorded identities still hold; only the
+        # re-derivation through presentation.twisted_bracket sees it
+        route = emptiness._route
+
+        def doubled(*args):
+            r = route(*args)
+            return RouteView(r.delta, r.mat * 2)
+
+        monkeypatch.setattr(emptiness, "_route", doubled)
+        cert = emptiness_certificate(3, 2)
+        with pytest.raises(EmptinessError, match="recorded route disagrees"):
+            verify_certificate(cert)
+
     def test_reordered_identity_fails_the_replay(self, cert22):
         data = json.loads(dump_json(cert22.to_dict()))
         names = cert22.ring().names

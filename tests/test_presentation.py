@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from uhfree.presentation import (
     build_mas,
     build_mas_bar,
     conjugate,
+    _generating_pairs,
     derive_even,
     make_presentation,
     odd_positions,
@@ -23,6 +25,7 @@ from uhfree.presentation import (
     presentation_from_json,
     presentation_to_dict,
     presentation_to_json,
+    twisted_bracket,
     verify_relations,
 )
 from uhfree.superlie import Cartan, Root, algebra
@@ -128,11 +131,17 @@ class TestDeriveEven:
             (3, 1): Mat2(((z, z), (Poly.one(nv), z))),
         }
         p = make_presentation(2, 2, mats)
-        via_b1 = derive_even(p, 1, 0, via=2)
+        alg = p.algebra
+
+        def route(via):
+            x, y = Root(1, via), Root(via, 0)
+            return twisted_bracket(alg, x, mats[x.row, x.col], y, mats[y.row, y.col])
+
+        via_b1 = route(2)
         expected = Mat2(((hb1 * (A + 1), z), (z, (hb1 - 1) * A)))
         assert via_b1 == expected
         # the other route disagrees, which is the emptiness obstruction
-        via_bn = derive_even(p, 1, 0, via=3)
+        via_bn = route(3)
         assert via_bn == Mat2((((h1 + 1) * h2, z), (z, h1 * (h2 - 1))))
         assert via_b1 != via_bn
         assert not verify_relations(p).ok
@@ -253,12 +262,39 @@ class TestGeneratingSet:
 
     @pytest.mark.parametrize(
         "m, direct, checked",
-        [(3, 45, 78), (6, 198, 903), (8, 360, 2628), (10, 570, 6105)],
+        [(3, 39, 78), (6, 168, 903), (8, 304, 2628), (10, 480, 6105)],
     )
     def test_pass_evaluates_the_generating_set_and_counts_every_pair(self, m, direct, checked):
         report = verify_relations(build_mas(m, range(1, m + 1), range(1, m + 1, 2)))
         assert report.ok
         assert (report.direct, report.checked) == (direct, checked)
+
+    @pytest.mark.parametrize("m, n, size", [(3, 1, 39), (2, 2, 64), (3, 2, 142), (1, 3, 39)])
+    def test_size_leaves_out_only_the_pairs_that_define_evens(self, m, n, size):
+        # all odd x odd pairs, less the m(m-1) + n(n-1) that define an
+        # even matrix (the i = j pairs stay), plus the simple even x odd pairs
+        big_n = 2 * m * n
+        expected = big_n * (big_n + 1) // 2 - m * (m - 1) - n * (n - 1) + 2 * (m + n - 2) * big_n
+        assert len(_generating_pairs(algebra(m, n))) == expected == size
+
+    def test_left_out_pairs_hold_even_on_random_data(self):
+        # the left-out identities restate derive_even, so the all-pairs
+        # oracle never lists them, however many others fail
+        rng = random.Random(7)
+        m, n, nv = 3, 2, 4
+        mats = {
+            pos: Mat2([[random_poly(rng, nv, 1, max_terms=2) for _ in range(2)] for _ in range(2)])
+            for pos in odd_positions(m, n)
+        }
+        p = make_presentation(m, n, mats)
+        alg = p.algebra
+        odd = alg.odd_roots()
+        kept = set(_generating_pairs(alg))
+        left_out = {(x, y) for a, x in enumerate(odd) for y in odd[a:]} - kept
+        assert len(left_out) == m * (m - 1) + n * (n - 1)
+        report = all_pairs_report(p)
+        assert not report.ok
+        assert not left_out & {(v.left, v.right) for v in report.violations}
 
     def test_failure_counts_the_tried_identities_and_the_full_loop(self):
         # odd x odd in order: [x, x] holds, [x, y] = h fails, then all 3 pairs
