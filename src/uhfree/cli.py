@@ -7,10 +7,12 @@ output (deterministic JSON, no timestamps) goes to --out.  Exit codes:
 grammar errors.
 
 The layers beyond poly, superlie and presentation load on first use, so
-a process compiles only what its subcommand runs: verify loads none of
-them, classify and canon-sl11 load normalform, iso, endo and submodules
-load morphisms (which imports normalform), string-check loads
-stringbridge and empty-check loads emptiness.
+a process compiles only what its subcommand runs: verify loads normalform
+for sl(m|1) with m >= 2 (it proves the relations through the
+classification, see presentation.verified_report) and none of them
+otherwise, classify and canon-sl11 load normalform, iso, endo and
+submodules load morphisms (which imports normalform), string-check
+loads stringbridge and empty-check loads emptiness.
 """
 
 from __future__ import annotations
@@ -103,10 +105,12 @@ def _violation_lines(texts: list[str], rest: str) -> list[str]:
     return lines
 
 
-def _require_verified(p: Presentation, lines: list[str]) -> None:
+def _require_verified(p: Presentation, lines: list[str], side: str = "") -> None:
+    """Fail (exit 1) with the violation count and list unless p satisfies the relations."""
     report = verified_report(p)
     if not report.ok:
-        lines.append(f"FAIL: {len(report.violations)} relation(s) violated")
+        where = f"{side} presentation: " if side else ""
+        lines.append(f"FAIL: {where}{len(report.violations)} relation(s) violated")
         lines.extend(_violation_lines(report.describe(p.m, p.n), "see uhfree verify --out"))
         raise _Failure(lines)
 
@@ -176,7 +180,7 @@ def cmd_classify(args) -> Outcome:
         }
         lines.append(f"class: class-{cls.label}")
     else:
-        params, witness = normalform.classify_sl_m1(p)
+        params, witness = normalform.classified_sl_m1(p)
         payload = params.to_dict()
         payload["normalized_a"] = [str(x) for x in params.normalized().a]
         payload["witness"] = witness.to_strings(names)
@@ -192,10 +196,8 @@ def cmd_iso(args) -> Outcome:
     src = _load_presentation(args.src)
     dst = _load_presentation(args.dst)
     lines = [FIELD_NOTE]
-    for tag, p in (("left", src), ("right", dst)):
-        if not verified_report(p).ok:
-            lines.append(f"FAIL: {tag} presentation violates relations")
-            raise _Failure(lines)
+    _require_verified(src, lines, "left")
+    _require_verified(dst, lines, "right")
     category = morphisms.resolve_category(src, dst, args.category)
     witness = morphisms.iso_test(src, dst, category=category)
     if witness is None:

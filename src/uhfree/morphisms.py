@@ -30,7 +30,7 @@ from typing import Iterator, Optional, Sequence
 
 from .poly import Poly, UhfreeError, compose_univariate, divides_exactly
 from .presentation import InvariantBreach, Mat2, Presentation, Vec2
-from .normalform import classified_sl_m1, classify_sl_m1
+from .normalform import classified_sl_m1
 from .superlie import Root
 
 
@@ -243,8 +243,8 @@ def iso_test(
     if (src.m, src.n) != (dst.m, dst.n):
         raise MorphismError("presentations live over different superalgebras")
     category = resolve_category(src, dst, category)
-    ps, ws = classify_sl_m1(src)
-    pd, wd = classify_sl_m1(dst)
+    ps, ws = classified_sl_m1(src)
+    pd, wd = classified_sl_m1(dst)
     if ps.s != pd.s:
         return None
     gamma = ps.a[0] / pd.a[0]
@@ -343,8 +343,9 @@ def endo_solutions(p: Presentation, degree_bound: int) -> tuple[HomSolution, ...
     """solve_hom(p, p, degree_bound), solved once per presentation and bound.
 
     The solutions are kept on the immutable presentation, the way
-    `verified_report` keeps its relation check, so `uhfree endo` and
-    `idempotent_scan` share one solve.
+    `verified_report` keeps its relation report and
+    `normalform.classified_sl_m1` its classification, so `uhfree endo`
+    and `idempotent_scan` share one solve.
     """
     key = ("endo", degree_bound)
     sols = p._memo.get(key)

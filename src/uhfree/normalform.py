@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .poly import (
     Poly,
@@ -208,6 +209,11 @@ class CanonParams:
         if any(x == 0 for x in self.a):
             raise ClassificationError("parameters must be nonzero")
 
+    @cached_property
+    def family(self) -> Presentation:
+        """The family member M(a, S), or Mbar(a, S) when bar, built once per object."""
+        return (build_mas_bar if self.bar else build_mas)(len(self.a), self.a, self.s)
+
     def normalized(self) -> "CanonParams":
         """The unique representative with first parameter 1."""
         g = self.a[0]
@@ -288,15 +294,32 @@ def _read_family_entry(
     return Fraction(ai), in_s
 
 
+def check_family_form(conj: Presentation, params: CanonParams) -> None:
+    """Raise InvariantBreach unless conj equals params.family at every odd position.
+
+    This exact equality is what makes a classification (params, W) with
+    conj = conjugate(p, W) a proof about p (see
+    `presentation.verified_report`).
+    """
+    if conj.odd != params.family.odd:
+        raise InvariantBreach("classification witness fails to reach the family form")
+
+
 def classify_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
-    """Classify a verified rank-2 presentation over sl(m|1) as M(a, S).
+    """Classify a rank-2 presentation over sl(m|1) as M(a, S) or Mbar(a, S).
 
     Pipeline: canonicalize the (m, b1) pair, conjugate the whole tuple
     by its witness, and read the forced anti-triangular shapes of the
     remaining generators.  Graded inputs keep their parity convention:
     for the bar convention the witness lands on the bar family.
-    Returns (params, witness) with  conjugate(p, witness) equal to
-    build_mas(...) (or build_mas_bar) at the returned parameters.
+    Returns (params, witness) with conjugate(p, witness) equal to
+    params.family, which `check_family_form` has checked exactly.
+
+    For m >= 2 this is the raw classifier: it assumes nothing about p,
+    and an input that violates the module relations raises
+    ClassificationError or InvariantBreach.  `classified_sl_m1` is the
+    verified entry point.  For m = 1 it delegates to `classify_sl11`,
+    which requires the relations.
     """
     if p.n != 1:
         raise ClassificationError("classification applies to sl(m|1)")
@@ -315,7 +338,6 @@ def classify_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
         w = cls.witness * Mat2.swap(1) if bar else cls.witness
         conj = conjugate(p, w)
     else:
-        _require_verified(p)
         m, nv = p.m, p.nvars
         alg = p.algebra
         sigma = alg.weight_shift(Root(m - 1, m))
@@ -343,17 +365,21 @@ def classify_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
             w = w * swap
             conj = conjugate(conj, swap)
         params = CanonParams(tuple(a), frozenset(s), bar)
-    target = (build_mas_bar if bar else build_mas)(p.m, params.a, params.s)
-    for pos, mat in target.odd:
-        if conj.E(*pos) != mat:
-            raise InvariantBreach("classification witness fails to reach the family form")
+    check_family_form(conj, params)
     return params, w
 
 
 def classified_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
-    """classify_sl_m1(p), computed once per presentation object."""
-    result = p._memo.get("sl_m1")
-    if result is None:
-        result = p._memo["sl_m1"] = classify_sl_m1(p)
-    return result
+    """The classification of p, which must satisfy the module relations.
 
+    Computed once per presentation object.  For m >= 2,
+    `verified_report` proves the relations by classifying p and keeps
+    the result, so a request that checks and then classifies p runs
+    the classifier once.  A presentation that violates the relations
+    raises ClassificationError.
+    """
+    if "sl_m1" not in p._memo:
+        _require_verified(p)  # for m >= 2 this classifies p on success
+        if "sl_m1" not in p._memo:
+            p._memo["sl_m1"] = classify_sl_m1(p)
+    return p._memo["sl_m1"]

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from uhfree.poly import Poly
-from uhfree.presentation import Mat2
+from uhfree.presentation import Mat2, build_mas, conjugate
 
 
 def random_poly(rng, nvars, max_deg, max_terms=4, coeff_range=3, allow_zero=True):
@@ -30,3 +30,15 @@ def random_nonzero_fraction(rng, lim=4):
     num = rng.choice([k for k in range(-lim, lim + 1) if k])
     den = rng.randint(1, lim)
     return Fraction(num, den)
+
+
+def scaled_conjugates(m):
+    """Non-modules near M(a, S) over sl(m|1): each odd generator of its conjugate in turn times 2.
+
+    The conjugate is by [[1, h1], [0, 1]], with a = (1, ..., m) and
+    S = {1}.  Yields (scaled position, odd matrices by position).
+    """
+    w = Mat2.of(m, ((1, Poly.var(m, 0)), (0, 1)))
+    base = conjugate(build_mas(m, range(1, m + 1), (1,)), w)
+    for pos, _ in base.odd:
+        yield pos, {q: 2 * mat if q == pos else mat for q, mat in base.odd}

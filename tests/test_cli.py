@@ -37,6 +37,8 @@ from uhfree.presentation import (
     verified_report,
 )
 
+from .helpers import scaled_conjugates
+
 H = Poly.var(1, 0)
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -99,6 +101,40 @@ class TestExitCodes:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-22] == "FAIL: 60 relation(s) violated"
         assert lines[-1] == "  ... and 40 more (see uhfree verify --out)"
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_iso_lists_the_failing_sides_violations(self, tmp_path, capsys, side):
+        good = write(tmp_path, "good.json", build_mas(3, (1, 2, 3), (1,)))
+        w = Mat2.of(3, ((1, Poly.var(3, 0)), (0, 1)))
+        bad = write(
+            tmp_path, "bad.json", make_presentation(3, 1, {pos: w for pos in odd_positions(3, 1)})
+        )
+        out = tmp_path / "out.json"
+        pair = [bad, good] if side == "left" else [good, bad]
+        assert main(["iso", *pair, "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert main(["verify", bad]) == 1
+        violations = capsys.readouterr().out.splitlines()[2:22]
+        assert lines[1] == f"FAIL: {side} presentation: 60 relation(s) violated"
+        assert lines[2:22] == violations
+        assert lines[22:] == ["  ... and 40 more (see uhfree verify --out)"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_non_module_exits_1_from_every_command(self, tmp_path, capsys, m):
+        good = write(tmp_path, "good.json", build_mas(m, range(1, m + 1), (1,)))
+        for k, (_, mats) in enumerate(scaled_conjugates(m)):
+            bad = write(tmp_path, f"bad{k}.json", make_presentation(m, 1, mats))
+            for argv in (
+                ["verify", bad],
+                ["classify", bad],
+                ["iso", bad, good],
+                ["iso", good, bad],
+                ["endo", bad, "--bound", "1"],
+                ["submodules", bad, "--length", "2"],
+            ):
+                assert main(argv) == 1, argv
+                assert "relation" in capsys.readouterr().out
 
     def test_missing_file_is_exit_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.json")]) == 2
@@ -703,12 +739,40 @@ class TestVerifyOnce:
         assert f"FAIL: {len(first.violations)} relation(s) violated" in outputs[0]
 
     def test_conjugate_is_verified_afresh(self, verify_calls):
+        # over sl(m|1), m >= 2, the identities evaluated are those of the
+        # family member that each object's own classification reaches
         p = build_mas(2, (1, 2), (1,))
         assert verified_report(p).ok
         w = Mat2.of(2, ((1, Poly.var(2, 0)), (0, 1)))
         q = conjugate(p, w)
         assert verified_report(q).ok
-        assert verify_calls == [p, q]
+        members = [normalform.classified_sl_m1(x)[0].family for x in (p, q)]
+        assert len(verify_calls) == 2
+        assert all(call is member for call, member in zip(verify_calls, members))
+        assert verify_calls[0] == p and verify_calls[0] is not p
+
+    @pytest.mark.parametrize(
+        "argv, runs",
+        [
+            (["verify", "{a}"], 1),
+            (["classify", "{a}"], 1),
+            (["iso", "{a}", "{b}"], 2),
+            (["submodules", "{a}", "--length", "2"], 1),
+        ],
+        ids=["verify", "classify", "iso", "submodules"],
+    )
+    def test_one_classifier_run_per_input_file(self, tmp_path, monkeypatch, argv, runs):
+        calls = []
+        original = normalform.classify_sl_m1
+        monkeypatch.setattr(
+            normalform, "classify_sl_m1", lambda p: calls.append(p) or original(p)
+        )
+        paths = {
+            "a": write(tmp_path, "a.json", build_mas(3, (1, 2, 3), (1,))),
+            "b": write(tmp_path, "b.json", build_mas(3, (2, 4, 6), (1,))),
+        }
+        assert main([a.format(**paths) for a in argv]) == 0
+        assert len(calls) == runs
 
     def test_equal_objects_each_get_their_verdict(self, verify_calls):
         good = [build_mas(2, (1, 2), (1,)) for _ in range(2)]
@@ -779,8 +843,10 @@ class TestLayerLoading:
     @pytest.mark.parametrize(
         "argv, loaded",
         [
-            (["verify", "{m21}"], []),
-            (["verify", "{m21}", "--stamp"], []),
+            # verify over sl(m|1), m >= 2, proves the relations through the classification
+            (["verify", "{m21}"], ["normalform"]),
+            (["verify", "{m21}", "--stamp"], ["normalform"]),
+            (["verify", "{m11}"], []),
             (["classify", "{m21}"], ["normalform"]),
             (["canon-sl11", "{m11}"], ["normalform"]),
             (["iso", "{m21}", "{m21}"], ["normalform", "morphisms"]),
@@ -792,7 +858,7 @@ class TestLayerLoading:
             (["empty-check", "--verify", "{cert}"], ["emptiness"]),
         ],
         ids=[
-            "verify", "verify-stamp", "classify", "canon-sl11", "iso", "endo", "submodules",
+            "verify", "verify-stamp", "verify-sl11", "classify", "canon-sl11", "iso", "endo", "submodules",
             "submodules-sl11", "string-check", "empty-check", "empty-check-verify",
         ],
     )

@@ -1,14 +1,21 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from uhfree import normalform
+from uhfree.cli import main
 from uhfree.poly import Poly, ShiftMap, apply_shift
 from uhfree.presentation import (
+    InvariantBreach,
     Mat2,
     build_mas,
     build_mas_bar,
     conjugate,
     make_presentation,
+    presentation_to_json,
+    verified_report,
     verify_relations,
 )
 from uhfree.normalform import (
@@ -18,6 +25,7 @@ from uhfree.normalform import (
     Sl11Class,
     apply_witness_pair,
     canonicalize_pair,
+    classified_sl_m1,
     classify_sl11,
     classify_sl_m1,
     nil_factor,
@@ -26,7 +34,7 @@ from uhfree.normalform import (
 from uhfree.morphisms import check_intertwiner, iso_test
 from uhfree.superlie import Root
 
-from .helpers import random_nonzero_fraction, random_poly, random_unimodular
+from .helpers import random_nonzero_fraction, random_poly, random_unimodular, scaled_conjugates
 
 H = Poly.var(1, 0)
 ID1 = ShiftMap.identity(1)
@@ -259,6 +267,93 @@ def _fake_n2():
 
     mats = {pos: Mat2.zero(3) for pos in odd_positions(2, 2)}
     return make_presentation(2, 2, mats)
+
+
+@st.composite
+def classified_modules(draw):
+    """A conjugate of M(a, S) or Mbar(a, S), m = 2..5, by a unimodular W of degree <= 2."""
+    rng = draw(st.randoms(use_true_random=False))
+    m = draw(st.integers(2, 5))
+    a = tuple(random_nonzero_fraction(rng) for _ in range(m))
+    s = frozenset(i for i in range(1, m + 1) if draw(st.booleans()))
+    build = build_mas_bar if draw(st.booleans()) else build_mas
+    return conjugate(build(m, a, s), random_unimodular(rng, m))
+
+
+class _EqualToAll:
+    """A lower entry that `_read_family_entry`'s lower-entry check cannot reject."""
+
+    def __ne__(self, other):
+        return False
+
+
+class TestRelationsThroughClassification:
+    """verified_report proves the relations of an sl(m|1) input, m >= 2,
+    by classifying it and checking the family member it reaches."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_non_module_gets_the_report_of_the_full_check(self, monkeypatch, m):
+        routes = []
+        original = normalform.classify_sl_m1
+
+        def recording(p):
+            try:
+                return original(p)
+            except (ClassificationError, InvariantBreach) as exc:
+                routes.append(type(exc))
+                raise
+
+        monkeypatch.setattr(normalform, "classify_sl_m1", recording)
+        for _, mats in scaled_conjugates(m):
+            report = verified_report(make_presentation(m, 1, mats))
+            full = verify_relations(make_presentation(m, 1, mats))
+            assert not full.ok
+            assert (report.ok, report.checked) == (full.ok, full.checked)
+            assert report.describe(m, 1) == full.describe(m, 1)
+        assert len(routes) == 2 * m
+        assert set(routes) == {ClassificationError, InvariantBreach}
+
+    def test_classifier_breach_on_a_module_is_not_hidden(self, monkeypatch):
+        def breach(p):
+            raise InvariantBreach("planted breach")
+
+        monkeypatch.setattr(normalform, "classify_sl_m1", breach)
+        with pytest.raises(InvariantBreach, match="planted breach"):
+            verified_report(build_mas(3, (1, 2, 3), (2,)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(classified_modules())
+    def test_module_passes_and_keeps_its_classification(self, p):
+        report = verified_report(p)
+        k = len(p.algebra.root_vectors())
+        assert report.ok and not report.violations
+        assert report.checked == k * (k + 1) // 2
+        with mock.patch.object(normalform, "classify_sl_m1", side_effect=AssertionError):
+            params, w = classified_sl_m1(p)
+        assert conjugate(p, w).odd == params.family.odd
+
+    @pytest.mark.parametrize(
+        "drop_lower, drop_final, code",
+        [(False, False, 1), (True, False, 1), (False, True, 1), (True, True, 0)],
+    )
+    def test_the_proof_rests_on_the_family_checks(
+        self, tmp_path, monkeypatch, drop_lower, drop_final, code
+    ):
+        # e[1,b1] of a conjugate of M(a, S) over sl(3|1), times 2: either
+        # check rejects it, and without both the input passes as a module
+        mats = dict(scaled_conjugates(3))[(0, 3)]
+        path = tmp_path / "scaled.json"
+        path.write_text(presentation_to_json(make_presentation(3, 1, mats)))
+        if drop_lower:
+            original = normalform._read_family_entry
+            monkeypatch.setattr(
+                normalform,
+                "_read_family_entry",
+                lambda upper, lower, hi, i: original(upper, _EqualToAll(), hi, i),
+            )
+        if drop_final:
+            monkeypatch.setattr(normalform, "check_family_form", lambda conj, params: None)
+        assert main(["verify", str(path)]) == code
 
 
 class TestGradedEquivalence:
