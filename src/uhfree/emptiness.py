@@ -234,20 +234,19 @@ def _proportionality(
 
 def _routes_reconcilable(
     a: RouteView, b: RouteView
-) -> tuple[bool, Optional[MismatchWitness], Optional[str]]:
-    """Can scalars make the two routes literally equal?
+) -> tuple[Optional[MismatchWitness], Optional[str]]:
+    """Can scalars make the two routes of E_{im} literally equal?
 
-    Requires mat_a = lambda mat_b; when the unit exponents coincide the
-    ratio must be exactly 1, otherwise any ratio is realizable.
+    They can exactly when mat_a = lambda mat_b.  Returns a failing
+    cross-product identity and None if not, else None and the scalar
+    constraint a^(delta_a - delta_b) = lambda.
     """
     ok, lam, witness = _proportionality(a, b)
     if not ok:
-        return False, witness, None
-    if a.delta != b.delta:
-        return True, None, _ratio_text(a.delta, b.delta, lam)
-    if lam != 1:
-        return False, None, f"forced ratio {lam} with no free scalar"
-    return True, None, None
+        return witness, None
+    # ROUTES gives up1 and upn the unit deltas e1 - e2 and e3 - e4, which always
+    # differ, so the free scalars realize any ratio
+    return None, _ratio_text(a.delta, b.delta, lam)
 
 
 def _ratio_text(da, db, lam) -> str:
@@ -256,8 +255,7 @@ def _ratio_text(da, db, lam) -> str:
         e = da[k] - db[k]
         if e:
             parts.append(f"{UNIT_NAMES[k]}^{e}" if e != 1 else UNIT_NAMES[k])
-    mono = "*".join(parts) if parts else "1"
-    return f"{mono} = {lam}"
+    return f"{'*'.join(parts)} = {lam}"
 
 
 # -- certificates ------------------------------------------------------------------------
@@ -429,12 +427,9 @@ def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCert
     names = ring.names[: ring.base_nvars]
     for combo in itertools.product(BRANCHES, repeat=4):
         choices = dict(zip(PAIR_KEYS, combo))
-        equal, witness, constraint = _routes_reconcilable(
-            route("up1", choices), route("upn", choices)
-        )
-        if not equal:
-            detail = {"reason": constraint} if witness is None else witness.to_dict(names)
-            log.append(BranchOutcome(choices, False, detail, None, None))
+        witness, constraint = _routes_reconcilable(route("up1", choices), route("upn", choices))
+        if witness is not None:
+            log.append(BranchOutcome(choices, False, witness.to_dict(names), None, None))
             continue
         da, db = route("down1", choices), route("downn", choices)
         ok, _, w2 = _proportionality(da, db)

@@ -432,18 +432,21 @@ def filtration(lambdas: Sequence[Fraction], k: int) -> list[Submod]:
 
 
 def filtration_separators(p: Presentation, chain: Sequence[Submod]) -> list[Vec2]:
-    """For each step a vector in M_{F_r} but not in M_{F_{r+1}}."""
+    """For each step a vector in M_{F_r} but not in M_{F_{r+1}}.
+
+    The vector is (F_r(c + m - 1), 0), which lies in M_{F_r} by the
+    definition of `submodule_member`.  It lies in M_{F_{r+1}} exactly
+    when F_{r+1}(c + m - 1) divides F_r(c + m - 1), so that division is
+    the strictness check.
+    """
     nv, m = p.nvars, p.m
-    c = _central_form(nv, m)
+    c = _central_form(nv, m) + (m - 1)
+    uppers = [compose_univariate(sub.f, c) for sub in chain]
     seps = []
     for r in range(len(chain) - 1):
-        upper = compose_univariate(chain[r].f, c + (m - 1))
-        vec = Vec2(upper, Poly.zero(nv))
-        if not submodule_member(chain[r], m, vec) or submodule_member(
-            chain[r + 1], m, vec
-        ):
+        if divides_exactly(uppers[r + 1], uppers[r]) is not None:
             raise InvariantBreach("filtration step is not strict")
-        seps.append(vec)
+        seps.append(Vec2(uppers[r], Poly.zero(nv)))
     return seps
 
 

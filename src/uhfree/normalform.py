@@ -118,12 +118,10 @@ def nil_factor(p: Mat2, tau: ShiftMap) -> NilParams:
 
 
 def _check_pair_identities(p: Mat2, q: Mat2, sigma: ShiftMap, a: Poly):
-    inv = sigma.inverse()
-    if not (p * p.shifted(sigma)).is_zero:
-        raise ClassificationError("P does not square to zero under its twist")
-    if not (q * q.shifted(inv)).is_zero:
-        raise ClassificationError("Q does not square to zero under its twist")
-    if p * q.shifted(sigma) + q * p.shifted(inv) != Mat2.scalar(a):
+    """P sigma(Q) + Q sigma^{-1}(P) = a I_2.  The twisted squares are zero
+    for a strictly triangular pair under any twist, and `nil_factor` tests
+    them on every other pair."""
+    if p * q.shifted(sigma) + q * p.shifted(sigma.inverse()) != Mat2.scalar(a):
         raise ClassificationError("pair does not satisfy the scalar anticommutator identity")
 
 
@@ -236,62 +234,41 @@ class Sl11Class:
     canonical: tuple[Mat2, Mat2]
 
 
-def _require_verified(p: Presentation):
-    report = verified_report(p)
-    if not report.ok:
-        raise ClassificationError(
-            "presentation does not satisfy the module relations: "
-            + report.describe(p.m, p.n)[0]
-        )
-
-
 def classify_sl11(p: Presentation) -> Sl11Class:
-    """Decide which of the two sl(1|1) normal forms a presentation is.
+    """The sl(1|1) dichotomy, read off the classification of p.
 
-    Class 1 is ([0, 1; 0, 0], [0, 0; h, 0]); class 2 carries h in the
-    upper matrix.  The returned witness conjugates the input exactly
-    onto the canonical pair.
+    p must satisfy the module relations.  Class 1 is M((1,), {}) =
+    ([0, 1; 0, 0], [0, 0; h, 0]) and class 2 is M((1,), {1}) =
+    ([0, h; 0, 0], [0, 0; 1, 0]).  The witness conjugates the input
+    exactly onto that canonical pair; for a bar input it is the
+    classification witness without its final swap.
     """
     if (p.m, p.n) != (1, 1):
         raise ClassificationError("classify_sl11 expects m = n = 1")
-    _require_verified(p)
-    h = Poly.var(1, 0)
-    sigma = p.algebra.weight_shift(Root(0, 1))  # identity for sl(1|1)
-    (cp, cq), w = canonicalize_pair(p.E(0, 1), p.E(1, 0), sigma, h)
-    u = cp[0, 1]
-    lead = u.leading_coeff()
-    if lead != 1:
-        scale = Mat2.of(1, ((1, 0), (0, Fraction(1) / lead)))
-        w = w * scale
-        (cp, cq) = apply_witness_pair(p.E(0, 1), p.E(1, 0), sigma, w)
-        u = cp[0, 1]
-    if u == Poly.one(1):
-        label = 1
-    elif u == h:
-        label = 2
-    else:
-        raise InvariantBreach(f"canonical entry {u!r} is neither 1 nor h")
-    return Sl11Class(label, w, (cp, cq))
+    params, w = classified_sl_m1(p)
+    member = build_mas(1, params.a, params.s)
+    return Sl11Class(
+        2 if params.s else 1,
+        w * Mat2.swap(1) if params.bar else w,
+        (member.E(0, 1), member.E(1, 0)),
+    )
 
 
-def _read_family_entry(
-    upper: Poly, lower: Poly, hi: Poly, i: int
-) -> tuple[Fraction, bool]:
-    """Recognize (a_i, i in S) from a canonical generator pair."""
+def _read_family_entry(upper: Poly, hi: Poly, i: int) -> tuple[Fraction, bool]:
+    """Read (a_i, i in S) from the upper entry of the conjugated e[i,b1].
+
+    A nonzero constant a_i gives (a_i, False) and a_i h_i gives
+    (a_i, True).  No other entry is read: `check_family_form` compares
+    the whole tuple with the family member afterwards.
+    """
     uconst = upper.constant_value()
     if uconst is not None and uconst != 0:
-        ai, in_s = uconst, False
-        expected_lower = (1 / ai) * hi
-    else:
-        quo = divides_exactly(hi, upper)
-        ai = quo.constant_value() if quo is not None else None
-        if ai is None or ai == 0:
-            raise InvariantBreach(f"generator {i} entry is neither constant nor c*h_{i}")
-        in_s = True
-        expected_lower = Poly.const(upper.nvars, 1 / ai)
-    if lower != expected_lower:
-        raise InvariantBreach(f"generator {i} pair is outside the classified family")
-    return Fraction(ai), in_s
+        return uconst, False
+    quo = divides_exactly(hi, upper)
+    ai = quo.constant_value() if quo is not None else None
+    if ai is None or ai == 0:
+        raise InvariantBreach(f"generator {i} entry is neither constant nor c*h_{i}")
+    return ai, True
 
 
 def check_family_form(conj: Presentation, params: CanonParams) -> None:
@@ -309,17 +286,18 @@ def classify_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
     """Classify a rank-2 presentation over sl(m|1) as M(a, S) or Mbar(a, S).
 
     Pipeline: canonicalize the (m, b1) pair, conjugate the whole tuple
-    by its witness, and read the forced anti-triangular shapes of the
-    remaining generators.  Graded inputs keep their parity convention:
+    by its witness, and read a_i and whether i is in S from the upper
+    entry of each e[i,b1].  Graded inputs keep their parity convention:
     for the bar convention the witness lands on the bar family.
     Returns (params, witness) with conjugate(p, witness) equal to
-    params.family, which `check_family_form` has checked exactly.
+    params.family, which `check_family_form` has checked exactly; it is
+    the only check of the shapes.
 
-    For m >= 2 this is the raw classifier: it assumes nothing about p,
-    and an input that violates the module relations raises
-    ClassificationError or InvariantBreach.  `classified_sl_m1` is the
-    verified entry point.  For m = 1 it delegates to `classify_sl11`,
-    which requires the relations.
+    This is the raw classifier at every m >= 1: it assumes nothing about
+    p, and an input that violates the module relations raises
+    ClassificationError or InvariantBreach.  At m = 1 the twist of the
+    pair is the identity, so the pair identities are the three sl(1|1)
+    relations.  `classified_sl_m1` is the verified entry point.
     """
     if p.n != 1:
         raise ClassificationError("classification applies to sl(m|1)")
@@ -330,41 +308,30 @@ def classify_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
                 "grading flag contradicts the matrix shapes: "
                 + "; ".join(parity.failures)
             )
+    m, nv = p.m, p.nvars
+    sigma = p.algebra.weight_shift(Root(m - 1, m))
+    _, w = canonicalize_pair(p.E(m - 1, m), p.E(m, m - 1), sigma, Poly.var(nv, m - 1))
+    conj = conjugate(p, w)
+    a: list[Fraction] = []
+    s: set[int] = set()
+    for i in range(1, m + 1):
+        ai, in_s = _read_family_entry(conj.E(i - 1, m)[0, 1], Poly.var(nv, i - 1), i)
+        a.append(ai)
+        if in_s:
+            s.add(i)
+    # the changes of basis below are constant, so conjugating conj by one
+    # conjugates p by w times it
+    if m == 1 and a[0] != 1:
+        # a canonical pair with u not monic passes canonicalize_pair as it is;
+        # diag(1, 1/a_1) takes M((a_1,), S) to the sl(1|1) normal form M((1,), S)
+        scale = Mat2.of(nv, ((1, 0), (0, 1 / a[0])))
+        w, conj, a = w * scale, conjugate(conj, scale), [Fraction(1)]
     bar = p.grading == "g11bar"
-    if p.m == 1:
-        cls = classify_sl11(p)
-        s = frozenset({1} if cls.label == 2 else set())
-        params = CanonParams((Fraction(1),), s, bar)
-        w = cls.witness * Mat2.swap(1) if bar else cls.witness
-        conj = conjugate(p, w)
-    else:
-        m, nv = p.m, p.nvars
-        alg = p.algebra
-        sigma = alg.weight_shift(Root(m - 1, m))
-        hm = Poly.var(nv, m - 1)
-        _, w = canonicalize_pair(p.E(m - 1, m), p.E(m, m - 1), sigma, hm)
-        conj = conjugate(p, w)
-        a: list[Fraction] = []
-        s: set[int] = set()
-        for i in range(1, m + 1):
-            upper_mat = conj.E(i - 1, m)
-            lower_mat = conj.E(m, i - 1)
-            if not (upper_mat.is_strict_upper() and lower_mat.is_strict_lower()):
-                raise InvariantBreach(
-                    f"conjugated generator pair {i} is not anti-triangular"
-                )
-            ai, in_s = _read_family_entry(
-                upper_mat[0, 1], lower_mat[1, 0], Poly.var(nv, i - 1), i
-            )
-            a.append(ai)
-            if in_s:
-                s.add(i)
-        if bar:
-            # the swap is constant, so conjugating conj by it conjugates p by w * swap
-            swap = Mat2.swap(nv)
-            w = w * swap
-            conj = conjugate(conj, swap)
-        params = CanonParams(tuple(a), frozenset(s), bar)
+    if bar:
+        swap = Mat2.swap(nv)
+        w = w * swap
+        conj = conjugate(conj, swap)
+    params = CanonParams(tuple(a), frozenset(s), bar)
     check_family_form(conj, params)
     return params, w
 
@@ -379,7 +346,12 @@ def classified_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
     raises ClassificationError.
     """
     if "sl_m1" not in p._memo:
-        _require_verified(p)  # for m >= 2 this classifies p on success
+        report = verified_report(p)  # for m >= 2 this classifies p on success
+        if not report.ok:
+            raise ClassificationError(
+                "presentation does not satisfy the module relations: "
+                + report.describe(p.m, p.n)[0]
+            )
         if "sl_m1" not in p._memo:
             p._memo["sl_m1"] = classify_sl_m1(p)
     return p._memo["sl_m1"]

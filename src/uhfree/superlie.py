@@ -101,9 +101,6 @@ class SuperAlgebra:
     def odd_roots(self) -> list[Root]:
         return [b for b in self.root_vectors() if self.parity(b)]
 
-    def even_roots(self) -> list[Root]:
-        return [b for b in self.root_vectors() if not self.parity(b)]
-
     def show(self, b: BasisElement) -> str:
         if isinstance(b, Cartan):
             return f"h[{self.position_name(b.var)}]"

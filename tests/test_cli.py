@@ -249,18 +249,27 @@ class TestExitCodes:
                 ["empty-check", "--verify", "", "--m", "2"],
                 "--verify takes no --m: the certificate gives m, n and the grading",
             ),
+            (
+                ["classify", "{sl22}"],
+                "classification applies to sl(m|1); see empty-check for m, n >= 2",
+            ),
+            (["canon-sl11", "{file}"], "canon-sl11 expects a presentation with m = n = 1"),
+            (["empty-check", "--m", "2"], "empty-check needs --m and --n (or --verify FILE)"),
         ],
         ids=[
             "lambdas-word", "lambdas-1/0", "lambdas-empty", "lambdas-blank", "length",
             "pointwise", "max-deg", "gen-off-sl11", "lambdas-on-sl11", "length-on-sl11",
             "verify-with-m", "verify-with-n-graded", "verify-empty-path-with-m",
+            "classify-sl22", "canon-sl11-on-sl21", "empty-check-without-n",
         ],
     )
     def test_bad_argument_is_exit_2(self, family_file, tmp_path, capsys, argv, message):
         out = tmp_path / "out.json"
+        sl22 = make_presentation(2, 2, {pos: Mat2.zero(3) for pos in odd_positions(2, 2)})
         files = {
             "file": family_file,
             "sl11": write(tmp_path, "sl11.json", build_mas(1, (1,), (1,))),
+            "sl22": write(tmp_path, "sl22.json", sl22),
             "cert": str(DATA / "cert_2x2.json"),
         }
         argv = [a.format(**files) for a in argv] + ["--out", str(out)]
@@ -405,6 +414,27 @@ class TestClassify:
         bad = make_presentation(1, 1, {(0, 1): Mat2.zero(1), (1, 0): Mat2.zero(1)})
         path = write(tmp_path, "bad.json", bad)
         assert main(["classify", path]) == 1
+
+    def test_mislabelled_grading(self, tmp_path, capsys):
+        # Mbar(a, S) is a module, but its file calls it g11
+        text = presentation_to_json(build_mas_bar(2, (1, 2), (1,)))
+        path = tmp_path / "mislabelled.json"
+        path.write_text(text.replace('"g11bar"', '"g11"'))
+        out_path = tmp_path / "out.json"
+        assert main(["verify", str(path), "--out", str(out_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failures = [
+            "e[1,b1] is not strictly upper-right",
+            "e[b1,1] is not strictly lower-left",
+            "e[2,b1] is not strictly upper-right",
+            "e[b1,2] is not strictly lower-left",
+        ]
+        assert lines[-5:] == ["FAIL: grading flag inconsistent"] + ["  " + f for f in failures]
+        assert json.loads(out_path.read_text())["parity_failures"] == failures
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: grading flag contradicts the matrix shapes: " + "; ".join(failures) + "\n"
+        )
 
 
 class TestIsoCommand:

@@ -8,6 +8,7 @@ import sympy
 
 from uhfree.poly import Poly, apply_shift, compose_univariate, default_names
 from uhfree.presentation import (
+    InvariantBreach,
     Mat2,
     Vec2,
     act,
@@ -389,6 +390,12 @@ class TestSubmodules:
         chain = filtration(lambdas, 10)
         seps = filtration_separators(p, chain)
         assert len(seps) == 10
+
+    def test_equal_steps_are_not_strict(self):
+        p = build_mas(2, (1, 1), ())
+        x = Poly.var(1, 0)
+        with pytest.raises(InvariantBreach, match="not strict"):
+            filtration_separators(p, [Submod(Poly.one(1)), Submod(x), Submod(x)])
 
     def test_too_few_roots_rejected(self):
         p = build_mas(2, (1, 1), ())

@@ -207,6 +207,29 @@ class TestClassifySl11:
         with pytest.raises(ClassificationError):
             classify_sl11(sl11(Mat2.zero(1), Mat2.zero(1)))
 
+    def test_canonical_pair_with_non_monic_entry_is_scaled(self):
+        # canonicalize_pair passes this pair through; diag(1, 1/3) makes u monic
+        p = sl11(
+            Mat2.of(1, ((0, 3), (0, 0))),
+            Mat2(((Poly.zero(1), Poly.zero(1)), (Fraction(1, 3) * H, Poly.zero(1)))),
+            grading="g11",
+        )
+        witness = Mat2.of(1, ((1, 0), (0, Fraction(1, 3))))
+        assert classify_sl11(p) == Sl11Class(1, witness, CLASS1)
+
+    def test_bar_input_gets_the_witness_before_the_swap(self):
+        params, w = classified_sl_m1(build_mas_bar(1, (5,), (1,)))
+        assert params == CanonParams((Fraction(1),), frozenset({1}), True)
+        assert w == Mat2.of(1, ((Fraction(-1, 5), 0), (0, -1)))
+        witness = Mat2.of(1, ((0, Fraction(-1, 5)), (-1, 0)))
+        assert classify_sl11(build_mas_bar(1, (5,), (1,))) == Sl11Class(2, witness, CLASS2)
+
+    def test_reads_the_sl_m1_classification(self):
+        p = sl11(*CLASS2)
+        classified_sl_m1(p)
+        with mock.patch.object(normalform, "canonicalize_pair", side_effect=AssertionError):
+            assert classify_sl11(p).label == 2
+
 
 class TestClassifySlM1:
     def test_family_is_fixed_by_classification(self):
@@ -280,13 +303,6 @@ def classified_modules(draw):
     return conjugate(build(m, a, s), random_unimodular(rng, m))
 
 
-class _EqualToAll:
-    """A lower entry that `_read_family_entry`'s lower-entry check cannot reject."""
-
-    def __ne__(self, other):
-        return False
-
-
 class TestRelationsThroughClassification:
     """verified_report proves the relations of an sl(m|1) input, m >= 2,
     by classifying it and checking the family member it reaches."""
@@ -332,25 +348,13 @@ class TestRelationsThroughClassification:
             params, w = classified_sl_m1(p)
         assert conjugate(p, w).odd == params.family.odd
 
-    @pytest.mark.parametrize(
-        "drop_lower, drop_final, code",
-        [(False, False, 1), (True, False, 1), (False, True, 1), (True, True, 0)],
-    )
-    def test_the_proof_rests_on_the_family_checks(
-        self, tmp_path, monkeypatch, drop_lower, drop_final, code
-    ):
-        # e[1,b1] of a conjugate of M(a, S) over sl(3|1), times 2: either
-        # check rejects it, and without both the input passes as a module
+    @pytest.mark.parametrize("drop_final, code", [(False, 1), (True, 0)])
+    def test_the_proof_rests_on_the_family_checks(self, tmp_path, monkeypatch, drop_final, code):
+        # e[1,b1] of a conjugate of M(a, S) over sl(3|1), times 2: check_family_form
+        # rejects it, and without it the input passes as a module
         mats = dict(scaled_conjugates(3))[(0, 3)]
         path = tmp_path / "scaled.json"
         path.write_text(presentation_to_json(make_presentation(3, 1, mats)))
-        if drop_lower:
-            original = normalform._read_family_entry
-            monkeypatch.setattr(
-                normalform,
-                "_read_family_entry",
-                lambda upper, lower, hi, i: original(upper, _EqualToAll(), hi, i),
-            )
         if drop_final:
             monkeypatch.setattr(normalform, "check_family_form", lambda conj, params: None)
         assert main(["verify", str(path)]) == code

@@ -79,7 +79,7 @@ class TestAct:
 
         p = build_mas(2, (Fraction(2), Fraction(1, 3)), (2,))
         alg = p.algebra
-        for b in alg.odd_roots() + alg.even_roots():
+        for b in alg.root_vectors():
             tau = alg.weight_shift(b)
             for _ in range(3):
                 g = random_poly(rng, 2, 2)
@@ -355,6 +355,15 @@ class TestParity:
             grading="g11",
         )
         assert not parity_check(bad).ok
+
+    def test_failures_name_only_the_odd_generators_at_fault(self):
+        # a full e[1,b1] makes the derived e[1,2] non-diagonal as well; the
+        # report names the generator, from which that follows
+        mats = dict(build_mas(2, (1, 1), ()).odd)
+        mats[(0, 2)] = Mat2.of(2, ((1, 1), (1, 1)))
+        bad = make_presentation(2, 1, mats, grading="g11")
+        assert not bad.E(0, 1).is_diagonal()
+        assert parity_check(bad).failures == ("e[1,b1] is not strictly upper-right",)
 
     def test_ungraded_input_is_an_error(self):
         with pytest.raises(PresentationError):
