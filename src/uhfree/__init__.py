@@ -8,11 +8,10 @@ string-module picture for sl(1|1), and machine-checkable emptiness
 certificates for m, n >= 2.
 """
 
-from .poly import Poly, ShiftMap, apply_shift, divides_exactly, poly_gcd
+from .poly import Poly, apply_shift, divides_exactly, poly_gcd
 
 __all__ = [
     "Poly",
-    "ShiftMap",
     "apply_shift",
     "divides_exactly",
     "poly_gcd",

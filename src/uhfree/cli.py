@@ -222,9 +222,9 @@ def cmd_endo(args) -> Outcome:
     lines = [f"endomorphisms up to entry degree {args.bound}"]
     _require_verified(p, lines)
     names = _names(p)
-    sols = morphisms.endo_solutions(p, args.bound)
+    sols = morphisms.solve_hom(p, p, args.bound)
     basis = morphisms.endo_ring_basis(p, args.bound)
-    idems = morphisms.idempotent_scan(p, args.bound)
+    idems = morphisms.idempotent_scan(p, sols)
     payload = {
         "solutions": [{"parity": s.parity, "matrix": s.w.to_strings(names)} for s in sols],
         "predicted_basis": [b.to_strings(names) for b in basis],
@@ -287,16 +287,16 @@ def cmd_submodules(args) -> Outcome:
         payload = {
             # ascending coefficient vectors of the F_k
             "filtration": [
-                [str(s.f.coeff((k,))) for k in range(max(s.f.total_degree(), 0) + 1)]
-                for s in chain
+                [str(f.coeff((k,))) for k in range(max(f.total_degree(), 0) + 1)]
+                for f in chain
             ],
             "separators": [
                 [format_poly(v.f1, names), format_poly(v.f2, names)] for v in seps
             ],
         }
         lines.append(f"strict filtration of length {length}:")
-        for k, s in enumerate(chain):
-            lines.append(f"  F_{k} = {format_poly(s.f, ('X',))}")
+        for k, f in enumerate(chain):
+            lines.append(f"  F_{k} = {format_poly(f, ('X',))}")
         lines.append("each step separated by the recorded vector outside the next layer")
     return 0, lines, payload
 

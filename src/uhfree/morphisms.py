@@ -16,9 +16,10 @@ Categories are the three of interest throughout:
               plus odd (antidiagonal, signed);
     "M11even" graded modules, even maps only.
 
-Submodules of the classified family are the two-sided divisibility
+The submodules of the classified family are the two-sided divisibility
 conditions M_F = F(c + m - 1) Q[h] (+) F(c) Q[h] with c = h_1 + ... + h_m,
-giving strictly decreasing filtrations of any prescribed finite length.
+each passed as its univariate polynomial F, giving strictly decreasing
+filtrations of any prescribed finite length.
 """
 
 from __future__ import annotations
@@ -253,27 +254,22 @@ def iso_test(
     nv = src.nvars
     if category == "M11even" and ps.bar != pd.bar:
         return None
-    if category == "M2" or ps.bar == pd.bar:
-        # same convention: bridge between the two family forms directly
-        if ps.bar == pd.bar:
-            bridge = _family_bridge(nv, gamma, ps.bar)
-            parity = "even"
-        else:
-            # ungraded category, mismatched corner conventions: swap first
-            bridge = Mat2.swap(nv) * _family_bridge(nv, gamma, pd.bar)
-            parity = "even"
-        w = wd * bridge * ws.inverse_unimodular()
-        sign = 1
-    else:
+    if category == "M11" and ps.bar != pd.bar:
         # full graded category: route through the constant odd intertwiner
         j = Mat2.of(nv, ((0, -1), (1, 0)))
         if ps.bar:
             bridge = _family_bridge(nv, gamma, False) * j
         else:
             bridge = _family_bridge(nv, gamma, True) * j.inverse_unimodular()
-        w = wd * bridge * ws.inverse_unimodular()
-        parity = "odd"
-        sign = -1
+        parity, sign = "odd", -1
+    else:
+        # scale the source's family form; mismatched conventions (only in
+        # M2 here) then swap the two corners
+        bridge = _family_bridge(nv, gamma, ps.bar)
+        if ps.bar != pd.bar:
+            bridge = Mat2.swap(nv) * bridge
+        parity, sign = "even", 1
+    w = wd * bridge * ws.inverse_unimodular()
     if not w.is_unimodular() or not check_intertwiner(src, dst, w, sign):
         raise InvariantBreach("isomorphism witness failed re-verification")
     return IsoWitness(gamma, w, parity)
@@ -339,37 +335,19 @@ def _family_f(p: Presentation, v: Mat2, offset: int) -> Poly:
     return f
 
 
-def endo_solutions(p: Presentation, degree_bound: int) -> tuple[HomSolution, ...]:
-    """solve_hom(p, p, degree_bound), solved once per presentation and bound.
+def idempotent_scan(p: Presentation, sols: Sequence[HomSolution]) -> list[Mat2]:
+    """All idempotents in the span of the endomorphisms `sols` of p.
 
-    The solutions are kept on the immutable presentation, the way
-    `verified_report` keeps its relation report and
-    `normalform.classified_sl_m1` its classification, so `uhfree endo`
-    and `idempotent_scan` share one solve.
+    sols is `solve_hom(p, p, bound)`.  Endomorphisms of a classified
+    presentation are W diag(F(c+d), F(c)) W^{-1}; F(X)^2 = F(X) in the
+    integral domain Q[X] forces F in {0, 1}, so the scan reduces to
+    membership of the constants in the solved span.
     """
-    key = ("endo", degree_bound)
-    sols = p._memo.get(key)
-    if sols is None:
-        sols = p._memo[key] = tuple(solve_hom(p, p, degree_bound))
-    return sols
-
-
-def idempotent_scan(p: Presentation, degree_bound: int) -> list[Mat2]:
-    """All idempotents in the endomorphism span up to the degree bound.
-
-    Endomorphisms of a classified presentation are W diag(F(c+d), F(c))
-    W^{-1}; F(X)^2 = F(X) in the integral domain Q[X] forces F in {0, 1},
-    so the scan reduces to membership of the constants in the solved span.
-    """
-    sols = endo_solutions(p, degree_bound)
     fs = [endo_f_polynomial(p, s.w) for s in sols if not s.w.is_zero]
     nv = p.nvars
     out = [Mat2.zero(nv)]
     if _in_span(Poly.one(1), fs):
         out.append(Mat2.identity(nv))
-    for w in out:
-        if w * w != w:
-            raise InvariantBreach("idempotent scan returned a non-idempotent")
     return out
 
 
@@ -391,47 +369,34 @@ def _in_span(target: Poly, basis: Sequence[Poly]) -> bool:
 # -- submodules and filtrations ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Submod:
-    """The submodule F(c+m-1) Q[h] (+) F(c) Q[h], F univariate."""
-
-    f: Poly
-
-    def __post_init__(self):
-        if self.f.nvars != 1:
-            raise MorphismError("submodule data must be univariate")
-
-
-def submodule_member(sub: Submod, m: int, v: Vec2) -> bool:
-    """Exact divisibility test for membership in M_F."""
+def submodule_member(f: Poly, m: int, v: Vec2) -> bool:
+    """Exact divisibility test for membership in M_F, F univariate."""
     nv = v.nvars
-    if sub.f.is_zero:
+    if f.is_zero:
         return v.f1.is_zero and v.f2.is_zero
     c = _central_form(nv, m)
-    upper = compose_univariate(sub.f, c + (m - 1))
-    lower = compose_univariate(sub.f, c)
+    upper = compose_univariate(f, c + (m - 1))
+    lower = compose_univariate(f, c)
     return (
         divides_exactly(upper, v.f1) is not None
         and divides_exactly(lower, v.f2) is not None
     )
 
 
-def filtration(lambdas: Sequence[Fraction], k: int) -> list[Submod]:
-    """The chain M_{F_0} > M_{F_1} > ... > M_{F_k}, F_k = prod (X - lambda_r)."""
+def filtration(lambdas: Sequence[Fraction], k: int) -> list[Poly]:
+    """F_0, ..., F_k, F_k = prod (X - lambda_r), indexing M_{F_0} > ... > M_{F_k}."""
     if k < 0:
         raise MorphismError(f"filtration length must be non-negative, got {k}")
     if k > len(lambdas):
         raise MorphismError("not enough roots for the requested length")
     x = Poly.var(1, 0)
-    out = [Submod(Poly.one(1))]
-    f = Poly.one(1)
+    out = [Poly.one(1)]
     for r in range(k):
-        f = f * (x - Fraction(lambdas[r]))
-        out.append(Submod(f))
+        out.append(out[-1] * (x - Fraction(lambdas[r])))
     return out
 
 
-def filtration_separators(p: Presentation, chain: Sequence[Submod]) -> list[Vec2]:
+def filtration_separators(p: Presentation, chain: Sequence[Poly]) -> list[Vec2]:
     """For each step a vector in M_{F_r} but not in M_{F_{r+1}}.
 
     The vector is (F_r(c + m - 1), 0), which lies in M_{F_r} by the
@@ -441,7 +406,7 @@ def filtration_separators(p: Presentation, chain: Sequence[Submod]) -> list[Vec2
     """
     nv, m = p.nvars, p.m
     c = _central_form(nv, m) + (m - 1)
-    uppers = [compose_univariate(sub.f, c) for sub in chain]
+    uppers = [compose_univariate(f, c) for f in chain]
     seps = []
     for r in range(len(chain) - 1):
         if divides_exactly(uppers[r + 1], uppers[r]) is not None:

@@ -31,7 +31,6 @@ from functools import cached_property
 
 from .poly import (
     Poly,
-    ShiftMap,
     UhfreeError,
     apply_shift,
     divides_exactly,
@@ -54,6 +53,11 @@ class ClassificationError(UhfreeError):
     """Input outside the operation's contract (relations fail, wrong size)."""
 
 
+def _inverse(s: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse shift h_i -> h_i + s_i."""
+    return tuple(-x for x in s)
+
+
 # -- nilpotent factorization -----------------------------------------------------
 
 
@@ -66,7 +70,7 @@ class NilParams:
     beta: Poly
 
 
-def reconstruct_nil(params: NilParams, tau: ShiftMap) -> Mat2:
+def reconstruct_nil(params: NilParams, tau: tuple[int, ...]) -> Mat2:
     theta, alpha, beta = params.theta, params.alpha, params.beta
     ta = apply_shift(tau, alpha)
     tb = apply_shift(tau, beta)
@@ -78,7 +82,7 @@ def reconstruct_nil(params: NilParams, tau: ShiftMap) -> Mat2:
     )
 
 
-def nil_factor(p: Mat2, tau: ShiftMap) -> NilParams:
+def nil_factor(p: Mat2, tau: tuple[int, ...]) -> NilParams:
     """Factor a solution of P * tau^{-1}(P) = 0 through its kernel vector.
 
     The pair (alpha, beta) is primitive (gcd 1) with the first nonzero
@@ -86,7 +90,7 @@ def nil_factor(p: Mat2, tau: ShiftMap) -> NilParams:
     matrix returns (0, 1, 0).
     """
     nv = p.nvars
-    if not (p * p.shifted(tau.inverse())).is_zero:
+    if not (p * p.shifted(_inverse(tau))).is_zero:
         raise ClassificationError("matrix does not satisfy the twisted square identity")
     if p.is_zero:
         return NilParams(Poly.zero(nv), Poly.one(nv), Poly.zero(nv))
@@ -117,24 +121,24 @@ def nil_factor(p: Mat2, tau: ShiftMap) -> NilParams:
 # -- canonicalization of a distinguished pair ----------------------------------------
 
 
-def _check_pair_identities(p: Mat2, q: Mat2, sigma: ShiftMap, a: Poly):
+def _check_pair_identities(p: Mat2, q: Mat2, sigma: tuple[int, ...], a: Poly):
     """P sigma(Q) + Q sigma^{-1}(P) = a I_2.  The twisted squares are zero
     for a strictly triangular pair under any twist, and `nil_factor` tests
     them on every other pair."""
-    if p * q.shifted(sigma) + q * p.shifted(sigma.inverse()) != Mat2.scalar(a):
+    if p * q.shifted(sigma) + q * p.shifted(_inverse(sigma)) != Mat2.scalar(a):
         raise ClassificationError("pair does not satisfy the scalar anticommutator identity")
 
 
 def apply_witness_pair(
-    p: Mat2, q: Mat2, sigma: ShiftMap, w: Mat2
+    p: Mat2, q: Mat2, sigma: tuple[int, ...], w: Mat2
 ) -> tuple[Mat2, Mat2]:
     """The twisted conjugation action of a witness on a (P, Q) pair."""
     winv = w.inverse_unimodular()
-    return winv * p * w.shifted(sigma), winv * q * w.shifted(sigma.inverse())
+    return winv * p * w.shifted(sigma), winv * q * w.shifted(_inverse(sigma))
 
 
 def canonicalize_pair(
-    p: Mat2, q: Mat2, sigma: ShiftMap, a: Poly
+    p: Mat2, q: Mat2, sigma: tuple[int, ...], a: Poly
 ) -> tuple[tuple[Mat2, Mat2], Mat2]:
     """Bring a distinguished pair to anti-triangular normal form.
 
@@ -159,7 +163,7 @@ def canonicalize_pair(
     if p.is_strict_upper() and q.is_strict_lower():
         return (p, q), Mat2.identity(nv)
 
-    delta_map = sigma.inverse()  # the untwist appearing in the factored forms
+    delta_map = _inverse(sigma)  # the untwist appearing in the factored forms
 
     def D(x: Poly) -> Poly:
         return apply_shift(delta_map, x)

@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from operator import add
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -455,58 +455,19 @@ class Poly:
 # -- shift automorphisms ------------------------------------------------------
 
 
-class ShiftMap:
-    """Composite of the shift automorphisms sigma_i: h_i -> h_i - 1.
+def apply_shift(s: tuple[int, ...], p: Poly) -> Poly:
+    """Apply the ring automorphism h_i -> h_i - s_i to p.
 
-    The stored vector s means h_i -> h_i - s_i.  Composition adds the
-    vectors, inversion negates, and the zero vector is the identity.
+    A shift is its integer vector s: shifts compose by adding the
+    vectors, invert by negating them, and the zero vector is the identity.
     """
-
-    __slots__ = ("shifts",)
-
-    def __init__(self, shifts: Iterable[int]):
-        object.__setattr__(self, "shifts", tuple(int(s) for s in shifts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShiftMap is immutable")
-
-    @classmethod
-    def identity(cls, nvars: int) -> "ShiftMap":
-        return cls((0,) * nvars)
-
-    @classmethod
-    def sigma(cls, nvars: int, i: int, power: int = 1) -> "ShiftMap":
-        return cls(tuple(power if j == i else 0 for j in range(nvars)))
-
-    @property
-    def is_identity(self) -> bool:
-        return not any(self.shifts)
-
-    def __mul__(self, other: "ShiftMap") -> "ShiftMap":
-        if len(self.shifts) != len(other.shifts):
-            raise PolyError("shift-map length mismatch")
-        return ShiftMap(a + b for a, b in zip(self.shifts, other.shifts))
-
-    def inverse(self) -> "ShiftMap":
-        return ShiftMap(-s for s in self.shifts)
-
-    def __eq__(self, other):
-        return isinstance(other, ShiftMap) and self.shifts == other.shifts
-
-    def __repr__(self):
-        return f"ShiftMap{self.shifts}"
-
-
-def apply_shift(s: ShiftMap, p: Poly) -> Poly:
-    """Apply the ring automorphism h_i -> h_i - s_i to p."""
-    if len(s.shifts) != p.nvars:
-        raise PolyError("shift-map length does not match variable count")
-    if s.is_identity or not p._num:
+    if len(s) != p.nvars:
+        raise PolyError("shift length does not match variable count")
+    if not any(s) or not p._num:
         return p
     # An integer shift is an automorphism of Z[h], so it keeps the content
     # of the numerators and the result needs no reduction.
-    num = _shift_terms(p._num, s.shifts)
-    return Poly._of(p.nvars, num, p._den)
+    return Poly._of(p.nvars, _shift_terms(p._num, s), p._den)
 
 
 # -- divisibility and gcd ------------------------------------------------------

@@ -32,7 +32,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .poly import (
     Poly,
-    ShiftMap,
     UhfreeError,
     apply_shift,
     default_names,
@@ -182,7 +181,7 @@ class Mat2:
     def is_zero(self) -> bool:
         return all(p.is_zero for r in self.rows for p in r)
 
-    def shifted(self, s: ShiftMap) -> "Mat2":
+    def shifted(self, s: tuple[int, ...]) -> "Mat2":
         (a, b), (c, d) = self.rows
         return Mat2._of(((apply_shift(s, a), apply_shift(s, b)), (apply_shift(s, c), apply_shift(s, d))))
 
@@ -235,7 +234,7 @@ class Vec2:
     def nvars(self) -> int:
         return self.f1.nvars
 
-    def shifted(self, s: ShiftMap) -> "Vec2":
+    def shifted(self, s: tuple[int, ...]) -> "Vec2":
         return Vec2(apply_shift(s, self.f1), apply_shift(s, self.f2))
 
     def __add__(self, other: "Vec2") -> "Vec2":
@@ -269,9 +268,8 @@ class Presentation:
     odd: tuple[tuple[tuple[int, int], Mat2], ...]
     # action matrices by (row, col): the odd ones, then each even one derive_even makes
     _lookup: dict = field(init=False, repr=False, compare=False, hash=False)
-    # results computed once per object: "relations" (verified_report), "sl_m1"
-    # (verified_report for m >= 2, else normalform.classified_sl_m1),
-    # ("endo", bound) (morphisms.endo_solutions)
+    # results computed once per object: "relations" (verified_report) and "sl_m1"
+    # (verified_report for m >= 2, else normalform.classified_sl_m1)
     _memo: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):

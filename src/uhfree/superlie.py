@@ -9,7 +9,7 @@ with the Cartan elements
 where barred indices bj label the odd block.  Positions are encoded
 0-based: unbarred i -> i-1, barred bj -> m + j - 1.  The Cartan
 position space coincides with the variable space of the polynomial
-ring, so weights are ShiftMap vectors directly.
+ring, so a weight is directly the integer shift vector of `poly.apply_shift`.
 
 Brackets use the closed form of the supermatrix realization,
 
@@ -32,7 +32,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Union
 
-from .poly import ShiftMap, UhfreeError
+from .poly import UhfreeError
 
 
 class SuperLieError(UhfreeError):
@@ -127,7 +127,7 @@ class SuperAlgebra:
 
     # -- weights ----------------------------------------------------------------
 
-    def weight_shift(self, b: Root) -> ShiftMap:
+    def weight_shift(self, b: Root) -> tuple[int, ...]:
         """The shift applied to the argument when the root vector acts.
 
         The entry at variable v is the h_v-eigenvalue of ad on e_IJ, so
@@ -139,7 +139,7 @@ class SuperAlgebra:
                 raise SuperLieError("weight shifts are defined for root vectors only")
             self._check_root(b)
             pairs = [self.cartan_diag_pair(v) for v in range(self.nvars)]
-            shift = ShiftMap((b.row in pair) - (b.col in pair) for pair in pairs)
+            shift = tuple((b.row in pair) - (b.col in pair) for pair in pairs)
             self._shifts[b] = shift
         return shift
 
@@ -163,10 +163,10 @@ class SuperAlgebra:
         if isinstance(b1, Cartan):
             if isinstance(b2, Cartan):
                 return {}
-            c = self.weight_shift(b2).shifts[b1.var]
+            c = self.weight_shift(b2)[b1.var]
             return {b2: Fraction(c)} if c else {}
         if isinstance(b2, Cartan):
-            c = -self.weight_shift(b1).shifts[b2.var]
+            c = -self.weight_shift(b1)[b2.var]
             return {b1: Fraction(c)} if c else {}
         (i, j), (k, l) = (b1.row, b1.col), (b2.row, b2.col)
         sign = -1 if self.parity(b1) and self.parity(b2) else 1

@@ -80,6 +80,12 @@ class TestExitCodes:
         assert main(["verify", family_file, "--pointwise", "1"]) == 0
         assert "pointwise" in capsys.readouterr().out
 
+    def test_verify_pointwise_failure_is_exit_1(self, family_file, capsys, monkeypatch):
+        failing = presentation.RelationReport(False, (), 5, 5)
+        monkeypatch.setattr(cli, "pointwise_check", lambda p, deg: failing)
+        assert main(["verify", family_file, "--pointwise", "1"]) == 1
+        assert "FAIL: pointwise cross-check on 5 sampled identities" in capsys.readouterr().out
+
     def test_verify_failure_is_exit_1(self, tmp_path, capsys):
         bad = make_presentation(1, 1, {(0, 1): Mat2.zero(1), (1, 0): Mat2.zero(1)})
         path = write(tmp_path, "bad.json", bad)
@@ -455,6 +461,12 @@ class TestIsoCommand:
         b = write(tmp_path, "b.json", build_mas_bar(2, (1, 1), ()))
         assert main(["iso", a, b, "--category", "M11even", "--expect-iso"]) == 1
         assert main(["iso", a, b, "--category", "M11", "--expect-iso"]) == 0
+
+    def test_ungraded_category_bridges_the_two_conventions(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", build_mas(2, (1, 2), (1,)))
+        b = write(tmp_path, "b.json", build_mas_bar(2, (1, 2), (1,)))
+        assert main(["iso", a, b, "--category", "M2"]) == 0
+        assert "isomorphic in M2" in capsys.readouterr().out
 
 
 class TestRoundTripAndDeterminism:

@@ -16,7 +16,9 @@ from uhfree.cli import main
 from uhfree.emptiness import (
     CertRing,
     EmptinessError,
+    MismatchWitness,
     RouteView,
+    _proportionality,
     _eval_scaled,
     _eval_witness,
     _support_witness,
@@ -186,6 +188,20 @@ def _reversed_terms(mat):
         return Poly._of(p.nvars, dict(reversed(list(p._num.items()))), p._den)
 
     return Mat2(tuple(tuple(rev(p) for p in row) for row in mat.rows))
+
+
+def test_zero_route_is_not_proportional_to_a_nonzero_one():
+    # every cross product of the two matrices is zero, so only the
+    # zero-pattern comparison can tell them apart
+    zero = Mat2.zero(2)
+    nonzero = Mat2(((Poly.zero(2), Poly.var(2, 0)), (Poly.zero(2), Poly.zero(2))))
+    delta = (1, 0, 0, -1)
+    for a, b in ((zero, nonzero), (nonzero, zero)):
+        assert _proportionality(RouteView(delta, a), RouteView(delta, b)) == (
+            False,
+            None,
+            MismatchWitness((0, 1), (0, 1), a[0, 1], b[0, 1]),
+        )
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 5), (7, 7)])

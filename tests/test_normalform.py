@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from uhfree import normalform
 from uhfree.cli import main
-from uhfree.poly import Poly, ShiftMap, apply_shift
+from uhfree.poly import Poly, apply_shift
 from uhfree.presentation import (
     InvariantBreach,
     Mat2,
@@ -37,7 +37,7 @@ from uhfree.superlie import Root
 from .helpers import random_nonzero_fraction, random_poly, random_unimodular, scaled_conjugates
 
 H = Poly.var(1, 0)
-ID1 = ShiftMap.identity(1)
+ID1 = (0,)
 
 
 def sl11(p_mat, q_mat, grading="ungraded"):
@@ -64,7 +64,7 @@ class TestNilFactor:
         )
 
     def test_elementary_nilpotent(self):
-        for tau in (ID1, ShiftMap((2,))):
+        for tau in (ID1, (2,)):
             params = nil_factor(Mat2.of(1, ((0, 1), (0, 0))), tau)
             assert (params.theta, params.alpha, params.beta) == (
                 Poly.const(1, -1),
@@ -73,14 +73,14 @@ class TestNilFactor:
             )
 
     def test_round_trip_recovers_parameters(self):
-        delta = ShiftMap((1, 1))
+        delta = (1, 1)
         h1, h2 = Poly.var(2, 0), Poly.var(2, 1)
         built = reconstruct_nil(NilParams(h1, h2, Poly.one(2)), delta)
         params = nil_factor(built, delta)
         assert (params.theta, params.alpha, params.beta) == (h1, h2, Poly.one(2))
 
     def test_random_round_trips_up_to_unit(self, rng):
-        delta = ShiftMap((1, 1))
+        delta = (1, 1)
         trials = 0
         while trials < 15:
             theta = random_poly(rng, 2, 2)
@@ -158,7 +158,7 @@ class TestCanonicalizePair:
         conj = conjugate(p0, w0)
         (cp, cq), w = canonicalize_pair(conj.E(1, 2), conj.E(2, 1), sigma, hm)
         u, v = cp[0, 1], cq[1, 0]
-        assert apply_shift(sigma.inverse(), u) * v == hm
+        assert apply_shift(tuple(-x for x in sigma), u) * v == hm
         assert apply_witness_pair(conj.E(1, 2), conj.E(2, 1), sigma, w) == (cp, cq)
 
     def test_preconditions_enforced(self):
@@ -166,6 +166,9 @@ class TestCanonicalizePair:
             canonicalize_pair(Mat2.zero(1), Mat2.zero(1), ID1, H)
         with pytest.raises(ClassificationError):
             canonicalize_pair(CLASS1[0], CLASS1[1], ID1, H * H)
+        # h1 -> h1 - 1 moves the scalar h1
+        with pytest.raises(ClassificationError, match="fixed by the twist"):
+            canonicalize_pair(CLASS1[0], CLASS1[1], (1,), H)
 
 
 class TestClassifySl11:
