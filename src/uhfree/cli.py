@@ -21,6 +21,7 @@ import argparse
 import functools
 import importlib.util
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -291,7 +292,7 @@ def cmd_submodules(args) -> Outcome:
                 for f in chain
             ],
             "separators": [
-                [format_poly(v.f1, names), format_poly(v.f2, names)] for v in seps
+                [format_poly(v[0, 0], names), format_poly(v[1, 0], names)] for v in seps
             ],
         }
         lines.append(f"strict filtration of length {length}:")
@@ -489,9 +490,12 @@ def main(argv=None) -> int:
         code, lines, payload = command(args)
         if args.out and payload is not None:
             Path(args.out).write_text(dump_json(payload))
+        if args.stamp:
+            from datetime import datetime, timezone
+
+            lines.append(f"generated: {datetime.now(timezone.utc).isoformat()}")
     except _Failure as exc:
-        print("\n".join(exc.lines))
-        return 1
+        code, lines = 1, exc.lines
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
@@ -502,11 +506,13 @@ def main(argv=None) -> int:
     except UhfreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.stamp:
-        from datetime import datetime, timezone
-
-        lines.append(f"generated: {datetime.now(timezone.utc).isoformat()}")
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`uhfree verify ... | head -1`); point
+        # stdout at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

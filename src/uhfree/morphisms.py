@@ -16,10 +16,12 @@ Categories are the three of interest throughout:
               plus odd (antidiagonal, signed);
     "M11even" graded modules, even maps only.
 
-The submodules of the classified family are the two-sided divisibility
-conditions M_F = F(c + m - 1) Q[h] (+) F(c) Q[h] with c = h_1 + ... + h_m,
-each passed as its univariate polynomial F, giving strictly decreasing
-filtrations of any prescribed finite length.
+Endomorphisms and submodules of a classified sl(m|1) presentation p
+both come from one diagonal D_F = diag(F(c + d), F(c)), with
+c = h_1 + ... + h_m, F univariate and d fixed by the family: with W the
+classification witness of p, the endomorphisms are W D_F W^{-1} and the
+submodules W image(D_F), each passed as its polynomial F, giving
+strictly decreasing filtrations of any prescribed finite length.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .poly import Poly, UhfreeError, compose_univariate, divides_exactly
-from .presentation import InvariantBreach, Mat2, Presentation, Vec2
+from .presentation import InvariantBreach, Mat2, Presentation
 from .normalform import classified_sl_m1
 from .superlie import Root
 
@@ -278,60 +280,47 @@ def iso_test(
 # -- endomorphism rings and idempotents ---------------------------------------------
 
 
-def _central_form(nv: int, m: int) -> Poly:
-    c = Poly.zero(nv)
-    for j in range(m):
-        c = c + Poly.var(nv, j)
-    return c
-
-
 def _family_frame(p: Presentation) -> tuple[Mat2, int]:
-    """Classification witness W of p and the offset d of its endomorphisms.
+    """Classification witness W of p and the offset d of its family diagonal.
 
-    Endomorphisms of the family form are diag(F(c+d), F(c)) with
-    d = m - 1 for M(a, S) and d = -(m - 1) for Mbar(a, S); those of p
-    are W diag(F(c+d), F(c)) W^{-1}.
+    d = m - 1 for M(a, S) and d = -(m - 1) for Mbar(a, S); the
+    endomorphisms of p are W D_F W^{-1} and its submodules W image(D_F),
+    with D_F from `_family_diagonal`.
     """
     if p.n != 1:
-        raise MorphismError("endomorphism description applies to sl(m|1)")
+        raise MorphismError("endomorphisms and submodules are described over sl(m|1) only")
     params, w = classified_sl_m1(p)
     return w, -(p.m - 1) if params.bar else p.m - 1
 
 
-def endo_ring_basis(p: Presentation, degree_bound: int) -> list[Mat2]:
-    """Basis W diag(F(c+d), F(c)) W^{-1}, F = X^k, k <= degree_bound.
+def _family_diagonal(p: Presentation, f: Poly, offset: int) -> Mat2:
+    """D_F = diag(F(c + offset), F(c)) over p's variables, c = h_1 + ... + h_m."""
+    nv = p.nvars
+    c = sum((Poly.var(nv, j) for j in range(p.m)), Poly.zero(nv))
+    z = Poly.zero(nv)
+    return Mat2(((compose_univariate(f, c + offset), z), (z, compose_univariate(f, c))))
 
-    c = h_1 + ... + h_m; W and d come from the classification of p (see
-    _family_frame), so every basis element is an endomorphism of p.
+
+def endo_ring_basis(p: Presentation, degree_bound: int) -> list[Mat2]:
+    """Basis W D_F W^{-1}, F = X^k, k <= degree_bound.
+
+    W and d come from the classification of p (see _family_frame), so
+    every basis element is an endomorphism of p.
     """
     frame, offset = _family_frame(p)
     finv = frame.inverse_unimodular()
-    nv = p.nvars
-    c = _central_form(nv, p.m)
-    out = []
-    for k in range(degree_bound + 1):
-        upper = (c + offset) ** k
-        lower = c**k
-        out.append(frame * Mat2(((upper, Poly.zero(nv)), (Poly.zero(nv), lower))) * finv)
-    return out
+    x = Poly.var(1, 0)
+    return [frame * _family_diagonal(p, x**k, offset) * finv for k in range(degree_bound + 1)]
 
 
 def endo_f_polynomial(p: Presentation, w: Mat2) -> Poly:
-    """Extract F with w = W diag(F(c+d), F(c)) W^{-1}; breach if not of that shape."""
+    """Extract F with w = W D_F W^{-1}; breach if w is not of that shape."""
     frame, offset = _family_frame(p)
-    return _family_f(p, frame.inverse_unimodular() * w * frame, offset)
-
-
-def _family_f(p: Presentation, v: Mat2, offset: int) -> Poly:
-    """Extract F with v = diag(F(c+offset), F(c)) in family coordinates."""
-    if not v.is_diagonal():
-        raise InvariantBreach("endomorphism is not diagonal")
-    lower = v[1, 1]
+    v = frame.inverse_unimodular() * w * frame
     # F(c) with h_1 = X and every other variable at 0 is F(X)
-    f = lower.specialize([None] + [0] * (lower.nvars - 1))
-    c = _central_form(p.nvars, p.m)
-    if compose_univariate(f, c) != lower or compose_univariate(f, c + offset) != v[0, 0]:
-        raise InvariantBreach("endomorphism is not a polynomial in the central form")
+    f = v[1, 1].specialize([None] + [0] * (p.nvars - 1))
+    if v != _family_diagonal(p, f, offset):
+        raise InvariantBreach("endomorphism is not W diag(F(c+d), F(c)) W^-1")
     return f
 
 
@@ -339,7 +328,7 @@ def idempotent_scan(p: Presentation, sols: Sequence[HomSolution]) -> list[Mat2]:
     """All idempotents in the span of the endomorphisms `sols` of p.
 
     sols is `solve_hom(p, p, bound)`.  Endomorphisms of a classified
-    presentation are W diag(F(c+d), F(c)) W^{-1}; F(X)^2 = F(X) in the
+    presentation are W D_F W^{-1}; F(X)^2 = F(X) in the
     integral domain Q[X] forces F in {0, 1}, so the scan reduces to
     membership of the constants in the solved span.
     """
@@ -369,20 +358,6 @@ def _in_span(target: Poly, basis: Sequence[Poly]) -> bool:
 # -- submodules and filtrations ----------------------------------------------------
 
 
-def submodule_member(f: Poly, m: int, v: Vec2) -> bool:
-    """Exact divisibility test for membership in M_F, F univariate."""
-    nv = v.nvars
-    if f.is_zero:
-        return v.f1.is_zero and v.f2.is_zero
-    c = _central_form(nv, m)
-    upper = compose_univariate(f, c + (m - 1))
-    lower = compose_univariate(f, c)
-    return (
-        divides_exactly(upper, v.f1) is not None
-        and divides_exactly(lower, v.f2) is not None
-    )
-
-
 def filtration(lambdas: Sequence[Fraction], k: int) -> list[Poly]:
     """F_0, ..., F_k, F_k = prod (X - lambda_r), indexing M_{F_0} > ... > M_{F_k}."""
     if k < 0:
@@ -396,22 +371,23 @@ def filtration(lambdas: Sequence[Fraction], k: int) -> list[Poly]:
     return out
 
 
-def filtration_separators(p: Presentation, chain: Sequence[Poly]) -> list[Vec2]:
-    """For each step a vector in M_{F_r} but not in M_{F_{r+1}}.
+def filtration_separators(p: Presentation, chain: Sequence[Poly]) -> list[Mat2]:
+    """For each step a vector of p in the layer of F_r but not in that of F_{r+1}.
 
-    The vector is (F_r(c + m - 1), 0), which lies in M_{F_r} by the
-    definition of `submodule_member`.  It lies in M_{F_{r+1}} exactly
-    when F_{r+1}(c + m - 1) divides F_r(c + m - 1), so that division is
-    the strictness check.
+    The layer of F is W image(D_F), with W and d from `_family_frame`.
+    Separator r is the column W (F_r(c + d), 0), which lies in the layer
+    of F_{r+1} exactly when F_{r+1}(c + d) divides F_r(c + d), so that
+    division is the strictness check.
     """
-    nv, m = p.nvars, p.m
-    c = _central_form(nv, m) + (m - 1)
-    uppers = [compose_univariate(f, c) for f in chain]
+    frame, offset = _family_frame(p)
+    shifted_c = _family_diagonal(p, Poly.var(1, 0), offset)[0, 0]  # D_X = diag(c + d, c)
+    uppers = [compose_univariate(f, shifted_c) for f in chain]
+    zero = Poly.zero(p.nvars)
     seps = []
     for r in range(len(chain) - 1):
         if divides_exactly(uppers[r + 1], uppers[r]) is not None:
             raise InvariantBreach("filtration step is not strict")
-        seps.append(Vec2(uppers[r], Poly.zero(nv)))
+        seps.append(frame * Mat2.column(uppers[r], zero))
     return seps
 
 
@@ -425,12 +401,6 @@ class Sl11Shape:
     label: str
     g1: Poly
     g2: Poly
-
-    def member(self, v: Vec2) -> bool:
-        return (
-            divides_exactly(self.g1, v.f1) is not None
-            and divides_exactly(self.g2, v.f2) is not None
-        )
 
 
 def sl11_submodule_shape(label: int, gen: Poly) -> tuple[Sl11Shape, Sl11Shape]:

@@ -114,6 +114,16 @@ class Mat2:
         return cls(((p, z), (z, p)))
 
     @classmethod
+    def column(cls, f1: Poly, f2: Poly) -> "Mat2":
+        """The module vector (f1, f2) of Q[h]^2 as the matrix [[f1, 0], [f2, 0]].
+
+        A module vector is a column of a Mat2: left multiplication, shifts
+        and sums act on each column, so they act on vectors unchanged.
+        """
+        z = Poly.zero(f1.nvars)
+        return cls(((f1, z), (f2, z)))
+
+    @classmethod
     def of(cls, nvars: int, entries) -> "Mat2":
         """Build from scalars/Polys given row-major."""
 
@@ -202,10 +212,6 @@ class Mat2:
         inv = Fraction(1) / v
         return Mat2._of(((d * inv, -b * inv), (-c * inv, a * inv)))
 
-    def apply(self, v: "Vec2") -> "Vec2":
-        (a, b), (c, d) = self.rows
-        return Vec2(a * v.f1 + b * v.f2, c * v.f1 + d * v.f2)
-
     def is_strict_upper(self) -> bool:
         return self[0, 0].is_zero and self[1, 0].is_zero and self[1, 1].is_zero
 
@@ -217,34 +223,6 @@ class Mat2:
 
     def is_antidiagonal(self) -> bool:
         return self[0, 0].is_zero and self[1, 1].is_zero
-
-
-@dataclass(frozen=True)
-class Vec2:
-    """Element of the free module Q[h]^2."""
-
-    f1: Poly
-    f2: Poly
-
-    def __post_init__(self):
-        if self.f1.nvars != self.f2.nvars:
-            raise PresentationError("vector components disagree on variables")
-
-    @property
-    def nvars(self) -> int:
-        return self.f1.nvars
-
-    def shifted(self, s: tuple[int, ...]) -> "Vec2":
-        return Vec2(apply_shift(s, self.f1), apply_shift(s, self.f2))
-
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.f1 + other.f1, self.f2 + other.f2)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.f1 - other.f1, self.f2 - other.f2)
-
-    def __rmul__(self, c) -> "Vec2":
-        return Vec2(c * self.f1, c * self.f2)
 
 
 # -- presentations ---------------------------------------------------------------
@@ -316,22 +294,12 @@ def make_presentation(
     return Presentation(m, n, grading, tuple(matrices.items()))
 
 
-def act(p: Presentation, b: BasisElement, v: Vec2) -> Vec2:
-    """Action of a basis element on a module vector."""
+def act(p: Presentation, b: BasisElement, v: Mat2) -> Mat2:
+    """Action of a basis element on each column of v; each column is a module vector."""
     alg = p.algebra
     if isinstance(b, Cartan):
-        h = Poly.var(alg.nvars, b.var)
-        return Vec2(h * v.f1, h * v.f2)
-    E = p.E(b.row, b.col)
-    tau = alg.weight_shift(b)
-    return E.apply(v.shifted(tau))
-
-
-def act_combo(p: Presentation, combo: Mapping[BasisElement, Fraction], v: Vec2) -> Vec2:
-    out = Vec2(Poly.zero(p.nvars), Poly.zero(p.nvars))
-    for b, c in combo.items():
-        out = out + c * act(p, b, v)
-    return out
+        return v * Poly.var(alg.nvars, b.var)
+    return p.E(b.row, b.col) * v.shifted(alg.weight_shift(b))
 
 
 def twisted_bracket(alg: SuperAlgebra, x: Root, ex: Mat2, y: Root, ey: Mat2) -> Mat2:
@@ -587,17 +555,17 @@ def pointwise_check(p: Presentation, max_deg: int = 2) -> RelationReport:
     Applies every pair of basis elements to every monomial vector of
     total degree <= max_deg and compares the supercommutator of the two
     actions against the action of the bracket.  Slower than the matrix
-    identities but independent of them.
+    identities but independent of them.  Each sample is mono * I, whose
+    columns are the vectors (mono, 0) and (0, mono): `checked` counts
+    both, and a violation records the two sides on the whole sample.
     """
     alg = p.algebra
     nv = alg.nvars
-    vectors = []
-    for exps in itertools.product(range(max_deg + 1), repeat=nv):
-        if sum(exps) > max_deg:
-            continue
-        mono = Poly(nv, {tuple(exps): Fraction(1)})
-        vectors.append(Vec2(mono, Poly.zero(nv)))
-        vectors.append(Vec2(Poly.zero(nv), mono))
+    samples = [
+        Mat2.scalar(Poly(nv, {exps: 1}))
+        for exps in itertools.product(range(max_deg + 1), repeat=nv)
+        if sum(exps) <= max_deg
+    ]
     basis = alg.basis()
     violations = []
     checked = 0
@@ -605,20 +573,12 @@ def pointwise_check(p: Presentation, max_deg: int = 2) -> RelationReport:
         for y in basis:
             sign = -1 if alg.parity(x) and alg.parity(y) else 1
             combo = alg.super_bracket(x, y)
-            for v in vectors:
+            for v in samples:
                 lhs = act(p, x, act(p, y, v)) - sign * act(p, y, act(p, x, v))
-                rhs = act_combo(p, combo, v)
-                checked += 1
+                rhs = sum((c * act(p, b, v) for b, c in combo.items()), Mat2.zero(nv))
+                checked += 2
                 if lhs != rhs:
-                    z = Poly.zero(nv)
-                    violations.append(
-                        Violation(
-                            x,
-                            y,
-                            Mat2(((lhs.f1, z), (lhs.f2, z))),
-                            Mat2(((rhs.f1, z), (rhs.f2, z))),
-                        )
-                    )
+                    violations.append(Violation(x, y, lhs, rhs))
     return RelationReport(not violations, tuple(violations), checked, checked)
 
 
@@ -709,10 +669,8 @@ def conjugate(p: Presentation, w: Mat2) -> Presentation:
     The grading flag follows the parity of W: diagonal keeps it,
     antidiagonal swaps g11 and g11bar, anything else drops to ungraded.
     """
-    if not w.is_unimodular():
-        raise PresentationError("conjugating matrix must have constant nonzero determinant")
     alg = p.algebra
-    winv = w.inverse_unimodular()
+    winv = w.inverse_unimodular()  # raises unless W is unimodular
     mats = {}
     for (row, col), mat in p.odd:
         tau = alg.weight_shift(Root(row, col))

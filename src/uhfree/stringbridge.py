@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .poly import Poly, UhfreeError
-from .presentation import Presentation, Vec2, act, build_mas
+from .presentation import Mat2, Presentation, act, build_mas
 from .superlie import Root
 
 
@@ -124,11 +124,11 @@ def canonical_presentation(label: int) -> Presentation:
     return build_mas(1, (1,), () if label == 1 else (1,))
 
 
-def phi_map(variant: int, v: Vec2, n: int) -> StringVector:
-    """The degree-doubling identification of a module vector with u's.
+def phi_map(variant: int, v: Mat2, n: int, col: int = 0) -> StringVector:
+    """The degree-doubling identification of the module vector in column col of v with u's.
 
     Variant 1 sends (0, h^i) to u_{2i+1} and (h^i, 0) to u_{2i+2};
-    variant 2 swaps which column hits the odd positions.  Images beyond
+    variant 2 swaps which entry hits the odd positions.  Images beyond
     the truncation raise instead of dropping terms.
     """
     if variant not in (1, 2):
@@ -146,12 +146,13 @@ def phi_map(variant: int, v: Vec2, n: int) -> StringVector:
                 )
             acc[target] = acc.get(target, Fraction(0)) + coeff
 
+    top, bottom = v[0, col], v[1, col]
     if variant == 1:
-        place(v.f2, 1)
-        place(v.f1, 2)
+        place(bottom, 1)
+        place(top, 2)
     else:
-        place(v.f1, 1)
-        place(v.f2, 2)
+        place(top, 1)
+        place(bottom, 2)
     return StringVector.of(acc)
 
 
@@ -185,16 +186,15 @@ def check_intertwining(variant: int, n: int, max_deg: int) -> IntertwiningReport
     failures = []
     checked = 0
     for k in range(max_deg + 1):
+        # the columns of h^k * I are the vectors (h^k, 0) and (0, h^k)
+        v = Mat2.scalar(h**k)
+        moved = {
+            gen: v * h if root is None else act(module, root, v) for gen, root in gens.items()
+        }
         for which in (0, 1):
-            hk = h**k
-            v = Vec2(hk, Poly.zero(1)) if which == 0 else Vec2(Poly.zero(1), hk)
-            image = phi_map(variant, v, n)
-            for gen, root in gens.items():
-                if root is None:
-                    gv = Vec2(h * v.f1, h * v.f2)
-                else:
-                    gv = act(module, root, v)
-                lhs = phi_map(variant, gv, n)
+            image = phi_map(variant, v, n, which)
+            for gen, gv in moved.items():
+                lhs = phi_map(variant, gv, n, which)
                 rhs = strings.act_vector(gen, image)
                 checked += 1
                 if rhs.truncated or lhs != rhs:
@@ -204,4 +204,3 @@ def check_intertwining(variant: int, n: int, max_deg: int) -> IntertwiningReport
                         f"{gen} . phi{desc} = {rhs.describe()}"
                     )
     return IntertwiningReport(not failures, tuple(failures), checked)
-

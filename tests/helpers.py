@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from uhfree.poly import Poly
+from uhfree.poly import Poly, compose_univariate, divides_exactly
 from uhfree.presentation import Mat2, build_mas, conjugate
 
 
@@ -42,3 +42,21 @@ def scaled_conjugates(m):
     base = conjugate(build_mas(m, range(1, m + 1), (1,)), w)
     for pos, _ in base.odd:
         yield pos, {q: 2 * mat if q == pos else mat for q, mat in base.odd}
+
+
+def family_entries(f, m, offset):
+    """(F(c + offset), F(c)) over m variables, c = h_1 + ... + h_m: the diagonal of D_F."""
+    c = sum((Poly.var(m, j) for j in range(m)), Poly.zero(m))
+    return compose_univariate(f, c + offset), compose_univariate(f, c)
+
+
+def in_layer(g1, g2, v):
+    """Membership oracle: every column of v lies in g1 Q[h] (+) g2 Q[h].
+
+    A zero generator admits only zero entries.
+    """
+
+    def divides(g, entry):
+        return entry.is_zero if g.is_zero else divides_exactly(g, entry) is not None
+
+    return all(divides(g1, v[0, col]) and divides(g2, v[1, col]) for col in (0, 1))

@@ -14,7 +14,6 @@ import pytest
 from uhfree.poly import Poly, apply_shift, poly_gcd, divides_exactly
 from uhfree.presentation import (
     Mat2,
-    Vec2,
     act,
     build_mas,
     build_mas_bar,
@@ -40,7 +39,6 @@ from uhfree.morphisms import (
     iso_test,
     sl11_submodule_shape,
     solve_hom,
-    submodule_member,
     _in_span,
 )
 from uhfree import stringbridge
@@ -48,7 +46,7 @@ from uhfree.stringbridge import StringModule, canonical_presentation, check_inte
 from uhfree.emptiness import emptiness_certificate, verify_certificate
 from uhfree.superlie import algebra
 
-from .helpers import random_nonzero_fraction, random_poly, random_unimodular
+from .helpers import in_layer, random_nonzero_fraction, random_poly, random_unimodular
 from .oracles import shift_oracle
 
 import sympy
@@ -189,13 +187,10 @@ def test_criterion_5_submodule_lattice():
         from uhfree.poly import compose_univariate
 
         for f in chain[:4]:
-            gens = (
-                Vec2(compose_univariate(f, c + (m - 1)), Poly.zero(nv)),
-                Vec2(Poly.zero(nv), compose_univariate(f, c)),
-            )
+            layer = compose_univariate(f, c + (m - 1)), compose_univariate(f, c)
+            gens = Mat2(((layer[0], Poly.zero(nv)), (Poly.zero(nv), layer[1])))
             for b in p.algebra.basis():
-                for g in gens:
-                    assert submodule_member(f, m, act(p, b, g))
+                assert in_layer(*layer, act(p, b, gens))
         # rank-2 sl(1|1) taxonomy
         h = Poly.var(1, 0)
         both1, mixed1 = sl11_submodule_shape(1, h)
@@ -205,12 +200,9 @@ def test_criterion_5_submodule_lattice():
         for label in (1, 2):
             pres = canonical_presentation(label)
             for shape in sl11_submodule_shape(label, h):
-                for v in (
-                    Vec2(shape.g1, Poly.zero(1)),
-                    Vec2(Poly.zero(1), shape.g2),
-                ):
-                    for b in pres.algebra.basis():
-                        assert shape.member(act(pres, b, v))
+                gens = Mat2(((shape.g1, Poly.zero(1)), (Poly.zero(1), shape.g2)))
+                for b in pres.algebra.basis():
+                    assert in_layer(shape.g1, shape.g2, act(pres, b, gens))
 
 
 def test_criterion_6_string_bridge(monkeypatch):

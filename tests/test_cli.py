@@ -27,6 +27,7 @@ from uhfree.normalform import ClassificationError, classify_sl11
 from uhfree.poly import Poly
 from uhfree.presentation import (
     Mat2,
+    act,
     build_mas,
     build_mas_bar,
     conjugate,
@@ -37,7 +38,7 @@ from uhfree.presentation import (
     verified_report,
 )
 
-from .helpers import scaled_conjugates
+from .helpers import family_entries, in_layer, scaled_conjugates
 
 H = Poly.var(1, 0)
 DATA = Path(__file__).parent / "data"
@@ -55,6 +56,11 @@ def write(tmp_path, name, presentation):
     path = tmp_path / name
     path.write_text(presentation_to_json(presentation))
     return str(path)
+
+
+def _set_entry(text):
+    """An edit of presentation data: `text` becomes the upper-right entry of e[1,b1]."""
+    return lambda d: d["E"]["e[1,b1]"][0].__setitem__(1, text)
 
 
 def _with_long_integer(where):
@@ -203,12 +209,25 @@ class TestExitCodes:
                 "e[1,b1] must be an array of 2 items, each an array",
             ),
             (lambda d: d.update(grading=1), "presentation: grading must be a string, got int"),
+            (lambda d: [], "presentation file must hold a JSON object"),
+            (lambda d: d.__delitem__("n"), "missing key 'n'"),
+            (lambda d: d.update(grading="g12"), "unknown grading 'g12'"),
+            (_set_entry("h1 $"), "unexpected character '$' (column 4)"),
+            (_set_entry("1/0"), "denominator must be positive (column 1)"),
+            (_set_entry("h1 h1"), "expected '+' or '-', got 'h1' (column 4)"),
+            (_set_entry("h1^x"), "expected integer, got 'x' (column 4)"),
         ],
-        ids=["number-E", "null-E", "number-entry", "null-entry", "string-matrix", "number-grading"],
+        ids=[
+            "number-E", "null-E", "number-entry", "null-entry", "string-matrix", "number-grading",
+            "array-file", "no-n", "grading-g12", "entry-bad-character", "entry-zero-denominator",
+            "entry-juxtaposed", "entry-bad-exponent",
+        ],
     )
     def test_mistyped_presentation_field_is_exit_2(self, tmp_path, capsys, edit, message):
         data = json.loads(presentation_to_json(build_mas(1, (1,), ())))
-        edit(data)
+        # an edit changes the data in place, or returns a replacement for it
+        replaced = edit(data)
+        data = data if replaced is None else replaced
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(data))
         assert main(["verify", str(path)]) == 2
@@ -489,6 +508,31 @@ class TestRoundTripAndDeterminism:
         assert "generated:" in human1
         assert out1.read_text() == out2.read_text()
 
+    def test_closed_stdout_ends_quietly_with_the_verdict(
+        self, family_file, tmp_path, capsys, monkeypatch
+    ):
+        # `uhfree verify FILE | head -1`: the reader is gone before the report is written
+        sink = tmp_path / "stdout"
+        fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            assert main(["verify", str(DATA / "family_in_sl31_perturbed.json")]) == 1
+            assert main(["classify", family_file]) == 0
+            # main pointed the stdout descriptor at devnull
+            os.write(fd, b"after the reader left")
+        finally:
+            os.close(fd)
+        assert sink.read_bytes() == b""
+        assert capsys.readouterr().err == ""
+
 
 class TestEmptyCheckCommand:
     def test_round_trip(self, tmp_path, capsys):
@@ -664,6 +708,45 @@ class TestOtherCommands:
         assert main(["submodules", path, "--gen", "h1"]) == 0
         out = capsys.readouterr().out
         assert "hJ+J" in out
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("form", ["plain", "conjugated", "bar"])
+    def test_submodule_separators_are_vectors_of_the_input(self, tmp_path, m, form):
+        # layer r of p is W image(D_{F_r}), D_F = diag(F(c + d), F(c)), with W
+        # the classification witness and d = m - 1 (M(a, S)) or -(m - 1) (Mbar)
+        a, s = tuple(range(2, m + 2)), (1,)
+        h = [Poly.var(m, j) for j in range(m)]
+        skew = Mat2.of(m, ((1, h[0] + 2 * h[-1]), (0, 1))) * Mat2.of(m, ((1, 0), (h[1], 1)))
+        p = {
+            "plain": build_mas(m, a, s),
+            "conjugated": conjugate(build_mas(m, a, s), skew),
+            "bar": build_mas_bar(m, a, s),
+        }[form]
+        lambdas = (0, 5, -1)
+        out = tmp_path / "sub.json"
+        argv = ["submodules", write(tmp_path, "p.json", p), "--length", "3", "--out", str(out)]
+        assert main(argv + ["--lambdas", ",".join(map(str, lambdas))]) == 0
+        seps = json.loads(out.read_text())["separators"]
+        x = Poly.var(1, 0)
+        chain = [Poly.one(1)]
+        for lam in lambdas:
+            chain.append(chain[-1] * (x - lam))
+        params, w = normalform.classified_sl_m1(p)
+        d = -(m - 1) if params.bar else m - 1
+        winv = w.inverse_unimodular()
+        names = poly.default_names(m, m)
+        assert len(seps) == 3
+        for r, (top, bottom) in enumerate(seps):
+            v = winv * Mat2.column(poly.parse_poly(top, names), poly.parse_poly(bottom, names))
+            assert in_layer(*family_entries(chain[r], m, d), v), (r, top, bottom)
+            assert not in_layer(*family_entries(chain[r + 1], m, d), v), (r, top, bottom)
+        # and each W image(D_F) is a submodule of p
+        zero = Poly.zero(m)
+        for f in chain:
+            g1, g2 = family_entries(f, m, d)
+            gens = w * Mat2(((g1, zero), (zero, g2)))
+            for b in p.algebra.basis():
+                assert in_layer(g1, g2, winv * act(p, b, gens))
 
     def test_string_check(self, capsys):
         assert main(["string-check", "--max-deg", "3", "--N", "10"]) == 0

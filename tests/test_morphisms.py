@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 import sympy
 
+from uhfree import morphisms
 from uhfree.poly import Poly, apply_shift, compose_univariate, default_names
 from uhfree.presentation import (
     InvariantBreach,
     Mat2,
-    Vec2,
     act,
     build_mas,
     build_mas_bar,
@@ -29,11 +29,10 @@ from uhfree.morphisms import (
     iso_test,
     sl11_submodule_shape,
     solve_hom,
-    submodule_member,
 )
 from uhfree.superlie import Root
 
-from .helpers import random_nonzero_fraction, random_unimodular
+from .helpers import family_entries, in_layer, random_nonzero_fraction, random_unimodular
 
 DATA = Path(__file__).parent / "data"
 
@@ -217,6 +216,40 @@ class TestSolveHom:
             solve_hom(p, q, 1, category="M11")
 
 
+class TestReverification:
+    """solve_hom and iso_test re-verify what they return; a planted wrong answer is caught."""
+
+    BAD = Mat2.of(2, ((1, 0), (0, 2)))  # diag(1, 2) is no endomorphism of M(a, S)
+
+    def test_solve_hom_rejects_a_wrong_solution(self, monkeypatch):
+        p = build_mas(2, (1, 2), (1,))
+        monkeypatch.setattr(morphisms, "_solve_system", lambda *args: [self.BAD])
+        with pytest.raises(InvariantBreach, match="non-intertwining"):
+            solve_hom(p, p, 1)
+        # without the check the wrong solution would be returned
+        monkeypatch.setattr(morphisms, "check_intertwiner", lambda *args: True)
+        [sol] = solve_hom(p, p, 1)
+        assert sol.w == self.BAD and not check_intertwiner(p, p, sol.w)
+
+    def test_iso_test_rejects_a_wrong_witness(self, monkeypatch):
+        src = build_mas(2, (1, 2), (1,))
+        dst = build_mas(2, (3, 6), (1,))
+        real = morphisms.classified_sl_m1
+        # dst's witness off by a unimodular factor: the iso witness stays unimodular
+        skew = Mat2.of(2, ((1, 1), (0, 1)))
+        monkeypatch.setattr(
+            morphisms,
+            "classified_sl_m1",
+            lambda q: (real(q)[0], real(q)[1] * skew) if q is dst else real(q),
+        )
+        with pytest.raises(InvariantBreach, match="re-verification"):
+            iso_test(src, dst)
+        # without the check the wrong witness would be returned
+        monkeypatch.setattr(morphisms, "check_intertwiner", lambda *args: True)
+        witness = iso_test(src, dst)
+        assert witness.w.is_unimodular() and not check_intertwiner(src, dst, witness.w)
+
+
 class TestIso:
     def test_gamma_from_scaled_parameters(self):
         w = iso_test(build_mas(2, (1, 2), (1,)), build_mas(2, (3, 6), (1,)))
@@ -369,13 +402,14 @@ class TestIdempotents:
 
 class TestSubmodules:
     def test_unit_polynomial_gives_whole_module(self):
-        assert submodule_member(Poly.one(1), 2, Vec2(Poly.var(2, 0), Poly.one(2)))
+        layer = family_entries(Poly.one(1), 2, 1)
+        assert in_layer(*layer, Mat2.column(Poly.var(2, 0), Poly.one(2)))
 
     def test_membership_examples(self):
-        f = Poly.var(1, 0)  # F = X
+        layer = family_entries(Poly.var(1, 0), 2, 1)  # F = X
         c1 = C(2, 2) + 1
-        assert submodule_member(f, 2, Vec2(c1, Poly.zero(2)))
-        assert not submodule_member(f, 2, Vec2(Poly.one(2), Poly.zero(2)))
+        assert in_layer(*layer, Mat2.column(c1, Poly.zero(2)))
+        assert not in_layer(*layer, Mat2.column(Poly.one(2), Poly.zero(2)))
 
     def test_filtration_length_zero(self):
         p = build_mas(2, (1, 1), ())
@@ -388,8 +422,8 @@ class TestSubmodules:
         assert chain[1] == Poly.var(1, 0)
         [sep] = filtration_separators(p, chain)
         # F_0(c+1) = 1 lies in M_0 but not in M_1
-        assert sep.f1 == Poly.one(2)
-        assert not submodule_member(chain[1], 2, sep)
+        assert sep == Mat2.column(Poly.one(2), Poly.zero(2))
+        assert not in_layer(*family_entries(chain[1], 2, 1), sep)
 
     def test_length_ten_strict(self):
         p = build_mas(2, (1, 1), ())
@@ -422,13 +456,11 @@ class TestSubmodules:
             f = Poly.one(1)
             for lam in coeffs:
                 f = f * (x - lam)
-            gens = (
-                Vec2(compose_univariate(f, c + (m - 1)), Poly.zero(nv)),
-                Vec2(Poly.zero(nv), compose_univariate(f, c)),
-            )
+            layer = compose_univariate(f, c + (m - 1)), compose_univariate(f, c)
+            # the columns of D_F are the two generators of M_F
+            gens = Mat2(((layer[0], Poly.zero(nv)), (Poly.zero(nv), layer[1])))
             for b in p.algebra.basis():
-                for g in gens:
-                    assert submodule_member(f, m, act(p, b, g))
+                assert in_layer(*layer, act(p, b, gens))
 
 
 class TestSl11Shapes:
@@ -452,10 +484,6 @@ class TestSl11Shapes:
         h = Poly.var(1, 0)
         for gen_poly in (Poly.one(1), h, h - 2):
             for shape in sl11_submodule_shape(label, gen_poly):
-                vectors = (
-                    Vec2(shape.g1, Poly.zero(1)),
-                    Vec2(Poly.zero(1), shape.g2),
-                )
+                gens = Mat2(((shape.g1, Poly.zero(1)), (Poly.zero(1), shape.g2)))
                 for b in p.algebra.basis():
-                    for v in vectors:
-                        assert shape.member(act(p, b, v)), (label, shape.label)
+                    assert in_layer(shape.g1, shape.g2, act(p, b, gens)), (label, shape.label)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -5,14 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uhfree import normalform, presentation
 from uhfree.poly import Poly, apply_shift, default_names
 from uhfree.presentation import (
     Mat2,
     Presentation,
     PresentationError,
-    Vec2,
     act,
-    act_combo,
     build_mas,
     build_mas_bar,
     conjugate,
@@ -26,6 +26,7 @@ from uhfree.presentation import (
     presentation_to_dict,
     presentation_to_json,
     twisted_bracket,
+    verified_report,
     verify_relations,
 )
 from uhfree.superlie import Cartan, Root, algebra
@@ -60,19 +61,19 @@ class TestMat2:
 class TestAct:
     def test_sl11_x_moves_the_odd_generator(self):
         p = canonical_class1()
-        out = act(p, Root(0, 1), Vec2(Poly.zero(1), Poly.one(1)))
-        assert (out.f1, out.f2) == (Poly.one(1), Poly.zero(1))
+        out = act(p, Root(0, 1), Mat2.column(Poly.zero(1), Poly.one(1)))
+        assert out == Mat2.column(Poly.one(1), Poly.zero(1))
 
     def test_cartan_multiplies(self):
         p = canonical_class1()
-        out = act(p, Cartan(0), Vec2(Poly.one(1), Poly.zero(1)))
-        assert (out.f1, out.f2) == (H, Poly.zero(1))
+        out = act(p, Cartan(0), Mat2.column(Poly.one(1), Poly.zero(1)))
+        assert out == Mat2.column(H, Poly.zero(1))
 
     def test_sl21_twisted_action(self):
         p = build_mas(2, (1, 1), ())
         h2 = Poly.var(2, 1)
-        out = act(p, Root(0, 2), Vec2(Poly.zero(2), h2))
-        assert (out.f1, out.f2) == (h2 + 1, Poly.zero(2))
+        out = act(p, Root(0, 2), Mat2.column(Poly.zero(2), h2))
+        assert out == Mat2.column(h2 + 1, Poly.zero(2))
 
     def test_uh_linearity_with_twist(self, rng):
         from .helpers import random_poly
@@ -83,13 +84,8 @@ class TestAct:
             tau = alg.weight_shift(b)
             for _ in range(3):
                 g = random_poly(rng, 2, 2)
-                v = Vec2(random_poly(rng, 2, 2), random_poly(rng, 2, 2))
-                gv = Vec2(g * v.f1, g * v.f2)
-                lhs = act(p, b, gv)
-                tg = apply_shift(tau, g)
-                rhs_inner = act(p, b, v)
-                rhs = Vec2(tg * rhs_inner.f1, tg * rhs_inner.f2)
-                assert (lhs.f1, lhs.f2) == (rhs.f1, rhs.f2)
+                v = Mat2.column(random_poly(rng, 2, 2), random_poly(rng, 2, 2))
+                assert act(p, b, v * g) == act(p, b, v) * apply_shift(tau, g)
 
 
 class TestDeriveEven:
@@ -187,12 +183,14 @@ class TestVerifyRelations:
         alg = p.algebra
         report = pointwise_check(p, 3)
         assert report.ok and report.checked > 0
-        # spot check one pair explicitly against act_combo
+        # spot check one pair explicitly against the bracket's expansion
         x, y = Root(0, 2), Root(2, 0)
-        v = Vec2(Poly.var(2, 0) ** 2, Poly.var(2, 1))
+        v = Mat2.column(Poly.var(2, 0) ** 2, Poly.var(2, 1))
         lhs = act(p, x, act(p, y, v)) + act(p, y, act(p, x, v))
-        rhs = act_combo(p, alg.super_bracket(x, y), v)
-        assert (lhs.f1, lhs.f2) == (rhs.f1, rhs.f2)
+        rhs = Mat2.zero(2)
+        for b, c in alg.super_bracket(x, y).items():
+            rhs = rhs + c * act(p, b, v)
+        assert lhs == rhs
 
 
 @st.composite
@@ -395,6 +393,48 @@ class TestConjugation:
         w1 = random_unimodular(rng, 2)
         w2 = random_unimodular(rng, 2)
         assert conjugate(conjugate(p, w1), w2) == conjugate(p, w1 * w2)
+
+    def test_non_unimodular_witness_rejected(self):
+        p = build_mas(2, (1, 2), (1,))
+        with pytest.raises(PresentationError, match="not a nonzero constant"):
+            conjugate(p, Mat2.of(2, ((Poly.var(2, 0), 0), (0, 1))))
+
+
+class TestRelationReportFallback:
+    """verified_report falls back to p's own check when the family member fails its check."""
+
+    @pytest.fixture
+    def planted(self, monkeypatch):
+        # the classifier reaches a member that is no module: M(a, S) with
+        # one odd generator doubled
+        p = build_mas(2, (1, 2), (1,))
+        broken = make_presentation(
+            2, 1, {pos: 2 * mat if pos == (0, 2) else mat for pos, mat in p.odd}, "g11"
+        )
+        params = normalform.CanonParams((Fraction(1), Fraction(2)), frozenset({1}))
+        params.__dict__["family"] = broken
+        monkeypatch.setattr(
+            normalform, "classify_sl_m1", lambda q: (params, Mat2.identity(q.nvars))
+        )
+        return p, broken
+
+    def test_failing_member_is_not_the_verdict(self, planted):
+        p, broken = planted
+        assert not verify_relations(broken).ok
+        report = verified_report(p)
+        assert report.ok and report.violations == ()
+        assert "sl_m1" not in p._memo
+
+    def test_without_the_check_the_member_would_be_reported(self, planted, monkeypatch):
+        p, broken = planted
+        real = presentation.verify_relations
+        monkeypatch.setattr(
+            presentation,
+            "verify_relations",
+            lambda q: dataclasses.replace(real(q), ok=True) if q is broken else real(q),
+        )
+        report = verified_report(p)
+        assert report.violations == real(broken).violations != ()
 
 
 class TestInterchange:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from uhfree.poly import Poly
-from uhfree.presentation import Vec2, verify_relations
+from uhfree.presentation import Mat2, verify_relations
 from uhfree import stringbridge
 from uhfree.stringbridge import (
     StringBridgeError,
@@ -61,19 +61,19 @@ class TestStringModule:
 
 class TestPhi:
     def test_variant1_base_points(self):
-        assert phi_map(1, Vec2(Poly.zero(1), Poly.one(1)), 25) == sv({1: 1})
-        assert phi_map(1, Vec2(H, Poly.zero(1)), 25) == sv({4: 1})
+        assert phi_map(1, Mat2.column(Poly.zero(1), Poly.one(1)), 25) == sv({1: 1})
+        assert phi_map(1, Mat2.column(H, Poly.zero(1)), 25) == sv({4: 1})
 
     def test_variant2_base_points(self):
-        assert phi_map(2, Vec2(H * H, Poly.zero(1)), 25) == sv({5: 1})
+        assert phi_map(2, Mat2.column(H * H, Poly.zero(1)), 25) == sv({5: 1})
 
     def test_linearity(self):
-        v = Vec2(2 * H, Poly.one(1) * Fraction(1, 3))
+        v = Mat2.column(2 * H, Poly.one(1) * Fraction(1, 3))
         assert phi_map(1, v, 25) == sv({4: 2, 1: Fraction(1, 3)})
 
     def test_truncation_overflow_raises(self):
         with pytest.raises(StringBridgeError, match="overflow"):
-            phi_map(1, Vec2(H ** 13, Poly.zero(1)), 25)
+            phi_map(1, Mat2.column(H ** 13, Poly.zero(1)), 25)
 
     def test_bijection_onto_prefixes(self):
         # distinct monomials hit distinct u's and every index <= N is hit
@@ -81,12 +81,8 @@ class TestPhi:
         hit = set()
         for k in range(5):
             for which in (0, 1):
-                v = (
-                    Vec2(H**k, Poly.zero(1))
-                    if which
-                    else Vec2(Poly.zero(1), H**k)
-                )
-                image = phi_map(1, v, n)
+                # column `which` of h^k * I is (h^k, 0) or (0, h^k)
+                image = phi_map(1, Mat2.scalar(H**k), n, which)
                 [(idx, coeff)] = image.coeffs
                 assert coeff == 1
                 assert idx not in hit
@@ -121,13 +117,8 @@ class TestIntertwining:
         module = canonical_presentation(variant)
         strings = StringModule(variant, n)
         for k in range(4):
+            v = Mat2.scalar(H**k)
             for which in (0, 1):
-                v = (
-                    Vec2(H**k, Poly.zero(1))
-                    if which
-                    else Vec2(Poly.zero(1), H**k)
-                )
-                image = phi_map(variant, v, n)
-                hv = Vec2(H * v.f1, H * v.f2)
-                assert strings.act_vector("h", image) == phi_map(variant, hv, n)
+                image = phi_map(variant, v, n, which)
+                assert strings.act_vector("h", image) == phi_map(variant, v * H, n, which)
 
