@@ -7,12 +7,10 @@ output (deterministic JSON, no timestamps) goes to --out.  Exit codes:
 grammar errors.
 
 The layers beyond poly, superlie and presentation load on first use, so
-a process compiles only what its subcommand runs: verify loads normalform
-for sl(m|1) with m >= 2 (it proves the relations through the
-classification, see presentation.verified_report) and none of them
-otherwise, classify and canon-sl11 load normalform, iso, endo and
-submodules load morphisms (which imports normalform), string-check
-loads stringbridge and empty-check loads emptiness.
+a process compiles only what its subcommand runs: normalform, which owns
+the relation verdict, for verify, classify and canon-sl11; morphisms for
+iso, endo and submodules; stringbridge for string-check; emptiness for
+empty-check.
 """
 
 from __future__ import annotations
@@ -22,12 +20,13 @@ import functools
 import importlib.util
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .poly import UhfreeError, default_names, format_poly, parse_poly
+from .poly import UhfreeError, default_names, format_poly, format_rational, parse_poly
 from .presentation import (
     MAX_SHOWN_VIOLATIONS,
     Presentation,
@@ -36,7 +35,6 @@ from .presentation import (
     parity_check,
     pointwise_check,
     presentation_from_json,
-    verified_report,
 )
 
 
@@ -86,12 +84,21 @@ def _load_presentation(path: str) -> Presentation:
     return presentation_from_json(_read_input(path, PresentationError))
 
 
+# an integer, p/q or a decimal; not 1e<k>, for which Fraction builds 10**k however large
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?\s*")
+
+
 def _rational(text: str) -> Fraction:
-    """A --lambdas entry such as 3, -1/2 or 0.25; anything else exits 2."""
+    """A --lambdas entry that matches _RATIONAL; anything else exits 2."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise morphisms.MorphismError(f"--lambdas: {text!r} is not a rational number") from None
+        if _RATIONAL.fullmatch(text):
+            return Fraction(text)
+    except ValueError:  # it matches, so a part has more digits than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise morphisms.MorphismError(f"--lambdas: an entry has more than {limit} digits") from None
+    except ZeroDivisionError:
+        pass
+    raise morphisms.MorphismError(f"--lambdas: {text!r} is not a rational number")
 
 
 def _names(p: Presentation):
@@ -108,7 +115,7 @@ def _violation_lines(texts: list[str], rest: str) -> list[str]:
 
 def _require_verified(p: Presentation, lines: list[str], side: str = "") -> None:
     """Fail (exit 1) with the violation count and list unless p satisfies the relations."""
-    report = verified_report(p)
+    report = normalform.verified_report(p)
     if not report.ok:
         where = f"{side} presentation: " if side else ""
         lines.append(f"FAIL: {where}{len(report.violations)} relation(s) violated")
@@ -131,7 +138,7 @@ def cmd_verify(args) -> Outcome:
         )
     p = _load_presentation(args.file)
     lines = [f"presentation over sl({p.m}|{p.n}), grading {p.grading}"]
-    report = verified_report(p)
+    report = normalform.verified_report(p)
     payload = {
         "ok": report.ok,
         "checked": report.checked,
@@ -183,7 +190,7 @@ def cmd_classify(args) -> Outcome:
     else:
         params, witness = normalform.classified_sl_m1(p)
         payload = params.to_dict()
-        payload["normalized_a"] = [str(x) for x in params.normalized().a]
+        payload["normalized_a"] = [format_rational(x) for x in params.normalized().a]
         payload["witness"] = witness.to_strings(names)
         lines.append(f"family parameters: {json.dumps(params.to_dict(), sort_keys=True)}")
         lines.append(
@@ -208,12 +215,12 @@ def cmd_iso(args) -> Outcome:
     payload = {
         "isomorphic": True,
         "category": category,
-        "gamma": str(witness.gamma),
+        "gamma": format_rational(witness.gamma),
         "parity": witness.parity,
         "witness": witness.w.to_strings(_names(src)),
     }
     lines.append(
-        f"isomorphic in {category} with gamma = {witness.gamma} ({witness.parity} witness)"
+        f"isomorphic in {category} with gamma = {payload['gamma']} ({witness.parity} witness)"
     )
     return 0, lines, payload
 
@@ -288,7 +295,7 @@ def cmd_submodules(args) -> Outcome:
         payload = {
             # ascending coefficient vectors of the F_k
             "filtration": [
-                [str(f.coeff((k,))) for k in range(max(f.total_degree(), 0) + 1)]
+                [format_rational(f.coeff((k,))) for k in range(max(f.total_degree(), 0) + 1)]
                 for f in chain
             ],
             "separators": [

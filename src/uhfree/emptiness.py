@@ -113,17 +113,12 @@ class CertRing:
         col = m if key[1] == "1" else m + n - 1
         return row, col
 
+    @functools.cache  # one polynomial per (ring, pair): building it costs more than a lookup
     def pair_scalar(self, key: str) -> Poly:
-        m = self.m
-        if key == "i1":
-            return self.hvar(0) + self.hvar(m) - self.hvar(m - 1)
-        if key == "m1":
-            return self.hvar(m)
-        if key == "in":
-            return self.hvar(0)
-        if key == "mn":
-            return self.hvar(m - 1)
-        raise EmptinessError(f"unknown pair {key!r}")
+        """The pair's [e_IJ, e_JI], an element of h, as a polynomial in the base variables."""
+        row, col = self.pair_positions(key)
+        combo = algebra(self.m, self.n).super_bracket(Root(row, col), Root(col, row))
+        return sum((self.hvar(b.var) * c for b, c in combo.items()), Poly.zero(self.base_nvars))
 
 
 @dataclass(frozen=True)

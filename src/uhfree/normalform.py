@@ -34,17 +34,19 @@ from .poly import (
     UhfreeError,
     apply_shift,
     divides_exactly,
+    format_rational,
     poly_gcd,
 )
 from .presentation import (
     InvariantBreach,
     Mat2,
     Presentation,
+    RelationReport,
     build_mas,
     build_mas_bar,
     conjugate,
     parity_check,
-    verified_report,
+    verify_relations,
 )
 from .superlie import Root
 
@@ -223,7 +225,7 @@ class CanonParams:
 
     def to_dict(self) -> dict:
         return {
-            "a": [str(x) for x in self.a],
+            "a": [format_rational(x) for x in self.a],
             "S": sorted(self.s),
             "bar": self.bar,
         }
@@ -279,8 +281,7 @@ def check_family_form(conj: Presentation, params: CanonParams) -> None:
     """Raise InvariantBreach unless conj equals params.family at every odd position.
 
     This exact equality is what makes a classification (params, W) with
-    conj = conjugate(p, W) a proof about p (see
-    `presentation.verified_report`).
+    conj = conjugate(p, W) a proof about p (see `verified_report`).
     """
     if conj.odd != params.family.odd:
         raise InvariantBreach("classification witness fails to reach the family form")
@@ -340,22 +341,79 @@ def classify_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
     return params, w
 
 
-def classified_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
-    """The classification of p, which must satisfy the module relations.
+def verified_report(p: Presentation) -> RelationReport:
+    """The relation report of p, computed once per object.
 
-    Computed once per presentation object.  For m >= 2,
-    `verified_report` proves the relations by classifying p and keeps
-    the result, so a request that checks and then classifies p runs
-    the classifier once.  A presentation that violates the relations
-    raises ClassificationError.
+    The report is kept on the immutable presentation, so the layers a
+    presentation passes through (CLI, classification, isomorphism,
+    endomorphisms) share one check.  `conjugate` and the parsers build
+    new objects, which are checked afresh.
+
+    Over sl(m|1) the relations are proved through the classification
+    instead of evaluated on p:
+
+    Lemma.  Write rho(x) = E_x tau_x for the operator of x on Q[h]^2.
+    If E'_x = W^{-1} E_x tau_x(W) for every odd x, with W unimodular,
+    then rho'(x) = W^{-1} rho(x) W.  Evens are derived from odds by the
+    same `twisted_bracket`, so the same holds for them.  The relations
+    are identities in End(Q[h]^2), hence invariant under conjugation by
+    W, so p satisfies every relation that conjugate(p, W) satisfies.
+
+    `classify_sl_m1` returns (params, W) only after checking that
+    conjugate(p, W) equals the family member M(a, S) or Mbar(a, S) at
+    every odd position; `verify_relations` is then run on that member.
+    The proof trusts three facts: `conjugate`'s unimodularity test, that
+    final equality, and the member's check passing; none of the
+    classifier's reasoning.  On success the report is the member's
+    (`checked` = k(k+1)/2) and (params, W) is kept for
+    `classified_sl_m1`.
+
+    Fallback: if the classifier raises ClassificationError or
+    InvariantBreach, or the member fails its check, `verify_relations(p)`
+    decides, so the violations listed are those of p.  A non-module
+    takes both exception routes.  A classifier InvariantBreach on an
+    input that then passes is re-raised: it is a bug, not a verdict.
     """
+    report = p._memo.get("relations")
+    if report is None:
+        report = p._memo["relations"] = _relation_report(p)
+    return report
+
+
+def _relation_report(p: Presentation) -> RelationReport:
+    """verified_report's computation: the classification route, else verify_relations."""
+    if p.n != 1:
+        return verify_relations(p)
+    try:
+        params, w = classify_sl_m1(p)
+    except ClassificationError:
+        return verify_relations(p)
+    except InvariantBreach:
+        report = verify_relations(p)
+        if report.ok:
+            raise
+        return report
+    report = verify_relations(params.family)
+    if not report.ok:
+        return verify_relations(p)
+    p._memo["sl_m1"] = (params, w)
+    return report
+
+
+def classified_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
+    """The classification that `verified_report` proved p's relations by.
+
+    A presentation that violates the relations raises ClassificationError,
+    and so does a module the classifier refuses: one outside sl(m|1), or
+    one whose grading flag contradicts its shapes.
+    """
+    report = verified_report(p)
+    if not report.ok:
+        raise ClassificationError(
+            "presentation does not satisfy the module relations: "
+            + report.describe(p.m, p.n)[0]
+        )
     if "sl_m1" not in p._memo:
-        report = verified_report(p)  # for m >= 2 this classifies p on success
-        if not report.ok:
-            raise ClassificationError(
-                "presentation does not satisfy the module relations: "
-                + report.describe(p.m, p.n)[0]
-            )
-        if "sl_m1" not in p._memo:
-            p._memo["sl_m1"] = classify_sl_m1(p)
+        classify_sl_m1(p)  # raises again if it refused p in verified_report
+        raise InvariantBreach("a module's family member failed its relation check")
     return p._memo["sl_m1"]

@@ -703,13 +703,19 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
     return Poly(nvars, acc)
 
 
+def format_rational(q: Scalar) -> str:
+    """str(q), or PolyError for more digits than sys.get_int_max_str_digits()."""
+    try:
+        return str(q)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise PolyError(f"coefficient has more than {limit} digits to print") from None
+
+
 def format_poly(p: Poly, names: Sequence[str]) -> str:
     """Canonical printer: graded-lex descending, stable for golden tests.
 
-    Each coefficient n/den is printed in lowest terms, as str(Fraction)
-    prints it.  Python converts at most sys.get_int_max_str_digits()
-    digits of an int to text; a longer numerator or denominator raises
-    PolyError.
+    Each coefficient n/den is printed in lowest terms by `format_rational`.
     """
     if len(names) != p.nvars:
         raise PolyError("name list does not match variable count")
@@ -737,11 +743,7 @@ def format_poly(p: Poly, names: Sequence[str]) -> str:
         if d == 1 and n == 1 and factors:
             body = "*".join(factors)
         else:
-            try:
-                mag = str(n) if d == 1 else f"{n}/{d}"
-            except ValueError:
-                limit = sys.get_int_max_str_digits()
-                raise PolyError(f"coefficient has more than {limit} digits to print") from None
+            mag = format_rational(n) if d == 1 else f"{format_rational(n)}/{format_rational(d)}"
             body = "*".join([mag] + factors)
         pieces.append(sign + body)
     return "".join(pieces)

@@ -246,8 +246,7 @@ class Presentation:
     odd: tuple[tuple[tuple[int, int], Mat2], ...]
     # action matrices by (row, col): the odd ones, then each even one derive_even makes
     _lookup: dict = field(init=False, repr=False, compare=False, hash=False)
-    # results computed once per object: "relations" (verified_report) and "sl_m1"
-    # (verified_report for m >= 2, else normalform.classified_sl_m1)
+    # "relations" and "sl_m1": the verdict and classification kept by the layer above
     _memo: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -358,9 +357,9 @@ class RelationReport:
 
     `checked` counts the relations established, directly or by the
     generating-set lemma of `verify_relations`; `direct` counts the
-    identities actually evaluated.  When `verified_report` proves the
-    relations through the sl(m|1) classification, the identities
-    evaluated are the family member's, so `direct` counts those.
+    identities actually evaluated.  When the relations are proved
+    through the sl(m|1) classification, the identities evaluated are
+    the family member's, so `direct` counts those.
     """
 
     ok: bool
@@ -486,67 +485,6 @@ def verify_relations(p: Presentation) -> RelationReport:
             if v is not None:
                 violations.append(v)
     return RelationReport(not violations, tuple(violations), checked, direct + checked)
-
-
-def verified_report(p: Presentation) -> RelationReport:
-    """The relation report of p, computed once per object.
-
-    The report is kept on the immutable presentation, so the layers a
-    presentation passes through (CLI, classification, isomorphism,
-    endomorphisms) share one check.  `conjugate` and the parsers build
-    new objects, which are checked afresh.
-
-    Over sl(m|1) with m >= 2 the relations are proved through the
-    classification instead of evaluated on p:
-
-    Lemma.  Write rho(x) = E_x tau_x for the operator of x on Q[h]^2.
-    If E'_x = W^{-1} E_x tau_x(W) for every odd x, with W unimodular,
-    then rho'(x) = W^{-1} rho(x) W.  Evens are derived from odds by the
-    same `twisted_bracket`, so the same holds for them.  The relations
-    are identities in End(Q[h]^2), hence invariant under conjugation by
-    W, so p satisfies every relation that conjugate(p, W) satisfies.
-
-    `normalform.classify_sl_m1` returns (params, W) only after checking
-    that conjugate(p, W) equals the family member M(a, S) or Mbar(a, S)
-    at every odd position; `verify_relations` is then run on that
-    member.  The proof trusts three facts: `conjugate`'s unimodularity
-    test, that final equality, and the member's check passing; none of
-    the classifier's reasoning.  On success the report is the member's
-    (`checked` = k(k+1)/2) and (params, W) is kept for
-    `normalform.classified_sl_m1`.
-
-    Fallback: if the classifier raises ClassificationError or
-    InvariantBreach, or the member fails its check, `verify_relations(p)`
-    decides, so the violations listed are those of p.  A non-module
-    takes both exception routes.  A classifier InvariantBreach on an
-    input that then passes is re-raised: it is a bug, not a verdict.
-    """
-    report = p._memo.get("relations")
-    if report is None:
-        report = p._memo["relations"] = _relation_report(p)
-    return report
-
-
-def _relation_report(p: Presentation) -> RelationReport:
-    """verified_report's computation: the classification route, else verify_relations."""
-    if p.n != 1 or p.m < 2:
-        return verify_relations(p)
-    from . import normalform  # normalform imports this module
-
-    try:
-        params, w = normalform.classify_sl_m1(p)
-    except normalform.ClassificationError:
-        return verify_relations(p)
-    except InvariantBreach:
-        report = verify_relations(p)
-        if report.ok:
-            raise
-        return report
-    report = verify_relations(params.family)
-    if not report.ok:
-        return verify_relations(p)
-    p._memo["sl_m1"] = (params, w)
-    return report
 
 
 def pointwise_check(p: Presentation, max_deg: int = 2) -> RelationReport:

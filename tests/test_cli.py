@@ -23,7 +23,7 @@ from uhfree import (
     superlie,
 )
 from uhfree.cli import main
-from uhfree.normalform import ClassificationError, classify_sl11
+from uhfree.normalform import ClassificationError, classify_sl11, verified_report
 from uhfree.poly import Poly
 from uhfree.presentation import (
     Mat2,
@@ -35,7 +35,6 @@ from uhfree.presentation import (
     odd_positions,
     presentation_from_json,
     presentation_to_json,
-    verified_report,
 )
 
 from .helpers import family_entries, in_layer, scaled_conjugates
@@ -364,6 +363,48 @@ class TestExitCodes:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: coefficient has more than 4300 digits to print\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    PRINT_LIMIT = "coefficient has more than 4300 digits to print"
+    BIG = 10**4000  # 4001 digits: readable, but its square is not printable
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # normalized_a = (1, BIG^2)
+            (["classify", "{tiny_big}"], PRINT_LIMIT),
+            # gamma = BIG^2 or its inverse
+            (["iso", "{big}", "{tiny}"], PRINT_LIMIT),
+            # F_2 = (X - L)^2 has the coefficient L^2
+            (["submodules", "{file}", "--length", "2", "--lambdas", "{L},{L}"], PRINT_LIMIT),
+            (
+                ["submodules", "{file}", "--length", "1", "--lambdas", "1e5000"],
+                NOT_RATIONAL.format("1e5000"),
+            ),
+            (
+                ["submodules", "{file}", "--length", "1", "--lambdas", "1/{long}"],
+                "--lambdas: an entry has more than 4300 digits",
+            ),
+        ],
+        ids=["classify-parameters", "iso-gamma", "filtration", "exponent", "long-denominator"],
+    )
+    def test_rational_past_the_conversion_limit_is_exit_2(
+        self, family_file, tmp_path, capsys, argv, message
+    ):
+        big = self.BIG
+        files = {
+            "file": family_file,
+            "tiny_big": write(tmp_path, "a.json", build_mas(2, (Fraction(1, big), big), ())),
+            "big": write(tmp_path, "b.json", build_mas(2, (big, 2 * big), ())),
+            "tiny": write(tmp_path, "c.json", build_mas(2, (Fraction(1, big), Fraction(2, big)), ())),
+            "L": "7" * 3000,
+            "long": "1" * 5000,
+        }
+        out = tmp_path / "out.json"
+        assert main([a.format(**files) for a in argv] + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -787,7 +828,8 @@ class TestVerifyOnce:
             calls.append(p)
             return original(p)
 
-        monkeypatch.setattr(presentation, "verify_relations", counting)
+        for module in (presentation, normalform):
+            monkeypatch.setattr(module, "verify_relations", counting)
         return calls
 
     @pytest.mark.parametrize(
@@ -968,10 +1010,10 @@ class TestLayerLoading:
     @pytest.mark.parametrize(
         "argv, loaded",
         [
-            # verify over sl(m|1), m >= 2, proves the relations through the classification
+            # verify proves the relations of an sl(m|1) input through its classification
             (["verify", "{m21}"], ["normalform"]),
             (["verify", "{m21}", "--stamp"], ["normalform"]),
-            (["verify", "{m11}"], []),
+            (["verify", "{m11}"], ["normalform"]),
             (["classify", "{m21}"], ["normalform"]),
             (["canon-sl11", "{m11}"], ["normalform"]),
             (["iso", "{m21}", "{m21}"], ["normalform", "morphisms"]),

@@ -1,6 +1,9 @@
+import ast
 import hashlib
+import itertools
 import json
 import sys
+import types
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -10,7 +13,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from uhfree.poly import Poly, format_poly, parse_poly
-from uhfree.presentation import Mat2, dump_json
+from uhfree.presentation import InvariantBreach, Mat2, dump_json
 from uhfree import emptiness
 from uhfree.cli import main
 from uhfree.emptiness import (
@@ -403,6 +406,112 @@ class TestTampering:
         detail["lhs"] = text
         with pytest.raises(EmptinessError, match="fresh replay"):
             verify_certificate(certificate_from_dict(data))
+
+
+def _without_check(monkeypatch, message: str) -> types.ModuleType:
+    """A fresh copy of uhfree.emptiness without the `if ...: raise` whose error names message.
+
+    The copy is registered in sys.modules for the test, as dataclasses expects.
+    """
+    dropped = []
+
+    class Drop(ast.NodeTransformer):
+        def visit_If(self, node):
+            self.generic_visit(node)
+            last = node.body[-1]
+            if isinstance(last, ast.Raise) and message in ast.unparse(last):
+                dropped.append(node.lineno)
+                return None
+            return node
+
+    tree = ast.fix_missing_locations(Drop().visit(ast.parse(Path(emptiness.__file__).read_text())))
+    assert len(dropped) == 1, dropped
+    module = types.ModuleType("uhfree.emptiness_without_check")
+    module.__package__ = "uhfree"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(tree, emptiness.__file__, "exec"), module.__dict__)
+    return module
+
+
+def _consistent_survivor(monkeypatch, module):
+    # the second stage finds the surviving branch's E_{mi} routes proportional
+    real = module._proportionality
+    down1 = (-1, 1, 0, 0)  # the unit exponents of every route through b1 of E_{mi}
+    monkeypatch.setattr(
+        module,
+        "_proportionality",
+        lambda a, b: (True, Fraction(1), None) if a.delta == down1 else real(a, b),
+    )
+
+
+def _two_survivors(monkeypatch, module):
+    # the first branch combination is let through the first stage as well
+    real, calls = module._routes_reconcilable, itertools.count()
+    monkeypatch.setattr(
+        module,
+        "_routes_reconcilable",
+        lambda a, b: (None, "planted") if next(calls) == 0 else real(a, b),
+    )
+
+
+def _no_support_witness(monkeypatch, module):
+    monkeypatch.setattr(module, "_support_witness", lambda ring, a, b: None)
+
+
+def _support_in_the_wrong_route(monkeypatch, module):
+    # names the entry that lacks the variable as the one that has it
+    real = module._support_witness
+
+    def swapped(ring, a, b):
+        witness = real(ring, a, b)
+        return {**witness, "route": "B" if witness["route"] == "A" else "A"}
+
+    monkeypatch.setattr(module, "_support_witness", swapped)
+
+
+def _agreeing_point(monkeypatch, module):
+    # a point and an entry pair where the two cross products agree, recorded truthfully
+    def agreeing(ring, a, b):
+        cells = [(r, c) for r in range(2) for c in range(2)]
+        for coords in itertools.product(range(4), repeat=ring.base_nvars):
+            for e1, e2 in itertools.combinations(cells, 2):
+                lhs = a[e1].evaluate(coords) * b[e2].evaluate(coords)
+                rhs = a[e2].evaluate(coords) * b[e1].evaluate(coords)
+                if lhs == rhs:
+                    return {
+                        "point": {ring.names[v]: str(x) for v, x in enumerate(coords)},
+                        "entries": [list(e1), list(e2)],
+                        "lhs": str(lhs),
+                        "rhs": str(rhs),
+                    }
+
+    monkeypatch.setattr(module, "_eval_witness", agreeing)
+
+
+# (plant, the error message of the one check that catches it, the stage it runs in)
+CHECK_MUTANTS = {
+    "consistent-survivor": (_consistent_survivor, "admits a consistent module", "generate"),
+    "two-survivors": (_two_survivors, "expected exactly one branch", "generate"),
+    "no-support-witness": (_no_support_witness, "witnesses not found", "generate"),
+    "support-wrong-route": (_support_in_the_wrong_route, "support witness does not hold", "verify"),
+    "agreeing-point": (_agreeing_point, "evaluation witness does not hold", "verify"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_MUTANTS))
+def test_each_certificate_check_rejects_its_mutant(monkeypatch, name):
+    """Each mutant agrees with its own replay, so only its check rejects it."""
+    plant, message, stage = CHECK_MUTANTS[name]
+    plant(monkeypatch, emptiness)
+    error = InvariantBreach if stage == "generate" else EmptinessError
+    with pytest.raises(error, match=message):
+        verify_certificate(emptiness_certificate(2, 2))
+    # with that one check gone, the mutant is accepted
+    mutant = _without_check(monkeypatch, message)
+    plant(monkeypatch, mutant)
+    cert = mutant.emptiness_certificate(2, 2)
+    if stage == "verify":
+        assert mutant.verify_certificate(cert)
 
 
 def test_verify_parses_only_the_route_entries(monkeypatch):

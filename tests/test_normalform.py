@@ -15,7 +15,6 @@ from uhfree.presentation import (
     conjugate,
     make_presentation,
     presentation_to_json,
-    verified_report,
     verify_relations,
 )
 from uhfree.normalform import (
@@ -30,6 +29,7 @@ from uhfree.normalform import (
     classify_sl_m1,
     nil_factor,
     reconstruct_nil,
+    verified_report,
 )
 from uhfree.morphisms import check_intertwiner, iso_test
 from uhfree.superlie import Root
@@ -307,8 +307,35 @@ def classified_modules(draw):
 
 
 class TestRelationsThroughClassification:
-    """verified_report proves the relations of an sl(m|1) input, m >= 2,
+    """verified_report proves the relations of an sl(m|1) input, m >= 1,
     by classifying it and checking the family member it reaches."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The presentations verify_relations is run on, in call order."""
+        calls = []
+        real = normalform.verify_relations
+        monkeypatch.setattr(normalform, "verify_relations", lambda q: calls.append(q) or real(q))
+        return calls
+
+    def test_sl11_verify_evaluates_the_member(self, tmp_path, capsys, checked):
+        # a conjugate of M((3,), {1}) reaches the class-2 member M((1,), {1})
+        p = conjugate(build_mas(1, (3,), (1,)), Mat2.of(1, ((1, H), (0, 1))))
+        path = tmp_path / "p.json"
+        path.write_text(presentation_to_json(p))
+        assert main(["verify", str(path)]) == 0
+        assert "PASS: all 3 generator relations hold" in capsys.readouterr().out
+        assert checked == [build_mas(1, (1,), (1,))] and checked[0] != p
+
+    def test_sl11_non_module_lists_its_own_violations(self, checked):
+        for _, mats in scaled_conjugates(1):
+            p = make_presentation(1, 1, mats)
+            report = verified_report(p)
+            assert checked[-1] is p
+            full = verify_relations(make_presentation(1, 1, mats))
+            assert not full.ok and report.violations
+            assert (report.ok, report.checked) == (full.ok, full.checked)
+            assert report.describe(1, 1) == full.describe(1, 1)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_non_module_gets_the_report_of_the_full_check(self, monkeypatch, m):

@@ -1,5 +1,5 @@
-"""Package-wide guards: every import is used, Poly's storage stays inside
-poly.py, every traced name exists."""
+"""Package-wide guards: every import is used, no module imports a layer
+above it, Poly's storage stays inside poly.py, every traced name exists."""
 
 import ast
 import importlib
@@ -41,6 +41,56 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in unused_imports(path)]
+    assert found == []
+
+
+# A module may import only modules of a lower layer; modules of one layer are peers.
+LAYER = {
+    "poly": 0,
+    "superlie": 1,
+    "presentation": 2,
+    "normalform": 3,
+    "stringbridge": 3,
+    "emptiness": 3,
+    "morphisms": 4,
+    "cli": 5,
+}
+
+
+def package_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, module) for every uhfree module a source file imports, in functions too."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # relative imports are inside the package; `from . import x` names a module
+            module = ".".join(filter(None, ["uhfree" if node.level else "", node.module]))
+            if module == "uhfree":
+                names = [f"uhfree.{alias.name}" for alias in node.names]
+            else:
+                names = [module]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "uhfree" and len(parts) > 1 and parts[1] in LAYER:
+                found.append((node.lineno, parts[1]))
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__") == sorted(LAYER)
+
+
+def test_no_module_imports_a_layer_above_it():
+    found = [
+        f"{path.name}:{line} imports {target}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem in LAYER
+        for line, target in package_imports(path)
+        if LAYER[target] >= LAYER[path.stem]
+    ]
     assert found == []
 
 

@@ -26,9 +26,9 @@ from uhfree.presentation import (
     presentation_to_dict,
     presentation_to_json,
     twisted_bracket,
-    verified_report,
     verify_relations,
 )
+from uhfree.normalform import verified_report
 from uhfree.superlie import Cartan, Root, algebra
 
 from .helpers import random_nonzero_fraction, random_poly, random_unimodular
@@ -425,14 +425,22 @@ class TestRelationReportFallback:
         assert report.ok and report.violations == ()
         assert "sl_m1" not in p._memo
 
+    def test_classifying_such_a_module_is_a_breach(self, planted):
+        # p passes although the member it is conjugate to fails: no classification is kept
+        p, _ = planted
+        assert verified_report(p).ok
+        with pytest.raises(presentation.InvariantBreach, match="family member failed"):
+            normalform.classified_sl_m1(p)
+
     def test_without_the_check_the_member_would_be_reported(self, planted, monkeypatch):
         p, broken = planted
         real = presentation.verify_relations
-        monkeypatch.setattr(
-            presentation,
-            "verify_relations",
-            lambda q: dataclasses.replace(real(q), ok=True) if q is broken else real(q),
-        )
+        for module in (presentation, normalform):
+            monkeypatch.setattr(
+                module,
+                "verify_relations",
+                lambda q: dataclasses.replace(real(q), ok=True) if q is broken else real(q),
+            )
         report = verified_report(p)
         assert report.violations == real(broken).violations != ()
 
