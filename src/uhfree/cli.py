@@ -285,6 +285,7 @@ def cmd_submodules(args) -> Outcome:
             lines.append(f"  {s['label']}: {g1} Q[h] (+) {g2} Q[h]")
     else:
         length = 10 if args.length is None else args.length
+        morphisms.check_filtration_budget(p, length)
         lambdas = (
             [_rational(t) for t in args.lambdas.split(",")]
             if args.lambdas is not None

@@ -26,12 +26,12 @@ strictly decreasing filtrations of any prescribed finite length.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .poly import Poly, UhfreeError, compose_univariate, divides_exactly
+from .poly import Poly, UhfreeError, compose_univariate, divides_exactly, monomials
 from .presentation import InvariantBreach, Mat2, Presentation
 from .normalform import classified_sl_m1
 from .superlie import Root
@@ -89,15 +89,6 @@ def _nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fractio
     return basis
 
 
-def _monomials_up_to(nvars: int, bound: int) -> list[tuple[int, ...]]:
-    out = []
-    for total in range(bound + 1):
-        for exps in itertools.product(range(total + 1), repeat=nvars):
-            if sum(exps) == total:
-                out.append(exps)
-    return out
-
-
 @dataclass(frozen=True)
 class HomSolution:
     """One basis element of a hom space; parity records the map type."""
@@ -117,6 +108,8 @@ SYSTEMS = {
     "M11even": ((DIAG, 1, "even"),),
     "M11": ((DIAG, 1, "even"), (ANTIDIAG, -1, "odd")),
 }
+# unknowns in one hom system: (its entries) x C(bound + nvars, nvars)
+UNKNOWNS_BUDGET = 1500
 
 
 def _defects(src: Presentation, dst: Presentation, w: Mat2, sign: int) -> Iterator[Mat2]:
@@ -142,7 +135,8 @@ def _solve_system(
     sign: int,
 ) -> list[Mat2]:
     nv = src.nvars
-    unknowns = [(rc, mu) for rc in entries for mu in _monomials_up_to(nv, bound)]
+    monos = list(monomials(nv, bound))
+    unknowns = [(rc, mu) for rc in entries for mu in monos]
     # the defect is linear in W: unknown (rc, mu) contributes the defects
     # of the matrix with the monomial h^mu at rc and zeros elsewhere
     defects = [
@@ -202,13 +196,21 @@ def solve_hom(
     Completeness is relative to the bound: every hom whose matrix
     entries stay within it appears in the span.  Solutions are
     re-verified against the intertwining identities before returning.
+    A bound past UNKNOWNS_BUDGET is refused before any monomial is built.
     """
     if (src.m, src.n) != (dst.m, dst.n):
         raise MorphismError("presentations live over different superalgebras")
     if degree_bound < 0:
         raise MorphismError("degree bound must be non-negative")
+    systems = SYSTEMS[resolve_category(src, dst, category)]
+    width = max(len(entries) for entries, _, _ in systems)
+    if width * comb(degree_bound + src.nvars, src.nvars) > UNKNOWNS_BUDGET:
+        raise MorphismError(
+            f"degree bound {degree_bound} is over the budget of "
+            f"{UNKNOWNS_BUDGET} unknowns per hom system"
+        )
     sols: list[HomSolution] = []
-    for entries, sign, parity in SYSTEMS[resolve_category(src, dst, category)]:
+    for entries, sign, parity in systems:
         for w in _solve_system(src, dst, degree_bound, entries, sign):
             if not check_intertwiner(src, dst, w, sign):
                 raise InvariantBreach("solver produced a non-intertwining solution")
@@ -356,6 +358,21 @@ def _in_span(target: Poly, basis: Sequence[Poly]) -> bool:
 
 
 # -- submodules and filtrations ----------------------------------------------------
+
+
+# terms in all the F_r(c + d), r <= k: at most C(k + m + 1, m + 1)
+TERMS_BUDGET = 200_000
+
+
+def check_filtration_budget(p: Presentation, k: int) -> None:
+    """Refuse a filtration length k whose F_r(c + d), r <= k, could pass TERMS_BUDGET terms.
+
+    F_r(c + d) has degree r in h_1..h_m, so at most C(r + m, m) terms.
+    """
+    if k > 0 and comb(k + p.m + 1, p.m + 1) > TERMS_BUDGET:
+        raise MorphismError(
+            f"filtration length {k} is over the budget of {TERMS_BUDGET} terms in the F_r(c + d)"
+        )
 
 
 def filtration(lambdas: Sequence[Fraction], k: int) -> list[Poly]:

@@ -74,6 +74,25 @@ def grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
 
 
+def monomials(nvars: int, max_deg: int) -> Iterator[tuple[int, ...]]:
+    """The C(max_deg + nvars, nvars) exponent tuples of total degree <= max_deg, by grlex_key."""
+    for total in range(max_deg + 1):
+        yield from _of_degree(nvars, total)
+
+
+def _of_degree(nvars: int, total: int) -> Iterator[tuple[int, ...]]:
+    """The exponent tuples of nvars variables that sum to total, lexicographically."""
+    if nvars == 0:
+        if total == 0:
+            yield ()
+    elif nvars == 1:
+        yield (total,)
+    else:
+        for e in range(total + 1):
+            for rest in _of_degree(nvars - 1, total - e):
+                yield (e, *rest)
+
+
 # -- term maps -------------------------------------------------------------------
 #
 # A term map sends exponent tuples to nonzero int numerators.  The helpers

@@ -36,6 +36,7 @@ from .poly import (
     apply_shift,
     default_names,
     format_poly,
+    monomials,
     parse_poly,
 )
 from .superlie import BasisElement, Cartan, Root, SuperAlgebra, algebra
@@ -499,11 +500,7 @@ def pointwise_check(p: Presentation, max_deg: int = 2) -> RelationReport:
     """
     alg = p.algebra
     nv = alg.nvars
-    samples = [
-        Mat2.scalar(Poly(nv, {exps: 1}))
-        for exps in itertools.product(range(max_deg + 1), repeat=nv)
-        if sum(exps) <= max_deg
-    ]
+    samples = [Mat2.scalar(Poly(nv, {exps: 1})) for exps in monomials(nv, max_deg)]
     basis = alg.basis()
     violations = []
     checked = 0

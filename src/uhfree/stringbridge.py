@@ -9,15 +9,16 @@ infinite alternating-arrow string modules
     M2:  u_1 -y-> u_2 -x-> u_3 -y-> u_4 -> ...
 
 under the degree-doubling maps phi.  The modules are materialized up to
-a truncation length N; actions that would leave the window set a flag
-instead of silently vanishing, so verification degrees stay honest.
+a truncation length N, and a string vector is a dict {i: coefficient of
+u_i} with no zero entries.  An arrow or an image of phi that would leave
+u_1..u_N raises instead of silently vanishing, so verification degrees
+stay honest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .poly import Poly, UhfreeError
 from .presentation import Mat2, Presentation, act, build_mas
@@ -28,41 +29,20 @@ class StringBridgeError(UhfreeError):
     """Invalid index, truncation overflow, or malformed request."""
 
 
-# -- truncated string modules ----------------------------------------------------
+def _in_window(j: int, n: int) -> int:
+    """The index j of u_j, which must lie in the truncation u_1..u_N."""
+    if j > n:
+        raise StringBridgeError(f"truncation overflow: u_{j} beyond N = {n}")
+    return j
 
 
-@dataclass(frozen=True)
-class StringVector:
-    """Finite combination of basis vectors u_i, with a truncation flag."""
+def _describe(v: dict[int, Fraction]) -> str:
+    """0, u3 or 2*u5 + ..., in index order."""
+    parts = [f"u{i}" if c == 1 else f"{c}*u{i}" for i, c in sorted(v.items())]
+    return " + ".join(parts) or "0"
 
-    coeffs: tuple[tuple[int, Fraction], ...]
-    truncated: bool = False
 
-    @classmethod
-    def of(cls, mapping: Mapping[int, Fraction], truncated: bool = False):
-        items = tuple(
-            (i, Fraction(c)) for i, c in sorted(mapping.items()) if c
-        )
-        return cls(items, truncated)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "StringVector") -> "StringVector":
-        acc = dict(self.coeffs)
-        for i, c in other.coeffs:
-            acc[i] = acc.get(i, Fraction(0)) + c
-        return StringVector.of(acc, self.truncated or other.truncated)
-
-    def describe(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in self.coeffs:
-            parts.append(f"u{i}" if c == 1 else f"{c}*u{i}")
-        text = " + ".join(parts)
-        return text + (" (+ dropped terms)" if self.truncated else "")
+# -- string modules up to u_N -----------------------------------------------------
 
 
 class StringModule:
@@ -83,31 +63,25 @@ class StringModule:
             return "x" if first_x else "y"
         return "y" if first_x else "x"
 
-    def act(self, gen: str, i: int) -> StringVector:
-        """Action of x, y, or h = xy + yx on a basis vector."""
+    def act(self, gen: str, i: int) -> dict[int, Fraction]:
+        """Action of x, y, or h = xy + yx on u_i; an arrow out of u_N raises."""
         if not 1 <= i <= self.n:
             raise StringBridgeError(f"basis index {i} outside 1..{self.n}")
         if gen in ("x", "y"):
             if self.arrow_label(i) != gen:
-                return StringVector.of({})
-            if i + 1 > self.n:
-                return StringVector.of({}, truncated=True)
-            return StringVector.of({i + 1: Fraction(1)})
+                return {}
+            return {_in_window(i + 1, self.n): Fraction(1)}
         if gen == "h":
-            first = self.act_vector(self.arrow_label(i), StringVector.of({i: Fraction(1)}))
-            other = "y" if self.arrow_label(i) == "x" else "x"
-            second = self.act_vector(other, first)
-            return second
+            first = self.arrow_label(i)
+            return self.act_vector("y" if first == "x" else "x", self.act(first, i))
         raise StringBridgeError(f"unknown generator {gen!r}")
 
-    def act_vector(self, gen: str, v: StringVector) -> StringVector:
-        out = StringVector.of({}, truncated=v.truncated)
-        for i, c in v.coeffs:
-            step = self.act(gen, i)
-            out = out + StringVector.of(
-                {j: c * cc for j, cc in step.coeffs}, step.truncated
-            )
-        return out
+    def act_vector(self, gen: str, v: dict[int, Fraction]) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
+        for i, c in v.items():
+            for j, cj in self.act(gen, i).items():
+                out[j] = out.get(j, 0) + c * cj
+        return {j: c for j, c in out.items() if c}
 
     def adjacency(self) -> list[tuple[int, str, int]]:
         """All arrows (u_i, generator, u_{i+1}) inside the truncation."""
@@ -124,7 +98,7 @@ def canonical_presentation(label: int) -> Presentation:
     return build_mas(1, (1,), () if label == 1 else (1,))
 
 
-def phi_map(variant: int, v: Mat2, n: int, col: int = 0) -> StringVector:
+def phi_map(variant: int, v: Mat2, n: int, col: int = 0) -> dict[int, Fraction]:
     """The degree-doubling identification of the module vector in column col of v with u's.
 
     Variant 1 sends (0, h^i) to u_{2i+1} and (h^i, 0) to u_{2i+2};
@@ -135,25 +109,14 @@ def phi_map(variant: int, v: Mat2, n: int, col: int = 0) -> StringVector:
         raise StringBridgeError("variant must be 1 or 2")
     if v.nvars != 1:
         raise StringBridgeError("bridge vectors are univariate")
-    acc: dict[int, Fraction] = {}
-
-    def place(poly: Poly, base: int):
-        for (e,), coeff in poly.terms.items():
-            target = 2 * e + base
-            if target > n:
-                raise StringBridgeError(
-                    f"truncation overflow: u_{target} beyond N = {n}"
-                )
-            acc[target] = acc.get(target, Fraction(0)) + coeff
-
     top, bottom = v[0, col], v[1, col]
-    if variant == 1:
-        place(bottom, 1)
-        place(top, 2)
-    else:
-        place(top, 1)
-        place(bottom, 2)
-    return StringVector.of(acc)
+    odd, even = (bottom, top) if variant == 1 else (top, bottom)
+    # the odd and even targets are distinct, so no two terms meet
+    return {
+        _in_window(2 * e + base, n): coeff
+        for base, poly in ((1, odd), (2, even))
+        for (e,), coeff in poly.terms.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -167,10 +130,10 @@ def check_intertwining(variant: int, n: int, max_deg: int) -> IntertwiningReport
     """Verify phi(g . v) = g . phi(v) on all monomial vectors up to max_deg.
 
     The module side is the canonical presentation matching the variant;
-    the string side is the truncated diagram action.  N must leave room
+    the string side is the diagram action on u_1..u_N.  N must leave room
     for the images: h . (h^max_deg, 0) lands on u_{2*max_deg+4}, so
-    N >= 2*max_deg + 4.  Failures are reported per (generator, vector)
-    pair.
+    N >= 2*max_deg + 4, and under that guard neither side leaves the
+    window.  Failures are reported per (generator, vector) pair.
     """
     if max_deg < 0:
         raise StringBridgeError(f"max degree must be non-negative, got {max_deg}")
@@ -197,10 +160,10 @@ def check_intertwining(variant: int, n: int, max_deg: int) -> IntertwiningReport
                 lhs = phi_map(variant, gv, n, which)
                 rhs = strings.act_vector(gen, image)
                 checked += 1
-                if rhs.truncated or lhs != rhs:
+                if lhs != rhs:
                     desc = f"(h^{k} in column {which + 1})"
                     failures.append(
-                        f"phi({gen} . {desc}) = {lhs.describe()} but "
-                        f"{gen} . phi{desc} = {rhs.describe()}"
+                        f"phi({gen} . {desc}) = {_describe(lhs)} but "
+                        f"{gen} . phi{desc} = {_describe(rhs)}"
                     )
     return IntertwiningReport(not failures, tuple(failures), checked)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -298,6 +299,32 @@ class TestExitCodes:
         }
         argv = [a.format(**files) for a in argv] + ["--out", str(out)]
         assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["endo", "{file}", "--bound", "100000"],
+                "degree bound 100000 is over the budget of 1500 unknowns per hom system",
+            ),
+            (
+                ["submodules", "{file}", "--length", "3000"],
+                "filtration length 3000 is over the budget of 200000 terms in the F_r(c + d)",
+            ),
+        ],
+        ids=["endo-bound", "submodules-length"],
+    )
+    def test_input_over_a_budget_is_exit_2_at_once(
+        self, family_file, tmp_path, capsys, argv, message
+    ):
+        out = tmp_path / "out.json"
+        start = time.perf_counter()
+        assert main([a.format(file=family_file) for a in argv] + ["--out", str(out)]) == 2
+        assert time.perf_counter() - start < 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""

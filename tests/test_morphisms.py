@@ -20,6 +20,7 @@ from uhfree.presentation import (
 from uhfree.morphisms import (
     MorphismError,
     _nullspace,
+    check_filtration_budget,
     check_intertwiner,
     endo_f_polynomial,
     endo_ring_basis,
@@ -208,6 +209,17 @@ class TestSolveHom:
             for i in range(3):
                 delta_i = alg.weight_shift(Root(i, 3))  # sigma_i Delta^{-1}
                 assert w1 == apply_shift(delta_i, w4)
+
+    def test_the_budget_counts_the_unknowns_of_the_widest_system(self, monkeypatch):
+        # graded sl(3|1): 2 x C(14 + 3, 3) = 1 360 unknowns pass, 2 x C(18, 3) = 1 632 do not;
+        # ungraded, 4 x C(11 + 3, 3) = 1 456 pass and 4 x C(15, 3) = 1 820 do not
+        monkeypatch.setattr(morphisms, "_solve_system", lambda *args: [])
+        graded = build_mas(3, (1, 2, 3), (1,))
+        ungraded = make_presentation(3, 1, dict(graded.odd), grading="ungraded")
+        for p, last in ((graded, 14), (ungraded, 11)):
+            assert solve_hom(p, p, last) == []
+            with pytest.raises(MorphismError, match="over the budget of 1500 unknowns"):
+                solve_hom(p, p, last + 1)
 
     def test_graded_category_needs_graded_inputs(self):
         p = build_mas(2, (1, 1), ())
@@ -437,6 +449,14 @@ class TestSubmodules:
         x = Poly.var(1, 0)
         with pytest.raises(InvariantBreach, match="not strict"):
             filtration_separators(p, [Poly.one(1), x, x])
+
+    def test_the_budget_counts_the_terms_of_every_step(self):
+        # C(k + m + 1, m + 1) terms: sl(3|1) passes at k = 44 (194 580), not at 45 (211 876);
+        # the default length 10 passes up to sl(8|1) (92 378)
+        check_filtration_budget(build_mas(3, (1, 2, 3), (1,)), 44)
+        check_filtration_budget(build_mas(8, range(1, 9), (1,)), 10)
+        with pytest.raises(MorphismError, match="over the budget of 200000 terms"):
+            check_filtration_budget(build_mas(3, (1, 2, 3), (1,)), 45)
 
     def test_too_few_roots_rejected(self):
         p = build_mas(2, (1, 1), ())

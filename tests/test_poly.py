@@ -1,6 +1,7 @@
+import itertools
 import sys
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 import sympy
@@ -15,6 +16,7 @@ from uhfree.poly import (
     default_names,
     divides_exactly,
     format_poly,
+    monomials,
     parse_poly,
     poly_gcd,
 )
@@ -538,3 +540,15 @@ class TestCompose:
         x = sympy.Symbol("X")
         want = to_sympy(f, (x,)).subs(x, to_sympy(g, syms))
         assert _canonical(compose_univariate(f, g)) == from_sympy(want, syms)
+
+
+class TestMonomials:
+    @pytest.mark.parametrize("nvars", range(5))
+    def test_enumeration_matches_the_filtered_product(self, nvars):
+        # the oracle filters all (d + 1)^nvars tuples, then sorts by degree, then lexicographically
+        for d in range(6):
+            box = itertools.product(range(d + 1), repeat=nvars)
+            want = sorted((e for e in box if sum(e) <= d), key=lambda e: (sum(e), e))
+            got = list(monomials(nvars, d))
+            assert got == want
+            assert len(set(got)) == len(got) == comb(d + nvars, nvars)

@@ -8,7 +8,6 @@ from uhfree import stringbridge
 from uhfree.stringbridge import (
     StringBridgeError,
     StringModule,
-    StringVector,
     canonical_presentation,
     check_intertwining,
     phi_map,
@@ -18,7 +17,7 @@ H = Poly.var(1, 0)
 
 
 def sv(mapping):
-    return StringVector.of({k: Fraction(v) for k, v in mapping.items()})
+    return {k: Fraction(v) for k, v in mapping.items()}
 
 
 class TestStringModule:
@@ -39,10 +38,15 @@ class TestStringModule:
         assert s.act("y", 1) == sv({2: 1})
         assert s.act("x", 1) == sv({})
 
-    def test_truncation_is_flagged(self):
+    def test_leaving_the_window_raises(self):
         s = StringModule(1, 3)
-        out = s.act("x", 3)
-        assert out.is_zero and out.truncated
+        assert s.act("y", 3) == sv({})
+        with pytest.raises(StringBridgeError, match="truncation overflow: u_4 beyond N = 3"):
+            s.act("x", 3)
+        with pytest.raises(StringBridgeError, match="truncation overflow: u_4 beyond N = 3"):
+            s.act("h", 2)
+        with pytest.raises(StringBridgeError, match="truncation overflow: u_4 beyond N = 3"):
+            s.act_vector("x", sv({1: 1, 3: 2}))
 
     def test_index_range_checked(self):
         with pytest.raises(StringBridgeError):
@@ -83,7 +87,7 @@ class TestPhi:
             for which in (0, 1):
                 # column `which` of h^k * I is (h^k, 0) or (0, h^k)
                 image = phi_map(1, Mat2.scalar(H**k), n, which)
-                [(idx, coeff)] = image.coeffs
+                [(idx, coeff)] = image.items()
                 assert coeff == 1
                 assert idx not in hit
                 hit.add(idx)
@@ -102,6 +106,24 @@ class TestIntertwining:
         report = check_intertwining(1, 25, 10)
         assert not report.ok
         assert any("u1" in f or "h^0" in f for f in report.failures)
+
+    def test_a_swapped_arrow_failure_reads_verbatim(self, monkeypatch):
+        monkeypatch.setattr(stringbridge, "StringModule", lambda v, n: StringModule(3 - v, n))
+        report = check_intertwining(1, 25, 10)
+        assert report.failures[0] == (
+            "phi(x . (h^0 in column 1)) = 0 but x . phi(h^0 in column 1) = u3"
+        )
+
+    def test_failure_text_lists_the_terms_in_index_order(self):
+        assert stringbridge._describe({}) == "0"
+        assert stringbridge._describe(sv({5: 2, 3: 1, 1: Fraction(-1, 2)})) == "-1/2*u1 + u3 + 2*u5"
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_the_guard_keeps_every_image_in_the_window(self, variant):
+        # at the smallest N the guard accepts, h . (h^d, 0) lands on u_N itself
+        for d in range(9):
+            report = check_intertwining(variant, 2 * d + 4, d)
+            assert report.ok and report.checked == 6 * (d + 1)
 
     def test_truncation_guard(self):
         with pytest.raises(StringBridgeError):
