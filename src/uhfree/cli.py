@@ -31,6 +31,7 @@ from .presentation import (
     MAX_SHOWN_VIOLATIONS,
     Presentation,
     PresentationError,
+    check_pointwise_budget,
     dump_json,
     parity_check,
     pointwise_check,
@@ -137,6 +138,8 @@ def cmd_verify(args) -> Outcome:
             f"--pointwise must be non-negative, got {args.pointwise}"
         )
     p = _load_presentation(args.file)
+    if args.pointwise is not None:
+        check_pointwise_budget(p, args.pointwise)
     lines = [f"presentation over sl({p.m}|{p.n}), grading {p.grading}"]
     report = normalform.verified_report(p)
     payload = {
@@ -311,6 +314,7 @@ def cmd_submodules(args) -> Outcome:
 
 
 def cmd_string_check(args) -> Outcome:
+    stringbridge.check_string_budget(args.n, args.max_deg, args.adjacency)
     variants = (1, 2) if args.variant == "both" else (int(args.variant),)
     lines = []
     payload = {}
@@ -328,12 +332,9 @@ def cmd_string_check(args) -> Outcome:
         )
         ok = ok and report.ok
         if args.adjacency:
-            module = stringbridge.StringModule(v, args.n)
-            payload[f"variant{v}"]["adjacency"] = [
-                list(t) for t in module.adjacency()
-            ]
-            for i, g, j in module.adjacency():
-                lines.append(f"  u{i} -{g}-> u{j}")
+            arrows = stringbridge.StringModule(v, args.n).adjacency()
+            payload[f"variant{v}"]["adjacency"] = [list(t) for t in arrows]
+            lines.extend(f"  u{i} -{g}-> u{j}" for i, g, j in arrows)
     return (0 if ok else 1), lines, payload
 
 

@@ -43,7 +43,6 @@ from .presentation import (
     Presentation,
     RelationReport,
     build_mas,
-    build_mas_bar,
     conjugate,
     parity_check,
     verify_relations,
@@ -209,14 +208,10 @@ class CanonParams:
     s: frozenset[int]
     bar: bool = False
 
-    def __post_init__(self):
-        if any(x == 0 for x in self.a):
-            raise ClassificationError("parameters must be nonzero")
-
     @cached_property
     def family(self) -> Presentation:
-        """The family member M(a, S), or Mbar(a, S) when bar, built once per object."""
-        return (build_mas_bar if self.bar else build_mas)(len(self.a), self.a, self.s)
+        """M(a, S), the member the proof checks (also when bar), built once per object."""
+        return build_mas(len(self.a), self.a, self.s)
 
     def normalized(self) -> "CanonParams":
         """The unique representative with first parameter 1."""
@@ -252,7 +247,7 @@ def classify_sl11(p: Presentation) -> Sl11Class:
     if (p.m, p.n) != (1, 1):
         raise ClassificationError("classify_sl11 expects m = n = 1")
     params, w = classified_sl_m1(p)
-    member = build_mas(1, params.a, params.s)
+    member = params.family
     return Sl11Class(
         2 if params.s else 1,
         w * Mat2.swap(1) if params.bar else w,
@@ -292,11 +287,11 @@ def classify_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
 
     Pipeline: canonicalize the (m, b1) pair, conjugate the whole tuple
     by its witness, and read a_i and whether i is in S from the upper
-    entry of each e[i,b1].  Graded inputs keep their parity convention:
-    for the bar convention the witness lands on the bar family.
-    Returns (params, witness) with conjugate(p, witness) equal to
-    params.family, which `check_family_form` has checked exactly; it is
-    the only check of the shapes.
+    entry of each e[i,b1].  `check_family_form` then checks that this
+    conjugate equals M(a, S) exactly; it is the only check of the shapes.
+    Returns (params, witness).  For a g11bar input params.bar is set and
+    the witness is W times the constant swap, so conjugate(p, witness)
+    is Mbar(a, S), M(a, S) conjugated by the swap; otherwise it is W.
 
     This is the raw classifier at every m >= 1: it assumes nothing about
     p, and an input that violates the module relations raises
@@ -304,7 +299,7 @@ def classify_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
     pair is the identity, so the pair identities are the three sl(1|1)
     relations.  `classified_sl_m1` is the verified entry point.
     """
-    if p.n != 1:
+    if p.n > 1:
         raise ClassificationError("classification applies to sl(m|1)")
     if p.is_graded():
         parity = parity_check(p)
@@ -331,14 +326,9 @@ def classify_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
         # diag(1, 1/a_1) takes M((a_1,), S) to the sl(1|1) normal form M((1,), S)
         scale = Mat2.of(nv, ((1, 0), (0, 1 / a[0])))
         w, conj, a = w * scale, conjugate(conj, scale), [Fraction(1)]
-    bar = p.grading == "g11bar"
-    if bar:
-        swap = Mat2.swap(nv)
-        w = w * swap
-        conj = conjugate(conj, swap)
-    params = CanonParams(tuple(a), frozenset(s), bar)
+    params = CanonParams(tuple(a), frozenset(s), p.grading == "g11bar")
     check_family_form(conj, params)
-    return params, w
+    return params, w * Mat2.swap(nv) if params.bar else w
 
 
 def verified_report(p: Presentation) -> RelationReport:
@@ -359,14 +349,14 @@ def verified_report(p: Presentation) -> RelationReport:
     are identities in End(Q[h]^2), hence invariant under conjugation by
     W, so p satisfies every relation that conjugate(p, W) satisfies.
 
-    `classify_sl_m1` returns (params, W) only after checking that
-    conjugate(p, W) equals the family member M(a, S) or Mbar(a, S) at
-    every odd position; `verify_relations` is then run on that member.
-    The proof trusts three facts: `conjugate`'s unimodularity test, that
-    final equality, and the member's check passing; none of the
-    classifier's reasoning.  On success the report is the member's
-    (`checked` = k(k+1)/2) and (params, W) is kept for
-    `classified_sl_m1`.
+    `classify_sl_m1` checks that conjugate(p, W) equals M(a, S) at every
+    odd position, and `verify_relations` runs on M(a, S) alone.  The
+    proof trusts three facts: `conjugate`'s unimodularity test, that
+    equality, and M(a, S) passing its check; none of the classifier's
+    reasoning.  For a g11bar input the published witness is W times the
+    constant swap, a change of basis that takes M(a, S) to Mbar(a, S)
+    and plays no part in the proof.  On success the report is the
+    member's (`checked` = k(k+1)/2).
 
     Fallback: if the classifier raises ClassificationError or
     InvariantBreach, or the member fails its check, `verify_relations(p)`
@@ -374,46 +364,50 @@ def verified_report(p: Presentation) -> RelationReport:
     takes both exception routes.  A classifier InvariantBreach on an
     input that then passes is re-raised: it is a bug, not a verdict.
     """
-    report = p._memo.get("relations")
-    if report is None:
-        report = p._memo["relations"] = _relation_report(p)
-    return report
+    return _verdict(p)[0]
 
 
-def _relation_report(p: Presentation) -> RelationReport:
-    """verified_report's computation: the classification route, else verify_relations."""
-    if p.n != 1:
-        return verify_relations(p)
+def _verdict(p: Presentation) -> tuple[RelationReport, object]:
+    """p's one record, made once: its report, and the (params, W) that
+    proved it or the exception that `classified_sl_m1` raises instead."""
+    record = p._memo.get("verdict")
+    if record is None:
+        record = p._memo["verdict"] = _classified_report(p)
+    return record
+
+
+def _classified_report(p: Presentation) -> tuple[RelationReport, object]:
+    """The classification route, else verify_relations(p) with the refusal."""
     try:
         params, w = classify_sl_m1(p)
-    except ClassificationError:
-        return verify_relations(p)
-    except InvariantBreach:
+    except ClassificationError as refusal:
+        return verify_relations(p), refusal
+    except InvariantBreach as refusal:
         report = verify_relations(p)
         if report.ok:
             raise
-        return report
+        return report, refusal
     report = verify_relations(params.family)
     if not report.ok:
-        return verify_relations(p)
-    p._memo["sl_m1"] = (params, w)
-    return report
+        failed = InvariantBreach("a module's family member failed its relation check")
+        return verify_relations(p), failed
+    return report, (params, w)
 
 
 def classified_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:
     """The classification that `verified_report` proved p's relations by.
 
     A presentation that violates the relations raises ClassificationError,
-    and so does a module the classifier refuses: one outside sl(m|1), or
-    one whose grading flag contradicts its shapes.
+    and so does a module the classifier refused: one outside sl(m|1), or
+    one whose grading flag contradicts its shapes.  The refusal is the
+    one kept in p's record; the classifier does not run again.
     """
-    report = verified_report(p)
+    report, outcome = _verdict(p)
     if not report.ok:
         raise ClassificationError(
             "presentation does not satisfy the module relations: "
             + report.describe(p.m, p.n)[0]
         )
-    if "sl_m1" not in p._memo:
-        classify_sl_m1(p)  # raises again if it refused p in verified_report
-        raise InvariantBreach("a module's family member failed its relation check")
-    return p._memo["sl_m1"]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

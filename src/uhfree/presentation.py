@@ -28,6 +28,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .poly import (
@@ -247,7 +248,7 @@ class Presentation:
     odd: tuple[tuple[tuple[int, int], Mat2], ...]
     # action matrices by (row, col): the odd ones, then each even one derive_even makes
     _lookup: dict = field(init=False, repr=False, compare=False, hash=False)
-    # "relations" and "sl_m1": the verdict and classification kept by the layer above
+    # "verdict": the one record normalform keeps, the report with (params, W) or the refusal
     _memo: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -515,6 +516,24 @@ def pointwise_check(p: Presentation, max_deg: int = 2) -> RelationReport:
                 if lhs != rhs:
                     violations.append(Violation(x, y, lhs, rhs))
     return RelationReport(not violations, tuple(violations), checked, checked)
+
+
+# (basis pair, sample) checks of pointwise_check; each costs more as the degree grows
+POINTWISE_BUDGET = 10_000
+
+
+def check_pointwise_budget(p: Presentation, max_deg: int) -> None:
+    """Refuse a pointwise_check degree past POINTWISE_BUDGET (pair, sample) checks.
+
+    pointwise_check applies (dim g)^2 basis pairs to C(max_deg + v, v)
+    monomial samples, v the number of variables.
+    """
+    pairs = len(p.algebra.basis()) ** 2
+    if pairs * comb(max_deg + p.nvars, p.nvars) > POINTWISE_BUDGET:
+        raise PresentationError(
+            f"pointwise degree {max_deg} is over the budget of {POINTWISE_BUDGET} "
+            "(basis pair, sample) checks"
+        )
 
 
 # -- the classified family M(a, S) ------------------------------------------------

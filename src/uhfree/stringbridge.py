@@ -119,6 +119,24 @@ def phi_map(variant: int, v: Mat2, n: int, col: int = 0) -> dict[int, Fraction]:
     }
 
 
+# check_intertwining takes about 0.2 ms per degree and variant
+DEGREE_BUDGET = 10_000
+# --adjacency prints N - 1 arrows per variant, about 21 bytes each
+ARROWS_BUDGET = 100_000
+
+
+def check_string_budget(n: int, max_deg: int, adjacency: bool) -> None:
+    """Refuse a string-check request past DEGREE_BUDGET or ARROWS_BUDGET, before any work."""
+    if max_deg > DEGREE_BUDGET:
+        raise StringBridgeError(
+            f"max degree {max_deg} is over the budget of {DEGREE_BUDGET} degrees"
+        )
+    if adjacency and n - 1 > ARROWS_BUDGET:
+        raise StringBridgeError(
+            f"adjacency at N = {n} is over the budget of {ARROWS_BUDGET} arrows per variant"
+        )
+
+
 @dataclass(frozen=True)
 class IntertwiningReport:
     ok: bool

@@ -315,8 +315,23 @@ class TestExitCodes:
                 ["submodules", "{file}", "--length", "3000"],
                 "filtration length 3000 is over the budget of 200000 terms in the F_r(c + d)",
             ),
+            (
+                ["verify", "{file}", "--pointwise", "40"],
+                "pointwise degree 40 is over the budget of 10000 (basis pair, sample) checks",
+            ),
+            (
+                ["string-check", "--N", "4000004", "--max-deg", "2000000"],
+                "max degree 2000000 is over the budget of 10000 degrees",
+            ),
+            (
+                ["string-check", "--N", "20000004", "--max-deg", "10", "--adjacency"],
+                "adjacency at N = 20000004 is over the budget of 100000 arrows per variant",
+            ),
         ],
-        ids=["endo-bound", "submodules-length"],
+        ids=[
+            "endo-bound", "submodules-length", "verify-pointwise", "string-check-degree",
+            "string-check-adjacency",
+        ],
     )
     def test_input_over_a_budget_is_exit_2_at_once(
         self, family_file, tmp_path, capsys, argv, message
@@ -967,6 +982,33 @@ class TestVerifyOnce:
         }
         assert main([a.format(**paths) for a in argv]) == 0
         assert len(calls) == runs
+
+    @pytest.mark.parametrize(
+        "argv, runs",
+        [
+            (["classify", "{a}"], 1),
+            (["iso", "{a}", "{a}"], 2),
+            (["submodules", "{a}", "--length", "2"], 1),
+        ],
+        ids=["classify", "iso", "submodules"],
+    )
+    def test_a_refused_input_is_classified_once(self, tmp_path, monkeypatch, capsys, argv, runs):
+        # a module with g11 shapes labelled g11bar: verified_report keeps the
+        # classifier's refusal, and classified_sl_m1 raises it without a rerun
+        calls = []
+        original = normalform.classify_sl_m1
+        monkeypatch.setattr(
+            normalform, "classify_sl_m1", lambda p: calls.append(p) or original(p)
+        )
+        mislabelled = make_presentation(2, 1, dict(build_mas(2, (1, 2), (1,)).odd), "g11bar")
+        path = write(tmp_path, "a.json", mislabelled)
+        assert main([a.format(a=path) for a in argv]) == 2
+        assert len(calls) == runs
+        assert capsys.readouterr().err == (
+            "error: grading flag contradicts the matrix shapes: "
+            "e[1,b1] is not strictly lower-left; e[b1,1] is not strictly upper-right; "
+            "e[2,b1] is not strictly lower-left; e[b1,2] is not strictly upper-right\n"
+        )
 
     def test_equal_objects_each_get_their_verdict(self, verify_calls):
         good = [build_mas(2, (1, 2), (1,)) for _ in range(2)]

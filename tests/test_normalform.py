@@ -327,6 +327,16 @@ class TestRelationsThroughClassification:
         assert "PASS: all 3 generator relations hold" in capsys.readouterr().out
         assert checked == [build_mas(1, (1,), (1,))] and checked[0] != p
 
+    def test_a_bar_input_checks_the_unbarred_member(self, checked):
+        # the swap to Mbar(a, S) only changes the basis of the published witness;
+        # the classifier scales a to a_m = 1
+        p = build_mas_bar(3, (1, 2, 3), (2,))
+        assert verified_report(p).ok
+        assert checked == [build_mas(3, (Fraction(1, 3), Fraction(2, 3), 1), (2,))]
+        params, w = classified_sl_m1(p)
+        assert params.bar and checked[0] is params.family
+        assert conjugate(p, w).odd == build_mas_bar(3, params.a, params.s).odd
+
     def test_sl11_non_module_lists_its_own_violations(self, checked):
         for _, mats in scaled_conjugates(1):
             p = make_presentation(1, 1, mats)
@@ -376,7 +386,8 @@ class TestRelationsThroughClassification:
         assert report.checked == k * (k + 1) // 2
         with mock.patch.object(normalform, "classify_sl_m1", side_effect=AssertionError):
             params, w = classified_sl_m1(p)
-        assert conjugate(p, w).odd == params.family.odd
+        member = (build_mas_bar if params.bar else build_mas)(p.m, params.a, params.s)
+        assert conjugate(p, w).odd == member.odd
 
     @pytest.mark.parametrize("drop_final, code", [(False, 1), (True, 0)])
     def test_the_proof_rests_on_the_family_checks(self, tmp_path, monkeypatch, drop_final, code):

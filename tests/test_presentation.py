@@ -15,6 +15,7 @@ from uhfree.presentation import (
     act,
     build_mas,
     build_mas_bar,
+    check_pointwise_budget,
     conjugate,
     _generating_pairs,
     derive_even,
@@ -176,6 +177,14 @@ class TestVerifyRelations:
         assert pointwise_check(good, 2).ok
         bad = sl11(Mat2.zero(1), Mat2.zero(1))
         assert not pointwise_check(bad, 2).ok
+
+    @pytest.mark.parametrize("m, passes", [(1, 1110), (2, 16), (3, 4), (4, 2)])
+    def test_the_pointwise_budget_counts_pairs_times_samples(self, m, passes):
+        # (dim g)^2 * C(D + m, m) <= 10 000 holds at D = passes, not at passes + 1
+        p = build_mas(m, tuple(range(1, m + 1)), (1,))
+        check_pointwise_budget(p, passes)
+        with pytest.raises(PresentationError, match="over the budget"):
+            check_pointwise_budget(p, passes + 1)
 
     def test_bracket_action_identity_on_monomials(self):
         # act(x, act(y, v)) - (-1)^{|x||y|} act(y, act(x, v)) = act([x,y], v)
@@ -423,7 +432,9 @@ class TestRelationReportFallback:
         assert not verify_relations(broken).ok
         report = verified_report(p)
         assert report.ok and report.violations == ()
-        assert "sl_m1" not in p._memo
+        # p's one record keeps the report and no (params, w)
+        ((kept, outcome),) = p._memo.values()
+        assert kept is report and not isinstance(outcome, tuple)
 
     def test_classifying_such_a_module_is_a_breach(self, planted):
         # p passes although the member it is conjugate to fails: no classification is kept

@@ -129,6 +129,16 @@ class TestIntertwining:
         with pytest.raises(StringBridgeError):
             check_intertwining(1, 10, 10)
 
+    def test_the_request_budgets(self):
+        d, n = stringbridge.DEGREE_BUDGET, stringbridge.ARROWS_BUDGET + 1
+        stringbridge.check_string_budget(n, d, True)
+        with pytest.raises(StringBridgeError, match="max degree"):
+            stringbridge.check_string_budget(n, d + 1, False)
+        with pytest.raises(StringBridgeError, match="arrows per variant"):
+            stringbridge.check_string_budget(n + 1, d, True)
+        # without --adjacency N costs nothing
+        stringbridge.check_string_budget(n + 1, d, False)
+
     def test_canonical_presentations_verify(self):
         for label in (1, 2):
             assert verify_relations(canonical_presentation(label)).ok
