@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .poly import (
     Poly,
@@ -210,7 +210,7 @@ class CanonParams:
 
     @cached_property
     def family(self) -> Presentation:
-        """M(a, S), the member the proof checks (also when bar), built once per object."""
+        """M(a, S), the member `check_family_form` compares with (also when bar), built once."""
         return build_mas(len(self.a), self.a, self.s)
 
     def normalized(self) -> "CanonParams":
@@ -350,16 +350,33 @@ def verified_report(p: Presentation) -> RelationReport:
     W, so p satisfies every relation that conjugate(p, W) satisfies.
 
     `classify_sl_m1` checks that conjugate(p, W) equals M(a, S) at every
-    odd position, and `verify_relations` runs on M(a, S) alone.  The
-    proof trusts three facts: `conjugate`'s unimodularity test, that
-    equality, and M(a, S) passing its check; none of the classifier's
-    reasoning.  For a g11bar input the published witness is W times the
-    constant swap, a change of basis that takes M(a, S) to Mbar(a, S)
-    and plays no part in the proof.  On success the report is the
-    member's (`checked` = k(k+1)/2).
+    odd position, and `verify_relations` runs on M(1, S) alone, which
+    passes exactly when M(a, S) does (next lemma).  The proof trusts
+    three facts: `conjugate`'s unimodularity test, that equality, and
+    M(1, S) passing its check; none of the classifier's reasoning.
+    For a g11bar input the published witness is W times the constant
+    swap, a change of basis that takes M(a, S) to Mbar(a, S) and plays
+    no part in the proof.  On success the report is the member's
+    (`checked` = k(k+1)/2).
+
+    Lemma (torus rescaling).  M(a, S) passes its check exactly when
+    M(1, S) = M((1, ..., 1), S) does, so `_shape_report` checks one
+    member per shape (m, S) and keeps its report for the process.
+    Put t_i = a_i and t_b1 = 1.  `build_mas` gives e[i,b1] the factor
+    a_i and e[b1,i] the factor 1/a_i, so M(a, S) is M(1, S) with each
+    odd root vector e_IJ scaled by c(IJ) = t_I / t_J.  `twisted_bracket`
+    derives e_ij from e[i,b1] and e[b1,j], so evens scale by a_i / a_j
+    = c(ij) too.  The c are nonzero constants, which commute with every
+    weight shift, so the left side of the identity of a root pair
+    (x, y) scales by c(x) c(y).  If [x, y] is a root vector its right
+    side scales by c(x + y) = c(x) c(y); if [x, y] lies in h then
+    y = -x, c(x) c(y) = 1 and the right side, a Cartan term, does not
+    scale.  So each identity holds at a exactly when it holds at 1.
+    The generating set and its order do not depend on a, so a pass
+    gives the same report (True, (), k(k+1)/2, direct) at both.
 
     Fallback: if the classifier raises ClassificationError or
-    InvariantBreach, or the member fails its check, `verify_relations(p)`
+    InvariantBreach, or the shape fails its check, `verify_relations(p)`
     decides, so the violations listed are those of p.  A non-module
     takes both exception routes.  A classifier InvariantBreach on an
     input that then passes is re-raised: it is a bug, not a verdict.
@@ -387,11 +404,21 @@ def _classified_report(p: Presentation) -> tuple[RelationReport, object]:
         if report.ok:
             raise
         return report, refusal
-    report = verify_relations(params.family)
+    report = _shape_report(p.m, params.s)
     if not report.ok:
         failed = InvariantBreach("a module's family member failed its relation check")
         return verify_relations(p), failed
     return report, (params, w)
+
+
+@cache
+def _shape_report(m: int, s: frozenset[int]) -> RelationReport:
+    """The report of M((1, ..., 1), S) over sl(m|1), made once per process.
+
+    By the torus-rescaling lemma of `verified_report` it is also the
+    report of M(a, S) for every nonzero a.  `cache_clear` forgets it.
+    """
+    return verify_relations(build_mas(m, (1,) * m, s))
 
 
 def classified_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:

@@ -859,7 +859,8 @@ class TestOtherCommands:
 
 
 class TestVerifyOnce:
-    """A presentation object is checked by verify_relations at most once."""
+    """A presentation object is checked by verify_relations at most once,
+    and an sl(m|1) family shape (m, S) at most once per process."""
 
     @pytest.fixture
     def verify_calls(self, monkeypatch):
@@ -890,19 +891,21 @@ class TestVerifyOnce:
              "submodules", "submodules-sl11", "canon-sl11"],
     )
     def test_one_verify_per_input_file(self, tmp_path, verify_calls, argv):
+        # a second request on the same shape reuses the first one's check
         paths = {
             "m21": write(tmp_path, "m21.json", build_mas(2, (1, 2), (1,))),
             "m11": write(tmp_path, "m11.json", build_mas(1, (1,), (1,))),
         }
-        assert main([a.format(**paths) for a in argv]) == 0
+        for _ in range(2):
+            assert main([a.format(**paths) for a in argv]) == 0
         assert len(verify_calls) == 1
 
     def test_iso_verifies_each_side_once(self, tmp_path, verify_calls):
         a = write(tmp_path, "a.json", build_mas(2, (1, 2), (1,)))
         b = write(tmp_path, "b.json", build_mas(2, (3, 6), (1,)))
         assert main(["iso", a, b]) == 0
-        assert len(verify_calls) == 2
-        assert verify_calls[0] is not verify_calls[1]
+        # both sides reach the shape (2, {1}), checked once on M((1, 1), {1})
+        assert verify_calls == [build_mas(2, (1, 1), (1,))]
 
     def test_endo_classifies_once(self, tmp_path, monkeypatch):
         calls = []
@@ -948,17 +951,17 @@ class TestVerifyOnce:
         assert f"FAIL: {len(first.violations)} relation(s) violated" in outputs[0]
 
     def test_conjugate_is_verified_afresh(self, verify_calls):
-        # over sl(m|1), m >= 2, the identities evaluated are those of the
-        # family member that each object's own classification reaches
+        # over sl(m|1), m >= 2, each object is classified afresh, and the
+        # identities evaluated are those of the shape its classification reaches
         p = build_mas(2, (1, 2), (1,))
         assert verified_report(p).ok
         w = Mat2.of(2, ((1, Poly.var(2, 0)), (0, 1)))
         q = conjugate(p, w)
         assert verified_report(q).ok
-        members = [normalform.classified_sl_m1(x)[0].family for x in (p, q)]
-        assert len(verify_calls) == 2
-        assert all(call is member for call, member in zip(verify_calls, members))
-        assert verify_calls[0] == p and verify_calls[0] is not p
+        (params, wp), (qparams, wq) = (normalform.classified_sl_m1(x) for x in (p, q))
+        assert params.s == qparams.s and wq != wp
+        assert conjugate(q, wq).odd == qparams.family.odd
+        assert verify_calls == [build_mas(2, (1, 1), (1,))]
 
     @pytest.mark.parametrize(
         "argv, runs",
@@ -1010,6 +1013,23 @@ class TestVerifyOnce:
             "e[2,b1] is not strictly lower-left; e[b1,2] is not strictly upper-right\n"
         )
 
+    @pytest.mark.parametrize("pos", [(0, 3), (3, 2)], ids=["e[1,b1]", "e[b1,3]"])
+    def test_a_checked_shape_admits_no_perturbed_input(self, tmp_path, capsys, pos):
+        # M((1, 2, 3), {1}) checks the shape (3, {1}); a non-module near it,
+        # one generator of its conjugate doubled, still fails with the
+        # violations a fresh process lists
+        member = write(tmp_path, "member.json", build_mas(3, (1, 2, 3), (1,)))
+        perturbed = write(
+            tmp_path, "perturbed.json", make_presentation(3, 1, dict(scaled_conjugates(3))[pos])
+        )
+        assert main(["verify", member]) == 0
+        capsys.readouterr()
+        assert main(["verify", perturbed]) == 1
+        fresh = _run_python(["-m", "uhfree.cli", "verify", perturbed])
+        assert fresh.returncode == 1
+        assert capsys.readouterr().out == fresh.stdout
+        assert "FAIL: 9 of 78 relations violated" in fresh.stdout
+
     def test_equal_objects_each_get_their_verdict(self, verify_calls):
         good = [build_mas(2, (1, 2), (1,)) for _ in range(2)]
         bad = [
@@ -1019,7 +1039,10 @@ class TestVerifyOnce:
         for pair, ok in ((good, True), (bad, False)):
             assert pair[0] == pair[1] and pair[0] is not pair[1]
             assert [verified_report(p).ok for p in pair] == [ok, ok]
-        assert len(verify_calls) == 4
+            assert pair[0]._memo["verdict"] is not pair[1]._memo["verdict"]
+        # the two modules share their shape's check; each non-module is checked itself
+        assert verify_calls[1:] == bad and all(a is b for a, b in zip(verify_calls[1:], bad))
+        assert verify_calls[0] == build_mas(2, (1, 1), (1,))
 
 
 LAYERS = ("normalform", "morphisms", "stringbridge", "emptiness")

@@ -297,13 +297,18 @@ def _fake_n2():
 
 @st.composite
 def classified_modules(draw):
-    """A conjugate of M(a, S) or Mbar(a, S), m = 2..5, by a unimodular W of degree <= 2."""
+    """M(a, S) or Mbar(a, S), m = 2..5, conjugated by a unimodular W of degree <= 2
+    (ungraded) or by a constant diagonal one, which keeps the g11 or g11bar label."""
     rng = draw(st.randoms(use_true_random=False))
     m = draw(st.integers(2, 5))
     a = tuple(random_nonzero_fraction(rng) for _ in range(m))
     s = frozenset(i for i in range(1, m + 1) if draw(st.booleans()))
     build = build_mas_bar if draw(st.booleans()) else build_mas
-    return conjugate(build(m, a, s), random_unimodular(rng, m))
+    if draw(st.booleans()):
+        w = Mat2.of(m, ((random_nonzero_fraction(rng), 0), (0, random_nonzero_fraction(rng))))
+    else:
+        w = random_unimodular(rng, m)
+    return conjugate(build(m, a, s), w)
 
 
 class TestRelationsThroughClassification:
@@ -329,13 +334,24 @@ class TestRelationsThroughClassification:
 
     def test_a_bar_input_checks_the_unbarred_member(self, checked):
         # the swap to Mbar(a, S) only changes the basis of the published witness;
-        # the classifier scales a to a_m = 1
+        # the classifier scales a to a_m = 1, and its shape is checked at a = 1
         p = build_mas_bar(3, (1, 2, 3), (2,))
         assert verified_report(p).ok
-        assert checked == [build_mas(3, (Fraction(1, 3), Fraction(2, 3), 1), (2,))]
+        assert checked == [build_mas(3, (1, 1, 1), (2,))]
         params, w = classified_sl_m1(p)
-        assert params.bar and checked[0] is params.family
+        assert params.bar
+        assert params.family == build_mas(3, (Fraction(1, 3), Fraction(2, 3), 1), (2,))
         assert conjugate(p, w).odd == build_mas_bar(3, params.a, params.s).odd
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 4), st.randoms(use_true_random=False))
+    def test_torus_rescaling_keeps_the_report(self, m, rng):
+        # the lemma behind the one check per shape: M(a, S) and M(1, S) give equal reports
+        a = tuple(random_nonzero_fraction(rng, lim=9) for _ in range(m))
+        for bits in range(2**m):
+            s = [i for i in range(1, m + 1) if bits >> (i - 1) & 1]
+            at_one = verify_relations(build_mas(m, (1,) * m, s))
+            assert verify_relations(build_mas(m, a, s)) == at_one
 
     def test_sl11_non_module_lists_its_own_violations(self, checked):
         for _, mats in scaled_conjugates(1):

@@ -409,27 +409,31 @@ class TestConjugation:
             conjugate(p, Mat2.of(2, ((Poly.var(2, 0), 0), (0, 1))))
 
 
+def plant_shape_report(monkeypatch, member, check=verify_relations):
+    """Seed the cached report of the shape (2, {1}) with check(member)."""
+    normalform._shape_report.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(normalform, "build_mas", lambda m, a, s: member)
+        patch.setattr(normalform, "verify_relations", check)
+        return normalform._shape_report(2, frozenset({1}))
+
+
 class TestRelationReportFallback:
-    """verified_report falls back to p's own check when the family member fails its check."""
+    """verified_report falls back to p's own check when the family shape fails its check."""
 
     @pytest.fixture
     def planted(self, monkeypatch):
-        # the classifier reaches a member that is no module: M(a, S) with
-        # one odd generator doubled
-        p = build_mas(2, (1, 2), (1,))
+        # the shape (2, {1}) is reported from a member that is no module:
+        # M((1, 1), {1}) with one odd generator doubled
+        member = build_mas(2, (1, 1), (1,))
         broken = make_presentation(
-            2, 1, {pos: 2 * mat if pos == (0, 2) else mat for pos, mat in p.odd}, "g11"
+            2, 1, {pos: 2 * mat if pos == (0, 2) else mat for pos, mat in member.odd}, "g11"
         )
-        params = normalform.CanonParams((Fraction(1), Fraction(2)), frozenset({1}))
-        params.__dict__["family"] = broken
-        monkeypatch.setattr(
-            normalform, "classify_sl_m1", lambda q: (params, Mat2.identity(q.nvars))
-        )
-        return p, broken
+        assert not plant_shape_report(monkeypatch, broken).ok
+        return build_mas(2, (1, 2), (1,)), broken
 
     def test_failing_member_is_not_the_verdict(self, planted):
         p, broken = planted
-        assert not verify_relations(broken).ok
         report = verified_report(p)
         assert report.ok and report.violations == ()
         # p's one record keeps the report and no (params, w)
@@ -437,7 +441,7 @@ class TestRelationReportFallback:
         assert kept is report and not isinstance(outcome, tuple)
 
     def test_classifying_such_a_module_is_a_breach(self, planted):
-        # p passes although the member it is conjugate to fails: no classification is kept
+        # p passes although the shape it reaches fails: no classification is kept
         p, _ = planted
         assert verified_report(p).ok
         with pytest.raises(presentation.InvariantBreach, match="family member failed"):
@@ -445,15 +449,19 @@ class TestRelationReportFallback:
 
     def test_without_the_check_the_member_would_be_reported(self, planted, monkeypatch):
         p, broken = planted
-        real = presentation.verify_relations
-        for module in (presentation, normalform):
-            monkeypatch.setattr(
-                module,
-                "verify_relations",
-                lambda q: dataclasses.replace(real(q), ok=True) if q is broken else real(q),
-            )
+        passing = plant_shape_report(
+            monkeypatch, broken, lambda q: dataclasses.replace(verify_relations(q), ok=True)
+        )
         report = verified_report(p)
-        assert report.violations == real(broken).violations != ()
+        assert report is passing and report.violations == verify_relations(broken).violations != ()
+
+    def test_the_plant_stays_on_its_shape(self, planted):
+        # the cache is keyed by m and S: (2, {}) and (3, {1}) are checked afresh
+        for m, s in ((2, ()), (3, (1,))):
+            q = build_mas(m, range(1, m + 1), s)
+            assert verified_report(q).ok
+            params, _ = normalform.classified_sl_m1(q)
+            assert params.s == frozenset(s)
 
 
 class TestInterchange:
