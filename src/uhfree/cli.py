@@ -31,6 +31,7 @@ from .presentation import (
     MAX_SHOWN_VIOLATIONS,
     Presentation,
     PresentationError,
+    check_degree_budget,
     check_pointwise_budget,
     dump_json,
     parity_check,
@@ -82,7 +83,9 @@ def _read_input(path: str, error: type[ValueError]) -> str:
 
 
 def _load_presentation(path: str) -> Presentation:
-    return presentation_from_json(_read_input(path, PresentationError))
+    p = presentation_from_json(_read_input(path, PresentationError))
+    check_degree_budget(p)
+    return p
 
 
 # an integer, p/q or a decimal; not 1e<k>, for which Fraction builds 10**k however large

@@ -10,8 +10,10 @@ ints.  The kernels add, multiply, shift and specialize integer term maps
 and reduce by one gcd per result; `Poly.terms` is a read-only view
 {exponents: Fraction} of the same value, built on first use.  It also
 provides the shift automorphisms h_i -> h_i - s_i that encode the weights
-of root-vector actions, a primitive-part Euclidean gcd and exact division.
-All values are immutable.
+of root-vector actions, exact division, and a gcd: the heuristic GCDHEU
+(integer gcds at evaluation points, each candidate checked by exact
+division), with a primitive-part Euclidean gcd as its fallback.  All
+values are immutable.
 
 The text grammar (used by every file format and the CLI):
 
@@ -536,7 +538,7 @@ def _content_in(p: Poly, x: int) -> Poly:
     """Gcd of the coefficients of p viewed as univariate in h_x."""
     cont = Poly.zero(p.nvars)
     for c in _as_univariate(p, x).values():
-        cont = poly_gcd(cont, c)
+        cont = _euclid_gcd(cont, c)
     return cont
 
 
@@ -561,14 +563,12 @@ def _pseudo_rem(a: Poly, b: Poly, x: int) -> Poly:
     return r
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Greatest common divisor, normalized monic under graded lex.
+def _euclid_gcd(p: Poly, q: Poly) -> Poly:
+    """The primitive-part Euclidean gcd, recursing on the last active variable.
 
-    Primitive-part Euclidean algorithm, recursing on the last active
-    variable.  gcd(p, 0) is the monic normalization of p; gcd(0, 0) = 0.
+    It is `poly_gcd`'s fallback and the in-package reference for it; its
+    content recursion calls only itself.
     """
-    if p.nvars != q.nvars:
-        raise PolyError("variable-count mismatch")
     if p.is_zero:
         return q.monic()
     if q.is_zero:
@@ -576,7 +576,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     x = _max_active_var(p, q)
     if x is None:
         return Poly.one(p.nvars)
-    cont = poly_gcd(_content_in(p, x), _content_in(q, x))
+    cont = _euclid_gcd(_content_in(p, x), _content_in(q, x))
     a = _primitive_in(p, x)
     b = _primitive_in(q, x)
     while not b.is_zero and b.degree_in(x) > 0:
@@ -584,6 +584,107 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         a, b = b, (r if r.is_zero else _primitive_in(r, x))
     g = a if b.is_zero else Poly.one(p.nvars)
     return (cont * g).monic()
+
+
+# Evaluation points tried per level before the heuristic gives up; each
+# point is the last one times 73794/27011 (both as in sympy's heugcd).
+HEU_GCD_MAX = 6
+
+
+def _primitive(p: Poly) -> tuple[int, Poly]:
+    """(content, primitive part) of a nonzero polynomial with integer coefficients."""
+    c = gcd(*p._num.values())
+    if c == 1:
+        return 1, p
+    return c, Poly._of(p.nvars, {exps: n // c for exps, n in p._num.items()}, 1)
+
+
+def _xi_adic(h: Poly, x: int, xi: int) -> Poly:
+    """The polynomial whose coefficients in a new variable h_x, inserted at
+    index x, are the symmetric base-xi digits (in (-xi/2, xi/2]) of h's."""
+    half = xi // 2
+    digits = {}
+    for exps, n in h._num.items():
+        head, tail = exps[:x], exps[x:]
+        k = 0
+        while n:
+            d = n % xi
+            if d > half:
+                d -= xi
+            if d:
+                digits[head + (k,) + tail] = d
+            n = (n - d) // xi
+            k += 1
+    return Poly._of(h.nvars + 1, digits, 1)
+
+
+def _heu_gcd(f: Poly, g: Poly) -> Optional[Poly]:
+    """GCDHEU: the gcd in Z[h] of nonzero f, g with integer coefficients, or None.
+
+    The contents split off first.  The last active variable h_x is set
+    to an integer xi >= 2 min(|f|, |g|) + 2 (max norms of the primitive
+    parts), the recursion returns gcd(f(xi), g(xi)) in one variable less,
+    and its symmetric xi-adic digits are the coefficients of a candidate
+    in h_x.  If the candidate's primitive part divides both inputs, it is
+    their gcd (Char, Geddes and Gonnet, "GCDHEU: Heuristic polynomial GCD
+    algorithm based on integer GCD computation", J. Symbolic Comput. 7
+    (1989); Geddes, Czapor and Labahn, Algorithms for Computer Algebra
+    (1992), section 7.7); `divides_exactly` checks that at every level.
+    Otherwise the next point is tried, HEU_GCD_MAX per level; None means
+    that every point failed at some level.
+    """
+    cf, f = _primitive(f)
+    cg, g = _primitive(g)
+    c = gcd(cf, cg)
+    x = _max_active_var(f, g)
+    if x is None or f.constant_value() is not None or g.constant_value() is not None:
+        return Poly.const(f.nvars, c)
+    at = [None] * f.nvars
+    xi = 2 * min(max(map(abs, f._num.values())), max(map(abs, g._num.values()))) + 2
+    for _ in range(HEU_GCD_MAX):
+        at[x] = xi
+        ff, gg = f.specialize(at), g.specialize(at)
+        if ff and gg:
+            h = _heu_gcd(ff, gg)
+            if h is None:
+                return None
+            _, h = _primitive(_xi_adic(h, x, xi))
+            if divides_exactly(h, f) is not None and divides_exactly(h, g) is not None:
+                return h * c
+        xi = xi * 73794 // 27011
+    return None
+
+
+def poly_gcd(p: Poly, q: Poly) -> Poly:
+    """Greatest common divisor, normalized monic under graded lex.
+
+    gcd(p, 0) is the monic normalization of p; gcd(0, 0) = 0.  The
+    heuristic `_heu_gcd` runs on the integer numerators of p and q and
+    answers whenever an evaluation point gives a candidate that
+    `divides_exactly` shows to divide both; by the GCDHEU theorem (Char,
+    Geddes and Gonnet, J. Symbolic Comput. 7 (1989); Geddes, Czapor and
+    Labahn, Algorithms for Computer Algebra (1992), section 7.7) such a
+    candidate is the gcd.  When it gives up, the primitive-part Euclidean
+    `_euclid_gcd` answers.  The gcd over Q is unique up to a constant
+    factor, so both give the same monic polynomial.
+
+    The proofs do not rest on this function.  Its one caller,
+    `normalform.nil_factor`, factors a kernel vector with it, and a verdict
+    trusts only the witness's unimodularity (`conjugate`), the exact
+    equality of `check_family_form` and the family shape's relation report
+    (`normalform._shape_report`); a common divisor that is not the
+    greatest could make the classifier fail, never give a wrong verdict.
+    """
+    if p.nvars != q.nvars:
+        raise PolyError("variable-count mismatch")
+    if p.is_zero:
+        return q.monic()
+    if q.is_zero:
+        return p.monic()
+    h = _heu_gcd(Poly._of(p.nvars, p._num, 1), Poly._of(q.nvars, q._num, 1))
+    if h is None:
+        return _euclid_gcd(p, q)
+    return h.monic()
 
 
 def compose_univariate(f: Poly, g: Poly) -> Poly:
@@ -610,116 +711,101 @@ def default_names(nvars: int, m: Optional[int] = None) -> tuple[str, ...]:
     )
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
+# One token per match, after optional whitespace: an integer, a name, an
+# operator, or (group 4) any other character, which is an error.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])|(\S))")
+_INT, _NAME, _OP, _BAD = 1, 2, 3, 4
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == match.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                return
-            col = len(text) - len(stripped) + 1
-            raise PolyParseError(f"unexpected character {stripped[0]!r}", col)
-        col = match.start(1 if match.group(1) else 2 if match.group(2) else 3) + 1
-        if match.group(1):
-            yield ("int", match.group(1), col)
-        elif match.group(2):
-            yield ("name", match.group(2), col)
-        else:
-            yield ("op", match.group(3), col)
-        pos = match.end()
+def _to_int(value: str, col: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise PolyParseError(f"integer has more than {limit} digits", col) from None
 
 
 def parse_poly(text: str, names: Sequence[str]) -> Poly:
-    """Parse the polynomial grammar; variable names give the index map."""
+    """Parse the polynomial grammar; variable names give the index map.
+
+    One `re.finditer` pass lists the (kind, text, column) tokens, and an
+    index loop over them reads the terms.  A character that starts no
+    token is reported before any grammar error.
+    """
     nvars = len(names)
     index = {name: i for i, name in enumerate(names)}
-    tokens = list(_tokenize(text))
-    if not tokens:
+    toks = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastindex
+        col = match.start(kind) + 1
+        if kind == _BAD:
+            raise PolyParseError(f"unexpected character {match.group(kind)!r}", col)
+        toks.append((kind, match.group(kind), col))
+    if not toks:
         raise PolyParseError("empty polynomial", 1)
-    pos = 0
+    end = len(toks)
+    toks.append((0, "", len(text) + 1))  # the end of the text, read as "got ''"
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else ("end", "", len(text) + 1)
-
-    def take():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
-
-    def to_int(value: str, col: int) -> int:
-        try:
-            return int(value)
-        except ValueError:
-            limit = sys.get_int_max_str_digits()
-            raise PolyParseError(f"integer has more than {limit} digits", col) from None
-
-    def parse_int() -> int:
-        kind, value, col = take()
-        if kind != "int":
-            raise PolyParseError(f"expected integer, got {value!r}", col)
-        return to_int(value, col)
-
-    def parse_factor_tail(name: str, col: int) -> tuple[int, int]:
+    def power_at(pos: int, name: str, col: int) -> tuple[int, int, int]:
+        """(variable, exponent, next pos) for the factor whose name was read."""
         i = index.get(name)
         if i is None:
             raise PolyParseError(f"unknown variable {name!r}", col)
-        power = 1
-        if peek()[:2] == ("op", "^"):
-            take()
-            power = parse_int()
-            if power < 1:
-                raise PolyParseError("exponent must be positive", col)
-        return i, power
+        if toks[pos][1] != "^":
+            return i, 1, pos
+        kind, value, vcol = toks[pos + 1]
+        if kind != _INT:
+            raise PolyParseError(f"expected integer, got {value!r}", vcol)
+        power = _to_int(value, vcol)
+        if power < 1:
+            raise PolyParseError("exponent must be positive", col)
+        return i, power, pos + 2
 
-    # every term is added into one map, and one Poly is built from it
-    acc: dict[tuple[int, ...], Scalar] = {}
-
-    def parse_term(sign: int) -> None:
+    # (exponents, numerator, denominator) of every term, summed at the end
+    # over the lcm of the denominators
+    terms = []
+    pos, sign = 0, 1
+    if toks[0][1] in ("+", "-"):
+        pos, sign = 1, (-1 if toks[0][1] == "-" else 1)
+    while True:
         exps = [0] * nvars
-        coeff = sign
-        kind, value, col = take()
-        if kind == "int":
-            coeff *= to_int(value, col)
-            if peek()[:2] == ("op", "/"):
-                take()
-                den = parse_int()
+        kind, value, col = toks[pos]
+        pos += 1
+        den = 1
+        if kind == _INT:
+            coeff = sign * _to_int(value, col)
+            if toks[pos][1] == "/":
+                dkind, dvalue, dcol = toks[pos + 1]
+                if dkind != _INT:
+                    raise PolyParseError(f"expected integer, got {dvalue!r}", dcol)
+                den = _to_int(dvalue, dcol)
                 if den < 1:
                     raise PolyParseError("denominator must be positive", col)
-                coeff = Fraction(coeff, den)
-        elif kind == "name":
-            i, power = parse_factor_tail(value, col)
+                pos += 2
+        elif kind == _NAME:
+            coeff = sign
+            i, power, pos = power_at(pos, value, col)
             exps[i] += power
         else:
             raise PolyParseError(f"expected coefficient or variable, got {value!r}", col)
-        while peek()[:2] == ("op", "*"):
-            take()
-            kind, value, col = take()
-            if kind != "name":
-                raise PolyParseError(
-                    f"expected variable after '*', got {value!r}", col
-                )
-            i, power = parse_factor_tail(value, col)
+        while toks[pos][1] == "*":
+            kind, value, col = toks[pos + 1]
+            if kind != _NAME:
+                raise PolyParseError(f"expected variable after '*', got {value!r}", col)
+            i, power, pos = power_at(pos + 2, value, col)
             exps[i] += power
-        key = tuple(exps)
-        acc[key] = acc.get(key, 0) + coeff
-
-    sign = 1
-    kind, value, col = peek()
-    if kind == "op" and value in "+-":
-        take()
-        sign = -1 if value == "-" else 1
-    parse_term(sign)
-    while pos < len(tokens):
-        kind, value, col = take()
-        if kind != "op" or value not in "+-":
+        terms.append((tuple(exps), coeff, den))
+        if pos == end:
+            break
+        kind, value, col = toks[pos]
+        if kind != _OP or value not in ("+", "-"):
             raise PolyParseError(f"expected '+' or '-', got {value!r}", col)
-        parse_term(-1 if value == "-" else 1)
-    return Poly(nvars, acc)
+        pos, sign = pos + 1, (-1 if value == "-" else 1)
+    den = lcm(*(d for _, _, d in terms))
+    acc: dict[tuple[int, ...], int] = {}
+    for key, n, d in terms:
+        acc[key] = acc.get(key, 0) + n * (den // d)
+    return Poly._reduced(nvars, {key: n for key, n in acc.items() if n}, den)
 
 
 def format_rational(q: Scalar) -> str:

@@ -536,6 +536,24 @@ def check_pointwise_budget(p: Presentation, max_deg: int) -> None:
         )
 
 
+# Total degree of an odd generator's entries.  The relation checks multiply
+# and shift pairs of entries, so their time and the violations they print
+# grow with it: on a 2-CPU machine, sl(6|1) with every odd matrix
+# [[h1^d, 1], [0, h1^d]] (no module) took 3.8 s at d = 24 and 24 s at d = 64.
+DEGREE_BUDGET = 24
+
+
+def check_degree_budget(p: Presentation) -> None:
+    """Refuse a presentation with an odd generator entry of total degree over DEGREE_BUDGET."""
+    for pos, mat in p.odd:
+        degree = max(f.total_degree() for row in mat.rows for f in row)
+        if degree > DEGREE_BUDGET:
+            raise PresentationError(
+                f"{_gen_label(p.algebra, *pos)} has an entry of total degree {degree}, "
+                f"over the budget of {DEGREE_BUDGET}"
+            )
+
+
 # -- the classified family M(a, S) ------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -61,6 +62,33 @@ def write(tmp_path, name, presentation):
 def _set_entry(text):
     """An edit of presentation data: `text` becomes the upper-right entry of e[1,b1]."""
     return lambda d: d["E"]["e[1,b1]"][0].__setitem__(1, text)
+
+
+def _odd_powers(m, d):
+    """sl(m|1), ungraded, every odd matrix [[h1^d, 1], [0, h1^d]]: not a module."""
+    x = Poly.var(m, 0) ** d
+    mat = Mat2.of(m, ((x, 1), (0, x)))
+    return make_presentation(m, 1, {pos: mat for pos in odd_positions(m, 1)})
+
+
+class _Expired(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise _Expired inside the block once `seconds` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise _Expired(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _with_long_integer(where):
@@ -327,23 +355,38 @@ class TestExitCodes:
                 ["string-check", "--N", "20000004", "--max-deg", "10", "--adjacency"],
                 "adjacency at N = 20000004 is over the budget of 100000 arrows per variant",
             ),
+            (
+                ["verify", "{deep}"],
+                "e[1,b1] has an entry of total degree 800, over the budget of 24",
+            ),
+            (
+                ["iso", "{file}", "{deep}"],
+                "e[1,b1] has an entry of total degree 800, over the budget of 24",
+            ),
         ],
         ids=[
             "endo-bound", "submodules-length", "verify-pointwise", "string-check-degree",
-            "string-check-adjacency",
+            "string-check-adjacency", "verify-degree", "iso-degree",
         ],
     )
     def test_input_over_a_budget_is_exit_2_at_once(
         self, family_file, tmp_path, capsys, argv, message
     ):
         out = tmp_path / "out.json"
+        deep = write(tmp_path, "deep.json", _odd_powers(2, 800))
         start = time.perf_counter()
-        assert main([a.format(file=family_file) for a in argv] + ["--out", str(out)]) == 2
+        argv = [a.format(file=family_file, deep=deep) for a in argv]
+        assert main(argv + ["--out", str(out)]) == 2
         assert time.perf_counter() - start < 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    def test_degree_at_the_budget_is_checked(self, tmp_path, capsys):
+        path = write(tmp_path, "deep.json", _odd_powers(2, presentation.DEGREE_BUDGET))
+        assert main(["verify", path]) == 1
+        assert "relations violated" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "error",
@@ -543,6 +586,23 @@ class TestClassify:
         assert capsys.readouterr().err == (
             "error: grading flag contradicts the matrix shapes: " + "; ".join(failures) + "\n"
         )
+
+
+    def test_conjugate_by_a_degree_four_witness_classifies_in_seconds(self, tmp_path):
+        # M((2, 3, 4), {1}) over sl(3|1) conjugated by W = [[1, f], [0, 1]] [[1, 0], [g, 1]];
+        # the gcd in nil_factor used to run the Euclidean content recursion
+        # here, which had not finished after 120 s
+        names = poly.default_names(3)
+        f = poly.parse_poly("2*h1^3*h2 - 4/3*h1*h2*h3^2 + 3/2*h1*h2^2 + 4*h2^3", names)
+        g = poly.parse_poly("2/3*h1*h2*h3^2 + 1/2*h1*h2*h3 - 5*h1*h3 + 5/2", names)
+        w = Mat2.of(3, ((1, f), (0, 1))) * Mat2.of(3, ((1, 0), (g, 1)))
+        path = write(tmp_path, "w4.json", conjugate(build_mas(3, (2, 3, 4), (1,)), w))
+        out_path = tmp_path / "out.json"
+        with _time_limit(20):
+            assert main(["classify", path, "--out", str(out_path)]) == 0
+        payload = json.loads(out_path.read_text())
+        assert payload["S"] == [1]
+        assert payload["normalized_a"] == ["1", "3/2", "2"]
 
 
 class TestIsoCommand:

@@ -146,14 +146,41 @@ t.uninstall()
 """
 
 
-def test_every_tracer_target_resolves_after_importing_only_the_cli():
-    pythonpath = [str(TRACER.parent), str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
-    run = subprocess.run(
-        # -B: no bytecode written next to the tracer
-        [sys.executable, "-B", "-c", TRACE_CHILD_IMPORTS],
+def _run_python(code: str, *paths: Path) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter with paths and src/ on PYTHONPATH."""
+    pythonpath = [*map(str, paths), str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    return subprocess.run(
+        # -B: no bytecode written next to the files it imports
+        [sys.executable, "-B", "-c", code],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_every_tracer_target_resolves_after_importing_only_the_cli():
+    run = _run_python(TRACE_CHILD_IMPORTS, TRACER.parent)
     assert run.returncode == 0, run.stderr
+
+
+# pyproject.toml declares no runtime dependency: sympy, numpy and mpmath are
+# installed for the tests only, so importing the CLI, loading all four of its
+# lazy layers and taking a gcd must load none of them
+NO_RUNTIME_DEPENDENCY = """
+import sys
+import uhfree.cli as cli
+from uhfree.poly import Poly, poly_gcd
+
+cli.normalform.verified_report, cli.morphisms.iso_test
+cli.stringbridge.check_intertwining, cli.emptiness.emptiness_certificate
+x = Poly.var(2, 0)
+poly_gcd(x * x - 1, x + 1)
+print(sorted({name.partition(".")[0] for name in sys.modules} & {"sympy", "numpy", "mpmath"}))
+"""
+
+
+def test_no_runtime_dependency_is_loaded():
+    run = _run_python(NO_RUNTIME_DEPENDENCY)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from uhfree import poly
 from uhfree.poly import (
     Poly,
     PolyError,
@@ -142,6 +143,20 @@ def rational_polys(draw, nvars, max_deg=6, max_terms=5):
         if sum(exps) > max_deg:
             continue
         terms[exps] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+    return Poly(nvars, terms)
+
+
+@st.composite
+def wide_polys(draw, nvars, max_deg=4, max_terms=4):
+    """Total degree <= max_deg spread over nvars variables; coefficients n/d
+    whose numerators and denominators reach 30 digits."""
+    big = st.integers(1, 10**30) | st.integers(1, 12)
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = [0] * nvars
+        for _ in range(draw(st.integers(0, max_deg))):
+            exps[draw(st.integers(0, nvars - 1))] += 1
+        terms[tuple(exps)] = Fraction(draw(big) * draw(st.sampled_from((-1, 1))), draw(big))
     return Poly(nvars, terms)
 
 
@@ -393,6 +408,46 @@ class TestGcd:
         got = poly_gcd(a * c, b * c)
         assert _canonical(got) == gcd_oracle(a * c, b * c, sympy.symbols(f"h1:{n + 1}")).monic()
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_on_wide_products(self, data):
+        # past the sizes above: factors of degree <= 4 and coefficients n/d
+        # with n and d up to 30 digits, 1..6 variables
+        n = data.draw(st.integers(1, 6))
+        a, b, c = (data.draw(wide_polys(n)) for _ in range(3))
+        got = poly_gcd(a * c, b * c)
+        assert _canonical(got) == gcd_oracle(a * c, b * c, sympy.symbols(f"h1:{n + 1}")).monic()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_euclid_matches_oracle(self, data):
+        # the fallback on its own, at small sizes: it is the reference the
+        # heuristic is also compared against below
+        n = data.draw(st.integers(1, 3))
+        a, b, c = (data.draw(rational_polys(n, max_deg=2, max_terms=3)) for _ in range(3))
+        got = poly._euclid_gcd(a * c, b * c)
+        assert _canonical(got) == gcd_oracle(a * c, b * c, sympy.symbols(f"h1:{n + 1}")).monic()
+
+    GIVE_UP_CASES = [
+        ("h1^2 - 1", "h1^2 + 2*h1 + 1"),
+        ("3/2*h1*h2^2 - 6*h1", "h1^2*h2 + 2*h1^2 + h2 + 2"),
+        ("h1*h2 + h2", "h1^2 - 1"),
+        ("2*h1 + 4/3", "h2"),
+    ]
+
+    @pytest.mark.parametrize("p, q", GIVE_UP_CASES)
+    def test_fallback_answers_when_the_heuristic_gives_up(self, monkeypatch, p, q):
+        monkeypatch.setattr(poly, "_heu_gcd", lambda f, g: None)
+        assert poly_gcd(P(p), P(q)) == gcd_oracle(P(p), P(q), SYMS2).monic()
+
+    def test_a_candidate_that_does_not_divide_is_refused(self):
+        # the first point is xi = 2*1 + 2 = 4: f(4) = 3 and g(4) = -21 share
+        # 3 = 4 - 1, so the first candidate is h1 - 1, which divides f but
+        # not g; the next point, xi = 10, gives gcd(9, -177) = 3, a constant
+        f, g = P("h1 - 1"), P("-2*h1^2 + 2*h1 + 3")
+        assert poly._heu_gcd(f, g) == Poly.one(2)
+        assert poly_gcd(f, g) == Poly.one(2) == gcd_oracle(f, g, SYMS2).monic()
+
 
 class TestGrammar:
     def test_documented_strings_round_trip(self):
@@ -422,6 +477,51 @@ class TestGrammar:
     def test_canonical_order_is_graded_lex(self):
         p = P("h2 + h1^2 + h1*h2 + 1")
         assert format_poly(p, NAMES2) == "h1^2 + h1*h2 + h2 + 1"
+
+    # (text, message, column) for every PolyParseError branch; a text that
+    # ends early reports the column just past its end
+    LIMIT = sys.get_int_max_str_digits()
+    WIDE = "9" * (LIMIT + 1)
+    ERRORS = [
+        ("h1 + $", "unexpected character '$'", 6),
+        ("h1 h2 + 2.5", "unexpected character '.'", 10),
+        ("", "empty polynomial", 1),
+        ("  \t", "empty polynomial", 1),
+        ("1/h1", "expected integer, got 'h1'", 3),
+        ("1/", "expected integer, got ''", 3),
+        ("1/-2", "expected integer, got '-'", 3),
+        ("h1^h2", "expected integer, got 'h2'", 4),
+        ("h1^ ", "expected integer, got ''", 5),
+        (WIDE, f"integer has more than {LIMIT} digits", 1),
+        ("h1 + 2/" + WIDE, f"integer has more than {LIMIT} digits", 8),
+        ("h1^" + WIDE, f"integer has more than {LIMIT} digits", 4),
+        ("h1 + 3/0*h2", "denominator must be positive", 6),
+        ("h1 + h2^0", "exponent must be positive", 6),
+        ("2*h1^0", "exponent must be positive", 3),
+        ("h1 + x3", "unknown variable 'x3'", 6),
+        ("2*h1*hb2", "unknown variable 'hb2'", 6),
+        ("*h1", "expected coefficient or variable, got '*'", 1),
+        ("h1 + ^2", "expected coefficient or variable, got '^'", 6),
+        ("h1 + +h2", "expected coefficient or variable, got '+'", 6),
+        ("-", "expected coefficient or variable, got ''", 2),
+        ("h1 -  ", "expected coefficient or variable, got ''", 7),
+        ("2*3", "expected variable after '*', got '3'", 3),
+        ("h1*", "expected variable after '*', got ''", 4),
+        ("h1 h2", "expected '+' or '-', got 'h2'", 4),
+        ("h1 + 1 2", "expected '+' or '-', got '2'", 8),
+        ("h1 (", "expected '+' or '-', got '('", 4),
+        ("h1 + 2/3/4", "expected '+' or '-', got '/'", 9),
+    ]
+
+    # ids by row: the digit-limit texts are thousands of characters long
+    @pytest.mark.parametrize(
+        "text, message, column", ERRORS, ids=list(map(str, range(len(ERRORS))))
+    )
+    def test_error_table(self, text, message, column):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, default_names(3, 2))
+        assert str(err.value) == f"{message} (column {column})"
+        assert err.value.column == column
 
 
 @st.composite
