@@ -25,13 +25,36 @@ Every matrix is computed as a unit monomial a^delta times a matrix over
 Q[h] (RouteView); the units are variables only in the file form (ScaledMat).
 
 Each route depends on the branches of two pairs only (the route through
-b1 on i1 and m1, the route through bn on in and mn; see ROUTES), so a
-certificate is built from one branch table: the 8 (pair, branch) matrix
+b1 on i1 and m1, the route through bn on in and mn; see ROUTES), so the
+enumeration is built from one branch table: the 8 (pair, branch) matrix
 pairs, built once, and each route, built on first use under its two
 pairs and their branches.  The support witness names the first entry
 (row by row, route A before route B) and variable (in index order) that
 separates the routes, with the grlex-largest monomial of that entry
 containing the variable; term storage order never enters a certificate.
+
+The enumeration runs once per process, over sl(2|2) (`_universal`), and
+the certificate for (m, n) is its image under the variable embedding
+h1 -> h_1, h2 -> h_m, hb1 -> hb_1, a_k -> a_k (`_embedding`).
+
+Reduction lemma.  Every polynomial of the computation at (m, n) lies in
+Q[h_1, h_m, hb_1]: the pair polynomials above do, products and sums keep
+the subring, and so do weight shifts, since h_v -> h_v - s_v moves each
+variable by a constant.  A shift therefore acts on such a polynomial only
+through its coordinates at h_1, h_m and hb_1.  The embedding is monotone
+(0 -> 0, 1 -> m-1, 2 -> m, units -> m+n-1..m+n+2), so it keeps the
+variable index order and the grlex order of monomials, hence leading
+terms, `variables()`, `sorted_terms()` and the printed text.  If the 4
+pair polynomials at (m, n) are the embedded sl(2|2) ones and the 8
+pinned roots' shifts read at (h_1, h_m, hb_1) are the sl(2|2) shifts,
+every step of the computation at (m, n) (pair matrices, routes,
+cross products, proportionality, both witness scans) is the image of
+the sl(2|2) step, so its certificate, text and witnesses included, is
+the image of the sl(2|2) one; the evaluation point's other coordinates
+are 0, as in the lex-first scan.  `_check_reduction` checks both
+hypotheses at every size in O(m + n) and raises InvariantBreach if one
+fails.  Verification still re-derives the routes at the real (m, n)
+through `presentation.twisted_bracket`, independently of the lemma.
 """
 
 from __future__ import annotations
@@ -42,7 +65,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .poly import (
     Poly,
@@ -79,6 +102,21 @@ ROUTES = {
 
 class EmptinessError(UhfreeError):
     """Out-of-scope sizes or an invalid certificate."""
+
+
+# m + n of a certificate.  The file ring has m + n + 3 variables, the
+# evaluation point names m + n - 1 of them and the re-derivation shifts
+# in all of them, so time and file size grow with m + n.
+SIZE_BUDGET = 20_000
+
+
+def check_size(m: int, n: int) -> None:
+    """Refuse sizes outside the theorem (m, n >= 2) and m + n over SIZE_BUDGET."""
+    if m < 2 or n < 2:
+        raise EmptinessError("the emptiness theorem applies to m, n >= 2")
+    if m + n > SIZE_BUDGET:
+        # the sum is not printed: it may have more digits than str() allows
+        raise EmptinessError(f"m + n is over the budget of {SIZE_BUDGET}")
 
 
 # -- the ring and the route form --------------------------------------------------
@@ -319,7 +357,48 @@ class EmptinessCertificate:
         }
 
 
-def _support_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[dict]:
+# The witness records are NamedTuples, not frozen dataclasses: creating a
+# dataclass took about 0.9 ms at import and a NamedTuple 0.2 ms, and every
+# cold empty-check process pays it.
+
+
+class SupportWitness(NamedTuple):
+    """A variable of one route's entry that is absent from the other route's entry."""
+
+    entry: tuple[int, int]
+    var: int
+    monomial: Poly
+    route: str
+
+    def to_dict(self, names) -> dict:
+        return {
+            "entry": list(self.entry),
+            "variable": names[self.var],
+            "monomial": format_poly(self.monomial, names),
+            "route": self.route,
+        }
+
+
+class EvalWitness(NamedTuple):
+    """A point of the base variables where two cross products of the routes differ."""
+
+    point: tuple[int, ...]
+    entries: tuple[tuple[int, int], tuple[int, int]]
+    lhs: Fraction
+    rhs: Fraction
+
+    def to_dict(self, names, positions) -> dict:
+        """Coordinate k of the point at base variable positions[k] of names, every other at 0."""
+        at = dict(zip(positions, self.point))
+        return {
+            "point": {name: str(at.get(v, 0)) for v, name in enumerate(names)},
+            "entries": [list(e) for e in self.entries],
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
+        }
+
+
+def _support_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[SupportWitness]:
     """A variable present in a route entry and absent from the other route's.
 
     Entries are scanned row by row, route A before route B, variables in
@@ -328,7 +407,6 @@ def _support_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[dict]:
     the order in which the entry's terms are stored.
     """
     nb = ring.base_nvars
-    names = ring.names[:nb]
     for r in range(2):
         for c in range(2):
             ea, eb = a[r, c], b[r, c]
@@ -338,17 +416,11 @@ def _support_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[dict]:
                 for v in sorted(pa.variables()):
                     if pb.degree_in(v) <= 0:
                         exps = next(e for e, _ in pa.sorted_terms() if e[v])
-                        mono = format_poly(Poly(nb, {exps: 1}), names)
-                        return {
-                            "entry": [r, c],
-                            "variable": names[v],
-                            "monomial": mono,
-                            "route": route,
-                        }
+                        return SupportWitness((r, c), v, Poly(nb, {exps: 1}), route)
     return None
 
 
-def _eval_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[dict]:
+def _eval_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[EvalWitness]:
     """A rational point at which no scalar matches the two routes.
 
     The point is the lexicographically first one of {0..3}^(m+n-1) where
@@ -374,28 +446,34 @@ def _eval_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[dict]:
             lhs, rhs = va[e1] * vb[e2], va[e2] * vb[e1]
             if lhs != rhs:
                 point = dict(zip(scanned, coords))
-                return {
-                    "point": {ring.names[v]: str(point.get(v, 0)) for v in range(nb)},
-                    "entries": [list(e1), list(e2)],
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                }
+                return EvalWitness(tuple(point.get(v, 0) for v in range(nb)), (e1, e2), lhs, rhs)
     return None
 
 
-def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCertificate:
-    """Replay the two-route contradiction and certify emptiness for (m, n).
+# -- the sl(2|2) computation and its image at (m, n) -----------------------------------
 
-    Enumerates all 16 branch combinations of the four pinned pairs; each
-    must die, either because the two computations of E_{im} cannot be
-    made equal by any choice of the free scalars, or because the two
-    computations of E_{mi} are non-proportional.  Exactly one
-    combination reaches the second stage; its routes and both
-    non-proportionality witnesses go into the certificate.
+
+# the ring of the one computation: h1, h2, hb1, then a1..a4
+UNIVERSAL = CertRing(2, 2)
+
+
+@functools.cache
+def _universal() -> tuple:
+    """Enumerate the 16 branch combinations once per process, in UNIVERSAL.
+
+    Each must die, either because the two computations of E_{im} cannot
+    be made equal by any choice of the free scalars, or because the two
+    computations of E_{mi} are non-proportional.  Exactly one combination
+    reaches the second stage; its routes and both non-proportionality
+    witnesses go into the certificate.
+
+    Returns the sl(2|2) certificate's branch log, surviving choices, the
+    file forms of routes A and B, and the support and evaluation
+    witnesses, with every polynomial over UNIVERSAL.  A branch outcome's
+    details are MismatchWitnesses, or the scalar constraint as the dict
+    the file holds.
     """
-    if m < 2 or n < 2:
-        raise EmptinessError("the emptiness theorem applies to m, n >= 2")
-    ring = CertRing(m, n)
+    ring = UNIVERSAL
     mats = {
         (key, branch): _pair_matrices(ring, key, branch)
         for key in PAIR_KEYS
@@ -419,17 +497,15 @@ def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCert
 
     log: list[BranchOutcome] = []
     survivors = []
-    names = ring.names[: ring.base_nvars]
     for combo in itertools.product(BRANCHES, repeat=4):
         choices = dict(zip(PAIR_KEYS, combo))
         witness, constraint = _routes_reconcilable(route("up1", choices), route("upn", choices))
         if witness is not None:
-            log.append(BranchOutcome(choices, False, witness.to_dict(names), None, None))
+            log.append(BranchOutcome(choices, False, witness, None, None))
             continue
         da, db = route("down1", choices), route("downn", choices)
         ok, _, w2 = _proportionality(da, db)
-        detail2 = None if ok else w2.to_dict(names)
-        log.append(BranchOutcome(choices, True, {"scalar_constraint": constraint}, ok, detail2))
+        log.append(BranchOutcome(choices, True, {"scalar_constraint": constraint}, ok, w2))
         if ok:
             raise InvariantBreach(
                 f"branch {choices} admits a consistent module; emptiness fails"
@@ -444,17 +520,102 @@ def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCert
     point = _eval_witness(ring, da.mat, db.mat)
     if support is None or point is None:
         raise InvariantBreach("non-proportionality witnesses not found")
+    return tuple(log), choices, da.file_form(), db.file_form(), support, point
+
+
+def _embedding(ring: CertRing) -> tuple[int, ...]:
+    """Where UNIVERSAL's variables h1, h2, hb1, a1..a4 sit in the file ring at (m, n)."""
+    nb = ring.base_nvars
+    return (0, ring.m - 1, ring.m) + tuple(range(nb, nb + 4))
+
+
+def _embed(p: Poly, nvars: int, positions: Sequence[int]) -> Poly:
+    """p with its variable k renamed to variable positions[k] of nvars."""
+
+    def image(exps):
+        out = [0] * nvars
+        for pos, e in zip(positions, exps):
+            out[pos] = e
+        return tuple(out)
+
+    return Poly(nvars, {image(exps): c for exps, c in p.terms.items()})
+
+
+def _pinned_roots(ring: CertRing, key: str) -> tuple[Root, Root]:
+    """The pair's raising and lowering root vectors."""
+    row, col = ring.pair_positions(key)
+    return Root(row, col), Root(col, row)
+
+
+def _check_reduction(ring: CertRing) -> None:
+    """The reduction lemma's hypotheses at (m, n), in O(m + n).
+
+    The 4 pair scalars are the embedded UNIVERSAL ones, and the weight
+    shifts of the 8 pinned roots, read at h_1, h_m and hb_1, are
+    UNIVERSAL's.
+    """
+    positions = _embedding(ring)[:3]
+    alg, small = algebra(ring.m, ring.n), algebra(UNIVERSAL.m, UNIVERSAL.n)
+    for key in PAIR_KEYS:
+        if ring.pair_scalar(key) != _embed(UNIVERSAL.pair_scalar(key), ring.base_nvars, positions):
+            raise InvariantBreach(f"pair {key} of sl({ring.m}|{ring.n}) is not the sl(2|2) one")
+        for root, image in zip(_pinned_roots(ring, key), _pinned_roots(UNIVERSAL, key)):
+            shift = alg.weight_shift(root)
+            if tuple(shift[p] for p in positions) != small.weight_shift(image):
+                raise InvariantBreach(
+                    f"root {alg.show(root)} of sl({ring.m}|{ring.n}) shifts h_1, h_m, hb_1 "
+                    "unlike its sl(2|2) image"
+                )
+
+
+def _detail(detail, *names) -> Optional[dict]:
+    """A witness, or a dict the file holds as it is, as a fresh dict over names."""
+    if detail is None:
+        return None
+    if isinstance(detail, dict):
+        return dict(detail)
+    return detail.to_dict(*names)
+
+
+def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCertificate:
+    """The certificate for (m, n): the sl(2|2) computation renamed by the reduction lemma.
+
+    Every dict of the result is fresh, so a caller that edits one leaves
+    the next certificate unchanged.
+    """
+    check_size(m, n)
+    ring = CertRing(m, n)
+    _check_reduction(ring)
+    log, choices, route_a, route_b, support, point = _universal()
+    names, positions = ring.names, _embedding(ring)
+    # format_poly of a polynomial over UNIVERSAL with these names is the
+    # text of its embedding, since the embedding keeps the grlex order
+    base = tuple(names[p] for p in positions[:3])
+
+    def embedded(sm: ScaledMat) -> ScaledMat:
+        rows = tuple(tuple(_embed(p, ring.nvars, positions) for p in row) for row in sm.num.rows)
+        return ScaledMat(Mat2._of(rows), sm.den)
+
     return EmptinessCertificate(
         m=m,
         n=n,
         i=1,
         graded=graded,
-        branch_log=tuple(log),
-        surviving_choices=choices,
-        route_a=da.file_form(),
-        route_b=db.file_form(),
-        support_witness=support,
-        eval_witness=point,
+        branch_log=tuple(
+            BranchOutcome(
+                dict(o.choices),
+                o.stage1_equal,
+                _detail(o.stage1_detail, base),
+                o.stage2_proportional,
+                _detail(o.stage2_detail, base),
+            )
+            for o in log
+        ),
+        surviving_choices=dict(choices),
+        route_a=embedded(route_a),
+        route_b=embedded(route_b),
+        support_witness=_detail(support, base),
+        eval_witness=_detail(point, names[: ring.base_nvars], positions[:3]),
     )
 
 
@@ -478,8 +639,7 @@ def certificate_from_dict(data: Mapping) -> EmptinessCertificate:
     _keys(data, top, "certificate")
     m = _field(data, "m", int, "certificate")
     n = _field(data, "n", int, "certificate")
-    if m < 2 or n < 2:
-        raise EmptinessError("the emptiness theorem applies to m, n >= 2")
+    check_size(m, n)
     units = _field(data, "unit_names", list, "certificate")
     if units != list(UNIT_NAMES):
         raise EmptinessError(f"certificate: unit_names must be {list(UNIT_NAMES)}, got {units}")
@@ -545,9 +705,8 @@ def _pinned_at_units(
     """The 8 pinned generators' matrices in the chosen branches at concrete scalars."""
     pinned = {}
     for key in PAIR_KEYS:
-        row, col = ring.pair_positions(key)
-        up, lo = _pair_matrices(ring, key, choices[key])
-        for root, view in ((Root(row, col), up), (Root(col, row), lo)):
+        views = _pair_matrices(ring, key, choices[key])
+        for root, view in zip(_pinned_roots(ring, key), views):
             pinned[root] = view.mat * prod(u**d for u, d in zip(units, view.delta))
     return pinned
 
@@ -555,13 +714,16 @@ def _pinned_at_units(
 def verify_certificate(cert: EmptinessCertificate) -> list[str]:
     """Independently re-check a certificate; returns a report, raises on failure.
 
-    Checks: a fresh replay produces the same branch outcomes and routes;
-    every recorded failing identity still fails; the surviving routes
-    agree with `presentation.twisted_bracket` of the pinned matrices
-    through b1 and through bn at two scalar specializations; and both
-    non-proportionality witnesses hold.  The re-derivation writes the
-    twisted product apart from the generator's `_route`, so it catches a
-    generator whose replay agrees with itself but whose routes are wrong.
+    Checks: a fresh replay (the sl(2|2) computation rendered at (m, n),
+    with the reduction lemma's hypotheses checked there) produces the same
+    branch outcomes and routes; every recorded failing identity still
+    fails; the surviving routes agree with `presentation.twisted_bracket`
+    of the pinned matrices at the real (m, n), through b1 and through bn
+    at two scalar specializations; and both non-proportionality witnesses
+    hold at (m, n).  The re-derivation writes the twisted product apart
+    from the generator's `_route` and does not use the lemma, so it
+    catches a generator whose replay agrees with itself but whose routes
+    are wrong.
 
     The recorded identities are checked as text.  Once the replay
     matches, each recorded lhs/rhs pair is format_poly of a fresh witness

@@ -43,6 +43,7 @@ from .presentation import (
     Presentation,
     RelationReport,
     build_mas,
+    check_term_budget,
     conjugate,
     parity_check,
     verify_relations,
@@ -377,7 +378,9 @@ def verified_report(p: Presentation) -> RelationReport:
 
     Fallback: if the classifier raises ClassificationError or
     InvariantBreach, or the shape fails its check, `verify_relations(p)`
-    decides, so the violations listed are those of p.  A non-module
+    decides, so the violations listed are those of p.  It evaluates the
+    pairs on p's own entries, so an entry over the term budget
+    (`check_term_budget`) is refused first.  A non-module
     takes both exception routes.  A classifier InvariantBreach on an
     input that then passes is re-raised: it is a bug, not a verdict.
     """
@@ -394,21 +397,27 @@ def _verdict(p: Presentation) -> tuple[RelationReport, object]:
 
 
 def _classified_report(p: Presentation) -> tuple[RelationReport, object]:
-    """The classification route, else verify_relations(p) with the refusal."""
+    """The classification route, else _evaluated_report(p) with the refusal."""
     try:
         params, w = classify_sl_m1(p)
     except ClassificationError as refusal:
-        return verify_relations(p), refusal
+        return _evaluated_report(p), refusal
     except InvariantBreach as refusal:
-        report = verify_relations(p)
+        report = _evaluated_report(p)
         if report.ok:
             raise
         return report, refusal
     report = _shape_report(p.m, params.s)
     if not report.ok:
         failed = InvariantBreach("a module's family member failed its relation check")
-        return verify_relations(p), failed
+        return _evaluated_report(p), failed
     return report, (params, w)
+
+
+def _evaluated_report(p: Presentation) -> RelationReport:
+    """verify_relations(p), for an input within the term budget."""
+    check_term_budget(p)
+    return verify_relations(p)
 
 
 @cache

@@ -270,6 +270,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._num
 
+    def term_count(self) -> int:
+        return len(self._num)
+
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self._num:

@@ -554,6 +554,27 @@ def check_degree_budget(p: Presentation) -> None:
             )
 
 
+# Terms of an odd generator's entry in an input whose relations are
+# evaluated pair by pair (`normalform.verified_report`'s fallback), which
+# the degree budget does not bound: sl(6|1) with every odd matrix
+# [[c^4, 1], [0, c^4]], c = h1 + ... + h6 (126 terms), ran past 60 s.
+# With x = (h1 + h2 + 1)^k in place of c^4, sl(2|1) took
+# 0.8 / 2.1 / 3.0 / 4.8 s at 45 / 66 / 91 / 105 terms.  A module proved
+# by classification is not evaluated, and its entries may be larger.
+TERM_BUDGET = 100
+
+
+def check_term_budget(p: Presentation) -> None:
+    """Refuse a presentation with an odd generator entry of more than TERM_BUDGET terms."""
+    for pos, mat in p.odd:
+        terms = max(f.term_count() for row in mat.rows for f in row)
+        if terms > TERM_BUDGET:
+            raise PresentationError(
+                f"{_gen_label(p.algebra, *pos)} has an entry of {terms} terms, over the "
+                f"budget of {TERM_BUDGET} for an input that does not classify"
+            )
+
+
 # -- the classified family M(a, S) ------------------------------------------------
 
 

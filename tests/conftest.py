@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from uhfree import normalform
+from uhfree import emptiness, normalform
 
 
 @pytest.fixture
@@ -11,8 +11,11 @@ def rng():
 
 
 @pytest.fixture(autouse=True)
-def fresh_shape_reports():
-    """Each test starts and ends with no family shape checked (normalform._shape_report)."""
-    normalform._shape_report.cache_clear()
+def fresh_caches():
+    """Each test starts and ends with no family shape checked (normalform._shape_report)
+    and no emptiness certificate built (emptiness._universal)."""
+    for cache in (normalform._shape_report, emptiness._universal):
+        cache.cache_clear()
     yield
-    normalform._shape_report.cache_clear()
+    for cache in (normalform._shape_report, emptiness._universal):
+        cache.cache_clear()

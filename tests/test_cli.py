@@ -71,6 +71,23 @@ def _odd_powers(m, d):
     return make_presentation(m, 1, {pos: mat for pos in odd_positions(m, 1)})
 
 
+def _odd_sum_powers(m, k):
+    """sl(m|1), ungraded, every odd matrix [[c^k, 1], [0, c^k]], c = h1 + ... + hm: not a module."""
+    x = sum((Poly.var(m, i) for i in range(m)), Poly.zero(m)) ** k
+    mat = Mat2.of(m, ((x, 1), (0, x)))
+    return make_presentation(m, 1, {pos: mat for pos in odd_positions(m, 1)})
+
+
+WIDE_REFUSED = (
+    "e[1,b1] has an entry of 126 terms, over the budget of 100 for an input that does not classify"
+)
+
+
+def _certificate_with_m(digits):
+    """cert_2x2.json with m replaced by the integer literal `digits`."""
+    return (DATA / "cert_2x2.json").read_text().replace('"m": 2', '"m": ' + digits)
+
+
 class _Expired(Exception):
     pass
 
@@ -363,25 +380,66 @@ class TestExitCodes:
                 ["iso", "{file}", "{deep}"],
                 "e[1,b1] has an entry of total degree 800, over the budget of 24",
             ),
+            (["verify", "{wide}"], WIDE_REFUSED),
+            (["classify", "{wide}"], WIDE_REFUSED),
+            (["empty-check", "--m", "19999", "--n", "2"], "m + n is over the budget of 20000"),
+            (["empty-check", "--m", "2", "--n", "1000000000"], "m + n is over the budget of 20000"),
+            (["empty-check", "--verify", "{bigcert}"], "m + n is over the budget of 20000"),
+            (["empty-check", "--verify", "{hugecert}"], "m + n is over the budget of 20000"),
         ],
         ids=[
             "endo-bound", "submodules-length", "verify-pointwise", "string-check-degree",
-            "string-check-adjacency", "verify-degree", "iso-degree",
+            "string-check-adjacency", "verify-degree", "iso-degree", "verify-terms",
+            "classify-terms", "empty-check-size", "empty-check-huge-n", "certificate-size",
+            "certificate-4300-digit-m",
         ],
     )
     def test_input_over_a_budget_is_exit_2_at_once(
         self, family_file, tmp_path, capsys, argv, message
     ):
         out = tmp_path / "out.json"
-        deep = write(tmp_path, "deep.json", _odd_powers(2, 800))
+        files = {
+            "file": family_file,
+            "deep": write(tmp_path, "deep.json", _odd_powers(2, 800)),
+            # 126 terms of degree 4: verify had run past 60 s when it was killed
+            "wide": write(tmp_path, "wide.json", _odd_sum_powers(6, 4)),
+            "bigcert": tmp_path / "bigcert.json",
+            "hugecert": tmp_path / "hugecert.json",
+        }
+        files["bigcert"].write_text(_certificate_with_m("19999"))
+        # m + n has 4301 digits, more than str() of an int may print
+        files["hugecert"].write_text(_certificate_with_m("9" * 4300))
         start = time.perf_counter()
-        argv = [a.format(file=family_file, deep=deep) for a in argv]
-        assert main(argv + ["--out", str(out)]) == 2
+        argv = [a.format(**files) for a in argv]
+        with _time_limit(20):  # without its budget an input here runs for minutes
+            assert main(argv + ["--out", str(out)]) == 2
         assert time.perf_counter() - start < 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    def test_terms_at_the_budget_pass_and_one_more_is_refused(self):
+        h1, h2 = Poly.var(2, 0), Poly.var(2, 1)
+        # 100 distinct monomials of degree at most 10 in h1, h2
+        x = sum((h1**a * h2**b for a in range(10) for b in range(10)), Poly.zero(2))
+        assert x.term_count() == presentation.TERM_BUDGET
+
+        def member(entry):
+            mat = Mat2.of(2, ((entry, 1), (0, entry)))
+            return make_presentation(2, 1, {pos: mat for pos in odd_positions(2, 1)})
+
+        presentation.check_term_budget(member(x))
+        with pytest.raises(presentation.PresentationError, match="101 terms, over the budget"):
+            presentation.check_term_budget(member(x + h1**10))
+
+    def test_no_suite_input_is_near_the_term_budget(self):
+        largest = 0
+        for path in sorted(DATA.glob("family_in_*.json")):
+            p = presentation_from_json(path.read_text())
+            presentation.check_term_budget(p)
+            largest = max(largest, *(f.term_count() for _, mat in p.odd for row in mat.rows for f in row))
+        assert largest == 14
 
     def test_degree_at_the_budget_is_checked(self, tmp_path, capsys):
         path = write(tmp_path, "deep.json", _odd_powers(2, presentation.DEGREE_BUDGET))

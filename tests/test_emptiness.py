@@ -16,9 +16,11 @@ from uhfree.poly import Poly, format_poly, parse_poly
 from uhfree.presentation import InvariantBreach, Mat2, dump_json
 from uhfree import emptiness
 from uhfree.cli import main
+from uhfree.superlie import Root, algebra
 from uhfree.emptiness import (
     CertRing,
     EmptinessError,
+    EvalWitness,
     MismatchWitness,
     RouteView,
     _proportionality,
@@ -117,7 +119,7 @@ def test_unit_specialization_matches_sympy(m, n):
                 assert got[r, c] == from_sympy(want, base)
 
 
-@pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3), (2, 7), (7, 2), (40, 40)])
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3), (2, 7), (7, 2), (40, 40), (4000, 4000)])
 def test_other_sizes_certify_and_verify(m, n):
     cert = emptiness_certificate(m, n)
     assert len(cert.branch_log) == 16
@@ -160,8 +162,7 @@ def test_every_certificate_and_report_matches_its_digest():
     assert got == want
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (3, 5)])
-def test_certificate_builds_each_pair_matrix_and_route_once(monkeypatch, m, n):
+def test_certificate_builds_each_pair_matrix_and_route_once(monkeypatch):
     calls = {"pairs": [], "routes": 0}
     pair_matrices, route = emptiness._pair_matrices, emptiness._route
 
@@ -175,13 +176,105 @@ def test_certificate_builds_each_pair_matrix_and_route_once(monkeypatch, m, n):
 
     monkeypatch.setattr(emptiness, "_pair_matrices", counted_pairs)
     monkeypatch.setattr(emptiness, "_route", counted_route)
-    emptiness_certificate(m, n)
-    # 4 pairs x 2 branches; each route depends on 2 pairs, so it has at
-    # most 4 distinct values, and the 4 routes make at most 16
+    for m, n in ((2, 2), (3, 5), (7, 7)):
+        emptiness_certificate(m, n)
+    # one sl(2|2) computation serves every size: 4 pairs x 2 branches; each
+    # route depends on 2 pairs, so it has at most 4 distinct values, and
+    # the 4 routes make at most 16
     assert sorted(calls["pairs"]) == sorted(
         (key, branch) for key in emptiness.PAIR_KEYS for branch in emptiness.BRANCHES
     )
     assert calls["routes"] <= 16
+
+
+# sha256 of `empty-check --m M --n N [--graded] --out` at sizes outside
+# {2..7}^2, as written by the implementation that enumerated the branch
+# combinations at every size
+OUT_DIGESTS = {
+    (2, 40, False): "47f7fc2b64d940339354fbef3eeb1314d5c651fc96305b38cb66c2201fc02243",
+    (2, 40, True): "f446f8aad71be0b89a9db385e7ecf8e478ef24557b653908ddc206ca2a35bce7",
+    (40, 2, False): "f720b5736f65d0ab0fd381abde6d93ec78cd804e118d4076dd297e1a4a2f2fe5",
+    (40, 2, True): "73f362359741a7d423749a2f9b0942d80569763aa3030f6c040520af9bc32ccb",
+    (300, 200, False): "6a9daed81a06959a4e3e9848ce6aca928a1492148b425284f3b8cdc9a170a9bb",
+    (300, 200, True): "0a50203af9579070e6c4fc5c2e3975ae286a23ec9c629bdbdcbe45bfe2cb0d8e",
+}
+
+
+@pytest.mark.parametrize("m, n, graded", sorted(OUT_DIGESTS))
+def test_certificates_past_the_digest_grid_match_their_digests(tmp_path, capsys, m, n, graded):
+    out = tmp_path / "cert.json"
+    argv = ["empty-check", "--m", str(m), "--n", str(n), "--out", str(out)]
+    assert main(argv + ["--graded"] * graded) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUT_DIGESTS[m, n, graded]
+    assert main(["empty-check", "--verify", str(out)]) == 0
+    assert "evaluation witness holds" in capsys.readouterr().out
+
+
+def _with_shift(monkeypatch, m, n, root, var, delta):
+    """algebra(m, n) with `delta` added to coordinate `var` of root's weight shift."""
+    alg = algebra(m, n)
+    shift = list(alg.weight_shift(root))
+    shift[var] += delta
+    monkeypatch.setitem(alg._shifts, root, tuple(shift))
+
+
+def test_a_wrong_active_shift_breaks_the_reduction(monkeypatch):
+    # e[3,b1] of sl(3|5), the raising root of pair m1; hb1 (position 3) is active
+    _with_shift(monkeypatch, 3, 5, Root(2, 3), 3, 1)
+    with pytest.raises(InvariantBreach, match=r"root e\[3,b1\] of sl\(3\|5\) shifts"):
+        emptiness_certificate(3, 5)
+    # the other sizes keep their algebras
+    emptiness_certificate(3, 4)
+
+
+def test_an_inactive_shift_is_not_read(monkeypatch):
+    # hb2 (position 4) occurs in no polynomial of the certificate
+    want = dump_json(emptiness_certificate(3, 5).to_dict())
+    _with_shift(monkeypatch, 3, 5, Root(2, 3), 4, 1)
+    assert dump_json(emptiness_certificate(3, 5).to_dict()) == want
+
+
+def test_a_wrong_pair_scalar_breaks_the_reduction(monkeypatch):
+    real = CertRing.pair_scalar
+
+    def planted(ring, key):
+        p = real(ring, key)
+        return p + 1 if (ring.m, ring.n, key) == (4, 3, "mn") else p
+
+    monkeypatch.setattr(CertRing, "pair_scalar", planted)
+    with pytest.raises(InvariantBreach, match=r"pair mn of sl\(4\|3\) is not the sl\(2\|2\) one"):
+        emptiness_certificate(4, 3)
+    emptiness_certificate(3, 4)
+
+
+def _edit_everything(node):
+    """Change every string, number and list in a JSON-like tree in place."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        if isinstance(value, (dict, list)):
+            _edit_everything(value)
+        elif isinstance(value, str):
+            node[key] = value + " + 1"
+        elif isinstance(value, int):
+            node[key] = value + 1
+    if isinstance(node, dict):
+        node["edited"] = True
+    else:
+        node.append("edited")
+
+
+def test_editing_a_rendered_certificate_leaves_the_next_unchanged():
+    want = dump_json(emptiness_certificate(3, 5, graded=True).to_dict())
+    cert = emptiness_certificate(3, 5, graded=True)
+    for held in (cert.surviving_choices, cert.support_witness, cert.eval_witness):
+        _edit_everything(held)
+    for outcome in cert.branch_log:
+        for held in (outcome.choices, outcome.stage1_detail, outcome.stage2_detail):
+            if held is not None:
+                _edit_everything(held)
+    _edit_everything(cert.to_dict())
+    assert dump_json(cert.to_dict()) != want
+    assert dump_json(emptiness_certificate(3, 5, graded=True).to_dict()) == want
 
 
 def _reversed_terms(mat):
@@ -214,7 +307,7 @@ def test_support_witness_ignores_term_storage_order(m, n):
     # the routes' matrices over Q[h], read from the file form at the units 1
     a, b = (_eval_scaled(ring, route, (1, 1, 1, 1)) for route in (cert.route_a, cert.route_b))
     witness = _support_witness(ring, a, b)
-    assert witness == cert.support_witness
+    assert witness.to_dict(ring.names[: ring.base_nvars]) == cert.support_witness
     assert _support_witness(ring, _reversed_terms(a), _reversed_terms(b)) == witness
     assert _support_witness(ring, _reversed_terms(a), b) == witness
 
@@ -285,7 +378,8 @@ def _vanishing_first_coordinate_case():
 def test_eval_witness_matches_the_grid_scan(case):
     ring, a, b, proportional_on_grid = case
     found = _eval_witness(ring, a, b)
-    assert found == eval_witness_oracle(ring, a, b)
+    nb = ring.base_nvars
+    assert (found and found.to_dict(ring.names[:nb], range(nb))) == eval_witness_oracle(ring, a, b)
     if proportional_on_grid:
         assert found is None
 
@@ -323,6 +417,13 @@ class TestGraded:
             emptiness_certificate(2, 1, graded=True)
         with pytest.raises(EmptinessError):
             emptiness_certificate(1, 2)
+
+    def test_size_budget(self):
+        emptiness.check_size(2, emptiness.SIZE_BUDGET - 2)
+        with pytest.raises(EmptinessError, match="m \\+ n is over the budget"):
+            emptiness.check_size(2, emptiness.SIZE_BUDGET - 1)
+        with pytest.raises(EmptinessError, match="m \\+ n is over the budget"):
+            emptiness_certificate(emptiness.SIZE_BUDGET, 2)
 
 
 class TestTampering:
@@ -464,7 +565,7 @@ def _support_in_the_wrong_route(monkeypatch, module):
 
     def swapped(ring, a, b):
         witness = real(ring, a, b)
-        return {**witness, "route": "B" if witness["route"] == "A" else "A"}
+        return witness._replace(route="B" if witness.route == "A" else "A")
 
     monkeypatch.setattr(module, "_support_witness", swapped)
 
@@ -478,12 +579,7 @@ def _agreeing_point(monkeypatch, module):
                 lhs = a[e1].evaluate(coords) * b[e2].evaluate(coords)
                 rhs = a[e2].evaluate(coords) * b[e1].evaluate(coords)
                 if lhs == rhs:
-                    return {
-                        "point": {ring.names[v]: str(x) for v, x in enumerate(coords)},
-                        "entries": [list(e1), list(e2)],
-                        "lhs": str(lhs),
-                        "rhs": str(rhs),
-                    }
+                    return EvalWitness(coords, (e1, e2), lhs, rhs)
 
     monkeypatch.setattr(module, "_eval_witness", agreeing)
 
