@@ -162,7 +162,8 @@ def test_every_certificate_and_report_matches_its_digest():
     assert got == want
 
 
-def test_certificate_builds_each_pair_matrix_and_route_once(monkeypatch):
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 5)])
+def test_certificate_builds_each_pair_matrix_and_route_once(monkeypatch, m, n):
     calls = {"pairs": [], "routes": 0}
     pair_matrices, route = emptiness._pair_matrices, emptiness._route
 
@@ -176,8 +177,10 @@ def test_certificate_builds_each_pair_matrix_and_route_once(monkeypatch):
 
     monkeypatch.setattr(emptiness, "_pair_matrices", counted_pairs)
     monkeypatch.setattr(emptiness, "_route", counted_route)
-    for m, n in ((2, 2), (3, 5), (7, 7)):
-        emptiness_certificate(m, n)
+    # start from an empty cache so the count covers the one enumeration
+    emptiness._universal.cache_clear()
+    for size in ((m, n), (7, 7)):
+        emptiness_certificate(*size)
     # one sl(2|2) computation serves every size: 4 pairs x 2 branches; each
     # route depends on 2 pairs, so it has at most 4 distinct values, and
     # the 4 routes make at most 16
