@@ -362,7 +362,6 @@ def cmd_empty_check(args) -> Outcome:
     if args.m is None or args.n is None:
         raise emptiness.EmptinessError("empty-check needs --m and --n (or --verify FILE)")
     cert = emptiness.emptiness_certificate(args.m, args.n, graded=args.graded)
-    names = cert.ring().names
     lines = [
         f"category of rank-2 modules over sl({cert.m}|{cert.n}) is empty",
         f"branch combinations examined: {len(cert.branch_log)}; "
@@ -371,7 +370,7 @@ def cmd_empty_check(args) -> Outcome:
     ]
     for via, route in (("b1", cert.route_a), ("bn", cert.route_b)):
         lines.append(f"route through {via}:")
-        lines.extend("    " + str(r) for r in route.num.to_strings(names))
+        lines.extend("    " + str(r) for r in route.to_dict()["mat"])
         lines.append(f"  divided by unit monomial exponents {list(route.den)}")
     lines.append(
         f"support witness: {cert.support_witness['monomial']} "

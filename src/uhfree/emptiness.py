@@ -35,7 +35,7 @@ containing the variable; term storage order never enters a certificate.
 
 The enumeration runs once per process, over sl(2|2) (`_universal`), and
 the certificate for (m, n) is its image under the variable embedding
-h1 -> h_1, h2 -> h_m, hb1 -> hb_1, a_k -> a_k (`_embedding`).
+h1 -> h_1, h2 -> h_m, hb1 -> hb_1, a_k -> a_k.
 
 Reduction lemma.  Every polynomial of the computation at (m, n) lies in
 Q[h_1, h_m, hb_1]: the pair polynomials above do, products and sums keep
@@ -44,17 +44,26 @@ variable by a constant.  A shift therefore acts on such a polynomial only
 through its coordinates at h_1, h_m and hb_1.  The embedding is monotone
 (0 -> 0, 1 -> m-1, 2 -> m, units -> m+n-1..m+n+2), so it keeps the
 variable index order and the grlex order of monomials, hence leading
-terms, `variables()`, `sorted_terms()` and the printed text.  If the 4
-pair polynomials at (m, n) are the embedded sl(2|2) ones and the 8
-pinned roots' shifts read at (h_1, h_m, hb_1) are the sl(2|2) shifts,
-every step of the computation at (m, n) (pair matrices, routes,
-cross products, proportionality, both witness scans) is the image of
-the sl(2|2) step, so its certificate, text and witnesses included, is
-the image of the sl(2|2) one; the evaluation point's other coordinates
-are 0, as in the lex-first scan.  `_check_reduction` checks both
-hypotheses at every size in O(m + n) and raises InvariantBreach if one
-fails.  Verification still re-derives the routes at the real (m, n)
-through `presentation.twisted_bracket`, independently of the lemma.
+terms, `variables()`, `sorted_terms()` and the printed text (the text
+clause).  If the 4
+pair polynomials at (m, n) are the embedded sl(2|2) ones and the 8 pinned
+roots' shifts read at (h_1, h_m, hb_1) are the sl(2|2) shifts, every
+step of the computation at (m, n) (pair matrices, routes, cross
+products, proportionality, both witness scans) is the image of the
+sl(2|2) step, so its certificate, text and witnesses included, is the
+image of the sl(2|2) one; the evaluation point's other coordinates are
+0, as in the lex-first scan.  `_check_reduction` checks both hypotheses
+at every size in O(m + n) and raises InvariantBreach if one fails.
+Verification still re-derives the routes at the real (m, n) through
+`presentation.twisted_bracket`, independently of the lemma.
+
+So no polynomial is built at (m, n): by the text clause, an embedded
+polynomial prints as its sl(2|2) text with the names (h1, h{m}, hb1).
+`_universal` prints the sl(2|2) texts once per process with h2 named
+SLOT, a character no polynomial text contains, and
+`emptiness_certificate` fills the slot and pads the evaluation point
+with "0".  A slot, unlike replacing the text "h2", cannot touch a name
+that another extends, as h10 extends h1.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import prod
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -161,10 +170,29 @@ class CertRing:
 
 @dataclass(frozen=True)
 class ScaledMat:
-    """The file form of a route: num / (a1^d1 a2^d2 a3^d3 a4^d4), num over Q[h, a]."""
+    """The file form of a route: num / (a1^d1 a2^d2 a3^d3 a4^d4), num over Q[h, a].
 
-    num: Mat2
+    It holds num's entries as text over `names` and parses num on first use.
+    """
+
+    text: tuple[tuple[str, str], tuple[str, str]]
     den: tuple[int, int, int, int]
+    names: tuple[str, ...]
+
+    @functools.cached_property
+    def num(self) -> Mat2:
+        rows = [list(row) for row in self.text]
+        return Mat2.from_strings(rows, self.names, "route", EmptinessError)
+
+    @classmethod
+    def of(cls, num: Mat2, den: tuple[int, int, int, int], names: tuple[str, ...]) -> ScaledMat:
+        """The form of polynomial entries: their canonical text, with num kept."""
+        form = cls(tuple(map(tuple, num.to_strings(names))), den, names)
+        form.__dict__["num"] = num
+        return form
+
+    def to_dict(self) -> dict:
+        return {"den": list(self.den), "mat": [list(row) for row in self.text]}
 
 
 @dataclass(frozen=True)
@@ -180,7 +208,7 @@ class RouteView:
     delta: tuple[int, ...]
     mat: Mat2
 
-    def file_form(self) -> ScaledMat:
+    def file_form(self, names: tuple[str, ...]) -> ScaledMat:
         """a^max(delta, 0) * mat over Q[h, a], over the denominator a^max(-delta, 0)."""
         units = tuple(max(d, 0) for d in self.delta)
 
@@ -189,7 +217,7 @@ class RouteView:
             return Poly(p.nvars + len(units), terms)
 
         num = Mat2._of(tuple(tuple(lift(p) for p in row) for row in self.mat.rows))
-        return ScaledMat(num, tuple(max(-d, 0) for d in self.delta))
+        return ScaledMat.of(num, tuple(max(-d, 0) for d in self.delta), names)
 
 
 def _pair_matrices(ring: CertRing, key: str, branch: str) -> tuple[RouteView, RouteView]:
@@ -320,11 +348,6 @@ class EmptinessCertificate:
         return CertRing(self.m, self.n)
 
     def to_dict(self) -> dict:
-        names = self.ring().names
-
-        def sm_dict(sm: ScaledMat) -> dict:
-            return {"den": list(sm.den), "mat": sm.num.to_strings(names)}
-
         return {
             "format": FORMAT_CERT,
             "m": self.m,
@@ -349,8 +372,8 @@ class EmptinessCertificate:
             ],
             "surviving": {
                 "choices": self.surviving_choices,
-                "routeA": sm_dict(self.route_a),
-                "routeB": sm_dict(self.route_b),
+                "routeA": self.route_a.to_dict(),
+                "routeB": self.route_b.to_dict(),
                 "support_witness": self.support_witness,
                 "eval_witness": self.eval_witness,
             },
@@ -387,11 +410,9 @@ class EvalWitness(NamedTuple):
     lhs: Fraction
     rhs: Fraction
 
-    def to_dict(self, names, positions) -> dict:
-        """Coordinate k of the point at base variable positions[k] of names, every other at 0."""
-        at = dict(zip(positions, self.point))
+    def to_dict(self, names) -> dict:
         return {
-            "point": {name: str(at.get(v, 0)) for v, name in enumerate(names)},
+            "point": {name: str(c) for name, c in zip(names, self.point, strict=True)},
             "entries": [list(e) for e in self.entries],
             "lhs": str(self.lhs),
             "rhs": str(self.rhs),
@@ -456,9 +477,14 @@ def _eval_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[EvalWitness]:
 # the ring of the one computation: h1, h2, hb1, then a1..a4
 UNIVERSAL = CertRing(2, 2)
 
+# h_m's name in the sl(2|2) texts.  No polynomial text contains it, so a
+# certificate fills it in without touching a name it prefixes ("h1" of "h10").
+SLOT = "@"
+SLOT_NAMES = ("h1", SLOT, "hb1") + UNIT_NAMES
+
 
 @functools.cache
-def _universal() -> tuple:
+def _universal() -> str:
     """Enumerate the 16 branch combinations once per process, in UNIVERSAL.
 
     Each must die, either because the two computations of E_{im} cannot
@@ -467,11 +493,10 @@ def _universal() -> tuple:
     reaches the second stage; its routes and both non-proportionality
     witnesses go into the certificate.
 
-    Returns the sl(2|2) certificate's branch log, surviving choices, the
-    file forms of routes A and B, and the support and evaluation
-    witnesses, with every polynomial over UNIVERSAL.  A branch outcome's
-    details are MismatchWitnesses, or the scalar constraint as the dict
-    the file holds.
+    Returns the sl(2|2) certificate's branch log (BranchOutcome's fields
+    per outcome), surviving choices, routes A and B, and support and
+    evaluation witnesses as one JSON text, written over SLOT_NAMES; the
+    evaluation point names the three base variables only.
     """
     ring = UNIVERSAL
     mats = {
@@ -495,17 +520,19 @@ def _universal() -> tuple:
             )
         return routes[key]
 
+    base = SLOT_NAMES[: ring.base_nvars]
     log: list[BranchOutcome] = []
     survivors = []
     for combo in itertools.product(BRANCHES, repeat=4):
         choices = dict(zip(PAIR_KEYS, combo))
         witness, constraint = _routes_reconcilable(route("up1", choices), route("upn", choices))
         if witness is not None:
-            log.append(BranchOutcome(choices, False, witness, None, None))
+            log.append(BranchOutcome(choices, False, witness.to_dict(base), None, None))
             continue
         da, db = route("down1", choices), route("downn", choices)
         ok, _, w2 = _proportionality(da, db)
-        log.append(BranchOutcome(choices, True, {"scalar_constraint": constraint}, ok, w2))
+        detail = w2 and w2.to_dict(base)
+        log.append(BranchOutcome(choices, True, {"scalar_constraint": constraint}, ok, detail))
         if ok:
             raise InvariantBreach(
                 f"branch {choices} admits a consistent module; emptiness fails"
@@ -520,25 +547,9 @@ def _universal() -> tuple:
     point = _eval_witness(ring, da.mat, db.mat)
     if support is None or point is None:
         raise InvariantBreach("non-proportionality witnesses not found")
-    return tuple(log), choices, da.file_form(), db.file_form(), support, point
-
-
-def _embedding(ring: CertRing) -> tuple[int, ...]:
-    """Where UNIVERSAL's variables h1, h2, hb1, a1..a4 sit in the file ring at (m, n)."""
-    nb = ring.base_nvars
-    return (0, ring.m - 1, ring.m) + tuple(range(nb, nb + 4))
-
-
-def _embed(p: Poly, nvars: int, positions: Sequence[int]) -> Poly:
-    """p with its variable k renamed to variable positions[k] of nvars."""
-
-    def image(exps):
-        out = [0] * nvars
-        for pos, e in zip(positions, exps):
-            out[pos] = e
-        return tuple(out)
-
-    return Poly(nvars, {image(exps): c for exps, c in p.terms.items()})
+    forms = [route.file_form(SLOT_NAMES).to_dict() for route in (da, db)]
+    texts = [witness and witness.to_dict(base) for witness in (support, point)]
+    return json.dumps([[astuple(o) for o in log], choices, *forms, *texts])
 
 
 def _pinned_roots(ring: CertRing, key: str) -> tuple[Root, Root]:
@@ -550,35 +561,28 @@ def _pinned_roots(ring: CertRing, key: str) -> tuple[Root, Root]:
 def _check_reduction(ring: CertRing) -> None:
     """The reduction lemma's hypotheses at (m, n), in O(m + n).
 
-    The 4 pair scalars are the embedded UNIVERSAL ones, and the weight
-    shifts of the 8 pinned roots, read at h_1, h_m and hb_1, are
-    UNIVERSAL's.
+    The 4 pair scalars print as UNIVERSAL's with the slot filled, so by
+    the text clause they are the embedded ones, and the weight shifts of
+    the 8 pinned roots, read at h_1, h_m and hb_1, are UNIVERSAL's.
     """
-    positions = _embedding(ring)[:3]
-    alg, small = algebra(ring.m, ring.n), algebra(UNIVERSAL.m, UNIVERSAL.n)
+    m, n = ring.m, ring.n
+    names, base = ring.names[: ring.base_nvars], SLOT_NAMES[: UNIVERSAL.base_nvars]
+    alg, small = algebra(m, n), algebra(UNIVERSAL.m, UNIVERSAL.n)
     for key in PAIR_KEYS:
-        if ring.pair_scalar(key) != _embed(UNIVERSAL.pair_scalar(key), ring.base_nvars, positions):
-            raise InvariantBreach(f"pair {key} of sl({ring.m}|{ring.n}) is not the sl(2|2) one")
+        text = format_poly(UNIVERSAL.pair_scalar(key), base).replace(SLOT, f"h{m}")
+        if format_poly(ring.pair_scalar(key), names) != text:
+            raise InvariantBreach(f"pair {key} of sl({m}|{n}) is not the sl(2|2) one")
         for root, image in zip(_pinned_roots(ring, key), _pinned_roots(UNIVERSAL, key)):
             shift = alg.weight_shift(root)
-            if tuple(shift[p] for p in positions) != small.weight_shift(image):
+            if (shift[0], shift[m - 1], shift[m]) != small.weight_shift(image):
                 raise InvariantBreach(
-                    f"root {alg.show(root)} of sl({ring.m}|{ring.n}) shifts h_1, h_m, hb_1 "
+                    f"root {alg.show(root)} of sl({m}|{n}) shifts h_1, h_m, hb_1 "
                     "unlike its sl(2|2) image"
                 )
 
 
-def _detail(detail, *names) -> Optional[dict]:
-    """A witness, or a dict the file holds as it is, as a fresh dict over names."""
-    if detail is None:
-        return None
-    if isinstance(detail, dict):
-        return dict(detail)
-    return detail.to_dict(*names)
-
-
 def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCertificate:
-    """The certificate for (m, n): the sl(2|2) computation renamed by the reduction lemma.
+    """The certificate for (m, n): the sl(2|2) texts with SLOT filled by h_m's name.
 
     Every dict of the result is fresh, so a caller that edits one leaves
     the next certificate unchanged.
@@ -586,36 +590,28 @@ def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCert
     check_size(m, n)
     ring = CertRing(m, n)
     _check_reduction(ring)
-    log, choices, route_a, route_b, support, point = _universal()
-    names, positions = ring.names, _embedding(ring)
-    # format_poly of a polynomial over UNIVERSAL with these names is the
-    # text of its embedding, since the embedding keeps the grlex order
-    base = tuple(names[p] for p in positions[:3])
+    # json.loads makes every dict fresh
+    log, choices, route_a, route_b, support, point = json.loads(
+        _universal().replace(SLOT, f"h{m}")
+    )
+    names = ring.names
 
-    def embedded(sm: ScaledMat) -> ScaledMat:
-        rows = tuple(tuple(_embed(p, ring.nvars, positions) for p in row) for row in sm.num.rows)
-        return ScaledMat(Mat2._of(rows), sm.den)
+    def route(form: dict) -> ScaledMat:
+        return ScaledMat(tuple(map(tuple, form["mat"])), tuple(form["den"]), names)
 
+    # the coordinates of the base variables the sl(2|2) point does not name are 0
+    point["point"] = dict.fromkeys(names[: ring.base_nvars], "0") | point["point"]
     return EmptinessCertificate(
         m=m,
         n=n,
         i=1,
         graded=graded,
-        branch_log=tuple(
-            BranchOutcome(
-                dict(o.choices),
-                o.stage1_equal,
-                _detail(o.stage1_detail, base),
-                o.stage2_proportional,
-                _detail(o.stage2_detail, base),
-            )
-            for o in log
-        ),
-        surviving_choices=dict(choices),
-        route_a=embedded(route_a),
-        route_b=embedded(route_b),
-        support_witness=_detail(support, base),
-        eval_witness=_detail(point, names[: ring.base_nvars], positions[:3]),
+        branch_log=tuple(BranchOutcome(*o) for o in log),
+        surviving_choices=choices,
+        route_a=route(route_a),
+        route_b=route(route_b),
+        support_witness=support,
+        eval_witness=point,
     )
 
 
@@ -649,7 +645,7 @@ def certificate_from_dict(data: Mapping) -> EmptinessCertificate:
         _keys(d, ("den", "mat"), where)
         mat = Mat2.from_strings(d.get("mat"), names, f"{where}.mat", EmptinessError)
         den = json_array(d.get("den"), 4, int, f"{where}.den", EmptinessError)
-        return ScaledMat(mat, tuple(den))
+        return ScaledMat.of(mat, tuple(den), names)
 
     log = []
     for entry in _field(data, "branch_log", list, "certificate"):
@@ -696,19 +692,14 @@ def _eval_scaled(ring: CertRing, sm: ScaledMat, units: Sequence[Fraction]) -> Ma
     """Specialize the unit variables to concrete scalars, over the base ring."""
     values = [None] * ring.base_nvars + list(units)
     rows = tuple(tuple(p.specialize(values) for p in row) for row in sm.num.rows)
-    return Mat2._of(rows) * prod(Fraction(u) ** -d for u, d in zip(units, sm.den))
+    return _scaled(Mat2._of(rows), units, [-d for d in sm.den])
 
 
-def _pinned_at_units(
-    ring: CertRing, choices: Mapping[str, str], units: Sequence[Fraction]
-) -> dict[Root, Mat2]:
-    """The 8 pinned generators' matrices in the chosen branches at concrete scalars."""
-    pinned = {}
-    for key in PAIR_KEYS:
-        views = _pair_matrices(ring, key, choices[key])
-        for root, view in zip(_pinned_roots(ring, key), views):
-            pinned[root] = view.mat * prod(u**d for u, d in zip(units, view.delta))
-    return pinned
+def _scaled(mat: Mat2, units: Sequence[Fraction], delta: Sequence[int]) -> Mat2:
+    """mat times the unit monomial a^delta at the given units."""
+    num = prod(u**d for u, d in zip(units, delta) if d > 0)
+    den = prod(u**-d for u, d in zip(units, delta) if d < 0)
+    return mat if num == den else mat * Fraction(num, den)
 
 
 def verify_certificate(cert: EmptinessCertificate) -> list[str]:
@@ -733,8 +724,9 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
     """
     report = []
     fresh = emptiness_certificate(cert.m, cert.n, graded=cert.graded)
-    # compared as JSON text, since 1, 1.0 and true are equal as Python values;
-    # compact text, since indentation sends json to its slower pure-Python encoder
+    # compared as JSON text, since 1, 1.0 and true are equal as Python values; the
+    # recorded side is its parsed to_dict, so non-canonical route text of the same
+    # polynomial matches; compact, since json's C encoder writes that fastest
     recorded, replayed = (json.dumps(c.to_dict(), sort_keys=True) for c in (cert, fresh))
     if recorded != replayed:
         raise EmptinessError("certificate does not match a fresh replay")
@@ -752,21 +744,27 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
     names = ring.names
     m, n = cert.m, cert.n
     alg = algebra(m, n)
+    # the pinned generators in the chosen branches, built once and scaled per specialization
+    pinned = {}
+    for key in PAIR_KEYS:
+        views = _pair_matrices(ring, key, cert.surviving_choices[key])
+        pinned.update(zip(_pinned_roots(ring, key), views))
+    at_one = []
     for units in ((1, 1, 1, 1), (2, 3, 5, 7)):
-        units = tuple(Fraction(u) for u in units)
-        pinned = _pinned_at_units(ring, cert.surviving_choices, units)
         # E_{mi} through b1 (route A) and through bn (route B)
         for recorded, via in ((cert.route_a, m), (cert.route_b, m + n - 1)):
             x, y = Root(m - 1, via), Root(via, 0)
-            recomputed = twisted_bracket(alg, x, pinned[x], y, pinned[y])
-            if _eval_scaled(ring, recorded, units) != recomputed:
+            ex, ey = (_scaled(pinned[r].mat, units, pinned[r].delta) for r in (x, y))
+            value = _eval_scaled(ring, recorded, units)
+            if value != twisted_bracket(alg, x, ex, y, ey):
                 raise EmptinessError(
                     "recorded route disagrees with the independent derivation"
                 )
+            at_one.append(value)
     report.append("routes re-derived independently at two scalar specializations")
 
     # the routes' matrices over Q[h]: their file forms at the units 1
-    da, db = (_eval_scaled(ring, route, (1, 1, 1, 1)) for route in (cert.route_a, cert.route_b))
+    da, db = at_one[:2]
     sw = cert.support_witness
     v = names.index(sw["variable"])
     r, c = sw["entry"]

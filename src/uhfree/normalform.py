@@ -43,7 +43,7 @@ from .presentation import (
     Presentation,
     RelationReport,
     build_mas,
-    check_term_budget,
+    check_work_budget,
     conjugate,
     parity_check,
     verify_relations,
@@ -379,8 +379,8 @@ def verified_report(p: Presentation) -> RelationReport:
     Fallback: if the classifier raises ClassificationError or
     InvariantBreach, or the shape fails its check, `verify_relations(p)`
     decides, so the violations listed are those of p.  It evaluates the
-    pairs on p's own entries, so an entry over the term budget
-    (`check_term_budget`) is refused first.  A non-module
+    pairs on p's own entries, so an input whose estimated work is over
+    the budget (`check_work_budget`) is refused first.  A non-module
     takes both exception routes.  A classifier InvariantBreach on an
     input that then passes is re-raised: it is a bug, not a verdict.
     """
@@ -415,8 +415,8 @@ def _classified_report(p: Presentation) -> tuple[RelationReport, object]:
 
 
 def _evaluated_report(p: Presentation) -> RelationReport:
-    """verify_relations(p), for an input within the term budget."""
-    check_term_budget(p)
+    """verify_relations(p), for an input within the work budget."""
+    check_work_budget(p)
     return verify_relations(p)
 
 

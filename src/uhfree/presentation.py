@@ -28,7 +28,8 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from json.encoder import encode_basestring_ascii
+from math import comb, prod
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .poly import (
@@ -554,25 +555,62 @@ def check_degree_budget(p: Presentation) -> None:
             )
 
 
-# Terms of an odd generator's entry in an input whose relations are
-# evaluated pair by pair (`normalform.verified_report`'s fallback), which
-# the degree budget does not bound: sl(6|1) with every odd matrix
-# [[c^4, 1], [0, c^4]], c = h1 + ... + h6 (126 terms), ran past 60 s.
-# With x = (h1 + h2 + 1)^k in place of c^4, sl(2|1) took
-# 0.8 / 2.1 / 3.0 / 4.8 s at 45 / 66 / 91 / 105 terms.  A module proved
-# by classification is not evaluated, and its entries may be larger.
-TERM_BUDGET = 100
+# Term products of the pairwise relation check of an input that does not
+# classify (`normalform.verified_report`'s fallback), as `relation_work`
+# estimates them.  Measured on a 2-CPU machine at 3-35 us per estimated
+# product: sl(6|1) with every odd matrix [[c, 1], [0, c]], c = h1 + ... +
+# h6, estimated at 273 393, took 1.6 s, sl(3|1) with x = (h1 + h2 + h3 +
+# 1)^4 in place of c, at 922 950, 3.8 s, and sl(6|1) with x = h1^24, at
+# 153 063, 3.2 s.  The largest estimate of a test-suite input that reaches
+# the check is 12 855 (family_in_sl31_perturbed.json, 0.08 s), and of one
+# from perfbench/gen.py (seeds 1-100, 10 cycles each) 2 823.  A module
+# proved by classification is not evaluated, and its entries may be larger.
+WORK_BUDGET = 100_000
 
 
-def check_term_budget(p: Presentation) -> None:
-    """Refuse a presentation with an odd generator entry of more than TERM_BUDGET terms."""
-    for pos, mat in p.odd:
-        terms = max(f.term_count() for row in mat.rows for f in row)
-        if terms > TERM_BUDGET:
-            raise PresentationError(
-                f"{_gen_label(p.algebra, *pos)} has an entry of {terms} terms, over the "
-                f"budget of {TERM_BUDGET} for an input that does not classify"
-            )
+def relation_work(p: Presentation) -> int:
+    """An estimate of the term products `verify_relations` makes on p.
+
+    Deriving the even matrix e[i,j] multiplies the entries of E_x and
+    E_y, x = e[i,k] and y = e[k,j], with the shifted entries of the other
+    8 times each; an entry of t terms and degree d shifts to at most
+    min(sum of (e_1 + 1)...(e_v + 1) over its monomials, C(d + v, v))
+    terms.  If that bound is within WORK_BUDGET, the evens are derived
+    (once for p, as `verify_relations` would) and the pair of root
+    vectors (a, b) is charged e_a e_b, for the largest entries e_a, e_b
+    of their action matrices.
+    """
+    alg, v = p.algebra, p.nvars
+    sizes = {pos: _entry_sizes(mat, v) for pos, mat in p.odd}
+    roots = alg.root_vectors()
+    work = 0
+    for r in roots:
+        if not alg.parity(r):
+            k = _intermediate(alg, r.row)
+            (tx, sx), (ty, sy) = sizes[r.row, k], sizes[k, r.col]
+            work += 8 * (tx * sy + ty * sx)
+    if work > WORK_BUDGET:
+        return work
+    e = [max(f.term_count() for row in p.E(r.row, r.col).rows for f in row) for r in roots]
+    return work + (sum(e) ** 2 + sum(x * x for x in e)) // 2
+
+
+def _entry_sizes(mat: Mat2, v: int) -> tuple[int, int]:
+    """The most terms of an entry of mat, and a bound on the terms of a shifted entry."""
+    entries = [f for row in mat.rows for f in row]
+    shifted = max(sum(prod(e + 1 for e in exps) for exps in f.terms) for f in entries)
+    dense = comb(max(f.total_degree() for f in entries) + v, v)
+    return max(f.term_count() for f in entries), min(shifted, dense)
+
+
+def check_work_budget(p: Presentation) -> None:
+    """Refuse a presentation whose relation_work is over WORK_BUDGET."""
+    work = relation_work(p)
+    if work > WORK_BUDGET:
+        raise PresentationError(
+            f"the relation check is estimated at {work} term products, over the "
+            f"budget of {WORK_BUDGET} for an input that does not classify"
+        )
 
 
 # -- the classified family M(a, S) ------------------------------------------------
@@ -773,8 +811,74 @@ def presentation_from_dict(data: Mapping) -> Presentation:
 
 
 def dump_json(payload) -> str:
-    """The one encoding of every file uhfree writes: indent 2, sorted keys, final newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The one encoding of every file uhfree writes: indent 2, sorted keys, final newline.
+
+    The text is json.dumps(payload, indent=2, sort_keys=True) + "\\n", written
+    in one pass: json's indent sends it to its pure-Python encoder, which
+    took 2.7x as long on a certificate.  Objects (dict) with str keys,
+    arrays (list or tuple), str, int, bool and None are written; any other
+    value or key, subclasses included, raises TypeError, as json does for
+    what it cannot encode.
+    """
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append value's text to out, its nested lines indented after `newline`.
+
+    A str or int inside a container is written in the container's loop,
+    which saves a call per leaf.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            head = sep + encode_basestring_ascii(key) + ": "
+            if type(item) is str:
+                out.append(head + encode_basestring_ascii(item))
+            elif type(item) is int:
+                out.append(head + int.__repr__(item))
+            else:
+                out.append(head)
+                _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is str:
+                out.append(sep + encode_basestring_ascii(item))
+            elif type(item) is int:
+                out.append(sep + int.__repr__(item))
+            else:
+                out.append(sep)
+                _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None or value is True or value is False:
+        out.append(_JSON_CONSTANTS[value])
+    elif kind is int:
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def load_json(text: str, error: type[ValueError]):

@@ -64,22 +64,25 @@ def _set_entry(text):
     return lambda d: d["E"]["e[1,b1]"][0].__setitem__(1, text)
 
 
+def _odd_matrices(m, x):
+    """sl(m|1), ungraded, every odd matrix [[x, 1], [0, x]]: not a module."""
+    mat = Mat2.of(m, ((x, 1), (0, x)))
+    return make_presentation(m, 1, {pos: mat for pos in odd_positions(m, 1)})
+
+
 def _odd_powers(m, d):
-    """sl(m|1), ungraded, every odd matrix [[h1^d, 1], [0, h1^d]]: not a module."""
-    x = Poly.var(m, 0) ** d
-    mat = Mat2.of(m, ((x, 1), (0, x)))
-    return make_presentation(m, 1, {pos: mat for pos in odd_positions(m, 1)})
+    """Every odd matrix [[h1^d, 1], [0, h1^d]]."""
+    return _odd_matrices(m, Poly.var(m, 0) ** d)
 
 
-def _odd_sum_powers(m, k):
-    """sl(m|1), ungraded, every odd matrix [[c^k, 1], [0, c^k]], c = h1 + ... + hm: not a module."""
-    x = sum((Poly.var(m, i) for i in range(m)), Poly.zero(m)) ** k
-    mat = Mat2.of(m, ((x, 1), (0, x)))
-    return make_presentation(m, 1, {pos: mat for pos in odd_positions(m, 1)})
+def _odd_sum_powers(m, k, shift=0):
+    """Every odd matrix [[x, 1], [0, x]], x = (c + shift)^k, c = h1 + ... + hm."""
+    return _odd_matrices(m, (sum((Poly.var(m, i) for i in range(m)), Poly.zero(m)) + shift) ** k)
 
 
 WIDE_REFUSED = (
-    "e[1,b1] has an entry of 126 terms, over the budget of 100 for an input that does not classify"
+    "the relation check is estimated at 12700800 term products, over the budget of 100000 "
+    "for an input that does not classify"
 )
 
 
@@ -419,27 +422,41 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_terms_at_the_budget_pass_and_one_more_is_refused(self):
-        h1, h2 = Poly.var(2, 0), Poly.var(2, 1)
-        # 100 distinct monomials of degree at most 10 in h1, h2
-        x = sum((h1**a * h2**b for a in range(10) for b in range(10)), Poly.zero(2))
-        assert x.term_count() == presentation.TERM_BUDGET
+    def test_work_at_the_budget_passes_and_one_more_is_refused(self, monkeypatch):
+        p = _odd_sum_powers(6, 1)
+        # 30 evens, each from two odd entries of 6 terms that shift to 7:
+        # 30 * 8 * (6 * 7 + 6 * 7); then the 42 root vectors, 30 evens with
+        # entries of 21 terms and 12 odds of 6, charge e_a e_b per pair
+        e = [21] * 30 + [6] * 12
+        work = 30 * 8 * (6 * 7 + 6 * 7) + (sum(e) ** 2 + sum(x * x for x in e)) // 2
+        assert presentation.relation_work(p) == work == 273_393
+        monkeypatch.setattr(presentation, "WORK_BUDGET", work)
+        presentation.check_work_budget(p)
+        monkeypatch.setattr(presentation, "WORK_BUDGET", work - 1)
+        with pytest.raises(presentation.PresentationError, match="273393 term products, over"):
+            presentation.check_work_budget(p)
 
-        def member(entry):
-            mat = Mat2.of(2, ((entry, 1), (0, entry)))
-            return make_presentation(2, 1, {pos: mat for pos in odd_positions(2, 1)})
+    @pytest.mark.parametrize("command", ["verify", "classify"])
+    @pytest.mark.parametrize("m, k, shift", [(6, 1, 0), (3, 4, 1)], ids=["sl61-c", "sl31-c1-4"])
+    def test_non_modules_that_ran_for_seconds_are_refused_at_once(
+        self, tmp_path, capsys, command, m, k, shift
+    ):
+        # whole-process verify had taken 1.6 s and 2.8 s before the work budget
+        path = write(tmp_path, "in.json", _odd_sum_powers(m, k, shift))
+        start = time.perf_counter()
+        assert main([command, path]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert "over the budget of 100000 for an input that does not classify" in (
+            capsys.readouterr().err
+        )
 
-        presentation.check_term_budget(member(x))
-        with pytest.raises(presentation.PresentationError, match="101 terms, over the budget"):
-            presentation.check_term_budget(member(x + h1**10))
-
-    def test_no_suite_input_is_near_the_term_budget(self):
+    def test_no_suite_input_is_near_the_work_budget(self):
         largest = 0
         for path in sorted(DATA.glob("family_in_*.json")):
             p = presentation_from_json(path.read_text())
-            presentation.check_term_budget(p)
-            largest = max(largest, *(f.term_count() for _, mat in p.odd for row in mat.rows for f in row))
-        assert largest == 14
+            largest = max(largest, presentation.relation_work(p))
+        # the pairwise check of family_in_sl31_perturbed.json took 0.08 s
+        assert largest == 12_855 < presentation.WORK_BUDGET // 5
 
     def test_degree_at_the_budget_is_checked(self, tmp_path, capsys):
         path = write(tmp_path, "deep.json", _odd_powers(2, presentation.DEGREE_BUDGET))
@@ -870,6 +887,18 @@ class TestEmptyCheckCommand:
         cert_path.write_text(json.dumps(data))
         assert main(["empty-check", "--verify", str(cert_path)]) == 1
         assert capsys.readouterr().out == "FAIL: certificate does not match a fresh replay\n"
+
+    def test_route_text_that_is_not_canonical_verifies(self, tmp_path, capsys):
+        # the replay compares the route's polynomials, so the same polynomial
+        # with its terms in ascending order and spelled-out unit factors passes
+        cert_path = tmp_path / "cert.json"
+        data = json.loads((DATA / "cert_3x5.json").read_text())
+        row = data["surviving"]["routeA"]["mat"][0]
+        assert row[0] == "h1*hb1*a2 - h3*hb1*a2 + hb1^2*a2 + hb1*a2"
+        row[0] = "1*a2*hb1 + a2*hb1^2 - a2*hb1*h3 + hb1*h1*a2"
+        cert_path.write_text(json.dumps(data))
+        assert main(["empty-check", "--verify", str(cert_path)]) == 0
+        assert "re-verified" in capsys.readouterr().out
 
     def test_duplicate_certificate_key_is_exit_2(self, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"

@@ -526,3 +526,48 @@ class TestInterchange:
     def test_generator_set_validated_at_construction(self):
         with pytest.raises(PresentationError):
             make_presentation(2, 1, {(0, 2): Mat2.zero(2)})
+
+
+# -- the JSON writer against json -----------------------------------------------------
+
+json_texts = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
+        st.characters(max_codepoint=0x7F),
+        st.characters(min_codepoint=0x80),
+    ),
+    max_size=12,
+)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=10**40, max_value=10**400),
+    st.integers(min_value=-(10**400), max_value=-(10**40)),
+    json_texts,
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_texts, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_dump_json_writes_what_json_writes(value):
+    assert presentation.dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(1, 2), 0.5, {1: "a"}, {"a": [Fraction(1)]}, [{"a": {2: None}}], {"a": 1.0}],
+    ids=["fraction", "float", "int-key", "nested-fraction", "nested-int-key", "nested-float"],
+)
+def test_dump_json_refuses_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        presentation.dump_json(value)
