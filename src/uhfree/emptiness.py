@@ -60,10 +60,8 @@ Verification still re-derives the routes at the real (m, n) through
 So no polynomial is built at (m, n): by the text clause, an embedded
 polynomial prints as its sl(2|2) text with the names (h1, h{m}, hb1).
 `_universal` prints the sl(2|2) texts once per process with h2 named
-SLOT, a character no polynomial text contains, and
-`emptiness_certificate` fills the slot and pads the evaluation point
-with "0".  A slot, unlike replacing the text "h2", cannot touch a name
-that another extends, as h10 extends h1.
+SLOT, and `emptiness_certificate` fills the slot with "h{m}" and pads
+the evaluation point with "0".
 """
 
 from __future__ import annotations
@@ -477,8 +475,9 @@ def _eval_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[EvalWitness]:
 # the ring of the one computation: h1, h2, hb1, then a1..a4
 UNIVERSAL = CertRing(2, 2)
 
-# h_m's name in the sl(2|2) texts.  No polynomial text contains it, so a
-# certificate fills it in without touching a name it prefixes ("h1" of "h10").
+# h_m's name in the sl(2|2) texts: a character no polynomial text contains,
+# so filling it in touches nothing else, where replacing a name's text could
+# also hit a longer name that starts with it, as h10 starts with h1
 SLOT = "@"
 SLOT_NAMES = ("h1", SLOT, "hb1") + UNIT_NAMES
 
@@ -547,8 +546,8 @@ def _universal() -> str:
     point = _eval_witness(ring, da.mat, db.mat)
     if support is None or point is None:
         raise InvariantBreach("non-proportionality witnesses not found")
-    forms = [route.file_form(SLOT_NAMES).to_dict() for route in (da, db)]
-    texts = [witness and witness.to_dict(base) for witness in (support, point)]
+    forms = [view.file_form(SLOT_NAMES).to_dict() for view in (da, db)]
+    texts = [w and w.to_dict(base) for w in (support, point)]
     return json.dumps([[astuple(o) for o in log], choices, *forms, *texts])
 
 
