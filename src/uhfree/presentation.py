@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import comb, prod
+from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .poly import (
@@ -553,64 +553,6 @@ def check_degree_budget(p: Presentation) -> None:
                 f"{_gen_label(p.algebra, *pos)} has an entry of total degree {degree}, "
                 f"over the budget of {DEGREE_BUDGET}"
             )
-
-
-# Term products of the pairwise relation check of an input that does not
-# classify (`normalform.verified_report`'s fallback), as `relation_work`
-# estimates them.  Measured on a 2-CPU machine at 3-35 us per estimated
-# product: sl(6|1) with every odd matrix [[c, 1], [0, c]], c = h1 + ... +
-# h6, estimated at 273 393, took 1.6 s, sl(3|1) with x = (h1 + h2 + h3 +
-# 1)^4 in place of c, at 922 950, 3.8 s, and sl(6|1) with x = h1^24, at
-# 153 063, 3.2 s.  The largest estimate of a test-suite input that reaches
-# the check is 12 855 (family_in_sl31_perturbed.json, 0.08 s), and of one
-# from perfbench/gen.py (seeds 1-100, 10 cycles each) 2 823.  A module
-# proved by classification is not evaluated, and its entries may be larger.
-WORK_BUDGET = 100_000
-
-
-def relation_work(p: Presentation) -> int:
-    """An estimate of the term products `verify_relations` makes on p.
-
-    Deriving the even matrix e[i,j] multiplies the entries of E_x and
-    E_y, x = e[i,k] and y = e[k,j], with the shifted entries of the other
-    8 times each; an entry of t terms and degree d shifts to at most
-    min(sum of (e_1 + 1)...(e_v + 1) over its monomials, C(d + v, v))
-    terms.  If that bound is within WORK_BUDGET, the evens are derived
-    (once for p, as `verify_relations` would) and the pair of root
-    vectors (a, b) is charged e_a e_b, for the largest entries e_a, e_b
-    of their action matrices.
-    """
-    alg, v = p.algebra, p.nvars
-    sizes = {pos: _entry_sizes(mat, v) for pos, mat in p.odd}
-    roots = alg.root_vectors()
-    work = 0
-    for r in roots:
-        if not alg.parity(r):
-            k = _intermediate(alg, r.row)
-            (tx, sx), (ty, sy) = sizes[r.row, k], sizes[k, r.col]
-            work += 8 * (tx * sy + ty * sx)
-    if work > WORK_BUDGET:
-        return work
-    e = [max(f.term_count() for row in p.E(r.row, r.col).rows for f in row) for r in roots]
-    return work + (sum(e) ** 2 + sum(x * x for x in e)) // 2
-
-
-def _entry_sizes(mat: Mat2, v: int) -> tuple[int, int]:
-    """The most terms of an entry of mat, and a bound on the terms of a shifted entry."""
-    entries = [f for row in mat.rows for f in row]
-    shifted = max(sum(prod(e + 1 for e in exps) for exps in f.terms) for f in entries)
-    dense = comb(max(f.total_degree() for f in entries) + v, v)
-    return max(f.term_count() for f in entries), min(shifted, dense)
-
-
-def check_work_budget(p: Presentation) -> None:
-    """Refuse a presentation whose relation_work is over WORK_BUDGET."""
-    work = relation_work(p)
-    if work > WORK_BUDGET:
-        raise PresentationError(
-            f"the relation check is estimated at {work} term products, over the "
-            f"budget of {WORK_BUDGET} for an input that does not classify"
-        )
 
 
 # -- the classified family M(a, S) ------------------------------------------------

@@ -429,12 +429,12 @@ class TestExitCodes:
         # entries of 21 terms and 12 odds of 6, charge e_a e_b per pair
         e = [21] * 30 + [6] * 12
         work = 30 * 8 * (6 * 7 + 6 * 7) + (sum(e) ** 2 + sum(x * x for x in e)) // 2
-        assert presentation.relation_work(p) == work == 273_393
-        monkeypatch.setattr(presentation, "WORK_BUDGET", work)
-        presentation.check_work_budget(p)
-        monkeypatch.setattr(presentation, "WORK_BUDGET", work - 1)
+        assert normalform.relation_work(p) == work == 273_393
+        monkeypatch.setattr(normalform, "WORK_BUDGET", work)
+        normalform.check_work_budget(p)
+        monkeypatch.setattr(normalform, "WORK_BUDGET", work - 1)
         with pytest.raises(presentation.PresentationError, match="273393 term products, over"):
-            presentation.check_work_budget(p)
+            normalform.check_work_budget(p)
 
     @pytest.mark.parametrize("command", ["verify", "classify"])
     @pytest.mark.parametrize("m, k, shift", [(6, 1, 0), (3, 4, 1)], ids=["sl61-c", "sl31-c1-4"])
@@ -454,9 +454,9 @@ class TestExitCodes:
         largest = 0
         for path in sorted(DATA.glob("family_in_*.json")):
             p = presentation_from_json(path.read_text())
-            largest = max(largest, presentation.relation_work(p))
+            largest = max(largest, normalform.relation_work(p))
         # the pairwise check of family_in_sl31_perturbed.json took 0.08 s
-        assert largest == 12_855 < presentation.WORK_BUDGET // 5
+        assert largest == 12_855 < normalform.WORK_BUDGET // 5
 
     def test_degree_at_the_budget_is_checked(self, tmp_path, capsys):
         path = write(tmp_path, "deep.json", _odd_powers(2, presentation.DEGREE_BUDGET))
