@@ -424,14 +424,15 @@ def _evaluated_report(p: Presentation) -> RelationReport:
 
 # Term products of the pairwise relation check of an input that does not
 # classify (`verified_report`'s fallback), as `relation_work` estimates
-# them.  Measured on a 2-CPU machine at 3-35 us per estimated
-# product: sl(6|1) with every odd matrix [[c, 1], [0, c]], c = h1 + ... +
-# h6, estimated at 273 393, took 1.6 s, sl(3|1) with x = (h1 + h2 + h3 +
-# 1)^4 in place of c, at 117 600 for deriving its evens alone, 3.8 s, and
-# sl(6|1) with x = h1^24, at 153 063, 3.2 s.  The largest estimate of a test-suite input that reaches
-# the check is 12 855 (family_in_sl31_perturbed.json, 0.08 s), and of one
-# from perfbench/gen.py (seeds 1-100, 10 cycles each) 2 823.  A module
-# proved by classification is not evaluated, and its entries may be larger.
+# them.  Measured on a 2-CPU machine at 3-35 us per estimated product:
+# sl(6|1) with every odd matrix [[c, 1], [0, c]], c = h1 + ... + h6,
+# estimated at 273 393, took 1.6 s; sl(3|1) with x = (h1 + h2 + h3 + 1)^4
+# in place of c, at 117 600 for deriving its evens alone, 3.8 s; sl(6|1)
+# with x = h1^24, at 153 063, 3.2 s.  The largest estimate of a test-suite
+# input that reaches the check is 12 855 (family_in_sl31_perturbed.json,
+# 0.08 s), and of one from perfbench/gen.py (seeds 1-100, 10 cycles each)
+# 2 823.  A module proved by classification is not evaluated, and its
+# entries may be larger.
 WORK_BUDGET = 100_000
 
 

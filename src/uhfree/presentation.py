@@ -757,7 +757,7 @@ def dump_json(payload) -> str:
 
     The text is json.dumps(payload, indent=2, sort_keys=True) + "\\n", written
     in one pass: json's indent sends it to its pure-Python encoder, which
-    took 2.7x as long on a certificate.  Objects (dict) with str keys,
+    took about 2.5x as long on a certificate.  Objects (dict) with str keys,
     arrays (list or tuple), str, int, bool and None are written; any other
     value or key, subclasses included, raises TypeError, as json does for
     what it cannot encode.
