@@ -441,7 +441,7 @@ class TestExitCodes:
     def test_non_modules_that_ran_for_seconds_are_refused_at_once(
         self, tmp_path, capsys, command, m, k, shift
     ):
-        # whole-process verify had taken 1.6 s and 2.8 s before the work budget
+        # without the work budget, verify ran 1.9 s and 3.3 s for the whole process
         path = write(tmp_path, "in.json", _odd_sum_powers(m, k, shift))
         start = time.perf_counter()
         assert main([command, path]) == 2
@@ -890,7 +890,7 @@ class TestEmptyCheckCommand:
 
     def test_route_text_that_is_not_canonical_verifies(self, tmp_path, capsys):
         # the replay compares the route's polynomials, so the same polynomial
-        # with its terms in ascending order and spelled-out unit factors passes
+        # with its terms and factors reordered and a written-out 1 passes
         cert_path = tmp_path / "cert.json"
         data = json.loads((DATA / "cert_3x5.json").read_text())
         row = data["surviving"]["routeA"]["mat"][0]
