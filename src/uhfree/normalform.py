@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from math import comb, prod
 
 from .poly import (
@@ -353,18 +353,20 @@ def verified_report(p: Presentation) -> RelationReport:
     W, so p satisfies every relation that conjugate(p, W) satisfies.
 
     `classify_sl_m1` checks that conjugate(p, W) equals M(a, S) at every
-    odd position, and `verify_relations` runs on M(1, S) alone, which
-    passes exactly when M(a, S) does (next lemma).  The proof trusts
-    three facts: `conjugate`'s unimodularity test, that equality, and
-    M(1, S) passing its check; none of the classifier's reasoning.
-    For a g11bar input the published witness is W times the constant
-    swap, a change of basis that takes M(a, S) to Mbar(a, S) and plays
-    no part in the proof.  On success the report is the member's
+    odd position.  M(a, S) passes exactly when M(1, S) does (torus
+    rescaling), and M(1, S) exactly when the representative
+    M(1, {1, ..., |S|}) does (index symmetry), so `verify_relations`
+    runs on that representative alone, once per (m, |S|).  The proof
+    trusts four checks: `conjugate`'s unimodularity test, that equality,
+    the equalities of `_check_transport`, and the representative passing
+    its check; none of the classifier's reasoning.  For a g11bar input
+    the published witness is W times the constant swap, a change of
+    basis that takes M(a, S) to Mbar(a, S) and plays no part in the
+    proof.  On success the report is the representative's
     (`checked` = k(k+1)/2).
 
     Lemma (torus rescaling).  M(a, S) passes its check exactly when
-    M(1, S) = M((1, ..., 1), S) does, so `_shape_report` checks one
-    member per shape (m, S) and keeps its report for the process.
+    M(1, S) = M((1, ..., 1), S) does.
     Put t_i = a_i and t_b1 = 1.  `build_mas` gives e[i,b1] the factor
     a_i and e[b1,i] the factor 1/a_i, so M(a, S) is M(1, S) with each
     odd root vector e_IJ scaled by c(IJ) = t_I / t_J.  `twisted_bracket`
@@ -377,6 +379,29 @@ def verified_report(p: Presentation) -> RelationReport:
     scale.  So each identity holds at a exactly when it holds at 1.
     The generating set and its order do not depend on a, so a pass
     gives the same report (True, (), k(k+1)/2, direct) at both.
+
+    Lemma (index symmetry).  Let t = |S| and let sigma be the
+    permutation of 1..m that maps S onto {1..t} and the other indices
+    onto {t+1..m}, each in order, with sigma(b1) = b1.  Then M(1, S)
+    passes its check exactly when R = M(1, {1..t}) does, with the same
+    report.  phi(e_IJ) = e_sigma(I)sigma(J) is conjugation by a
+    permutation matrix inside the even block, so it keeps parities and
+    supercommutators and is an automorphism of sl(m|1) (Kac, "Lie
+    superalgebras", Adv. Math. 26 (1977)); by `cartan_diag_pair`,
+    h_i = e_ii + e_b1b1, so phi(h_i) = h_sigma(i).  Let psi be the ring
+    automorphism h_sigma(i) -> h_i of Q[h].  Then N(x) = psi rho_R(phi x)
+    psi^{-1} is a module exactly when R is: it is R pulled back along
+    phi and renamed by psi, and each identity of N is the psi-image of
+    an identity of R, the pairs (x, y) -> (phi x, phi y) running over
+    all root pairs.  The root vector e_ij acts in N by
+    psi(E_sigma(i)sigma(j)) psi tau_sigma(i)sigma(j) psi^{-1}.
+    `_check_transport` checks, at the 2m odd root vectors, that the
+    renamed shift is tau_ij and that the renamed matrix is M(1, S)'s,
+    so N = M(1, S) at every odd generator; the evens of both are
+    derived through b1, which sigma fixes.  A pass report
+    (True, (), k(k+1)/2, direct) depends on (m, n) alone, so
+    `_shape_report` gives R's report for M(1, S).  A failing R proves
+    nothing about M(1, S): the fallback below decides instead.
 
     Fallback: if the classifier raises ClassificationError or
     InvariantBreach, or the shape fails its check, `verify_relations(p)`
@@ -481,14 +506,49 @@ def check_work_budget(p: Presentation) -> None:
         )
 
 
-@cache
-def _shape_report(m: int, s: frozenset[int]) -> RelationReport:
-    """The report of M((1, ..., 1), S) over sl(m|1), made once per process.
+# The family caches are bounded, so a long-lived caller that classifies
+# inputs of many sizes keeps a fixed number of reports.  sl(m|1) for
+# m = 1..6 has 27 classes (m, |S|) and 126 shapes (m, S), all kept.
+@lru_cache(maxsize=64)
+def _family_report(m: int, t: int) -> RelationReport:
+    """The report of the representative M((1, ..., 1), {1..t}) over sl(m|1)."""
+    return verify_relations(build_mas(m, (1,) * m, range(1, t + 1)))
 
-    By the torus-rescaling lemma of `verified_report` it is also the
-    report of M(a, S) for every nonzero a.  `cache_clear` forgets it.
+
+@lru_cache(maxsize=256)
+def _shape_report(m: int, s: frozenset[int]) -> RelationReport:
+    """The report of M((1, ..., 1), S) over sl(m|1), made once per shape and process.
+
+    By the lemmas of `verified_report` it is the report of M(a, S) for
+    every nonzero a; on a pass it is the report of the representative
+    of size |S|, once `_check_transport` has checked S.
     """
-    return verify_relations(build_mas(m, (1,) * m, s))
+    report = _family_report(m, len(s))
+    if report.ok:
+        _check_transport(m, s)
+    return report
+
+
+def _check_transport(m: int, s: frozenset[int]) -> None:
+    """The index-symmetry lemma's hypotheses for M(1, S), in O(m).
+
+    back[k] = sigma^{-1}(k), 0-based.  Renamed by h_k -> h_back[k], the
+    representative's matrix and weight shift at each odd root vector
+    e[k,b1] and e[b1,k] must be M(1, S)'s at e[back[k],b1] and e[b1,back[k]].
+    """
+    back = [i - 1 for i in sorted(s) + sorted(set(range(1, m + 1)) - s)]
+    rep = build_mas(m, (1,) * m, range(1, len(s) + 1))
+    member = build_mas(m, (1,) * m, s)
+    alg = member.algebra
+    for k, i in enumerate(back):
+        for src, dst in ((Root(k, m), Root(i, m)), (Root(m, k), Root(m, i))):
+            target = alg.weight_shift(dst)
+            if tuple(target[j] for j in back) != alg.weight_shift(src):
+                raise InvariantBreach(f"index symmetry does not carry the weight of {alg.show(dst)}")
+            if rep.E(src.row, src.col).permuted(back) != member.E(dst.row, dst.col):
+                raise InvariantBreach(
+                    f"M(1, S) at {alg.show(dst)} is not the renamed representative, S = {sorted(s)}"
+                )
 
 
 def classified_sl_m1(p: Presentation) -> tuple[CanonParams, Mat2]:

@@ -475,6 +475,21 @@ class Poly:
         """The value at a point: `specialize` with every variable set."""
         return self.specialize(values).constant_value()
 
+    def permuted(self, perm: Sequence[int]) -> "Poly":
+        """The image under the substitution h_i -> h_perm[i], perm a permutation of the variables.
+
+        Renaming variables moves exponents and keeps every coefficient, so
+        the storage stays canonical.
+        """
+        n = self.nvars
+        if sorted(perm) != list(range(n)):
+            raise PolyError(f"{list(perm)} is not a permutation of {n} variables")
+        source = [0] * n
+        for i, j in enumerate(perm):
+            source[j] = i
+        num = {tuple([exps[i] for i in source]): c for exps, c in self._num.items()}
+        return Poly._of(n, num, self._den)
+
 
 # -- shift automorphisms ------------------------------------------------------
 

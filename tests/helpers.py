@@ -6,6 +6,15 @@ from uhfree.poly import Poly, compose_univariate, divides_exactly
 from uhfree.presentation import Mat2, build_mas, conjugate
 
 
+def build_mas_bar(m, a, s):
+    """The parity-swapped family Mbar(a, S): M(a, S) conjugated by the swap.
+
+    The constant antidiagonal swap moves every entry to the opposite
+    corner and turns the grading g11 into g11bar.
+    """
+    return conjugate(build_mas(m, a, s), Mat2.swap(m))
+
+
 def random_poly(rng, nvars, max_deg, max_terms=4, coeff_range=3, allow_zero=True):
     terms = {}
     for _ in range(rng.randint(0 if allow_zero else 1, max_terms)):

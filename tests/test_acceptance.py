@@ -16,7 +16,6 @@ from uhfree.presentation import (
     Mat2,
     act,
     build_mas,
-    build_mas_bar,
     conjugate,
     make_presentation,
     parity_check,
@@ -46,7 +45,13 @@ from uhfree.stringbridge import StringModule, canonical_presentation, check_inte
 from uhfree.emptiness import emptiness_certificate, verify_certificate
 from uhfree.superlie import algebra
 
-from .helpers import in_layer, random_nonzero_fraction, random_poly, random_unimodular
+from .helpers import (
+    build_mas_bar,
+    in_layer,
+    random_nonzero_fraction,
+    random_poly,
+    random_unimodular,
+)
 from .oracles import shift_oracle
 
 import sympy

@@ -31,7 +31,6 @@ from uhfree.presentation import (
     Mat2,
     act,
     build_mas,
-    build_mas_bar,
     conjugate,
     make_presentation,
     odd_positions,
@@ -39,7 +38,7 @@ from uhfree.presentation import (
     presentation_to_json,
 )
 
-from .helpers import family_entries, in_layer, scaled_conjugates
+from .helpers import build_mas_bar, family_entries, in_layer, scaled_conjugates
 
 H = Poly.var(1, 0)
 DATA = Path(__file__).parent / "data"

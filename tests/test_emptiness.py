@@ -272,6 +272,26 @@ def test_a_wrong_pair_scalar_breaks_the_reduction(monkeypatch):
     emptiness_certificate(3, 4)
 
 
+def test_the_size_keyed_caches_are_bounded():
+    # 70 sizes: more algebras and pair scalars than the caches keep
+    for m in range(2, 72):
+        emptiness_certificate(m, 2)
+    for cache, keys in ((algebra, 70), (CertRing.pair_scalar, 4 * 70)):
+        info = cache.cache_info()
+        assert keys > info.maxsize >= info.currsize
+
+
+def test_the_emptiness_workload_fits_the_size_keyed_caches():
+    # (m, n) in {2..7}^2 twice: the second pass finds every algebra and pair scalar
+    sizes = list(itertools.product(range(2, 8), repeat=2))
+    for m, n in sizes:
+        emptiness_certificate(m, n)
+    misses = [cache.cache_info().misses for cache in (algebra, CertRing.pair_scalar)]
+    for m, n in sizes:
+        verify_certificate(emptiness_certificate(m, n))
+    assert [cache.cache_info().misses for cache in (algebra, CertRing.pair_scalar)] == misses
+
+
 def _edit_everything(node):
     """Change every string, number and list in a JSON-like tree in place."""
     items = node.items() if isinstance(node, dict) else enumerate(node)

@@ -13,7 +13,6 @@ from uhfree.presentation import (
     Mat2,
     act,
     build_mas,
-    build_mas_bar,
     conjugate,
     make_presentation,
 )
@@ -33,7 +32,13 @@ from uhfree.morphisms import (
 )
 from uhfree.superlie import Root
 
-from .helpers import family_entries, in_layer, random_nonzero_fraction, random_unimodular
+from .helpers import (
+    build_mas_bar,
+    family_entries,
+    in_layer,
+    random_nonzero_fraction,
+    random_unimodular,
+)
 
 DATA = Path(__file__).parent / "data"
 

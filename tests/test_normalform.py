@@ -10,8 +10,8 @@ from uhfree.poly import Poly, apply_shift
 from uhfree.presentation import (
     InvariantBreach,
     Mat2,
+    RelationReport,
     build_mas,
-    build_mas_bar,
     conjugate,
     make_presentation,
     presentation_to_json,
@@ -32,9 +32,15 @@ from uhfree.normalform import (
     verified_report,
 )
 from uhfree.morphisms import check_intertwiner, iso_test
-from uhfree.superlie import Root
+from uhfree.superlie import Root, algebra
 
-from .helpers import random_nonzero_fraction, random_poly, random_unimodular, scaled_conjugates
+from .helpers import (
+    build_mas_bar,
+    random_nonzero_fraction,
+    random_poly,
+    random_unimodular,
+    scaled_conjugates,
+)
 
 H = Poly.var(1, 0)
 ID1 = (0,)
@@ -334,10 +340,11 @@ class TestRelationsThroughClassification:
 
     def test_a_bar_input_checks_the_unbarred_member(self, checked):
         # the swap to Mbar(a, S) only changes the basis of the published witness;
-        # the classifier scales a to a_m = 1, and its shape is checked at a = 1
+        # the classifier scales a to a_m = 1, and its shape (3, {2}) is checked on
+        # the unbarred representative of (m, |S|) = (3, 1), M((1, 1, 1), {1})
         p = build_mas_bar(3, (1, 2, 3), (2,))
         assert verified_report(p).ok
-        assert checked == [build_mas(3, (1, 1, 1), (2,))]
+        assert checked == [build_mas(3, (1, 1, 1), (1,))]
         params, w = classified_sl_m1(p)
         assert params.bar
         assert params.family == build_mas(3, (Fraction(1, 3), Fraction(2, 3), 1), (2,))
@@ -415,6 +422,82 @@ class TestRelationsThroughClassification:
         if drop_final:
             monkeypatch.setattr(normalform, "check_family_form", lambda conj, params: None)
         assert main(["verify", str(path)]) == code
+
+
+def subsets(m):
+    """Every S in 1..m, in the order of the bit masks 0 .. 2^m - 1."""
+    return [frozenset(i for i in range(1, m + 1) if bits >> (i - 1) & 1) for bits in range(2**m)]
+
+
+class TestIndexSymmetry:
+    """One relation check per (m, |S|): the representative M(1, {1..t}) stands
+    for every S of size t (the index-symmetry lemma of verified_report)."""
+
+    def test_each_shape_gets_the_report_of_its_own_check(self):
+        # independent of the cache: a fresh check of each member, m = 1..6
+        for m in range(1, 7):
+            for s in subsets(m):
+                fresh = verify_relations(build_mas(m, (1,) * m, s))
+                assert normalform._shape_report(m, s) == fresh
+        # the family workload's 126 shapes and 27 classes fit: nothing was evicted
+        assert normalform._shape_report.cache_info().currsize == 126
+        assert normalform._family_report.cache_info().currsize == 27
+
+    def test_one_check_per_size_of_s(self, monkeypatch):
+        calls = []
+        real = normalform.verify_relations
+        monkeypatch.setattr(normalform, "verify_relations", lambda q: calls.append(q) or real(q))
+        a = (2, Fraction(-1, 3), 5, 7, Fraction(1, 2))
+        for s in subsets(5):
+            p = build_mas(5, a, s)
+            assert verified_report(p).ok
+            assert classified_sl_m1(p)[0].s == s
+        # 6 checks for 32 shapes, each on the representative M(1, {1..t})
+        assert calls == [build_mas(5, (1,) * 5, range(1, t + 1)) for t in range(6)]
+
+    def test_a_member_off_the_transport_is_a_breach(self, monkeypatch):
+        # M(1, {2, 3}) over sl(3|1) with e[3,b1] times 2: the representative
+        # M(1, {1, 2}) passes, and renamed it differs from the member at e[3,b1]
+        real = normalform.build_mas
+
+        def sabotaged(m, a, s):
+            p = real(m, a, s)
+            if frozenset(s) != {2, 3} or any(x != 1 for x in a):
+                return p
+            mats = {pos: 2 * mat if pos == (2, 3) else mat for pos, mat in p.odd}
+            return make_presentation(m, 1, mats, p.grading)
+
+        monkeypatch.setattr(normalform, "build_mas", sabotaged)
+        with pytest.raises(InvariantBreach, match=r"M\(1, S\) at e\[3,b1\] is not the renamed"):
+            normalform._shape_report(3, frozenset({2, 3}))
+        # an input of that shape is refused as a bug, not given a verdict
+        with pytest.raises(InvariantBreach, match="not the renamed representative"):
+            verified_report(real(3, (1, 2, 3), (2, 3)))
+        assert normalform._shape_report(3, frozenset({1, 3})).ok
+
+    def test_a_weight_off_the_transport_is_a_breach(self, monkeypatch):
+        # e[3,b1] of sl(3|1) with a wrong h_1 entry: the renamed shift of e[2,b1] misses it
+        alg = algebra(3, 1)
+        shift = list(alg.weight_shift(Root(2, 3)))
+        shift[0] += 1
+        monkeypatch.setitem(alg._shifts, Root(2, 3), tuple(shift))
+        with pytest.raises(InvariantBreach, match=r"does not carry the weight of e\[3,b1\]"):
+            normalform._check_transport(3, frozenset({2, 3}))
+
+    def test_the_caches_are_bounded(self, monkeypatch):
+        # a failing stub keeps each check cheap and skips the transport:
+        # 90 classes (m, t), m = 1..12, and 592 shapes, 512 of them at m = 9
+        monkeypatch.setattr(
+            normalform, "verify_relations", lambda q: RelationReport(False, (), 0, 0)
+        )
+        for m in range(1, 13):
+            for t in range(m + 1):
+                normalform._shape_report(m, frozenset(range(1, t + 1)))
+        for s in subsets(9):
+            normalform._shape_report(9, s)
+        for cache, keys in ((normalform._family_report, 90), (normalform._shape_report, 592)):
+            info = cache.cache_info()
+            assert info.misses >= keys > info.maxsize >= info.currsize
 
 
 class TestGradedEquivalence:

@@ -291,6 +291,41 @@ class TestRationalKernelsAgainstSympy:
         assert _canonical(P("1/2*h1") * Fraction(0)) == Poly.zero(2)
 
 
+class TestPermuted:
+    @staticmethod
+    def _check(f, perm):
+        """f.permuted(perm) against sympy's simultaneous h_i -> h_perm[i]."""
+        syms = sympy.symbols(f"h1:{f.nvars + 1}")
+        subs = {x: syms[j] for x, j in zip(syms, perm)}
+        want = from_sympy(to_sympy(f, syms).subs(subs, simultaneous=True), syms)
+        assert _canonical(f.permuted(perm)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_cases(), st.randoms(use_true_random=False))
+    def test_matches_sympy_substitution(self, case, rng):
+        p, q, _, _ = case
+        perm = list(range(p.nvars))
+        rng.shuffle(perm)
+        for f in (p, q):
+            self._check(f, perm)
+
+    @pytest.mark.parametrize("case", RATIONAL_EXAMPLES)
+    def test_high_degree_examples(self, case):
+        # reversed, then rotated by one
+        n = case[0].nvars
+        for perm in (list(range(n))[::-1], [(i + 1) % n for i in range(n)]):
+            for f in case[:2]:
+                self._check(f, perm)
+
+    def test_a_transposition_swaps_two_names(self):
+        assert P("h1^2*h2 - 1/3*h2").permuted([1, 0]) == P("h2^2*h1 - 1/3*h1")
+
+    @pytest.mark.parametrize("perm", [[0, 0], [0], [1, 2], [0, 1, 2]])
+    def test_rejects_a_non_permutation(self, perm):
+        with pytest.raises(PolyError, match="not a permutation of 2 variables"):
+            P("h1 + h2").permuted(perm)
+
+
 class TestCanonicalStorage:
     def test_four_constructions_agree(self):
         text = "3/4*h1^2*h2 - 1/6*h2 + 2"

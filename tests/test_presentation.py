@@ -14,7 +14,6 @@ from uhfree.presentation import (
     PresentationError,
     act,
     build_mas,
-    build_mas_bar,
     check_pointwise_budget,
     conjugate,
     _generating_pairs,
@@ -32,7 +31,7 @@ from uhfree.presentation import (
 from uhfree.normalform import verified_report
 from uhfree.superlie import Cartan, Root, algebra
 
-from .helpers import random_nonzero_fraction, random_poly, random_unimodular
+from .helpers import build_mas_bar, random_nonzero_fraction, random_poly, random_unimodular
 from .oracles import all_pairs_report
 
 H = Poly.var(1, 0)
@@ -410,21 +409,23 @@ class TestConjugation:
 
 
 def plant_shape_report(monkeypatch, member, check=verify_relations):
-    """Seed the cached report of the shape (2, {1}) with check(member)."""
+    """Seed the cached report of the representative (m, |S|) = (2, 1) with check(member)."""
+    normalform._family_report.cache_clear()
     normalform._shape_report.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(normalform, "build_mas", lambda m, a, s: member)
         patch.setattr(normalform, "verify_relations", check)
-        return normalform._shape_report(2, frozenset({1}))
+        return normalform._family_report(2, 1)
 
 
 class TestRelationReportFallback:
-    """verified_report falls back to p's own check when the family shape fails its check."""
+    """verified_report falls back to p's own check when the family representative fails its check."""
 
     @pytest.fixture
     def planted(self, monkeypatch):
-        # the shape (2, {1}) is reported from a member that is no module:
-        # M((1, 1), {1}) with one odd generator doubled
+        # the representative of (2, 1), for the shapes (2, {1}) and (2, {2}), is
+        # reported from a member that is no module: M((1, 1), {1}) with one odd
+        # generator doubled
         member = build_mas(2, (1, 1), (1,))
         broken = make_presentation(
             2, 1, {pos: 2 * mat if pos == (0, 2) else mat for pos, mat in member.odd}, "g11"
@@ -456,12 +457,19 @@ class TestRelationReportFallback:
         assert report is passing and report.violations == verify_relations(broken).violations != ()
 
     def test_the_plant_stays_on_its_shape(self, planted):
-        # the cache is keyed by m and S: (2, {}) and (3, {1}) are checked afresh
-        for m, s in ((2, ()), (3, (1,))):
+        # the cache is keyed by m and |S|: (2, {}), (2, {1, 2}) and (3, {1}) are checked afresh
+        for m, s in ((2, ()), (2, (1, 2)), (3, (1,))):
             q = build_mas(m, range(1, m + 1), s)
             assert verified_report(q).ok
             params, _ = normalform.classified_sl_m1(q)
             assert params.s == frozenset(s)
+
+    def test_the_plant_covers_every_shape_of_its_size(self, planted):
+        # (2, {2}) has the planted representative too, so p falls back to its own check
+        q = build_mas(2, (1, 2), (2,))
+        assert verified_report(q).ok
+        with pytest.raises(presentation.InvariantBreach, match="family member failed"):
+            normalform.classified_sl_m1(q)
 
 
 class TestInterchange:

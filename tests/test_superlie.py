@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,62 @@ class TestCaches:
         with pytest.raises(TypeError):
             shift[0] = 5
         assert alg.weight_shift(Root(0, 3)) is shift
+
+
+def sl_m1_matrix(m, b):
+    """b as a supermatrix of sl(m|1) built from oracles.elementary alone: h_i = e_ii + e_b1b1."""
+    if isinstance(b, Root):
+        return elementary(m + 1, b.row, b.col)
+    diag = (elementary(m + 1, b.var, b.var), elementary(m + 1, m, m))
+    return [[x + y for x, y in zip(*rows)] for rows in zip(*diag)]
+
+
+class TestIndexSymmetry:
+    """A permutation sigma of 1..m, fixing b1, is an automorphism phi of sl(m|1),
+    and the bracket table and the weight shifts follow it exactly."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_permutation_maps_the_table_and_the_shifts(self, m):
+        alg = algebra(m, 1)
+        basis = alg.basis()
+        mats = {x: sl_m1_matrix(m, x) for x in basis}
+
+        def as_matrix(combo):
+            return [
+                [sum(c * mats[b][r][col] for b, c in combo.items()) for col in range(m + 1)]
+                for r in range(m + 1)
+            ]
+
+        # the table is the oracle's supercommutator, and each shift entry is
+        # the oracle's h_v-eigenvalue
+        for x in basis:
+            for y in basis:
+                want = supercommutator(mats[x], mats[y], alg.parity(x), alg.parity(y))
+                assert as_matrix(alg.super_bracket(x, y)) == want
+        eigen = {
+            (x, v): supercommutator(mats[Cartan(v)], mats[x], 0, alg.parity(x))[x.row][x.col]
+            for x in alg.root_vectors()
+            for v in range(m)
+        }
+        for sigma in itertools.permutations(range(m)):
+            s = (*sigma, m)
+
+            def phi(b):
+                return Cartan(s[b.var]) if isinstance(b, Cartan) else Root(s[b.row], s[b.col])
+
+            for x in basis:
+                # phi is conjugation by the permutation matrix of s, so it keeps
+                # parities and supercommutators
+                moved = [[0] * (m + 1) for _ in range(m + 1)]
+                for r, row in enumerate(mats[x]):
+                    for col, e in enumerate(row):
+                        moved[s[r]][s[col]] = e
+                assert moved == mats[phi(x)] and alg.parity(phi(x)) == alg.parity(x)
+                for y in basis:
+                    image = {phi(b): c for b, c in alg.super_bracket(x, y).items()}
+                    assert alg.super_bracket(phi(x), phi(y)) == image
+            for (x, v), value in eigen.items():
+                assert alg.weight_shift(phi(x))[s[v]] == value
 
 
 def bracket_combo(alg, combo1, combo2):
