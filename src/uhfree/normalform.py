@@ -517,7 +517,7 @@ def _family_report(m: int, t: int) -> RelationReport:
 
 @lru_cache(maxsize=256)
 def _shape_report(m: int, s: frozenset[int]) -> RelationReport:
-    """The report of M((1, ..., 1), S) over sl(m|1), made once per shape and process.
+    """The report of M((1, ..., 1), S) over sl(m|1), cached per shape (m, S).
 
     By the lemmas of `verified_report` it is the report of M(a, S) for
     every nonzero a; on a pass it is the report of the representative
