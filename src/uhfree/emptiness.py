@@ -69,7 +69,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import prod
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -129,8 +128,7 @@ def check_size(m: int, n: int) -> None:
 # -- the ring and the route form --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertRing:
+class CertRing(NamedTuple):
     """Q[h] in the m+n-1 base variables; the file form adds a1..a4 after them."""
 
     m: int
@@ -168,35 +166,61 @@ class CertRing:
         return sum((self.hvar(b.var) * c for b, c in combo.items()), Poly.zero(self.base_nvars))
 
 
-@dataclass(frozen=True)
 class ScaledMat:
     """The file form of a route: num / (a1^d1 a2^d2 a3^d3 a4^d4), num over Q[h, a].
 
-    It holds num's entries as text over `names` and parses num on first use.
+    It holds num's entries as text over `names` and parses num on first
+    use, unless num is given.  Immutable like Mat2: equality, hash and
+    repr cover (text, den, names) only.
     """
 
-    text: tuple[tuple[str, str], tuple[str, str]]
-    den: tuple[int, int, int, int]
-    names: tuple[str, ...]
+    __slots__ = ("text", "den", "names", "_parsed")
 
-    @functools.cached_property
+    def __init__(
+        self,
+        text: tuple[tuple[str, str], tuple[str, str]],
+        den: tuple[int, int, int, int],
+        names: tuple[str, ...],
+        num: Optional[Mat2] = None,
+    ):
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_parsed", num)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ScaledMat is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, ScaledMat):
+            return NotImplemented
+        return (self.text, self.den, self.names) == (other.text, other.den, other.names)
+
+    def __hash__(self):
+        return hash((self.text, self.den, self.names))
+
+    def __repr__(self):
+        return f"ScaledMat(text={self.text!r}, den={self.den!r}, names={self.names!r})"
+
+    @property
     def num(self) -> Mat2:
-        rows = [list(row) for row in self.text]
-        return Mat2.from_strings(rows, self.names, "route", EmptinessError)
+        num = self._parsed
+        if num is None:
+            rows = [list(row) for row in self.text]
+            num = Mat2.from_strings(rows, self.names, "route", EmptinessError)
+            object.__setattr__(self, "_parsed", num)
+        return num
 
     @classmethod
     def of(cls, num: Mat2, den: tuple[int, int, int, int], names: tuple[str, ...]) -> ScaledMat:
         """The form of polynomial entries: their canonical text, with num kept."""
-        form = cls(tuple(map(tuple, num.to_strings(names))), den, names)
-        form.__dict__["num"] = num
-        return form
+        return cls(tuple(map(tuple, num.to_strings(names))), den, names, num)
 
     def to_dict(self) -> dict:
         return {"den": list(self.den), "mat": [list(row) for row in self.text]}
 
 
-@dataclass(frozen=True)
-class RouteView:
+class RouteView(NamedTuple):
     """The matrix a1^d1 a2^d2 a3^d3 a4^d4 * mat, with mat over Q[h].
 
     Routes lose nothing in this form.  A pair matrix is a^(+-e_k) times a
@@ -256,8 +280,7 @@ def _route(
 # -- proportionality analysis -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MismatchWitness:
+class MismatchWitness(NamedTuple):
     """A cross-product identity that fails, recorded for re-verification."""
 
     entry_a: tuple[int, int]
@@ -322,8 +345,7 @@ def _ratio_text(da, db, lam) -> str:
 # -- certificates ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BranchOutcome:
+class BranchOutcome(NamedTuple):
     choices: dict
     stage1_equal: bool
     stage1_detail: Optional[dict]
@@ -331,8 +353,7 @@ class BranchOutcome:
     stage2_detail: Optional[dict]
 
 
-@dataclass(frozen=True)
-class EmptinessCertificate:
+class EmptinessCertificate(NamedTuple):
     m: int
     n: int
     i: int
@@ -378,11 +399,6 @@ class EmptinessCertificate:
                 "eval_witness": self.eval_witness,
             },
         }
-
-
-# The witness records are NamedTuples, not frozen dataclasses: creating a
-# dataclass took about 0.9 ms at import and a NamedTuple 0.2 ms, and every
-# cold empty-check process pays it.
 
 
 class SupportWitness(NamedTuple):
@@ -550,7 +566,8 @@ def _universal() -> str:
         raise InvariantBreach("non-proportionality witnesses not found")
     forms = [view.file_form(SLOT_NAMES).to_dict() for view in (da, db)]
     texts = [w and w.to_dict(base) for w in (support, point)]
-    return json.dumps([[astuple(o) for o in log], choices, *forms, *texts])
+    # a BranchOutcome is a tuple, so json writes it as the array BranchOutcome(*o) reads
+    return json.dumps([log, choices, *forms, *texts])
 
 
 def _pinned_roots(ring: CertRing, key: str) -> tuple[Root, Root]:

@@ -26,10 +26,9 @@ strictly decreasing filtrations of any prescribed finite length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .poly import Poly, UhfreeError, compose_univariate, divides_exactly, monomials
 from .presentation import InvariantBreach, Mat2, Presentation
@@ -89,8 +88,7 @@ def _nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fractio
     return basis
 
 
-@dataclass(frozen=True)
-class HomSolution:
+class HomSolution(NamedTuple):
     """One basis element of a hom space; parity records the map type."""
 
     w: Mat2
@@ -221,8 +219,7 @@ def solve_hom(
 # -- isomorphism testing ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(NamedTuple):
     gamma: Fraction
     w: Mat2
     parity: str  # "even" | "odd"
@@ -411,8 +408,7 @@ def filtration_separators(p: Presentation, chain: Sequence[Poly]) -> list[Mat2]:
 # -- rank-2 sl(1|1) submodule taxonomy ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sl11Shape:
+class Sl11Shape(NamedTuple):
     """A submodule shape g1 Q[h] (+) g2 Q[h] of a canonical sl(1|1) module."""
 
     label: str

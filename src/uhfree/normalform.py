@@ -25,10 +25,10 @@ matrix multiplication on the right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, prod
+from typing import NamedTuple
 
 from .poly import (
     Poly,
@@ -65,8 +65,7 @@ def _inverse(s: tuple[int, ...]) -> tuple[int, ...]:
 # -- nilpotent factorization -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NilParams:
+class NilParams(NamedTuple):
     """Factorization data (theta, alpha, beta) of a twisted-square-zero matrix."""
 
     theta: Poly
@@ -203,18 +202,43 @@ def canonicalize_pair(
 # -- classification ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CanonParams:
-    """Classification data: parameters a, subset S, parity convention."""
+    """Classification data: parameters a, subset S, parity convention.
 
-    a: tuple[Fraction, ...]
-    s: frozenset[int]
-    bar: bool = False
+    Immutable like Mat2.  Equality, hash and repr cover (a, s, bar) only,
+    not the cached family member.
+    """
 
-    @cached_property
+    __slots__ = ("a", "s", "bar", "_family")
+
+    def __init__(self, a: tuple[Fraction, ...], s: frozenset[int], bar: bool = False):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "bar", bar)
+        object.__setattr__(self, "_family", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CanonParams is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, CanonParams):
+            return NotImplemented
+        return (self.a, self.s, self.bar) == (other.a, other.s, other.bar)
+
+    def __hash__(self):
+        return hash((self.a, self.s, self.bar))
+
+    def __repr__(self):
+        return f"CanonParams(a={self.a!r}, s={self.s!r}, bar={self.bar!r})"
+
+    @property
     def family(self) -> Presentation:
         """M(a, S), the member `check_family_form` compares with (also when bar), built once."""
-        return build_mas(len(self.a), self.a, self.s)
+        member = self._family
+        if member is None:
+            member = build_mas(len(self.a), self.a, self.s)
+            object.__setattr__(self, "_family", member)
+        return member
 
     def normalized(self) -> "CanonParams":
         """The unique representative with first parameter 1."""
@@ -229,8 +253,7 @@ class CanonParams:
         }
 
 
-@dataclass(frozen=True)
-class Sl11Class:
+class Sl11Class(NamedTuple):
     """Outcome of the rank-2 sl(1|1) dichotomy."""
 
     label: int  # 1 or 2

@@ -26,11 +26,10 @@ import itertools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import comb
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .poly import (
     Poly,
@@ -243,34 +242,57 @@ def odd_positions(m: int, n: int) -> Iterator[tuple[int, int]]:
             yield (m + j, i)
 
 
-@dataclass(frozen=True)
 class Presentation:
-    """Action data of a rank-2 presentation: the odd generators' matrices."""
+    """Action data of a rank-2 presentation: the odd generators' matrices.
 
-    m: int
-    n: int
-    grading: str
-    odd: tuple[tuple[tuple[int, int], Mat2], ...]
-    # action matrices by (row, col): the odd ones, then each even one derive_even makes
-    _lookup: dict = field(init=False, repr=False, compare=False, hash=False)
-    # "verdict": the one record normalform keeps, the report with (params, W) or the refusal
-    _memo: dict = field(init=False, repr=False, compare=False, hash=False)
+    Immutable like Mat2.  Equality, hash and repr cover (m, n, grading,
+    odd) only; the two caches below do not take part.
+    """
 
-    def __post_init__(self):
-        if self.grading not in GRADINGS:
-            raise PresentationError(f"unknown grading {self.grading!r}")
-        alg = self.algebra
-        expected = list(odd_positions(self.m, self.n))
-        got = {pos: mat for pos, mat in self.odd}
+    # _lookup: action matrices by (row, col), the odd ones, then each even one
+    # derive_even makes; _memo["verdict"]: the one record normalform keeps, the
+    # report with (params, W) or the refusal
+    __slots__ = ("m", "n", "grading", "odd", "_lookup", "_memo")
+
+    def __init__(self, m: int, n: int, grading: str, odd: tuple):
+        if grading not in GRADINGS:
+            raise PresentationError(f"unknown grading {grading!r}")
+        alg = algebra(m, n)
+        expected = list(odd_positions(m, n))
+        got = {pos: mat for pos, mat in odd}
         if sorted(got) != sorted(expected):
             raise PresentationError("odd generator set must be exactly e[i,bj], e[bj,i]")
-        for pos, mat in self.odd:
+        for pos, mat in odd:
             if mat.nvars != alg.nvars:
                 raise PresentationError("matrix variable count does not match (m, n)")
         ordered = tuple((pos, got[pos]) for pos in expected)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "grading", grading)
         object.__setattr__(self, "odd", ordered)
         object.__setattr__(self, "_lookup", dict(ordered))
         object.__setattr__(self, "_memo", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Presentation is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Presentation):
+            return NotImplemented
+        return (
+            self.m == other.m
+            and self.n == other.n
+            and self.grading == other.grading
+            and self.odd == other.odd
+        )
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.grading, self.odd))
+
+    def __repr__(self):
+        return (
+            f"Presentation(m={self.m!r}, n={self.n!r}, grading={self.grading!r}, odd={self.odd!r})"
+        )
 
     @property
     def algebra(self) -> SuperAlgebra:
@@ -344,8 +366,7 @@ def derive_even(p: Presentation, row: int, col: int) -> Mat2:
 # -- relation verification ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     left: BasisElement
     right: BasisElement
     lhs: Mat2
@@ -358,8 +379,7 @@ class Violation:
         )
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     """Outcome of a relation check.
 
     `checked` counts the relations established, directly or by the
@@ -582,6 +602,8 @@ def build_mas(m: int, a: Sequence[Fraction], s: Iterable[int]) -> Presentation:
     """
     a, s = _check_family_params(m, a, s)
     nv = m
+    # every entry is a Poly over nv variables, so Mat2._of need not re-check them
+    z = Poly.zero(nv)
     mats: dict[tuple[int, int], Mat2] = {}
     for i in range(1, m + 1):
         hi = Poly.var(nv, i - 1)
@@ -590,16 +612,15 @@ def build_mas(m: int, a: Sequence[Fraction], s: Iterable[int]) -> Presentation:
             upper, lower = ai * hi, Poly.const(nv, 1 / ai)
         else:
             upper, lower = Poly.const(nv, ai), (1 / ai) * hi
-        mats[(i - 1, m)] = Mat2.of(nv, ((0, upper), (0, 0)))
-        mats[(m, i - 1)] = Mat2.of(nv, ((0, 0), (lower, 0)))
+        mats[(i - 1, m)] = Mat2._of(((z, upper), (z, z)))
+        mats[(m, i - 1)] = Mat2._of(((z, z), (lower, z)))
     return make_presentation(m, 1, mats, grading="g11")
 
 
 # -- grading bookkeeping -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 

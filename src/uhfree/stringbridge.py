@@ -17,8 +17,8 @@ stay honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import Poly, UhfreeError
 from .presentation import Mat2, Presentation, act, build_mas
@@ -137,8 +137,7 @@ def check_string_budget(n: int, max_deg: int, adjacency: bool) -> None:
         )
 
 
-@dataclass(frozen=True)
-class IntertwiningReport:
+class IntertwiningReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
     checked: int

@@ -26,11 +26,10 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .poly import UhfreeError
 
@@ -39,15 +38,13 @@ class SuperLieError(UhfreeError):
     """Invalid basis index or decomposition failure."""
 
 
-@dataclass(frozen=True)
-class Cartan:
+class Cartan(NamedTuple):
     """Cartan basis element h_iota; var is the 0-based variable index."""
 
     var: int
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """Root vector e_IJ; row/col are 0-based supermatrix positions."""
 
     row: int

@@ -1203,7 +1203,12 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = [n for n in {LAYERS!r} if type(sys.modules.get("uhfree." + n)) is types.ModuleType]
-print(json.dumps({{"code": code, "loaded": loaded, "datetime": "datetime" in sys.modules}}))
+print(json.dumps({{
+    "code": code,
+    "loaded": loaded,
+    "datetime": "datetime" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
+}}))
 """
 
 
@@ -1278,7 +1283,13 @@ class TestLayerLoading:
         )
         assert run.returncode == 0, run.stderr
         report = json.loads(run.stdout.splitlines()[-1])
-        assert report == {"code": 0, "loaded": loaded, "datetime": "--stamp" in argv}
+        # no module imports dataclasses: it brings in inspect, about 6 ms of every cold start
+        assert report == {
+            "code": 0,
+            "loaded": loaded,
+            "datetime": "--stamp" in argv,
+            "dataclasses": False,
+        }
 
 
 @pytest.mark.parametrize(

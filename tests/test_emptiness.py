@@ -23,6 +23,7 @@ from uhfree.emptiness import (
     EvalWitness,
     MismatchWitness,
     RouteView,
+    ScaledMat,
     _proportionality,
     _eval_scaled,
     _eval_witness,
@@ -450,6 +451,39 @@ def test_file_form_evaluates_to_the_view(case):
     assert _eval_scaled(ring, form, units) == view.mat * scale
 
 
+class TestScaledMat:
+    """ScaledMat is immutable; its parsed matrix stays out of equality and hash."""
+
+    RING = CertRing(2, 2)
+
+    def matrix(self):
+        names = self.RING.names
+        entries = (("h1*a1 + 1/2", "0"), ("0", "hb1 - a4^2"))
+        return Mat2._of(tuple(tuple(parse_poly(e, names) for e in row) for row in entries))
+
+    def test_num_parses_once_and_equals_its_matrix(self, monkeypatch):
+        calls = []
+        real = Mat2.from_strings.__func__
+        monkeypatch.setattr(
+            Mat2, "from_strings", classmethod(lambda *args: calls.append(args) or real(*args))
+        )
+        mat = self.matrix()
+        kept = ScaledMat.of(mat, (0, 1, 0, 2), self.RING.names)
+        assert kept.num is mat and calls == []
+        form = ScaledMat(kept.text, kept.den, kept.names)
+        assert form.num == mat and form.num is form.num
+        assert len(calls) == 1
+        assert form == kept and hash(form) == hash(kept) and repr(form) == repr(kept)
+        assert form != ScaledMat(kept.text, (0, 0, 0, 2), kept.names)
+
+    @pytest.mark.parametrize("name", ["text", "den", "names", "num", "_parsed", "other"])
+    def test_every_attribute_is_read_only(self, name):
+        form = ScaledMat.of(self.matrix(), (0, 0, 0, 0), self.RING.names)
+        with pytest.raises(AttributeError):
+            setattr(form, name, None)
+        assert form.num == self.matrix()
+
+
 class TestGraded:
     def test_graded_annotation(self):
         cert = emptiness_certificate(2, 2, graded=True)
@@ -554,11 +588,8 @@ class TestTampering:
             verify_certificate(certificate_from_dict(data))
 
 
-def _without_check(monkeypatch, message: str) -> types.ModuleType:
-    """A fresh copy of uhfree.emptiness without the `if ...: raise` whose error names message.
-
-    The copy is registered in sys.modules for the test, as dataclasses expects.
-    """
+def _without_check(message: str) -> types.ModuleType:
+    """A fresh copy of uhfree.emptiness without the `if ...: raise` whose error names message."""
     dropped = []
 
     class Drop(ast.NodeTransformer):
@@ -574,7 +605,6 @@ def _without_check(monkeypatch, message: str) -> types.ModuleType:
     assert len(dropped) == 1, dropped
     module = types.ModuleType("uhfree.emptiness_without_check")
     module.__package__ = "uhfree"
-    monkeypatch.setitem(sys.modules, module.__name__, module)
     exec(compile(tree, emptiness.__file__, "exec"), module.__dict__)
     return module
 
@@ -648,7 +678,7 @@ def test_each_certificate_check_rejects_its_mutant(monkeypatch, name):
     with pytest.raises(error, match=message):
         verify_certificate(emptiness_certificate(2, 2))
     # with that one check gone, the mutant is accepted
-    mutant = _without_check(monkeypatch, message)
+    mutant = _without_check(message)
     plant(monkeypatch, mutant)
     cert = mutant.emptiness_certificate(2, 2)
     if stage == "verify":

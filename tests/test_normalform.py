@@ -294,6 +294,37 @@ class TestClassifySlM1:
             classify_sl_m1(_fake_n2())
 
 
+class TestCanonParams:
+    """CanonParams is immutable; the cached family member stays out of equality and hash."""
+
+    def test_equal_params_hash_alike(self):
+        a = (Fraction(1), Fraction(2))
+        first = CanonParams(a, frozenset({1}))
+        second = CanonParams(tuple(a), frozenset([1]), False)
+        assert first == second and hash(first) == hash(second)
+        assert first.family == build_mas(2, a, {1})
+        assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
+        assert first != CanonParams(a, frozenset({1}), True)
+        assert first != CanonParams(a, frozenset())
+        assert first != (a, frozenset({1}), False)
+
+    def test_the_family_is_built_once(self, monkeypatch):
+        calls = []
+        real = normalform.build_mas
+        monkeypatch.setattr(normalform, "build_mas", lambda *args: calls.append(args) or real(*args))
+        params = CanonParams((Fraction(1), Fraction(3)), frozenset({2}), True)
+        assert params.family is params.family
+        assert params.family == build_mas(2, params.a, params.s)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["a", "s", "bar", "family", "_family", "other"])
+    def test_every_attribute_is_read_only(self, name):
+        params = CanonParams((Fraction(1),), frozenset({1}))
+        with pytest.raises(AttributeError):
+            setattr(params, name, None)
+        assert params == CanonParams((Fraction(1),), frozenset({1}))
+
+
 def _fake_n2():
     from uhfree.presentation import odd_positions
 

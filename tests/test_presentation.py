@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -349,6 +348,33 @@ class TestBuilders:
         assert parity_check(build_mas_bar(1, (2,), ())).ok
 
 
+class TestPresentationRecord:
+    """Presentation is immutable; its two caches stay out of equality, hash and repr."""
+
+    def test_filled_caches_keep_equality_and_hash(self):
+        p = build_mas(3, (1, 2, 3), (2,))
+        assert verified_report(p).ok
+        p.E(0, 1)  # an even matrix, derived into the lookup table
+        assert p._memo and len(p._lookup) > len(p.odd)
+        fresh = build_mas(3, (1, 2, 3), (2,))
+        assert not fresh._memo and len(fresh._lookup) == len(fresh.odd)
+        assert p == fresh and fresh == p and hash(p) == hash(fresh)
+        assert len({p, fresh}) == 1 and repr(p) == repr(fresh)
+
+    def test_each_defining_field_takes_part_in_equality(self):
+        p = build_mas(2, (1, 2), (1,))
+        assert Presentation(2, 1, "ungraded", p.odd) != p
+        assert build_mas(2, (1, 3), (1,)) != p
+        assert p != (p.m, p.n, p.grading, p.odd)
+
+    @pytest.mark.parametrize("name", ["m", "n", "grading", "odd", "_lookup", "_memo", "other"])
+    def test_every_attribute_is_read_only(self, name):
+        p = build_mas(2, (1, 2), (1,))
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+        assert p == build_mas(2, (1, 2), (1,))
+
+
 class TestParity:
     def test_family_is_consistently_graded(self):
         assert parity_check(build_mas(2, (1, 1), ())).ok
@@ -451,7 +477,7 @@ class TestRelationReportFallback:
     def test_without_the_check_the_member_would_be_reported(self, planted, monkeypatch):
         p, broken = planted
         passing = plant_shape_report(
-            monkeypatch, broken, lambda q: dataclasses.replace(verify_relations(q), ok=True)
+            monkeypatch, broken, lambda q: verify_relations(q)._replace(ok=True)
         )
         report = verified_report(p)
         assert report is passing and report.violations == verify_relations(broken).violations != ()
@@ -573,8 +599,24 @@ def test_dump_json_writes_what_json_writes(value):
 
 @pytest.mark.parametrize(
     "value",
-    [Fraction(1, 2), 0.5, {1: "a"}, {"a": [Fraction(1)]}, [{"a": {2: None}}], {"a": 1.0}],
-    ids=["fraction", "float", "int-key", "nested-fraction", "nested-int-key", "nested-float"],
+    [
+        Fraction(1, 2),
+        0.5,
+        {1: "a"},
+        {"a": [Fraction(1)]},
+        [{"a": {2: None}}],
+        {"a": 1.0},
+        {"a": [Root(0, 1)]},
+    ],
+    ids=[
+        "fraction",
+        "float",
+        "int-key",
+        "nested-fraction",
+        "nested-int-key",
+        "nested-float",
+        "nested-record",
+    ],
 )
 def test_dump_json_refuses_what_it_does_not_write(value):
     with pytest.raises(TypeError):
