@@ -303,6 +303,7 @@ class TestCanonParams:
         second = CanonParams(tuple(a), frozenset([1]), False)
         assert first == second and hash(first) == hash(second)
         assert first.family == build_mas(2, a, {1})
+        # the filled cache changes neither
         assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
         assert first != CanonParams(a, frozenset({1}), True)
         assert first != CanonParams(a, frozenset())
