@@ -3,11 +3,26 @@
 Polynomials live in Q[h_1, ..., h_m, hb_1, ..., hb_{n-1}] with a fixed
 variable order h_1 > ... > h_m > hb_1 > ...  A polynomial is stored as
 integer numerators over one positive common denominator: a map from
-exponent tuples to nonzero ints, and den >= 1 with gcd(den, every
+packed monomial keys to nonzero ints, and den >= 1 with gcd(den, every
 numerator) == 1 (the zero polynomial has den == 1).  That form is
 canonical, so equal polynomials have equal storage and equality compares
-ints.  The kernels add, multiply, shift and specialize integer term maps
-and reduce by one gcd per result; `Poly.terms` is a read-only view
+ints.  A key packs an exponent vector into 16-bit fields of one int, the
+total degree in the top field and e_1, ..., e_v below it, e_1 most
+significant (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007, LNCS 4770).  So
+multiplying two monomials adds their keys, and the graded lexicographic
+order (h_1 largest) is the order of the keys.  Every total degree stays
+below DEGREE_LIMIT = 2^15, checked when a polynomial is built or parsed
+and before each product, so no field carries into its neighbour.
+Exponent tuples appear only at the public boundary: `Poly(nvars, {tuple:
+c})`, `Poly.terms`, `coeff`, `leading`, `sorted_terms` and `monomials`.
+Packing and unpacking go through the bytes of the key, the parser adds
+one shifted power per factor, and shifts and `specialize` visit only the
+nonzero fields of a key, so no kernel does work quadratic in the number
+of variables for a monomial of few factors.
+
+The kernels add, multiply, shift and specialize integer term maps and
+reduce by one gcd per result; `Poly.terms` is a read-only view
 {exponents: Fraction} of the same value, built on first use.  It also
 provides the shift automorphisms h_i -> h_i - s_i that encode the weights
 of root-vector actions, exact division, and a gcd: the heuristic GCDHEU
@@ -33,7 +48,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from operator import add
+from struct import Struct
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -71,13 +86,42 @@ def _as_fraction(c: Scalar) -> Fraction:
     raise PolyError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
-def grlex_key(exps: tuple[int, ...]) -> tuple:
-    """Sort key for the graded lexicographic order (h_1 largest)."""
-    return (sum(exps), exps)
+# Every total degree stays below this, so a sum of two keys carries no
+# field into its neighbour.
+DEGREE_LIMIT = 1 << 15
+_OVER_LIMIT = "total degree %%d is over the limit of %d" % (DEGREE_LIMIT - 1)
+
+
+@lru_cache(maxsize=64)
+def _codec(nvars: int):
+    """(pack, unpack) between (degree, *exponents) and the big-endian bytes of a key."""
+    return Struct(">%dH" % (nvars + 1)).pack, Struct(">2x%dH" % nvars).unpack
+
+
+def _key(exps: Sequence[int], nvars: int) -> int:
+    """The key of an exponent vector, checked."""
+    if len(exps) != nvars or any(not isinstance(e, int) or e < 0 for e in exps):
+        raise PolyError(f"bad exponent vector {tuple(exps)!r} for {nvars} variables")
+    d = sum(exps)
+    if d >= DEGREE_LIMIT:
+        raise PolyError(_OVER_LIMIT % d)
+    return int.from_bytes(_codec(nvars)[0](d, *exps), "big")
+
+
+def _exps(key: int, nvars: int) -> tuple[int, ...]:
+    return _codec(nvars)[1](key.to_bytes(2 * nvars + 2, "big"))
+
+
+def _over_den(clean: dict) -> tuple[dict, int]:
+    """{key: nonzero Fraction} as numerators over the lcm of the denominators."""
+    # Lowest-terms coefficients over that lcm already have
+    # gcd(den, numerators) == 1.
+    den = lcm(*(c.denominator for c in clean.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in clean.items()}, den
 
 
 def monomials(nvars: int, max_deg: int) -> Iterator[tuple[int, ...]]:
-    """The C(max_deg + nvars, nvars) exponent tuples of total degree <= max_deg, by grlex_key."""
+    """The C(max_deg + nvars, nvars) exponent tuples of total degree <= max_deg, in graded lex order."""
     for total in range(max_deg + 1):
         yield from _of_degree(nvars, total)
 
@@ -97,7 +141,7 @@ def _of_degree(nvars: int, total: int) -> Iterator[tuple[int, ...]]:
 
 # -- term maps -------------------------------------------------------------------
 #
-# A term map sends exponent tuples to nonzero int numerators.  The helpers
+# A term map sends packed keys to nonzero int numerators.  The helpers
 # below are the hot inner loops of the whole package.
 
 
@@ -105,27 +149,28 @@ def _add_terms(a: dict, b: dict, k: int = 1) -> dict:
     """a + k*b."""
     out = dict(a)
     get = out.get
-    for exps, n in b.items():
-        acc = get(exps)
+    for key, n in b.items():
+        acc = get(key)
         if acc is None:
-            out[exps] = k * n
+            out[key] = k * n
         else:
             acc += k * n
             if acc:
-                out[exps] = acc
+                out[key] = acc
             else:
-                del out[exps]
+                del out[key]
     return out
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
+    """a*b; the caller has checked the degree of the product."""
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
     get = out.get
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(map(add, ea, eb))
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = ka + kb
             acc = get(key)
             if acc is None:
                 out[key] = ca * cb
@@ -148,36 +193,43 @@ def _binomial_row(e: int, s: int) -> tuple[int, ...]:
 
 def _shift_terms(terms: dict, shifts: tuple[int, ...]) -> dict:
     """Substitute h_i -> h_i - shifts[i] into a term map."""
-    moved = [(i, s) for i, s in enumerate(shifts) if s]
+    last = len(shifts) - 1
+    top = (last + 1) << 4
+    low = (1 << top) - 1
     out: dict = {}
     get = out.get
-    for exps, coeff in terms.items():
+    for key, coeff in terms.items():
         # Expand each shifted factor (h_i - s)^e of the monomial by the
-        # binomial theorem, replacing exponent i by k in every key, so the
-        # keys of one monomial's expansion never collide.
-        partial = None
-        for i, s in moved:
-            e = exps[i]
-            if not e:
-                continue
-            row = _binomial_row(e, s)
-            nxt = {}
-            for ex2, c2 in (partial or {exps: coeff}).items():
-                head, tail = ex2[:i], ex2[i + 1 :]
-                for k, w in enumerate(row):
-                    nxt[head + (k,) + tail] = w * c2
-            partial = nxt
-        items = ((exps, coeff),) if partial is None else partial.items()
-        for exps2, c2 in items:
-            acc = get(exps2)
+        # binomial theorem, replacing exponent e of field i by k in every
+        # key, so the keys of one monomial's expansion never collide.  Only
+        # the nonzero fields are visited, the highest first.
+        partial = {key: coeff}
+        bits = key & low
+        while bits:
+            off = (bits.bit_length() - 1) & ~15
+            e = bits >> off
+            bits ^= e << off
+            s = shifts[last - (off >> 4)]
+            if s:
+                # the key of one more h_i: its field and the degree field
+                step = (1 << off) + (1 << top)
+                nxt = {}
+                for k2, c2 in partial.items():
+                    k2 -= e * step
+                    for w in _binomial_row(e, s):
+                        nxt[k2] = w * c2
+                        k2 += step
+                partial = nxt
+        for k2, c2 in partial.items():
+            acc = get(k2)
             if acc is None:
-                out[exps2] = c2
+                out[k2] = c2
             else:
                 acc += c2
                 if acc:
-                    out[exps2] = acc
+                    out[k2] = acc
                 else:
-                    del out[exps2]
+                    del out[k2]
     return out
 
 
@@ -188,18 +240,12 @@ class Poly:
     __slots__ = ("nvars", "_num", "_den", "_view", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Scalar]):
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[int, Fraction] = {}
         for exps, coeff in terms.items():
             coeff = _as_fraction(coeff)
-            if not coeff:
-                continue
-            if len(exps) != nvars or any(e < 0 for e in exps):
-                raise PolyError(f"bad exponent vector {exps!r} for {nvars} variables")
-            clean[tuple(exps)] = coeff
-        # Lowest-terms coefficients over the lcm of their denominators
-        # already have gcd(den, numerators) == 1.
-        den = lcm(*(c.denominator for c in clean.values()))
-        num = {exps: c.numerator * (den // c.denominator) for exps, c in clean.items()}
+            if coeff:
+                clean[_key(exps, nvars)] = coeff
+        num, den = _over_den(clean)
         _set(self, "nvars", nvars)
         _set(self, "_num", num)
         _set(self, "_den", den)
@@ -222,7 +268,7 @@ class Poly:
             else:
                 g = gcd(den, *num.values())
                 if g != 1:
-                    num = {exps: n // g for exps, n in num.items()}
+                    num = {k: n // g for k, n in num.items()}
                     den //= g
         return cls._of(nvars, num, den)
 
@@ -240,7 +286,7 @@ class Poly:
         c = _as_fraction(c)
         if not c:
             return cls.zero(nvars)
-        return cls._of(nvars, {(0,) * nvars: c.numerator}, c.denominator)
+        return cls._of(nvars, {0: c.numerator}, c.denominator)
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
@@ -250,8 +296,7 @@ class Poly:
     def var(cls, nvars: int, i: int) -> "Poly":
         if not 0 <= i < nvars:
             raise PolyError(f"variable index {i} out of range for {nvars} variables")
-        exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls._of(nvars, {exps: 1}, 1)
+        return cls._of(nvars, {(1 << (nvars << 4)) + (1 << ((nvars - 1 - i) << 4)): 1}, 1)
 
     # -- basic queries ------------------------------------------------------
 
@@ -261,8 +306,8 @@ class Poly:
         try:
             return self._view
         except AttributeError:
-            den = self._den
-            view = MappingProxyType({e: Fraction(n, den) for e, n in self._num.items()})
+            den, nv = self._den, self.nvars
+            view = MappingProxyType({_exps(k, nv): Fraction(n, den) for k, n in self._num.items()})
             _set(self, "_view", view)
             return view
 
@@ -277,22 +322,20 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         if not self._num:
             return -1
-        return max(map(sum, self._num))
+        return max(self._num) >> (self.nvars << 4)
 
     def degree_in(self, i: int) -> int:
-        if not self._num:
-            return -1
-        return max(e[i] for e in self._num)
+        return max((_exps(k, self.nvars)[i] for k in self._num), default=-1)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading (exponents, coefficient) under graded lex; zero is an error."""
-        if not self._num:
-            raise PolyError("zero polynomial has no leading term")
-        exps = max(self._num, key=grlex_key)
-        return exps, Fraction(self._num[exps], self._den)
+        c = self.leading_coeff()
+        return _exps(max(self._num), self.nvars), c
 
     def leading_coeff(self) -> Fraction:
-        return self.leading()[1]
+        if not self._num:
+            raise PolyError("zero polynomial has no leading term")
+        return Fraction(self._num[max(self._num)], self._den)
 
     def monic(self) -> "Poly":
         """Scale so the leading coefficient is 1; zero stays zero."""
@@ -304,24 +347,24 @@ class Poly:
         """The value of a constant polynomial, None if non-constant."""
         if not self._num:
             return Fraction(0)
-        if len(self._num) == 1:
-            exps, n = next(iter(self._num.items()))
-            if not any(exps):
-                return Fraction(n, self._den)
+        if len(self._num) == 1 and 0 in self._num:
+            return Fraction(self._num[0], self._den)
         return None
 
     def coeff(self, exps: Sequence[int]) -> Fraction:
-        return Fraction(self._num.get(tuple(exps), 0), self._den)
+        """The coefficient of one monomial; PolyError for a bad exponent vector."""
+        return Fraction(self._num.get(_key(exps, self.nvars), 0), self._den)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        den = self._den
-        return [
-            (exps, Fraction(self._num[exps], den))
-            for exps in sorted(self._num, key=grlex_key, reverse=True)
-        ]
+        """The terms in descending graded lex order."""
+        num, den, nv = self._num, self._den, self.nvars
+        return [(_exps(k, nv), Fraction(num[k], den)) for k in sorted(num, reverse=True)]
 
     def variables(self) -> set[int]:
-        return {i for exps in self._num for i, e in enumerate(exps) if e}
+        acc = 0
+        for k in self._num:
+            acc |= k
+        return {i for i, e in enumerate(_exps(acc, self.nvars)) if e}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -349,7 +392,7 @@ class Poly:
             return Poly._reduced(self.nvars, _add_terms(a, b, sign), da)
         den = lcm(da, db)
         fa = den // da
-        a = {exps: fa * n for exps, n in a.items()} if fa != 1 else a
+        a = {k: fa * n for k, n in a.items()} if fa != 1 else a
         return Poly._reduced(self.nvars, _add_terms(a, b, sign * (den // db)), den)
 
     def __add__(self, other):
@@ -363,7 +406,7 @@ class Poly:
     def __neg__(self):
         if not self._num:
             return self
-        return Poly._of(self.nvars, {exps: -n for exps, n in self._num.items()}, self._den)
+        return Poly._of(self.nvars, {k: -n for k, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -376,19 +419,24 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if other.nvars != self.nvars:
-                raise PolyError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
+            nv = self.nvars
+            if other.nvars != nv:
+                raise PolyError(f"variable-count mismatch: {nv} vs {other.nvars}")
             a, b = self._num, other._num
             if not a:
                 return self
             if not b:
                 return other
-            return Poly._reduced(self.nvars, _mul_terms(a, b), self._den * other._den)
+            # the degree field of the sum of the leading keys is the product's degree
+            d = (max(a) + max(b)) >> (nv << 4)
+            if d >= DEGREE_LIMIT:
+                raise PolyError(_OVER_LIMIT % d)
+            return Poly._reduced(nv, _mul_terms(a, b), self._den * other._den)
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Poly.zero(self.nvars)
             p, q = other.numerator, other.denominator
-            num = {exps: n * p for exps, n in self._num.items()}
+            num = {k: n * p for k, n in self._num.items()}
             return Poly._reduced(self.nvars, num, self._den * q)
         return NotImplemented
 
@@ -421,13 +469,10 @@ class Poly:
         try:
             return self._hash
         except AttributeError:
-            # the hash of the sorted (exponents, Fraction) items; an int hashes
-            # like the equal Fraction
-            den = self._den
-            items = sorted(self._num.items())
-            if den != 1:
-                items = [(exps, Fraction(n, den)) for exps, n in items]
-            h = hash((self.nvars, tuple(items)))
+            # A constant hashes like its value, so a Poly equal to an int or
+            # a Fraction hashes like it; zero hashes like 0.
+            c = self.constant_value()
+            h = hash((self.nvars, self._den, frozenset(self._num.items())) if c is None else c)
             _set(self, "_hash", h)
             return h
 
@@ -443,33 +488,48 @@ class Poly:
         """Set variable i to values[i] wherever that is not None.
 
         The variables left at None become the result's variables, in order.
-        The kernel stays on ints: a value p/q of a variable whose largest
-        exponent is top enters a term of exponent e as p^e * q^(top - e),
-        and q^top joins the common denominator.
+        Each term visits only its nonzero fields: a fixed one scales the
+        numerator, which stays an int unless a value is not an integer, and
+        a kept one moves down past the fixed fields below it.
         """
-        if len(values) != self.nvars:
+        nv = self.nvars
+        if len(values) != nv:
             raise PolyError("wrong number of values")
-        keep, fixed, den = [], [], self._den
-        for i, v in enumerate(values):
+        # by the offset of its field, the value of a fixed variable and the
+        # new offset of a kept one
+        fixed, down = {}, {}
+        for off, v in zip(range(0, nv << 4, 16), reversed(values)):
             if v is None:
-                keep.append(i)
-                continue
-            v = v if isinstance(v, int) else _as_fraction(v)
-            q = v.denominator
-            top = max((e[i] for e in self._num), default=0) if q != 1 else 0
-            den *= q**top
-            fixed.append((i, v.numerator, q, top))
+                down[off] = len(down) << 4
+            else:
+                if not isinstance(v, int):
+                    v = _as_fraction(v)
+                    v = v.numerator if v.denominator == 1 else v
+                fixed[off] = v
+        nk = len(down)
+        if not self._num:
+            return Poly.zero(nk)
+        top, new_top = nv << 4, nk << 4
+        low = (1 << top) - 1
         out: dict = {}
-        for exps, n in self._num.items():
-            for i, p, q, top in fixed:
-                e = exps[i]
-                if top:
-                    n *= p**e * q ** (top - e)
-                elif e:
-                    n *= p**e
-            key = tuple([exps[i] for i in keep])
-            out[key] = out.get(key, 0) + n
-        return Poly._reduced(len(keep), {k: n for k, n in out.items() if n}, den)
+        get = out.get
+        for key, n in self._num.items():
+            bits, new = key & low, (key >> top) << new_top
+            while bits:
+                # the highest nonzero field first
+                off = (bits.bit_length() - 1) & ~15
+                e = bits >> off
+                bits ^= e << off
+                if off in down:
+                    new += e << down[off]
+                else:
+                    n *= fixed[off] ** e
+                    new -= e << new_top
+            out[new] = get(new, 0) + n
+        out = {k: n for k, n in out.items() if n}
+        if all(isinstance(v, int) for v in fixed.values()):
+            return Poly._reduced(nk, out, self._den)
+        return Poly._of(nk, *_over_den({k: Fraction(n) / self._den for k, n in out.items()}))
 
     def evaluate(self, values: Sequence[Scalar]) -> Fraction:
         """The value at a point: `specialize` with every variable set."""
@@ -487,7 +547,10 @@ class Poly:
         source = [0] * n
         for i, j in enumerate(perm):
             source[j] = i
-        num = {tuple([exps[i] for i in source]): c for exps, c in self._num.items()}
+        num = {}
+        for k, c in self._num.items():
+            exps = _exps(k, n)
+            num[_key([exps[i] for i in source], n)] = c
         return Poly._of(n, num, self._den)
 
 
@@ -520,19 +583,24 @@ def divides_exactly(d: Poly, p: Poly) -> Optional[Poly]:
         raise PolyError("division by the zero polynomial")
     if p.is_zero:
         return p
-    d_exps, d_coeff = d.leading()
-    quo: dict[tuple[int, ...], Fraction] = {}
+    nv = p.nvars
+    d_key, d_coeff = max(d._num), d.leading_coeff()
+    # The top bit of every field, degree included, is zero in a key.  Set
+    # in r, it stays set in r - d_key exactly where r's field is at least
+    # d_key's, and no field borrows from its neighbour.
+    guards = int.from_bytes(b"\x80\0" * (nv + 1), "big")
+    quo: dict[int, Fraction] = {}
     rem = p
-    while not rem.is_zero:
-        r_exps, r_coeff = rem.leading()
-        q_exps = tuple(a - b for a, b in zip(r_exps, d_exps))
-        if any(e < 0 for e in q_exps):
+    while rem._num:
+        r_key = max(rem._num)
+        if ((r_key | guards) - d_key) & guards != guards:
             return None
-        q_coeff = r_coeff / d_coeff
-        quo[q_exps] = q_coeff
-        mono = Poly._of(p.nvars, {q_exps: q_coeff.numerator}, q_coeff.denominator)
+        q_key = r_key - d_key
+        q_coeff = Fraction(rem._num[r_key], rem._den) / d_coeff
+        quo[q_key] = q_coeff
+        mono = Poly._of(nv, {q_key: q_coeff.numerator}, q_coeff.denominator)
         rem = rem - mono * d
-    return Poly(p.nvars, quo)
+    return Poly._of(nv, *_over_den(quo))
 
 
 def _max_active_var(*polys: Poly) -> Optional[int]:
@@ -544,11 +612,11 @@ def _max_active_var(*polys: Poly) -> Optional[int]:
 
 def _as_univariate(p: Poly, x: int) -> dict[int, Poly]:
     """View p as a polynomial in h_x with coefficients free of h_x."""
-    coeffs: dict[int, dict[tuple[int, ...], int]] = {}
-    for exps, n in p._num.items():
-        k = exps[x]
-        rest = exps[:x] + (0,) + exps[x + 1 :]
-        coeffs.setdefault(k, {})[rest] = n
+    off, top = (p.nvars - 1 - x) << 4, p.nvars << 4
+    coeffs: dict[int, dict[int, int]] = {}
+    for key, n in p._num.items():
+        k = (key >> off) & 0xFFFF
+        coeffs.setdefault(k, {})[key - (k << off) - (k << top)] = n
     return {k: Poly._reduced(p.nvars, t, p._den) for k, t in coeffs.items()}
 
 
@@ -614,25 +682,28 @@ def _primitive(p: Poly) -> tuple[int, Poly]:
     c = gcd(*p._num.values())
     if c == 1:
         return 1, p
-    return c, Poly._of(p.nvars, {exps: n // c for exps, n in p._num.items()}, 1)
+    return c, Poly._of(p.nvars, {k: n // c for k, n in p._num.items()}, 1)
 
 
 def _xi_adic(h: Poly, x: int, xi: int) -> Poly:
     """The polynomial whose coefficients in a new variable h_x, inserted at
     index x, are the symmetric base-xi digits (in (-xi/2, xi/2]) of h's."""
     half = xi // 2
+    # the fields from h_x down stay where they are; the ones above, degree
+    # included, move up one field to make room for the new h_x
+    low = (h.nvars - x) << 4
+    step = (1 << low) + (1 << ((h.nvars + 1) << 4))
     digits = {}
-    for exps, n in h._num.items():
-        head, tail = exps[:x], exps[x:]
-        k = 0
+    for key, n in h._num.items():
+        key += (key >> low << low) * 0xFFFF
         while n:
             d = n % xi
             if d > half:
                 d -= xi
             if d:
-                digits[head + (k,) + tail] = d
+                digits[key] = d
             n = (n - d) // xi
-            k += 1
+            key += step
     return Poly._of(h.nvars + 1, digits, 1)
 
 
@@ -764,55 +835,60 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
     end = len(toks)
     toks.append((0, "", len(text) + 1))  # the end of the text, read as "got ''"
 
-    def power_at(pos: int, name: str, col: int) -> tuple[int, int, int]:
-        """(variable, exponent, next pos) for the factor whose name was read."""
-        i = index.get(name)
-        if i is None:
-            raise PolyParseError(f"unknown variable {name!r}", col)
-        if toks[pos][1] != "^":
-            return i, 1, pos
-        kind, value, vcol = toks[pos + 1]
+    def integer(pos: int) -> int:
+        kind, value, col = toks[pos]
         if kind != _INT:
-            raise PolyParseError(f"expected integer, got {value!r}", vcol)
-        power = _to_int(value, vcol)
-        if power < 1:
-            raise PolyParseError("exponent must be positive", col)
-        return i, power, pos + 2
+            raise PolyParseError(f"expected integer, got {value!r}", col)
+        return _to_int(value, col)
 
-    # (exponents, numerator, denominator) of every term, summed at the end
-    # over the lcm of the denominators
+    # (key, numerator, denominator) of every term, summed at the end over
+    # the lcm of the denominators
+    top = nvars << 4
     terms = []
     pos, sign = 0, 1
     if toks[0][1] in ("+", "-"):
         pos, sign = 1, (-1 if toks[0][1] == "-" else 1)
     while True:
-        exps = [0] * nvars
-        kind, value, col = toks[pos]
-        pos += 1
-        den = 1
+        key, deg, den = 0, 0, 1
+        kind, value, start = toks[pos]
         if kind == _INT:
-            coeff = sign * _to_int(value, col)
+            coeff = sign * _to_int(value, start)
+            pos += 1
             if toks[pos][1] == "/":
-                dkind, dvalue, dcol = toks[pos + 1]
-                if dkind != _INT:
-                    raise PolyParseError(f"expected integer, got {dvalue!r}", dcol)
-                den = _to_int(dvalue, dcol)
+                den = integer(pos + 1)
                 if den < 1:
-                    raise PolyParseError("denominator must be positive", col)
+                    raise PolyParseError("denominator must be positive", start)
                 pos += 2
+            factor = toks[pos][1] == "*"
+            pos += factor
         elif kind == _NAME:
-            coeff = sign
-            i, power, pos = power_at(pos, value, col)
-            exps[i] += power
+            coeff, factor = sign, True
         else:
-            raise PolyParseError(f"expected coefficient or variable, got {value!r}", col)
-        while toks[pos][1] == "*":
-            kind, value, col = toks[pos + 1]
+            raise PolyParseError(f"expected coefficient or variable, got {value!r}", start)
+        # a term that starts with a name starts with its first factor; every
+        # other factor follows a "*"
+        while factor:
+            kind, value, col = toks[pos]
             if kind != _NAME:
                 raise PolyParseError(f"expected variable after '*', got {value!r}", col)
-            i, power, pos = power_at(pos + 2, value, col)
-            exps[i] += power
-        terms.append((tuple(exps), coeff, den))
+            i = index.get(value)
+            if i is None:
+                raise PolyParseError(f"unknown variable {value!r}", col)
+            power = 1
+            pos += 1
+            if toks[pos][1] == "^":
+                power = integer(pos + 1)
+                if power < 1:
+                    raise PolyParseError("exponent must be positive", col)
+                pos += 2
+            # a field can overflow only when the degree is over the limit
+            key += power << ((nvars - 1 - i) << 4)
+            deg += power
+            factor = toks[pos][1] == "*"
+            pos += factor
+        if deg >= DEGREE_LIMIT:
+            raise PolyParseError(_OVER_LIMIT % deg, start)
+        terms.append((key + (deg << top), coeff, den))
         if pos == end:
             break
         kind, value, col = toks[pos]
@@ -820,7 +896,7 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
             raise PolyParseError(f"expected '+' or '-', got {value!r}", col)
         pos, sign = pos + 1, (-1 if value == "-" else 1)
     den = lcm(*(d for _, _, d in terms))
-    acc: dict[tuple[int, ...], int] = {}
+    acc: dict[int, int] = {}
     for key, n, d in terms:
         acc[key] = acc.get(key, 0) + n * (den // d)
     return Poly._reduced(nvars, {key: n for key, n in acc.items() if n}, den)
@@ -845,9 +921,10 @@ def format_poly(p: Poly, names: Sequence[str]) -> str:
     num, den = p._num, p._den
     if not num:
         return "0"
+    unpack, size = _codec(p.nvars)[1], 2 * p.nvars + 2
     pieces: list[str] = []
-    for exps in sorted(num, key=grlex_key, reverse=True):
-        n = num[exps]
+    for key in sorted(num, reverse=True):
+        n = num[key]
         if pieces:
             sign = " - " if n < 0 else " + "
         else:
@@ -860,7 +937,7 @@ def format_poly(p: Poly, names: Sequence[str]) -> str:
             d //= g
         factors = [
             name if e == 1 else f"{name}^{e}"
-            for name, e in zip(names, exps)
+            for name, e in zip(names, unpack(key.to_bytes(size, "big")))
             if e
         ]
         if d == 1 and n == 1 and factors:

@@ -1,5 +1,7 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and guards for the test suite."""
 
+import contextlib
+import signal
 from fractions import Fraction
 
 from uhfree.poly import Poly, compose_univariate, divides_exactly
@@ -69,3 +71,23 @@ def in_layer(g1, g2, v):
         return entry.is_zero if g.is_zero else divides_exactly(g, entry) is not None
 
     return all(divides(g1, v[0, col]) and divides(g2, v[1, col]) for col in (0, 1))
+
+
+class Expired(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise Expired inside the block once `seconds` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise Expired(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -30,16 +30,24 @@ def to_sympy(p: Poly, symbols):
 
 
 def from_sympy(expr, symbols) -> Poly:
-    expr = sympy.expand(expr)
-    poly = sympy.Poly(expr, *symbols) if symbols else None
+    """The Poly of a polynomial expression, expanded by sympy's Poly.
+
+    sympy's Poly is dense in its generators, so it gets only the symbols
+    that occur: a 200-variable case stays fast.
+    """
+    expr = sympy.sympify(expr)
     nvars = len(symbols)
-    if poly is None:
-        q = sympy.Rational(expr)
-        return Poly.const(0, Fraction(int(q.p), int(q.q)))
+    used = [i for i, s in enumerate(symbols) if s in expr.free_symbols]
+    if not used:
+        q = sympy.Rational(sympy.expand(expr))
+        return Poly.const(nvars, Fraction(int(q.p), int(q.q)))
     terms = {}
-    for exps, coeff in poly.terms():
+    for exps, coeff in sympy.Poly(expr, *[symbols[i] for i in used]).terms():
         q = sympy.Rational(coeff)
-        terms[tuple(int(e) for e in exps)] = Fraction(int(q.p), int(q.q))
+        full = [0] * nvars
+        for i, e in zip(used, exps):
+            full[i] = int(e)
+        terms[tuple(full)] = Fraction(int(q.p), int(q.q))
     return Poly(nvars, terms)
 
 
@@ -68,8 +76,23 @@ def sympy_text(text: str, names):
 def shift_oracle(p: Poly, shifts, symbols) -> Poly:
     """Substitution h_i -> h_i - s_i performed entirely inside sympy."""
     expr = to_sympy(p, symbols)
-    subs = {s: s - k for s, k in zip(symbols, shifts)}
-    return from_sympy(expr.subs(subs, simultaneous=True), symbols)
+    # xreplace substitutes every symbol at once, like subs(simultaneous=True), and faster
+    return from_sympy(expr.xreplace({s: s - k for s, k in zip(symbols, shifts)}), symbols)
+
+
+def specialize_oracle(p: Poly, values, symbols) -> Poly:
+    """p with each variable whose value is not None substituted inside sympy."""
+    fixed = {s: sympy.Rational(v.numerator, v.denominator) for s, v in zip(symbols, values) if v is not None}
+    kept = [s for s, v in zip(symbols, values) if v is None]
+    return from_sympy(to_sympy(p, symbols).xreplace(fixed), kept)
+
+
+def division_oracle(d: Poly, p: Poly, symbols):
+    """p / d when d divides p exactly, else None.  One polynomial is a
+    Groebner basis of the ideal it generates, so sympy's division leaves
+    remainder 0 exactly when d divides p."""
+    q, r = sympy.div(to_sympy(p, symbols), to_sympy(d, symbols), *symbols)
+    return from_sympy(q, symbols) if r == 0 else None
 
 
 def gcd_oracle(p: Poly, q: Poly, symbols) -> Poly:

@@ -4,7 +4,6 @@ import io
 import json
 import os
 import re
-import signal
 import subprocess
 import sys
 import time
@@ -38,7 +37,7 @@ from uhfree.presentation import (
     presentation_to_json,
 )
 
-from .helpers import build_mas_bar, family_entries, in_layer, scaled_conjugates
+from .helpers import build_mas_bar, family_entries, in_layer, scaled_conjugates, time_limit
 
 H = Poly.var(1, 0)
 DATA = Path(__file__).parent / "data"
@@ -88,26 +87,6 @@ WIDE_REFUSED = (
 def _certificate_with_m(digits):
     """cert_2x2.json with m replaced by the integer literal `digits`."""
     return (DATA / "cert_2x2.json").read_text().replace('"m": 2', '"m": ' + digits)
-
-
-class _Expired(Exception):
-    pass
-
-
-@contextlib.contextmanager
-def _time_limit(seconds):
-    """Raise _Expired inside the block once `seconds` of wall time have passed."""
-
-    def expire(signum, frame):
-        raise _Expired(f"over {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _with_long_integer(where):
@@ -306,6 +285,10 @@ class TestExitCodes:
                 "submodules on sl(1|1) takes no --lambdas",
             ),
             (
+                ["submodules", "{sl11}", "--gen", "h1^40000"],
+                "total degree 40000 is over the limit of 32767 (column 1)",
+            ),
+            (
                 ["submodules", "{sl11}", "--length", "4", "--lambdas", "1"],
                 "submodules on sl(1|1) takes no --length or --lambdas",
             ),
@@ -330,7 +313,8 @@ class TestExitCodes:
         ],
         ids=[
             "lambdas-word", "lambdas-1/0", "lambdas-empty", "lambdas-blank", "length",
-            "pointwise", "max-deg", "gen-off-sl11", "lambdas-on-sl11", "length-on-sl11",
+            "pointwise", "max-deg", "gen-off-sl11", "lambdas-on-sl11", "gen-over-degree-limit",
+            "length-on-sl11",
             "verify-with-m", "verify-with-n-graded", "verify-empty-path-with-m",
             "classify-sl22", "canon-sl11-on-sl21", "empty-check-without-n",
         ],
@@ -413,7 +397,7 @@ class TestExitCodes:
         files["hugecert"].write_text(_certificate_with_m("9" * 4300))
         start = time.perf_counter()
         argv = [a.format(**files) for a in argv]
-        with _time_limit(20):  # without its budget an input here runs for minutes
+        with time_limit(20):  # without its budget an input here runs for minutes
             assert main(argv + ["--out", str(out)]) == 2
         assert time.perf_counter() - start < 2
         captured = capsys.readouterr()
@@ -672,7 +656,7 @@ class TestClassify:
         w = Mat2.of(3, ((1, f), (0, 1))) * Mat2.of(3, ((1, 0), (g, 1)))
         path = write(tmp_path, "w4.json", conjugate(build_mas(3, (2, 3, 4), (1,)), w))
         out_path = tmp_path / "out.json"
-        with _time_limit(20):
+        with time_limit(20):
             assert main(["classify", path, "--out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         assert payload["S"] == [1]

@@ -120,7 +120,9 @@ def test_unit_specialization_matches_sympy(m, n):
                 assert got[r, c] == from_sympy(want, base)
 
 
-@pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3), (2, 7), (7, 2), (40, 40), (4000, 4000)])
+@pytest.mark.parametrize(
+    "m,n", [(2, 3), (3, 2), (3, 3), (2, 7), (7, 2), (40, 40), (4000, 4000), (9999, 9999)]
+)
 def test_other_sizes_certify_and_verify(m, n):
     cert = emptiness_certificate(m, n)
     assert len(cert.branch_log) == 16

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import time
 from fractions import Fraction
 from math import comb, gcd
 
@@ -22,12 +23,15 @@ from uhfree.poly import (
     poly_gcd,
 )
 
+from .helpers import time_limit
 from .oracles import (
     common_divisors_oracle,
+    division_oracle,
     format_oracle,
     from_sympy,
     gcd_oracle,
     shift_oracle,
+    specialize_oracle,
     sympy_text,
     to_sympy,
 )
@@ -362,6 +366,202 @@ class TestCanonicalStorage:
             del p.terms[(0, 0)]
         assert p.terms == {(1, 0): Fraction(1, 2), (0, 0): Fraction(3)}
         assert p == P("1/2*h1 + 3")
+
+
+class TestEqualityAndHash:
+    @pytest.mark.parametrize("nvars", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "c", [0, 1, -7, 10**30, Fraction(1, 2), Fraction(-5, 3), Fraction(4), Fraction(0)]
+    )
+    def test_a_constant_hashes_like_its_value(self, nvars, c):
+        p = Poly.const(nvars, c)
+        assert p == c and c == p and hash(p) == hash(c)
+        assert len({p, c}) == 1 and {c: "value"}[p] == "value"
+
+    def test_zero_hashes_like_zero(self):
+        assert hash(Poly.zero(2)) == hash(0) == hash(P("h1 - h1"))
+
+    def test_equal_polynomials_hash_alike_whatever_the_term_order(self):
+        p = P("1/2*h1^2 - h2 + 3")
+        q = Poly(2, dict(reversed(list(p.terms.items()))))
+        assert p == q and hash(p) == hash(q)
+        assert P("h1 + 1") != P("h1 + 2") and P("h1") != H2
+
+
+class TestCoeff:
+    def test_reads_one_coefficient(self):
+        p = P("3/2*h1*h2 - h2^2 + 4")
+        assert p.coeff((1, 1)) == Fraction(3, 2)
+        assert p.coeff([0, 2]) == -1
+        assert p.coeff((0, 0)) == 4 and p.coeff((2, 0)) == 0
+
+    @pytest.mark.parametrize("exps", [(1,), (1, 1, 0), (), (-1, 2), (1.0, 1), ("1", 1)])
+    def test_rejects_a_bad_exponent_vector(self, exps):
+        # a wrong-length vector must not read another monomial's coefficient
+        with pytest.raises(PolyError, match="bad exponent vector"):
+            P("h1*h2 + h1").coeff(exps)
+
+
+class TestDegreeLimit:
+    LIMIT = poly.DEGREE_LIMIT
+
+    def test_the_limit_is_two_to_the_fifteen(self):
+        assert self.LIMIT == 32768
+
+    def test_parse_refuses_the_limit(self):
+        assert parse_poly("h1^32767", ("h1",)).total_degree() == 32767
+        with pytest.raises(PolyError, match="total degree 32768 is over the limit of 32767"):
+            parse_poly("h1^32768", ("h1",))
+        # the degree, not one exponent, is bounded; the column is the term's
+        with pytest.raises(PolyParseError) as err:
+            parse_poly("h1 + 2*h1^20000*h2^12768", NAMES2)
+        assert err.value.column == 6
+
+    def test_construction_refuses_the_limit(self):
+        assert Poly(2, {(20000, 12767): 1}).total_degree() == 32767
+        for exps in [(32768, 0), (20000, 12768), (0, 40000)]:
+            with pytest.raises(PolyError, match="over the limit of 32767"):
+                Poly(2, {exps: 1})
+
+    def test_a_product_over_the_limit_raises_and_never_wraps(self):
+        a, b = H1**16384, H1**16383 * H2**0
+        assert (a * b).terms == {(32767, 0): 1}
+        for x, y in [(a, a), (a * H2, b), (H1**32767, H1), (H2**32767, H1), (H1**30000, H2**3000)]:
+            with pytest.raises(PolyError, match="over the limit of 32767"):
+                x * y
+        with pytest.raises(PolyError, match="over the limit of 32767"):
+            H1**40000
+        # the check reads the leading keys: a low-degree term beside a high one counts too
+        with pytest.raises(PolyError):
+            (H1**32000 + 1) * (H2**800 + H1)
+
+
+@st.composite
+def scale_polys(draw, nvars, max_deg=40, max_terms=4):
+    """Up to max_terms terms, each of total degree <= max_deg on at most three
+    of the nvars variables; coefficients n/d with d in 1..6."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = [0] * nvars
+        for i in draw(st.lists(st.integers(0, nvars - 1), max_size=3)):
+            exps[i] += draw(st.integers(0, max_deg - sum(exps)))
+        terms[tuple(exps)] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+    return Poly(nvars, terms)
+
+
+@st.composite
+def scale_cases(draw):
+    """(p, q, shift, values) over 1..9 variables at total degree up to 40."""
+    n = draw(st.integers(1, 9))
+    shift = tuple(draw(st.integers(-2, 2)) for _ in range(n))
+    value = st.none() | st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+    values = [draw(value) for _ in range(n)]
+    return draw(scale_polys(n)), draw(scale_polys(n)), shift, values
+
+
+def _wide_case():
+    """A 200-variable case: the shift moves every variable, and a third of
+    the values fix a variable, some at non-integers."""
+    names = default_names(200)
+    p = parse_poly("3*h1^2*h150^30*h200^8 - 2/3*h7^30*h8 + h99^40 + 5", names)
+    q = parse_poly("h150 - 4*h1^2*h99 + 1/2*h200^3*h7", names)
+    shift = tuple((-1, 1, 2)[i % 3] for i in range(200))
+    values = [None if i % 3 else Fraction(i % 7 - 3, 1 + i % 4) for i in range(200)]
+    return p, q, shift, values
+
+
+def _at_scale(examples):
+    def wrap(test):
+        return settings(max_examples=examples, deadline=None)(
+            given(scale_cases())(example(_wide_case())(test))
+        )
+
+    return wrap
+
+
+class TestKernelsAgainstSympyAtScale:
+    """The kernels on 1..9 variables and one 200-variable case, at total
+    degree up to 40, against sympy through tests/oracles.py."""
+
+    @staticmethod
+    def _syms(p):
+        return sympy.symbols(default_names(p.nvars))
+
+    @_at_scale(25)
+    def test_products(self, case):
+        p, q, _, _ = case
+        syms = self._syms(p)
+        assert _canonical(p * q) == from_sympy(to_sympy(p, syms) * to_sympy(q, syms), syms)
+
+    # a shifted term of degree 40 on three variables expands to up to 14^3 terms
+    @_at_scale(10)
+    def test_shift(self, case):
+        p, _, shift, _ = case
+        assert _canonical(apply_shift(shift, p)) == shift_oracle(p, shift, self._syms(p))
+
+    @_at_scale(25)
+    def test_specialize_and_evaluate(self, case):
+        p, _, _, values = case
+        syms = self._syms(p)
+        assert _canonical(p.specialize(values)) == specialize_oracle(p, values, syms)
+        point = [Fraction(1, 2) if v is None else v for v in values]
+        assert p.evaluate(point) == specialize_oracle(p, point, syms).constant_value()
+
+    @_at_scale(25)
+    def test_exact_division(self, case):
+        p, q, _, _ = case
+        syms = self._syms(p)
+        if not q.is_zero:
+            assert divides_exactly(q, p * q) == p
+            assert divides_exactly(q, p) == division_oracle(q, p, syms)
+
+    @_at_scale(25)
+    def test_term_order_is_graded_lex(self, case):
+        p = case[0] * case[1] + case[0]
+        want = sorted(p.terms, key=lambda e: (sum(e), e), reverse=True)
+        assert [e for e, _ in p.sorted_terms()] == want
+        assert [c for _, c in p.sorted_terms()] == [p.terms[e] for e in want]
+        if want:
+            assert p.leading() == (want[0], p.terms[want[0]])
+            assert p.total_degree() == sum(want[0])
+
+    @_at_scale(25)
+    def test_print_parse_round_trip(self, case):
+        p = case[0] * case[1] - case[0]
+        names = default_names(p.nvars, max(1, p.nvars // 2))
+        assert parse_poly(format_poly(p, names), names) == p
+
+    @_at_scale(25)
+    def test_terms_keys_stay_exponent_tuples(self, case):
+        p = case[0] * case[1]
+        for exps, c in p.terms.items():
+            assert type(exps) is tuple and len(exps) == p.nvars
+            assert all(type(e) is int and e >= 0 for e in exps)
+            assert p.coeff(exps) == c
+        assert Poly(p.nvars, p.terms) == p
+        assert p.variables() == {i for exps in p.terms for i, e in enumerate(exps) if e}
+
+
+class TestLinearInTheVariableCount:
+    def test_kernels_on_20000_variables(self):
+        # each step here takes well under 0.1 s on a 2-CPU machine; a kernel
+        # that repacks every field once per field takes minutes
+        n = 20_000
+        names = default_names(n, n // 2)
+        text = "h1*hb10000 + 3/2*h5^2*hb9999 - h10000^3*h2*h3 + 7 - hb1^40"
+        start = time.perf_counter()
+        with time_limit(20):
+            p = parse_poly(text, names)
+            assert format_poly(p, names) == (
+                "-hb1^40 - h2*h3*h10000^3 + 3/2*h5^2*hb9999 + h1*hb10000 + 7"
+            )
+            q = apply_shift(tuple([1, -2] * (n // 2)), p)
+            assert q.term_count() == 64 and parse_poly(format_poly(q, names), names) == q
+            half = p.specialize([None if i % 2 else Fraction(i % 5, 3) for i in range(n)])
+            assert half.nvars == n // 2 and half.term_count() == 2
+            assert p.evaluate([Fraction(1, 2)] * n) == Fraction(8143257993215, 1099511627776)
+            assert p.variables() == {0, 1, 2, 4, 9999, 10000, 19998, 19999}
+        assert time.perf_counter() - start < 5
 
 
 class TestRingAxioms:
