@@ -385,7 +385,6 @@ class TestEqualityAndHash:
         p = P("1/2*h1^2 - h2 + 3")
         q = Poly(2, dict(reversed(list(p.terms.items()))))
         assert p == q and hash(p) == hash(q)
-        assert P("h1 + 1") != P("h1 + 2") and P("h1") != H2
 
 
 class TestCoeff:
@@ -403,12 +402,8 @@ class TestCoeff:
 
 
 class TestDegreeLimit:
-    LIMIT = poly.DEGREE_LIMIT
-
-    def test_the_limit_is_two_to_the_fifteen(self):
-        assert self.LIMIT == 32768
-
     def test_parse_refuses_the_limit(self):
+        assert poly.DEGREE_LIMIT == 2**15
         assert parse_poly("h1^32767", ("h1",)).total_degree() == 32767
         with pytest.raises(PolyError, match="total degree 32768 is over the limit of 32767"):
             parse_poly("h1^32768", ("h1",))
@@ -424,7 +419,7 @@ class TestDegreeLimit:
                 Poly(2, {exps: 1})
 
     def test_a_product_over_the_limit_raises_and_never_wraps(self):
-        a, b = H1**16384, H1**16383 * H2**0
+        a, b = H1**16384, H1**16383
         assert (a * b).terms == {(32767, 0): 1}
         for x, y in [(a, a), (a * H2, b), (H1**32767, H1), (H2**32767, H1), (H1**30000, H2**3000)]:
             with pytest.raises(PolyError, match="over the limit of 32767"):
