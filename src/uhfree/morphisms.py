@@ -7,7 +7,15 @@ polynomial matrix W subject to, for every odd generator g,
 
 with sign +1 for even maps and -1 for odd maps of graded modules.
 `solve_hom` turns these identities into an exact linear system over the
-unknown coefficients of W and returns a basis of solutions.
+unknown coefficients of W and returns a basis of solutions.  The
+unknown h^mu at entry (r, c) of W enters the identity of g through two
+blocks only, h^mu E_g^src[c, .] in row r and E_g^dst[., r] tau_g(h^mu)
+in column c, so `_hom_rows` forms just those products and reads them
+as integer rows (`poly.integer_rows`).  `_nullspace` eliminates them
+fraction-free, on primitive integer rows, and divides only when it
+writes the basis.  Every solution is then re-verified by
+`check_intertwiner`, which multiplies whole matrices and shares no code
+with that assembly.
 
 Categories are the three of interest throughout:
 
@@ -27,10 +35,19 @@ strictly decreasing filtrations of any prescribed finite length.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Iterator, NamedTuple, Optional, Sequence
+from math import comb, gcd, lcm
+from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .poly import Poly, UhfreeError, compose_univariate, divides_exactly, monomials
+from .poly import (
+    Poly,
+    Scalar,
+    UhfreeError,
+    apply_shift,
+    compose_univariate,
+    divides_exactly,
+    integer_rows,
+    monomials,
+)
 from .presentation import InvariantBreach, Mat2, Presentation
 from .normalform import classified_sl_m1
 from .superlie import Root
@@ -43,39 +60,68 @@ class MorphismError(UhfreeError):
 # -- exact linear algebra ----------------------------------------------------------
 
 
-def _subtract(target: dict[int, Fraction], f: Fraction, row: dict[int, Fraction]) -> None:
-    """target -= f * row in place, dropping the entries that become zero."""
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The nonzero integer row over the gcd of its entries, positive at its leftmost column."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {c: x // g for c, x in row.items()}
+
+
+def _eliminate(target: dict[int, int], p: int, row: dict[int, int]) -> dict[int, int]:
+    """a * target - b * row with a > 0 as small as possible, so that column p drops out.
+
+    row[p] > 0; a and b are row[p] and target[p] over their gcd.
+    """
+    a, b = row[p], target[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {c: a * x for c, x in target.items()} if a != 1 else dict(target)
     for c, x in row.items():
-        y = target.get(c, 0) - f * x
+        y = out.get(c, 0) - b * x
         if y:
-            target[c] = y
+            out[c] = y
         else:
-            del target[c]
+            del out[c]
+    return out
 
 
-def _nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fraction]]:
+def _nullspace(rows: Sequence[Mapping[int, Scalar]], ncols: int) -> list[list[Fraction]]:
     """Basis of the solution space of a homogeneous system over Q.
 
-    Gauss-Jordan on the sparse rows, one row at a time: `rref` maps each
-    pivot column to its row of the reduced row echelon form (entry 1 at
-    the pivot, 0 at every other pivot). A new row is reduced against it,
-    pivots at its leftmost column and is eliminated from the older rows.
-    The RREF does not depend on row order, so neither does the basis: 1
-    at each free column f and -RREF[p][f] at each pivot p.
+    Fraction-free Gauss-Jordan on the sparse rows, one row at a time.
+    Each given row, of ints or Fractions, is scaled to a primitive
+    integer row, and a row seen before is skipped.  `rref` maps each
+    pivot column to a primitive integer row, positive at its pivot and 0
+    at every other pivot, that is a multiple of its row of the reduced
+    row echelon form.  A new row is reduced against it by integer
+    combinations (`_eliminate`), pivots at its leftmost column and is
+    eliminated from the older rows, each made primitive again.  The RREF
+    does not depend on row order, so neither does the basis, and
+    division happens only there: 1 at each free column f and
+    -rref[p][f] / rref[p][p] at each pivot p.
     """
-    rref: dict[int, dict[int, Fraction]] = {}
+    rref: dict[int, dict[int, int]] = {}
+    seen = set()
     for given in rows:
-        row = {c: x for c, x in given.items() if x}
-        for p in [c for c in row if c in rref]:
-            _subtract(row, row[p], rref[p])
+        den = lcm(*(x.denominator for x in given.values()))
+        row = {c: x.numerator * (den // x.denominator) for c, x in given.items() if x}
         if not row:
             continue
+        row = _primitive(row)
+        key = frozenset(row.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        for p in [c for c in row if c in rref]:
+            row = _eliminate(row, p, rref[p])
+        if not row:
+            continue
+        row = _primitive(row)
         pivot = min(row)
-        inv = Fraction(1) / row[pivot]
-        row = {c: x * inv for c, x in row.items()}
-        for other in rref.values():
+        for q, other in rref.items():
             if pivot in other:
-                _subtract(other, other[pivot], row)
+                rref[q] = _primitive(_eliminate(other, pivot, row))
         rref[pivot] = row
     basis = []
     for fc in range(ncols):
@@ -83,7 +129,9 @@ def _nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fractio
             vec = [Fraction(0)] * ncols
             vec[fc] = Fraction(1)
             for p, row in rref.items():
-                vec[p] = -row.get(fc, Fraction(0))
+                x = row.get(fc)
+                if x:
+                    vec[p] = Fraction(-x, row[p])
             basis.append(vec)
     return basis
 
@@ -110,19 +158,70 @@ SYSTEMS = {
 UNKNOWNS_BUDGET = 1500
 
 
-def _defects(src: Presentation, dst: Presentation, w: Mat2, sign: int) -> Iterator[Mat2]:
-    """W * E_g^src - sign * E_g^dst * tau_g(W) for each odd generator g, in `src.odd` order."""
-    alg = src.algebra
-    for (row, col), e_src in src.odd:
-        tau = alg.weight_shift(Root(row, col))
-        yield w * e_src - sign * (dst.E(row, col) * w.shifted(tau))
-
-
 def check_intertwiner(
     src: Presentation, dst: Presentation, w: Mat2, sign: int = 1
 ) -> bool:
-    """Exact re-verification of all intertwining identities for W."""
-    return all(d.is_zero for d in _defects(src, dst, w, sign))
+    """Exact re-verification of all intertwining identities for W.
+
+    It compares W * E_g^src with sign * E_g^dst * tau_g(W) over whole
+    `Mat2` products and shares no code with the solver's assembly.
+    """
+    alg = src.algebra
+    for (row, col), e_src in src.odd:
+        rhs = dst.E(row, col) * w.shifted(alg.weight_shift(Root(row, col)))
+        if w * e_src != (rhs if sign == 1 else sign * rhs):
+            return False
+    return True
+
+
+def _hom_rows(
+    src: Presentation,
+    dst: Presentation,
+    monos: Sequence[tuple[int, ...]],
+    entries: Sequence[tuple[int, int]],
+    sign: int,
+) -> list[dict[int, int]]:
+    """The integer rows of the hom system; unknown k = i * len(monos) + j is h^monos[j] at entries[i].
+
+    The unknown h^mu at (r, c) adds two blocks to the defect of generator
+    g: h^mu E_g^src[c, j] at cell (r, j) for j = 0, 1, and -sign
+    E_g^dst[i, r] tau_g(h^mu) at cell (i, c) for i = 0, 1.  So
+    tau_g(h^mu) is formed once per (g, mu), and each block by `Poly`
+    products, once per entry of E_g^src or E_g^dst and shared by every
+    unknown that uses that entry.  Each (g, cell) gives its rows through
+    `integer_rows`.
+    """
+    nv = src.nvars
+    alg = src.algebra
+    powers = [Poly(nv, {mu: 1}) for mu in monos]
+    firsts = [(rc, i * len(monos)) for i, rc in enumerate(entries)]
+    rows: list[dict[int, int]] = []
+    for (row, col), e_src in src.odd:
+        e_dst = dst.E(row, col)
+        tau = alg.weight_shift(Root(row, col))
+        taus = [apply_shift(tau, p) for p in powers]
+        if sign == 1:
+            taus = [-t for t in taus]
+        # the blocks by the entry of E_g^src or E_g^dst they multiply
+        left: dict[tuple[int, int], list[Poly]] = {}
+        right: dict[tuple[int, int], list[Poly]] = {}
+        cells: dict[tuple[int, int], list[tuple[int, Poly]]] = {cell: [] for cell in ENTRIES}
+        for (r, c), first in firsts:
+            # x is j in the first block and i in the second
+            for x in (0, 1):
+                f = e_src[c, x]
+                if f:
+                    if (c, x) not in left:
+                        left[c, x] = [p * f for p in powers]
+                    cells[r, x] += enumerate(left[c, x], first)
+                f = e_dst[x, r]
+                if f:
+                    if (x, r) not in right:
+                        right[x, r] = [f * t for t in taus]
+                    cells[x, c] += enumerate(right[x, r], first)
+        for parts in cells.values():
+            rows += integer_rows(parts)
+    return rows
 
 
 def _solve_system(
@@ -134,26 +233,13 @@ def _solve_system(
 ) -> list[Mat2]:
     nv = src.nvars
     monos = list(monomials(nv, bound))
-    unknowns = [(rc, mu) for rc in entries for mu in monos]
-    # the defect is linear in W: unknown (rc, mu) contributes the defects
-    # of the matrix with the monomial h^mu at rc and zeros elsewhere
-    defects = [
-        list(_defects(src, dst, _placed(nv, {rc: {mu: 1}}), sign)) for rc, mu in unknowns
-    ]
-    rows: list[dict[int, Fraction]] = []
-    for g in range(len(src.odd)):
-        for cell in ENTRIES:
-            by_exp: dict[tuple[int, ...], dict[int, Fraction]] = {}
-            for k, per_gen in enumerate(defects):
-                for exps, coeff in per_gen[g][cell].terms.items():
-                    by_exp.setdefault(exps, {})[k] = coeff
-            rows.extend(by_exp.values())
     mats = []
-    for vec in _nullspace(rows, len(unknowns)):
+    for vec in _nullspace(_hom_rows(src, dst, monos, entries, sign), len(entries) * len(monos)):
         terms: dict = {}
-        for k, (rc, mu) in enumerate(unknowns):
-            if vec[k]:
-                terms.setdefault(rc, {})[mu] = vec[k]
+        for k, x in enumerate(vec):
+            if x:
+                i, j = divmod(k, len(monos))
+                terms.setdefault(entries[i], {})[monos[j]] = x
         mats.append(_placed(nv, terms))
     return mats
 

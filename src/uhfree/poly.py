@@ -27,8 +27,10 @@ reduce by one gcd per result; `Poly.terms` is a read-only view
 provides the shift automorphisms h_i -> h_i - s_i that encode the weights
 of root-vector actions, exact division, and a gcd: the heuristic GCDHEU
 (integer gcds at evaluation points, each candidate checked by exact
-division), with a primitive-part Euclidean gcd as its fallback.  All
-values are immutable.
+division), with a primitive-part Euclidean gcd as its fallback.
+`integer_rows` reads a linear combination of polynomials straight from
+the integer storage as one integer row per monomial, for the hom
+solver's exact linear algebra.  All values are immutable.
 
 The text grammar (used by every file format and the CLI):
 
@@ -774,6 +776,34 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     if h is None:
         return _euclid_gcd(p, q)
     return h.monic()
+
+
+def integer_rows(parts: Sequence[tuple[int, Poly]]) -> list[dict[int, int]]:
+    """The coefficient rows of sum_k x_k p_k for the (column k, p_k) pairs of parts.
+
+    One row per monomial: {k: coefficient of that monomial in the sum of
+    column k's parts}, scaled by the lcm of the parts' denominators, so
+    each row is an integer multiple of its rational row.  A column may
+    occur in several parts; entries that cancel are left out, and so are
+    rows that cancel to nothing.
+    """
+    den = lcm(*(p._den for _, p in parts))
+    rows: dict[int, dict[int, int]] = {}
+    for k, p in parts:
+        f = den // p._den
+        for key, n in p._num.items():
+            row = rows.get(key)
+            if row is None:
+                rows[key] = {k: n * f}
+            else:
+                row[k] = row.get(k, 0) + n * f
+    out = []
+    for row in rows.values():
+        if 0 in row.values():
+            row = {k: n for k, n in row.items() if n}
+        if row:
+            out.append(row)
+    return out
 
 
 def compose_univariate(f: Poly, g: Poly) -> Poly:

@@ -720,10 +720,6 @@ def presentation_to_dict(p: Presentation) -> dict:
     }
 
 
-def presentation_to_json(p: Presentation) -> str:
-    return dump_json(presentation_to_dict(p))
-
-
 def presentation_from_dict(data: Mapping) -> Presentation:
     if not isinstance(data, Mapping):
         raise PresentationError("presentation file must hold a JSON object")

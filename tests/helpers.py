@@ -5,7 +5,7 @@ import signal
 from fractions import Fraction
 
 from uhfree.poly import Poly, compose_univariate, divides_exactly
-from uhfree.presentation import Mat2, build_mas, conjugate
+from uhfree.presentation import Mat2, build_mas, conjugate, dump_json, presentation_to_dict
 
 
 def build_mas_bar(m, a, s):
@@ -15,6 +15,11 @@ def build_mas_bar(m, a, s):
     corner and turns the grading g11 into g11bar.
     """
     return conjugate(build_mas(m, a, s), Mat2.swap(m))
+
+
+def presentation_to_json(p):
+    """The presentation file text of p, as `presentation_from_json` reads it."""
+    return dump_json(presentation_to_dict(p))
 
 
 def random_poly(rng, nvars, max_deg, max_terms=4, coeff_range=3, allow_zero=True):

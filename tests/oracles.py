@@ -4,18 +4,21 @@ Polynomial identities are cross-checked through sympy (a separate code
 base with its own expansion, substitution, gcd, and factorization);
 Lie-superalgebra structure constants through a from-scratch supermatrix
 commutator that shares no code with the package; relation checks
-through the loop over every pair of root vectors; and the emptiness
-evaluation witness through an exhaustive scan of its grid.
+through the loop over every pair of root vectors; the hom system
+through the whole `Mat2` defect of each unknown, with sympy's RREF as
+the judge of row spaces; and the emptiness evaluation witness through
+an exhaustive scan of its grid.
 """
 
 import itertools
 from fractions import Fraction
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
-from uhfree.poly import Poly
+from uhfree.poly import Poly, monomials
 from uhfree.presentation import Mat2, RelationReport, Violation
-from uhfree.superlie import Cartan
+from uhfree.superlie import Cartan, Root
 
 
 def to_sympy(p: Poly, symbols):
@@ -106,6 +109,25 @@ def common_divisors_oracle(p: Poly, symbols):
     return [from_sympy(f, symbols) for f, _ in factors]
 
 
+def integer_rows_oracle(parts, symbols):
+    """The rows of sum_k x_k p_k built by sympy: per monomial {k: coefficient}
+    times the lcm of the parts' coefficient denominators, zero entries and
+    empty rows dropped, sorted so that the order of rows does not count."""
+    den, sums = 1, {}
+    for k, p in parts:
+        expr = to_sympy(p, symbols)
+        if expr != 0:
+            den = sympy.ilcm(den, *(sympy.Rational(c).q for c in sympy.Poly(expr, *symbols).coeffs()))
+        sums[k] = sums.get(k, 0) + expr
+    rows = {}
+    for k, expr in sums.items():
+        expr = sympy.expand(expr)
+        if expr != 0:
+            for mono, c in sympy.Poly(expr, *symbols).terms():
+                rows.setdefault(mono, {})[k] = int(c * den)
+    return sorted(sorted(row.items()) for row in rows.values())
+
+
 # -- independent supermatrix bracket ------------------------------------------------
 
 
@@ -162,6 +184,54 @@ def all_pairs_report(p) -> RelationReport:
             if lhs != rhs:
                 violations.append(Violation(x, y, lhs, rhs))
     return RelationReport(not violations, tuple(violations), checked, checked)
+
+
+# -- the hom system, one unknown at a time ---------------------------------------------
+
+
+def hom_rows_oracle(src, dst, bound, entries, sign):
+    """The rows of the hom system for W with entries of degree <= bound at `entries`.
+
+    Unknown k is h^mu at entries[k // C(bound + v, v)], mu running over
+    `monomials`.  Its matrix W_k is multiplied out in full: the defect
+    W_k E_g^src - sign E_g^dst tau_g(W_k) of every odd generator g, by
+    `Mat2` products.  Each (g, cell, monomial) gives the row
+    {k: coefficient}, read through the Fraction view `Poly.terms`.
+    """
+    nv = src.nvars
+    alg = src.algebra
+    zero = Poly.zero(nv)
+    defects = []
+    for rc in entries:
+        for mu in monomials(nv, bound):
+            w = Mat2(
+                tuple(
+                    tuple(Poly(nv, {mu: 1}) if (r, c) == rc else zero for c in range(2))
+                    for r in range(2)
+                )
+            )
+            defects.append([
+                w * e_src - sign * (dst.E(row, col) * w.shifted(alg.weight_shift(Root(row, col))))
+                for (row, col), e_src in src.odd
+            ])
+    rows = []
+    for g in range(len(src.odd)):
+        for cell in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            by_exp = {}
+            for k, per_gen in enumerate(defects):
+                for exps, coeff in per_gen[g][cell].terms.items():
+                    by_exp.setdefault(exps, {})[k] = coeff
+            rows.extend(by_exp.values())
+    return rows
+
+
+def rref_oracle(rows, ncols):
+    """The nonzero rows of sympy's reduced row echelon form of the sparse rows."""
+    if not rows:
+        return ()
+    dense = [[sympy.QQ(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    reduced, _ = DomainMatrix(dense, (len(rows), ncols), sympy.QQ).rref()
+    return tuple(tuple(row) for row in reduced.to_Matrix().tolist() if any(row))
 
 
 # -- brute-force evaluation witness ----------------------------------------------------

@@ -34,10 +34,16 @@ from uhfree.presentation import (
     make_presentation,
     odd_positions,
     presentation_from_json,
-    presentation_to_json,
 )
 
-from .helpers import build_mas_bar, family_entries, in_layer, scaled_conjugates, time_limit
+from .helpers import (
+    build_mas_bar,
+    family_entries,
+    in_layer,
+    presentation_to_json,
+    scaled_conjugates,
+    time_limit,
+)
 
 H = Poly.var(1, 0)
 DATA = Path(__file__).parent / "data"

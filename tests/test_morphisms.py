@@ -1,13 +1,22 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 import sympy
 
 from uhfree import morphisms
-from uhfree.poly import Poly, apply_shift, compose_univariate, default_names
+from uhfree.poly import (
+    DEGREE_LIMIT,
+    Poly,
+    PolyError,
+    apply_shift,
+    compose_univariate,
+    default_names,
+    monomials,
+)
 from uhfree.presentation import (
     InvariantBreach,
     Mat2,
@@ -17,6 +26,8 @@ from uhfree.presentation import (
     make_presentation,
 )
 from uhfree.morphisms import (
+    ENTRIES,
+    SYSTEMS,
     MorphismError,
     _nullspace,
     check_filtration_budget,
@@ -39,6 +50,7 @@ from .helpers import (
     random_nonzero_fraction,
     random_unimodular,
 )
+from .oracles import hom_rows_oracle, rref_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,10 +69,11 @@ def span_matches(sols, expected):
     return True
 
 
-def _random_system(rng, nrows, ncols):
+def _random_system(rng, nrows, ncols, draw=random_nonzero_fraction):
     """Sparse rational rows: fresh ones (at most a random cap of them, so
     tall systems keep a kernel too), combinations of earlier ones, zero
-    rows and empty rows."""
+    rows and empty rows.  draw(rng, 5) gives each fresh entry, draw(rng,
+    4) each factor of a combination."""
     cap = rng.randint(0, min(nrows, ncols))
     rows, fresh = [], 0
     for _ in range(nrows):
@@ -72,10 +85,10 @@ def _random_system(rng, nrows, ncols):
         elif fresh < cap and (kind < 0.7 or len(rows) < 2):
             fresh += 1
             cols = rng.sample(range(ncols), rng.randint(1, min(ncols, 6)))
-            rows.append({c: random_nonzero_fraction(rng, 5) for c in cols})
+            rows.append({c: draw(rng, 5) for c in cols})
         elif len(rows) >= 2:
             r1, r2 = rng.sample(rows, 2)
-            f1, f2 = random_nonzero_fraction(rng), random_nonzero_fraction(rng)
+            f1, f2 = draw(rng, 4), draw(rng, 4)
             cols = set(r1) | set(r2)
             rows.append({c: f1 * r1.get(c, 0) + f2 * r2.get(c, 0) for c in cols})
         else:
@@ -109,6 +122,33 @@ class TestNullspace:
         _nullspace(rows, 10)
         assert rows == before
 
+    @pytest.mark.parametrize("nrows,ncols", [(3, 5), (8, 8), (12, 20), (20, 12), (25, 25)])
+    def test_thirty_digit_entries_match_sympy_vector_for_vector(self, rng, nrows, ncols):
+        # fraction-free elimination multiplies rows by pivots; with 30-digit
+        # numerators and denominators the basis must still be exact
+        def draw(rng, _):
+            num = rng.randrange(10**29, 10**30) * rng.choice((1, -1))
+            return Fraction(num, rng.randrange(10**29, 10**30))
+
+        biggest = 0
+        for _ in range(4):
+            rows = _random_system(rng, nrows, ncols, draw)
+            biggest = max([biggest] + [abs(x.numerator) for r in rows for x in r.values()])
+            want = _sympy_nullspace(rows, ncols)
+            assert _nullspace(rows, ncols) == want
+            rng.shuffle(rows)
+            assert _nullspace(rows, ncols) == want
+        assert biggest > 10**29
+
+    def test_integer_and_fraction_rows_agree(self, rng):
+        # each row times a common multiple of its denominators, not the least
+        rows = _random_system(rng, 15, 12)
+        scaled = []
+        for r in rows:
+            den = rng.choice((-6, 1, 35)) * lcm(*(x.denominator for x in r.values()))
+            scaled.append({c: int(x * den) for c, x in r.items()})
+        assert _nullspace(scaled, 12) == _nullspace(rows, 12)
+
 
 def test_every_hom_basis_matches_its_digest():
     # sha256 of the solve_hom output, one JSON line [parity, to_strings(W)]
@@ -138,6 +178,68 @@ def test_every_hom_basis_matches_its_digest():
     assert any(s.parity == "odd" for s in solve_hom(
         presentations[2]["plain"], presentations[2]["bar"], 1, "M11"
     ))
+
+
+def _hom_inputs(m):
+    """Graded and ungraded presentations over sl(m|1), keyed by name.
+
+    plain, bar and other are graded; poly and other_poly are polynomial
+    conjugates.  other is not isomorphic to plain or bar in any category.
+    """
+    a = (Fraction(2), Fraction(-1, 3), Fraction(5))[:m]
+    other_a = (Fraction(1, 2), Fraction(3), Fraction(-2))[:m]
+    twist = Mat2.of(m, ((1, Poly.var(m, 0)), (0, 1)))
+    plain = build_mas(m, a, (1,))
+    other = build_mas(m, other_a, ())
+    return {
+        "plain": plain,
+        "bar": build_mas_bar(m, a, (1,)),
+        "poly": conjugate(plain, twist),
+        "other": other,
+        "other_poly": conjugate(other, twist.inverse_unimodular()),
+    }
+
+
+GRADED_PAIRS = [("plain", "plain"), ("bar", "bar"), ("plain", "bar"), ("bar", "other"), ("other", "plain")]
+UNGRADED_PAIRS = [("poly", "poly"), ("poly", "plain"), ("other_poly", "poly"), ("bar", "other_poly")]
+
+
+class TestHomRowsAgainstOracle:
+    """The two-block integer rows span the row space of the whole per-unknown defects."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3])
+    def test_same_rref_as_the_mat2_defects(self, m, bound):
+        ps = _hom_inputs(m)
+        monos = list(monomials(ps["plain"].nvars, bound))
+        cases = [(pair, system) for pair in GRADED_PAIRS for cats in ("M2", "M11") for system in SYSTEMS[cats]]
+        cases += [(pair, system) for pair in UNGRADED_PAIRS for system in SYSTEMS["M2"]]
+        assert {system for _, system in cases} == {s for systems in SYSTEMS.values() for s in systems}
+        for (src, dst), (entries, sign, _) in cases:
+            ncols = len(entries) * len(monos)
+            got = morphisms._hom_rows(ps[src], ps[dst], monos, entries, sign)
+            assert all(type(x) is int and x for row in got for x in row.values())
+            want = hom_rows_oracle(ps[src], ps[dst], bound, entries, sign)
+            assert rref_oracle(got, ncols) == rref_oracle(want, ncols), (src, dst, entries)
+
+    def test_products_at_the_degree_limit(self):
+        # sl(1|1) with an entry of degree 2^15 - 2: at bound 1 the products
+        # reach degree 2^15 - 1 and the rows still match the oracle's; at
+        # bound 2 a product would pass the limit and is refused
+        nv = 1
+        top = Poly(nv, {(DEGREE_LIMIT - 2,): 1})
+        p = make_presentation(1, 1, {
+            (0, 1): Mat2.of(nv, ((0, top), (0, 0))),
+            (1, 0): Mat2.of(nv, ((0, 0), (1, 0))),
+        })
+        monos = list(monomials(nv, 1))
+        got = morphisms._hom_rows(p, p, monos, ENTRIES, 1)
+        want = hom_rows_oracle(p, p, 1, ENTRIES, 1)
+        assert rref_oracle(got, 8) == rref_oracle(want, 8)
+        sols = solve_hom(p, p, 1)
+        assert max(e.total_degree() for s in sols for row in s.w.rows for e in row) <= 1
+        with pytest.raises(PolyError, match="total degree 32768 is over the limit"):
+            solve_hom(p, p, 2)
 
 
 class TestSolveHom:

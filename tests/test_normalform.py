@@ -14,7 +14,6 @@ from uhfree.presentation import (
     build_mas,
     conjugate,
     make_presentation,
-    presentation_to_json,
     verify_relations,
 )
 from uhfree.normalform import (
@@ -36,6 +35,7 @@ from uhfree.superlie import Root, algebra
 
 from .helpers import (
     build_mas_bar,
+    presentation_to_json,
     random_nonzero_fraction,
     random_poly,
     random_unimodular,

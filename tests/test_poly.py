@@ -18,6 +18,7 @@ from uhfree.poly import (
     default_names,
     divides_exactly,
     format_poly,
+    integer_rows,
     monomials,
     parse_poly,
     poly_gcd,
@@ -30,6 +31,7 @@ from .oracles import (
     format_oracle,
     from_sympy,
     gcd_oracle,
+    integer_rows_oracle,
     shift_oracle,
     specialize_oracle,
     sympy_text,
@@ -882,3 +884,46 @@ class TestMonomials:
             got = list(monomials(nvars, d))
             assert got == want
             assert len(set(got)) == len(got) == comb(d + nvars, nvars)
+
+
+@st.composite
+def row_parts(draw):
+    """(nvars, parts) for integer_rows: columns that repeat, mixed
+    denominators, and parts followed by their negatives, so that entries
+    and whole rows cancel."""
+    nvars = draw(st.integers(1, 3))
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            exps = tuple(draw(st.integers(0, 3)) for _ in range(nvars))
+            den = draw(st.sampled_from((1, 2, 3, 4, 6, 9, 10, 7 * 11 * 13)))
+            terms[exps] = Fraction(draw(st.integers(-9, 9)), den)
+        k, p = draw(st.integers(0, 3)), Poly(nvars, terms)
+        parts.append((k, p))
+        if draw(st.booleans()):
+            parts.append((k, -p))
+    return nvars, parts
+
+
+class TestIntegerRows:
+    @settings(max_examples=150, deadline=None)
+    @given(row_parts())
+    def test_matches_sympy(self, case):
+        nvars, parts = case
+        symbols = sympy.symbols(f"h1:{nvars + 1}")
+        got = sorted(sorted(row.items()) for row in integer_rows(parts))
+        assert got == integer_rows_oracle(parts, symbols)
+
+    def test_parts_that_cancel_leave_no_row(self):
+        p = P("1/2*h1^2 - 3*h2 + 5/6")
+        q = P("h1^2 + 1/3")
+        assert integer_rows([(0, p), (1, q), (0, -p), (1, -q)]) == []
+        # column 0 cancels from every row; the others stay, over the lcm 6
+        rows = integer_rows([(0, p), (2, H2), (0, -p), (1, q)])
+        assert sorted(sorted(r.items()) for r in rows) == [[(1, 2)], [(1, 6)], [(2, 6)]]
+
+    def test_one_denominator_for_the_block(self):
+        # every row of a block is scaled by the same lcm, here 6
+        rows = integer_rows([(0, P("1/2*h1 + 1/3")), (1, P("h1"))])
+        assert sorted(sorted(r.items()) for r in rows) == [[(0, 2)], [(0, 3), (1, 6)]]

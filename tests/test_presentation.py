@@ -23,14 +23,19 @@ from uhfree.presentation import (
     pointwise_check,
     presentation_from_json,
     presentation_to_dict,
-    presentation_to_json,
     twisted_bracket,
     verify_relations,
 )
 from uhfree.normalform import verified_report
 from uhfree.superlie import Cartan, Root, algebra
 
-from .helpers import build_mas_bar, random_nonzero_fraction, random_poly, random_unimodular
+from .helpers import (
+    build_mas_bar,
+    presentation_to_json,
+    random_nonzero_fraction,
+    random_poly,
+    random_unimodular,
+)
 from .oracles import all_pairs_report
 
 H = Poly.var(1, 0)
