@@ -365,46 +365,67 @@ def iso_test(
 # -- endomorphism rings and idempotents ---------------------------------------------
 
 
-def _family_frame(p: Presentation) -> tuple[Mat2, int]:
-    """Classification witness W of p and the offset d of its family diagonal.
+class _Frame(NamedTuple):
+    """The classification witness W of p, its inverse, and the diagonal
+    D_X = diag(c + d, c) of the family form, c = h_1 + ... + h_m."""
+
+    w: Mat2
+    winv: Mat2
+    upper: Poly
+    lower: Poly
+
+    def diagonal(self, f: Poly) -> Mat2:
+        """D_F = diag(F(c + d), F(c))."""
+        return _diagonal(compose_univariate(f, self.upper), compose_univariate(f, self.lower))
+
+
+def _diagonal(upper: Poly, lower: Poly) -> Mat2:
+    z = Poly.zero(upper.nvars)
+    return Mat2(((upper, z), (z, lower)))
+
+
+def _family_frame(p: Presentation) -> _Frame:
+    """The frame of p, made once per presentation and kept with its verdict.
 
     d = m - 1 for M(a, S) and d = -(m - 1) for Mbar(a, S); the
-    endomorphisms of p are W D_F W^{-1} and its submodules W image(D_F),
-    with D_F from `_family_diagonal`.
+    endomorphisms of p are W D_F W^{-1} and its submodules W image(D_F).
     """
-    if p.n != 1:
-        raise MorphismError("endomorphisms and submodules are described over sl(m|1) only")
-    params, w = classified_sl_m1(p)
-    return w, -(p.m - 1) if params.bar else p.m - 1
-
-
-def _family_diagonal(p: Presentation, f: Poly, offset: int) -> Mat2:
-    """D_F = diag(F(c + offset), F(c)) over p's variables, c = h_1 + ... + h_m."""
-    nv = p.nvars
-    c = sum((Poly.var(nv, j) for j in range(p.m)), Poly.zero(nv))
-    z = Poly.zero(nv)
-    return Mat2(((compose_univariate(f, c + offset), z), (z, compose_univariate(f, c))))
+    frame = p._memo.get("frame")
+    if frame is None:
+        if p.n != 1:
+            raise MorphismError("endomorphisms and submodules are described over sl(m|1) only")
+        params, w = classified_sl_m1(p)
+        nv = p.nvars
+        c = sum((Poly.var(nv, j) for j in range(p.m)), Poly.zero(nv))
+        d = -(p.m - 1) if params.bar else p.m - 1
+        frame = p._memo["frame"] = _Frame(w, w.inverse_unimodular(), c + d, c)
+    return frame
 
 
 def endo_ring_basis(p: Presentation, degree_bound: int) -> list[Mat2]:
     """Basis W D_F W^{-1}, F = X^k, k <= degree_bound.
 
     W and d come from the classification of p (see _family_frame), so
-    every basis element is an endomorphism of p.
+    every basis element is an endomorphism of p.  The powers of c + d and
+    c are running products.
     """
-    frame, offset = _family_frame(p)
-    finv = frame.inverse_unimodular()
-    x = Poly.var(1, 0)
-    return [frame * _family_diagonal(p, x**k, offset) * finv for k in range(degree_bound + 1)]
+    frame = _family_frame(p)
+    upper = lower = Poly.one(p.nvars)
+    basis = []
+    for k in range(degree_bound + 1):
+        if k:
+            upper, lower = upper * frame.upper, lower * frame.lower
+        basis.append(frame.w * _diagonal(upper, lower) * frame.winv)
+    return basis
 
 
 def endo_f_polynomial(p: Presentation, w: Mat2) -> Poly:
     """Extract F with w = W D_F W^{-1}; breach if w is not of that shape."""
-    frame, offset = _family_frame(p)
-    v = frame.inverse_unimodular() * w * frame
+    frame = _family_frame(p)
+    v = frame.winv * w * frame.w
     # F(c) with h_1 = X and every other variable at 0 is F(X)
     f = v[1, 1].specialize([None] + [0] * (p.nvars - 1))
-    if v != _family_diagonal(p, f, offset):
+    if v != frame.diagonal(f):
         raise InvariantBreach("endomorphism is not W diag(F(c+d), F(c)) W^-1")
     return f
 
@@ -479,15 +500,14 @@ def filtration_separators(p: Presentation, chain: Sequence[Poly]) -> list[Mat2]:
     of F_{r+1} exactly when F_{r+1}(c + d) divides F_r(c + d), so that
     division is the strictness check.
     """
-    frame, offset = _family_frame(p)
-    shifted_c = _family_diagonal(p, Poly.var(1, 0), offset)[0, 0]  # D_X = diag(c + d, c)
-    uppers = [compose_univariate(f, shifted_c) for f in chain]
+    frame = _family_frame(p)
+    uppers = [compose_univariate(f, frame.upper) for f in chain]
     zero = Poly.zero(p.nvars)
     seps = []
     for r in range(len(chain) - 1):
         if divides_exactly(uppers[r + 1], uppers[r]) is not None:
             raise InvariantBreach("filtration step is not strict")
-        seps.append(frame * Mat2.column(uppers[r], zero))
+        seps.append(frame.w * Mat2.column(uppers[r], zero))
     return seps
 
 

@@ -91,10 +91,29 @@ def nil_factor(p: Mat2, tau: tuple[int, ...]) -> NilParams:
     The pair (alpha, beta) is primitive (gcd 1) with the first nonzero
     entry normalized monic; theta absorbs the remaining unit.  The zero
     matrix returns (0, 1, 0).
+
+    The twisted square is tested only if the factorization fails, which
+    gives the same outcome as testing it first.  Lemma: a factorization
+    that passes its final check theta K = P proves P tau^{-1}(P) = 0.
+    K = tau(k) r with the column k = (alpha, beta) and the row
+    r = (beta, -alpha), so r k = 0 and K tau^{-1}(K) = tau(k) (r k)
+    tau^{-1}(r) = 0; theta is a scalar, so P tau^{-1}(P) =
+    theta tau^{-1}(theta) K tau^{-1}(K) = 0.
     """
-    nv = p.nvars
+    try:
+        return _factor_nil(p, tau)
+    except Exception:
+        _check_twisted_square(p, tau)
+        raise
+
+
+def _check_twisted_square(p: Mat2, tau: tuple[int, ...]) -> None:
     if not (p * p.shifted(_inverse(tau))).is_zero:
         raise ClassificationError("matrix does not satisfy the twisted square identity")
+
+
+def _factor_nil(p: Mat2, tau: tuple[int, ...]) -> NilParams:
+    nv = p.nvars
     if p.is_zero:
         return NilParams(Poly.zero(nv), Poly.one(nv), Poly.zero(nv))
     row = p.rows[0] if not (p[0, 0].is_zero and p[0, 1].is_zero) else p.rows[1]
@@ -116,7 +135,7 @@ def nil_factor(p: Mat2, tau: tuple[int, ...]) -> NilParams:
                 break
         if theta is not None:
             break
-    if theta is None or reconstruct_nil(NilParams(theta, alpha, beta), tau) != p:
+    if theta is None or kmat * theta != p:
         raise InvariantBreach("matrix is not of the factored form")
     return NilParams(theta, alpha, beta)
 
@@ -127,17 +146,9 @@ def nil_factor(p: Mat2, tau: tuple[int, ...]) -> NilParams:
 def _check_pair_identities(p: Mat2, q: Mat2, sigma: tuple[int, ...], a: Poly):
     """P sigma(Q) + Q sigma^{-1}(P) = a I_2.  The twisted squares are zero
     for a strictly triangular pair under any twist, and `nil_factor` tests
-    them on every other pair."""
+    them on every other pair whose factorization fails."""
     if p * q.shifted(sigma) + q * p.shifted(_inverse(sigma)) != Mat2.scalar(a):
         raise ClassificationError("pair does not satisfy the scalar anticommutator identity")
-
-
-def apply_witness_pair(
-    p: Mat2, q: Mat2, sigma: tuple[int, ...], w: Mat2
-) -> tuple[Mat2, Mat2]:
-    """The twisted conjugation action of a witness on a (P, Q) pair."""
-    winv = w.inverse_unimodular()
-    return winv * p * w.shifted(sigma), winv * q * w.shifted(_inverse(sigma))
 
 
 def canonicalize_pair(
@@ -148,24 +159,43 @@ def canonicalize_pair(
     sigma is the weight shift of the generator acting by P (so the
     identities are P sigma(P) = 0, Q sigma^{-1}(Q) = 0 and
     P sigma(Q) + Q sigma^{-1}(P) = a I_2).  Returns the canonical pair
-    ([0, u; 0, 0], [0, 0; v, 0]) and a witness W with
+    (P', Q') = ([0, u; 0, 0], [0, 0; v, 0]) and a witness W with
 
-        (canonical P, canonical Q) = (W^{-1} P sigma(W), W^{-1} Q sigma^{-1}(W)).
+        (P', Q') = (W^{-1} P sigma(W), W^{-1} Q sigma^{-1}(W)),
 
-    An already canonical pair passes through with the identity witness;
-    otherwise u is normalized monic, putting it in {c, c*h} shape for
-    the degree-one scalars that occur here.
+    checked as P sigma(W) = W P' and Q sigma^{-1}(W) = W Q', the same
+    equations since W is unimodular.  An already canonical pair passes
+    through with the identity witness; otherwise u is normalized monic,
+    putting it in {c, c*h} shape for the degree-one scalars that occur here.
+
+    The three identities are tested only if the construction raises
+    (anything): their ClassificationError, if they fail, replaces its
+    exception, which is the outcome of testing them first.  Lemma: a
+    construction that passes its final checks proves them.  Those checks
+    give P' and Q' as above with sigma^{-1}(u) v = a, and sigma(a) = a
+    was checked.  Then P' sigma(P') = Q' sigma^{-1}(Q') = 0 and
+    P' sigma(Q') + Q' sigma^{-1}(P') = diag(sigma(sigma^{-1}(u) v),
+    v sigma^{-1}(u)) = a I_2; twisted conjugation by the unimodular W
+    carries each identity to the same identity for (P, Q), as the scalar
+    a I_2 commutes with W.
     """
     nv = p.nvars
     if a.is_zero or a.total_degree() != 1:
         raise ClassificationError("the distinguished scalar must have degree one")
     if apply_shift(sigma, a) != a:
         raise ClassificationError("the distinguished scalar must be fixed by the twist")
-    _check_pair_identities(p, q, sigma, a)
-
     if p.is_strict_upper() and q.is_strict_lower():
+        _check_pair_identities(p, q, sigma, a)
         return (p, q), Mat2.identity(nv)
+    try:
+        return _construct_pair(p, q, sigma, a)
+    except Exception:
+        _check_pair_identities(p, q, sigma, a)
+        raise
 
+
+def _construct_pair(p: Mat2, q: Mat2, sigma: tuple[int, ...], a: Poly):
+    nv = p.nvars
     delta_map = _inverse(sigma)  # the untwist appearing in the factored forms
 
     def D(x: Poly) -> Poly:
@@ -192,7 +222,7 @@ def canonicalize_pair(
     v = v * (1 / lead)
     canon_p = Mat2.of(nv, ((0, u), (0, 0)))
     canon_q = Mat2.of(nv, ((Poly.zero(nv), 0), (v, 0)))
-    if apply_witness_pair(p, q, sigma, w) != (canon_p, canon_q):
+    if p * w.shifted(sigma) != w * canon_p or q * w.shifted(delta_map) != w * canon_q:
         raise InvariantBreach("canonicalizing witness failed to reproduce the normal form")
     if apply_shift(delta_map, u) * v != a:
         raise InvariantBreach("normal form does not satisfy the product identity")

@@ -833,98 +833,111 @@ def default_names(nvars: int, m: Optional[int] = None) -> tuple[str, ...]:
 # One token per match, after optional whitespace: an integer, a name, an
 # operator, or (group 4) any other character, which is an error.
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])|(\S))")
-_INT, _NAME, _OP, _BAD = 1, 2, 3, 4
+_BAD = 4
+_END = ("", "", "", "")  # the end of the text, read as "got ''"
 
 
-def _to_int(value: str, col: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise PolyParseError(f"integer has more than {limit} digits", col) from None
+@lru_cache(maxsize=64)
+def _name_index(names: tuple[str, ...]) -> dict[str, int]:
+    return {name: i for i, name in enumerate(names)}
+
+
+def _parse_error(text: str, message: str, pos: int) -> PolyParseError:
+    """The error at token pos of text, with its column, found by a second
+    scan; a character that starts no token is reported first, wherever it is."""
+    col = len(text) + 1
+    for k, match in enumerate(_TOKEN_RE.finditer(text)):
+        kind = match.lastindex
+        if kind == _BAD:
+            return PolyParseError(f"unexpected character {match.group(kind)!r}", match.start(kind) + 1)
+        if k == pos:
+            col = match.start(kind) + 1
+    return PolyParseError(message, col)
 
 
 def parse_poly(text: str, names: Sequence[str]) -> Poly:
     """Parse the polynomial grammar; variable names give the index map.
 
-    One `re.finditer` pass lists the (kind, text, column) tokens, and an
-    index loop over them reads the terms.  A character that starts no
-    token is reported before any grammar error.
+    One `re.findall` pass lists the tokens, each an (integer, name,
+    operator, other) tuple with one group set, and an index loop over
+    them reads the terms.  Only an error needs columns: `_parse_error`
+    scans again, so a character that starts no token is reported before
+    any grammar error.
     """
     nvars = len(names)
-    index = {name: i for i, name in enumerate(names)}
-    toks = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastindex
-        col = match.start(kind) + 1
-        if kind == _BAD:
-            raise PolyParseError(f"unexpected character {match.group(kind)!r}", col)
-        toks.append((kind, match.group(kind), col))
+    index = _name_index(tuple(names))
+    toks = _TOKEN_RE.findall(text)
     if not toks:
         raise PolyParseError("empty polynomial", 1)
     end = len(toks)
-    toks.append((0, "", len(text) + 1))  # the end of the text, read as "got ''"
+    toks.append(_END)
+
+    def got(pos: int) -> str:
+        return repr("".join(toks[pos]))
 
     def integer(pos: int) -> int:
-        kind, value, col = toks[pos]
-        if kind != _INT:
-            raise PolyParseError(f"expected integer, got {value!r}", col)
-        return _to_int(value, col)
+        digits = toks[pos][0]
+        if not digits:
+            raise _parse_error(text, f"expected integer, got {got(pos)}", pos)
+        try:
+            return int(digits)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise _parse_error(text, f"integer has more than {limit} digits", pos) from None
 
     # (key, numerator, denominator) of every term, summed at the end over
     # the lcm of the denominators
     top = nvars << 4
     terms = []
     pos, sign = 0, 1
-    if toks[0][1] in ("+", "-"):
-        pos, sign = 1, (-1 if toks[0][1] == "-" else 1)
+    if toks[0][2] in ("+", "-"):
+        pos, sign = 1, (-1 if toks[0][2] == "-" else 1)
     while True:
-        key, deg, den = 0, 0, 1
-        kind, value, start = toks[pos]
-        if kind == _INT:
-            coeff = sign * _to_int(value, start)
+        key, deg, den, start = 0, 0, 1, pos
+        if toks[pos][0]:
+            coeff = sign * integer(pos)
             pos += 1
-            if toks[pos][1] == "/":
+            if toks[pos][2] == "/":
                 den = integer(pos + 1)
                 if den < 1:
-                    raise PolyParseError("denominator must be positive", start)
+                    raise _parse_error(text, "denominator must be positive", start)
                 pos += 2
-            factor = toks[pos][1] == "*"
+            factor = toks[pos][2] == "*"
             pos += factor
-        elif kind == _NAME:
+        elif toks[pos][1]:
             coeff, factor = sign, True
         else:
-            raise PolyParseError(f"expected coefficient or variable, got {value!r}", start)
+            raise _parse_error(text, f"expected coefficient or variable, got {got(pos)}", pos)
         # a term that starts with a name starts with its first factor; every
         # other factor follows a "*"
         while factor:
-            kind, value, col = toks[pos]
-            if kind != _NAME:
-                raise PolyParseError(f"expected variable after '*', got {value!r}", col)
-            i = index.get(value)
+            name = toks[pos][1]
+            if not name:
+                raise _parse_error(text, f"expected variable after '*', got {got(pos)}", pos)
+            i = index.get(name)
             if i is None:
-                raise PolyParseError(f"unknown variable {value!r}", col)
+                raise _parse_error(text, f"unknown variable {name!r}", pos)
             power = 1
             pos += 1
-            if toks[pos][1] == "^":
+            if toks[pos][2] == "^":
                 power = integer(pos + 1)
                 if power < 1:
-                    raise PolyParseError("exponent must be positive", col)
+                    raise _parse_error(text, "exponent must be positive", pos - 1)
                 pos += 2
             # a field can overflow only when the degree is over the limit
             key += power << ((nvars - 1 - i) << 4)
             deg += power
-            factor = toks[pos][1] == "*"
+            factor = toks[pos][2] == "*"
             pos += factor
         if deg >= DEGREE_LIMIT:
-            raise PolyParseError(_OVER_LIMIT % deg, start)
+            raise _parse_error(text, _OVER_LIMIT % deg, start)
         terms.append((key + (deg << top), coeff, den))
         if pos == end:
             break
-        kind, value, col = toks[pos]
-        if kind != _OP or value not in ("+", "-"):
-            raise PolyParseError(f"expected '+' or '-', got {value!r}", col)
-        pos, sign = pos + 1, (-1 if value == "-" else 1)
+        op = toks[pos][2]
+        if op not in ("+", "-"):
+            raise _parse_error(text, f"expected '+' or '-', got {got(pos)}", pos)
+        pos, sign = pos + 1, (-1 if op == "-" else 1)
     den = lcm(*(d for _, _, d in terms))
     acc: dict[int, int] = {}
     for key, n, d in terms:

@@ -251,7 +251,8 @@ class Presentation:
 
     # _lookup: action matrices by (row, col), the odd ones, then each even one
     # derive_even makes; _memo["verdict"]: the one record normalform keeps, the
-    # report with (params, W) or the refusal
+    # report with (params, W) or the refusal; _memo["frame"]: morphisms' W,
+    # W^{-1} and family diagonal
     __slots__ = ("m", "n", "grading", "odd", "_lookup", "_memo")
 
     def __init__(self, m: int, n: int, grading: str, odd: tuple):

@@ -17,6 +17,13 @@ def build_mas_bar(m, a, s):
     return conjugate(build_mas(m, a, s), Mat2.swap(m))
 
 
+def apply_witness_pair(p, q, sigma, w):
+    """The twisted conjugation action (W^{-1} P sigma(W), W^{-1} Q sigma^{-1}(W))
+    of a witness on a (P, Q) pair."""
+    winv = w.inverse_unimodular()
+    return winv * p * w.shifted(sigma), winv * q * w.shifted(tuple(-x for x in sigma))
+
+
 def presentation_to_json(p):
     """The presentation file text of p, as `presentation_from_json` reads it."""
     return dump_json(presentation_to_dict(p))

@@ -6,18 +6,34 @@ Lie-superalgebra structure constants through a from-scratch supermatrix
 commutator that shares no code with the package; relation checks
 through the loop over every pair of root vectors; the hom system
 through the whole `Mat2` defect of each unknown, with sympy's RREF as
-the judge of row spaces; and the emptiness evaluation witness through
-an exhaustive scan of its grid.
+the judge of row spaces; the emptiness evaluation witness through
+an exhaustive scan of its grid; and the classifier's pair steps through
+their eager order, every precondition tested before the construction;
+and the polynomial parser through its former one-pass tokenizer, which
+finds every column up front.
 """
 
 import itertools
+import re
+import sys
 from fractions import Fraction
+from math import lcm
 
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from uhfree.poly import Poly, monomials
-from uhfree.presentation import Mat2, RelationReport, Violation
+from uhfree.normalform import ClassificationError, NilParams, reconstruct_nil
+from uhfree.poly import (
+    DEGREE_LIMIT,
+    _OVER_LIMIT,
+    Poly,
+    PolyParseError,
+    apply_shift,
+    divides_exactly,
+    monomials,
+    poly_gcd,
+)
+from uhfree.presentation import InvariantBreach, Mat2, RelationReport, Violation
 from uhfree.superlie import Cartan, Root
 
 
@@ -265,3 +281,181 @@ def eval_witness_oracle(ring, a, b):
                         "rhs": str(rhs),
                     }
     return None
+
+
+# -- the classifier's pair steps, preconditions first ---------------------------------
+
+
+def eager_nil_factor(p: Mat2, tau):
+    """`nil_factor` with the twisted square tested before the factorization."""
+    nv = p.nvars
+    if not (p * p.shifted(tuple(-x for x in tau))).is_zero:
+        raise ClassificationError("matrix does not satisfy the twisted square identity")
+    if p.is_zero:
+        return NilParams(Poly.zero(nv), Poly.one(nv), Poly.zero(nv))
+    row = p.rows[0] if not (p[0, 0].is_zero and p[0, 1].is_zero) else p.rows[1]
+    alpha, beta = row[1], -row[0]
+    g = poly_gcd(alpha, beta)
+    alpha = divides_exactly(g, alpha)
+    beta = divides_exactly(g, beta)
+    if alpha is None or beta is None:
+        raise InvariantBreach("kernel gcd does not divide the kernel vector")
+    lead = (alpha if not alpha.is_zero else beta).leading_coeff()
+    alpha = alpha * (1 / lead)
+    beta = beta * (1 / lead)
+    kmat = reconstruct_nil(NilParams(Poly.one(nv), alpha, beta), tau)
+    theta = None
+    for r in range(2):
+        for c in range(2):
+            if not kmat[r, c].is_zero:
+                theta = divides_exactly(kmat[r, c], p[r, c])
+                break
+        if theta is not None:
+            break
+    if theta is None or reconstruct_nil(NilParams(theta, alpha, beta), tau) != p:
+        raise InvariantBreach("matrix is not of the factored form")
+    return NilParams(theta, alpha, beta)
+
+
+def eager_canonicalize_pair(p: Mat2, q: Mat2, sigma, a: Poly):
+    """`canonicalize_pair` with the three pair identities tested first and
+    the witness checked through W^{-1}."""
+    nv = p.nvars
+    inv = tuple(-x for x in sigma)
+    if a.is_zero or a.total_degree() != 1:
+        raise ClassificationError("the distinguished scalar must have degree one")
+    if apply_shift(sigma, a) != a:
+        raise ClassificationError("the distinguished scalar must be fixed by the twist")
+    if p * q.shifted(sigma) + q * p.shifted(inv) != Mat2.scalar(a):
+        raise ClassificationError("pair does not satisfy the scalar anticommutator identity")
+    if p.is_strict_upper() and q.is_strict_lower():
+        return (p, q), Mat2.identity(nv)
+
+    def D(x):
+        return apply_shift(inv, x)
+
+    def Dinv(x):
+        return apply_shift(sigma, x)
+
+    theta, alpha, beta = eager_nil_factor(p, inv)
+    omega, dgam, ggam = eager_nil_factor(q, sigma)
+    cval = (D(alpha) * Dinv(ggam) - Dinv(dgam) * D(beta)).constant_value()
+    if cval is None or cval == 0:
+        raise InvariantBreach("pivot scalar is not a nonzero constant")
+    w = Mat2(((Dinv(ggam), -Dinv(dgam)), (D(beta), -D(alpha)))).inverse_unimodular()
+    u = cval * theta
+    v = -cval * omega
+    lead = 1 / u.leading_coeff()
+    w = w * Mat2.of(nv, ((1, 0), (0, lead)))
+    u = u * lead
+    v = v * (1 / lead)
+    canon_p = Mat2.of(nv, ((0, u), (0, 0)))
+    canon_q = Mat2.of(nv, ((Poly.zero(nv), 0), (v, 0)))
+    winv = w.inverse_unimodular()
+    if (winv * p * w.shifted(sigma), winv * q * w.shifted(inv)) != (canon_p, canon_q):
+        raise InvariantBreach("canonicalizing witness failed to reproduce the normal form")
+    if apply_shift(inv, u) * v != a:
+        raise InvariantBreach("normal form does not satisfy the product identity")
+    return (canon_p, canon_q), w
+
+
+# -- the polynomial grammar, columns found while tokenizing ---------------------------
+
+# One token per match, after optional whitespace: an integer, a name, an
+# operator, or (group 4) any other character, which is an error.
+_TOKEN_ORACLE_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])|(\S))")
+_INT, _NAME, _OP, _BAD = 1, 2, 3, 4
+
+
+def _to_int(value: str, col: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise PolyParseError(f"integer has more than {limit} digits", col) from None
+
+
+def parse_poly_oracle(text: str, names) -> Poly:
+    """`parse_poly` as one `re.finditer` pass that lists (kind, text,
+    column) tokens, every column found up front, then an index loop over
+    them.  A character that starts no token is reported before any
+    grammar error."""
+    nvars = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    toks = []
+    for match in _TOKEN_ORACLE_RE.finditer(text):
+        kind = match.lastindex
+        col = match.start(kind) + 1
+        if kind == _BAD:
+            raise PolyParseError(f"unexpected character {match.group(kind)!r}", col)
+        toks.append((kind, match.group(kind), col))
+    if not toks:
+        raise PolyParseError("empty polynomial", 1)
+    end = len(toks)
+    toks.append((0, "", len(text) + 1))  # the end of the text, read as "got ''"
+
+    def integer(pos: int) -> int:
+        kind, value, col = toks[pos]
+        if kind != _INT:
+            raise PolyParseError(f"expected integer, got {value!r}", col)
+        return _to_int(value, col)
+
+    # (key, numerator, denominator) of every term, summed at the end over
+    # the lcm of the denominators
+    top = nvars << 4
+    terms = []
+    pos, sign = 0, 1
+    if toks[0][1] in ("+", "-"):
+        pos, sign = 1, (-1 if toks[0][1] == "-" else 1)
+    while True:
+        key, deg, den = 0, 0, 1
+        kind, value, start = toks[pos]
+        if kind == _INT:
+            coeff = sign * _to_int(value, start)
+            pos += 1
+            if toks[pos][1] == "/":
+                den = integer(pos + 1)
+                if den < 1:
+                    raise PolyParseError("denominator must be positive", start)
+                pos += 2
+            factor = toks[pos][1] == "*"
+            pos += factor
+        elif kind == _NAME:
+            coeff, factor = sign, True
+        else:
+            raise PolyParseError(f"expected coefficient or variable, got {value!r}", start)
+        # a term that starts with a name starts with its first factor; every
+        # other factor follows a "*"
+        while factor:
+            kind, value, col = toks[pos]
+            if kind != _NAME:
+                raise PolyParseError(f"expected variable after '*', got {value!r}", col)
+            i = index.get(value)
+            if i is None:
+                raise PolyParseError(f"unknown variable {value!r}", col)
+            power = 1
+            pos += 1
+            if toks[pos][1] == "^":
+                power = integer(pos + 1)
+                if power < 1:
+                    raise PolyParseError("exponent must be positive", col)
+                pos += 2
+            # a field can overflow only when the degree is over the limit
+            key += power << ((nvars - 1 - i) << 4)
+            deg += power
+            factor = toks[pos][1] == "*"
+            pos += factor
+        if deg >= DEGREE_LIMIT:
+            raise PolyParseError(_OVER_LIMIT % deg, start)
+        terms.append((key + (deg << top), coeff, den))
+        if pos == end:
+            break
+        kind, value, col = toks[pos]
+        if kind != _OP or value not in ("+", "-"):
+            raise PolyParseError(f"expected '+' or '-', got {value!r}", col)
+        pos, sign = pos + 1, (-1 if value == "-" else 1)
+    den = lcm(*(d for _, _, d in terms))
+    acc: dict[int, int] = {}
+    for key, n, d in terms:
+        acc[key] = acc.get(key, 0) + n * (den // d)
+    return Poly._reduced(nvars, {key: n for key, n in acc.items() if n}, den)

@@ -23,7 +23,6 @@ from uhfree.presentation import (
 )
 from uhfree.normalform import (
     NilParams,
-    apply_witness_pair,
     classify_sl11,
     classify_sl_m1,
     nil_factor,
@@ -46,6 +45,7 @@ from uhfree.emptiness import emptiness_certificate, verify_certificate
 from uhfree.superlie import algebra
 
 from .helpers import (
+    apply_witness_pair,
     build_mas_bar,
     in_layer,
     random_nonzero_fraction,

@@ -21,7 +21,6 @@ from uhfree.normalform import (
     ClassificationError,
     NilParams,
     Sl11Class,
-    apply_witness_pair,
     canonicalize_pair,
     classified_sl_m1,
     classify_sl11,
@@ -33,7 +32,9 @@ from uhfree.normalform import (
 from uhfree.morphisms import check_intertwiner, iso_test
 from uhfree.superlie import Root, algebra
 
+from .oracles import eager_canonicalize_pair, eager_nil_factor
 from .helpers import (
+    apply_witness_pair,
     build_mas_bar,
     presentation_to_json,
     random_nonzero_fraction,
@@ -175,6 +176,114 @@ class TestCanonicalizePair:
         # h1 -> h1 - 1 moves the scalar h1
         with pytest.raises(ClassificationError, match="fixed by the twist"):
             canonicalize_pair(CLASS1[0], CLASS1[1], (1,), H)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def distinguished_pair(mats, m):
+    """The (m, b1) pair of an sl(m|1) tuple, with its twist and scalar h_m."""
+    sigma = algebra(m, 1).weight_shift(Root(m - 1, m))
+    return mats[m - 1, m], mats[m, m - 1], sigma, Poly.var(m, m - 1)
+
+
+def assert_eager_outcome(p, q, sigma, a):
+    """canonicalize_pair and the nil_factor calls it makes agree with the eager order."""
+    assert outcome(canonicalize_pair, p, q, sigma, a) == outcome(
+        eager_canonicalize_pair, p, q, sigma, a
+    )
+    inv = tuple(-x for x in sigma)
+    for mat, tau in ((p, inv), (q, sigma)):
+        assert outcome(nil_factor, mat, tau) == outcome(eager_nil_factor, mat, tau)
+
+
+class TestDeferredPreconditions:
+    """The pair identities are tested only when the construction fails; every
+    input keeps the result or exception of the eager order (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_scaled_conjugates(self, m):
+        for _, mats in scaled_conjugates(m):
+            assert_eager_outcome(*distinguished_pair(mats, m))
+            p = make_presentation(m, 1, mats)
+            got = outcome(classify_sl_m1, p)
+            with mock.patch.object(normalform, "canonicalize_pair", eager_canonicalize_pair):
+                assert outcome(classify_sl_m1, make_presentation(m, 1, mats)) == got
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 5), st.randoms(use_true_random=False))
+    def test_perturbed_conjugates(self, m, kind, rng):
+        a = tuple(random_nonzero_fraction(rng) for _ in range(m))
+        s = [i for i in range(1, m + 1) if rng.random() < 0.5]
+        mats = dict(conjugate(build_mas(m, a, s), random_unimodular(rng, m)).odd)
+        p, q, sigma, hm = distinguished_pair(mats, m)
+        if kind == 0:  # one entry of P or Q plus a random polynomial
+            bump = [[Poly.zero(m)] * 2 for _ in range(2)]
+            bump[rng.randrange(2)][rng.randrange(2)] = random_poly(rng, m, 2)
+            if rng.random() < 0.5:
+                p = p + Mat2(bump)
+            else:
+                q = q + Mat2(bump)
+        elif kind == 1:  # P scaled: the twisted squares hold, the anticommutator fails
+            p = p * random_nonzero_fraction(rng)
+        elif kind == 2:  # Q times h_m
+            q = q * hm
+        elif kind == 3:  # the pair swapped
+            p, q = q, p
+        elif kind == 4:  # the wrong scalar
+            hm = hm * 2
+        # kind 5 keeps the module's own pair
+        assert_eager_outcome(p, q, sigma, hm)
+
+    def test_zero_p_with_a_non_triangular_q(self):
+        z = Poly.zero(1)
+        for q in (
+            Mat2(((H, Poly.one(1)), (-(H * H), -H))),
+            Mat2(((H, Poly.one(1)), (z, z))),
+            Mat2.identity(1),
+        ):
+            assert_eager_outcome(Mat2.zero(1), q, ID1, H)
+            with pytest.raises(ClassificationError, match="anticommutator"):
+                canonicalize_pair(Mat2.zero(1), q, ID1, H)
+
+    def test_non_nilpotent_p(self):
+        for p, q in (
+            (Mat2.identity(1), Mat2.scalar(H * Fraction(1, 2))),
+            (Mat2.of(1, ((1, 0), (0, 0))), CLASS1[1]),
+            (Mat2.of(1, ((1, 1), (0, 1))), CLASS2[1]),
+        ):
+            assert_eager_outcome(p, q, ID1, H)
+        with pytest.raises(ClassificationError, match="twisted square"):
+            canonicalize_pair(Mat2.identity(1), Mat2.scalar(H * Fraction(1, 2)), ID1, H)
+
+    def test_nilpotent_pair_failing_the_anticommutator(self):
+        w0 = Mat2.of(1, ((1, H * H), (0, 1)))
+        conj = [w0 * x * w0.inverse_unimodular() for x in CLASS2]
+        for p, q in (
+            (CLASS1[0], 2 * CLASS1[1]),
+            (CLASS1[0], CLASS2[1]),
+            (conj[0], H * conj[1]),
+            (Fraction(1, 3) * conj[0], conj[1]),
+        ):
+            assert_eager_outcome(p, q, ID1, H)
+            with pytest.raises(ClassificationError, match="anticommutator"):
+                canonicalize_pair(p, q, ID1, H)
+
+    def test_a_module_classifies_without_the_precondition_checks(self, rng):
+        for m in (1, 2, 3):
+            w = Mat2.of(m, ((1, 0), (Poly.var(m, 0), 1))) * random_unimodular(rng, m)
+            p = conjugate(build_mas(m, range(1, m + 1), (1,)), w)
+            assert not p.E(m - 1, m).is_strict_upper()
+            expected = classify_sl_m1(p)
+            with mock.patch.object(
+                normalform, "_check_pair_identities", side_effect=AssertionError
+            ), mock.patch.object(normalform, "_check_twisted_square", side_effect=AssertionError):
+                assert classify_sl_m1(p) == expected
 
 
 class TestClassifySl11:

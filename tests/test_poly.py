@@ -32,6 +32,7 @@ from .oracles import (
     from_sympy,
     gcd_oracle,
     integer_rows_oracle,
+    parse_poly_oracle,
     shift_oracle,
     specialize_oracle,
     sympy_text,
@@ -756,6 +757,23 @@ class TestGrammar:
         assert err.value.column == column
 
 
+# pieces of near-grammatical text: names known and unknown, integers (one
+# over the degree limit, one a non-ASCII decimal digit), every operator,
+# blanks, characters that start no token, and whole factors and terms
+TEXT_PIECES = (
+    "h1", "h2", "hb1", "hb2", "x3", "h", "0", "1", "3", "12", "32768", "\u0663",
+    "+", "-", "*", "/", "^", "(", ")", " ", "\t", "$", ".", "\u00b2",
+    " + h1^0", " - 3/0*h2", "*h2^2", " + 2/3*hb1", "h1*h2^32767",
+)
+
+
+def _parse_outcome(parse, text, names):
+    try:
+        return parse(text, names)
+    except PolyParseError as exc:
+        return str(exc), exc.column
+
+
 @st.composite
 def named_polys(draw):
     """(p, names): 1..6 variables, some of them barred, and rational
@@ -794,6 +812,34 @@ def raw_texts(draw):
             sign = draw(st.sampled_from(("", "-")))
         text += f" {sign} " + "*".join(factors)
     return text, names
+
+
+class TestParserAgainstTheOnePassTokenizer:
+    """Every text parses to the same polynomial, or fails with the same
+    message and column, as under the tokenizer that found every column
+    up front (tests/oracles.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(TEXT_PIECES), max_size=14))
+    @example(["h1", " ", "h2", " ", "$"])
+    @example(["2", "/", "0", "*", "h1", "^", "32768", "."])
+    @example(["h1", "^", "32768", "+", "h2", "^", "32768"])
+    def test_same_result_or_error(self, pieces):
+        names = default_names(3, 2)
+        text = "".join(pieces)
+        assert _parse_outcome(parse_poly, text, names) == _parse_outcome(
+            parse_poly_oracle, text, names
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw_texts(), st.integers(0, 40), st.sampled_from(TEXT_PIECES))
+    def test_one_piece_inserted_into_a_valid_text(self, case, at, piece):
+        text, names = case
+        at = min(at, len(text))
+        text = text[:at] + piece + text[at:]
+        assert _parse_outcome(parse_poly, text, names) == _parse_outcome(
+            parse_poly_oracle, text, names
+        )
 
 
 class TestCodecProperties:
