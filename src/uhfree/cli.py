@@ -181,9 +181,9 @@ def cmd_classify(args) -> Outcome:
     p = _load_presentation(args.file)
     lines = [f"presentation over sl({p.m}|{p.n}), grading {p.grading}", FIELD_NOTE]
     if p.n != 1:
-        raise PresentationError(
-            "classification applies to sl(m|1); see empty-check for m, n >= 2"
-        )
+        # empty-check takes m, n >= 2 only
+        hint = "; see empty-check for m, n >= 2" if p.m >= 2 else ""
+        raise PresentationError(f"classification applies to sl(m|1){hint}")
     _require_verified(p, lines)
     names = _names(p)
     if p.m == 1:

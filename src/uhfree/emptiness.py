@@ -280,34 +280,31 @@ def _route(
 # -- proportionality analysis -----------------------------------------------------------
 
 
-class MismatchWitness(NamedTuple):
-    """A cross-product identity that fails, recorded for re-verification."""
-
-    entry_a: tuple[int, int]
-    entry_b: tuple[int, int]
-    lhs: Poly
-    rhs: Poly
-
-    def to_dict(self, names) -> dict:
-        return {
-            "entries": [list(self.entry_a), list(self.entry_b)],
-            "lhs": format_poly(self.lhs, names),
-            "rhs": format_poly(self.rhs, names),
-        }
+def _mismatch(names: Sequence[str], entries, lhs: Poly, rhs: Poly) -> dict:
+    """A cross-product identity lhs == rhs that fails, as the certificate records it."""
+    return {
+        "entries": [list(e) for e in entries],
+        "lhs": format_poly(lhs, names),
+        "rhs": format_poly(rhs, names),
+    }
 
 
 def _proportionality(
-    a: RouteView, b: RouteView
-) -> tuple[bool, Optional[Fraction], Optional[MismatchWitness]]:
-    """Is mat_a = lambda * mat_b for some rational lambda != 0?"""
+    names: Sequence[str], a: RouteView, b: RouteView
+) -> tuple[bool, Optional[Fraction], Optional[dict]]:
+    """Is mat_a = lambda * mat_b for some rational lambda != 0?
+
+    If not, the third item is a failing cross-product identity, written
+    over names.
+    """
     cells = [(r, c) for r in range(2) for c in range(2)]
     for e1, e2 in itertools.combinations(cells, 2):
         lhs, rhs = a.mat[e1] * b.mat[e2], a.mat[e2] * b.mat[e1]
         if lhs != rhs:
-            return False, None, MismatchWitness(e1, e2, lhs, rhs)
-    for r, c in cells:
-        if a.mat[r, c].is_zero != b.mat[r, c].is_zero:
-            return False, None, MismatchWitness((r, c), (r, c), a.mat[r, c], b.mat[r, c])
+            return False, None, _mismatch(names, (e1, e2), lhs, rhs)
+    for e in cells:
+        if a.mat[e].is_zero != b.mat[e].is_zero:
+            return False, None, _mismatch(names, (e, e), a.mat[e], b.mat[e])
     lam = None
     for r, c in cells:
         if not b.mat[r, c].is_zero:
@@ -317,15 +314,15 @@ def _proportionality(
 
 
 def _routes_reconcilable(
-    a: RouteView, b: RouteView
-) -> tuple[Optional[MismatchWitness], Optional[str]]:
+    names: Sequence[str], a: RouteView, b: RouteView
+) -> tuple[Optional[dict], Optional[str]]:
     """Can scalars make the two routes of E_{im} literally equal?
 
     They can exactly when mat_a = lambda mat_b.  Returns a failing
-    cross-product identity and None if not, else None and the scalar
-    constraint a^(delta_a - delta_b) = lambda.
+    cross-product identity, written over names, and None if not, else
+    None and the scalar constraint a^(delta_a - delta_b) = lambda.
     """
-    ok, lam, witness = _proportionality(a, b)
+    ok, lam, witness = _proportionality(names, a, b)
     if not ok:
         return witness, None
     # ROUTES gives up1 and upn the unit deltas e1 - e2 and e3 - e4, which always
@@ -401,49 +398,15 @@ class EmptinessCertificate(NamedTuple):
         }
 
 
-class SupportWitness(NamedTuple):
-    """A variable of one route's entry that is absent from the other route's entry."""
-
-    entry: tuple[int, int]
-    var: int
-    monomial: Poly
-    route: str
-
-    def to_dict(self, names) -> dict:
-        return {
-            "entry": list(self.entry),
-            "variable": names[self.var],
-            "monomial": format_poly(self.monomial, names),
-            "route": self.route,
-        }
-
-
-class EvalWitness(NamedTuple):
-    """A point of the base variables where two cross products of the routes differ."""
-
-    point: tuple[int, ...]
-    entries: tuple[tuple[int, int], tuple[int, int]]
-    lhs: Fraction
-    rhs: Fraction
-
-    def to_dict(self, names) -> dict:
-        return {
-            "point": {name: str(c) for name, c in zip(names, self.point, strict=True)},
-            "entries": [list(e) for e in self.entries],
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-        }
-
-
-def _support_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[SupportWitness]:
+def _support_witness(names: Sequence[str], a: Mat2, b: Mat2) -> Optional[dict]:
     """A variable present in a route entry and absent from the other route's.
 
     Entries are scanned row by row, route A before route B, variables in
     index order; the recorded monomial is the grlex-largest one of the
     entry that contains the variable, so the witness does not depend on
-    the order in which the entry's terms are stored.
+    the order in which the entry's terms are stored.  Returns the
+    certificate's dict over names, the base variables' names, or None.
     """
-    nb = ring.base_nvars
     for r in range(2):
         for c in range(2):
             ea, eb = a[r, c], b[r, c]
@@ -453,11 +416,16 @@ def _support_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[SupportWitnes
                 for v in sorted(pa.variables()):
                     if pb.degree_in(v) <= 0:
                         exps = next(e for e, _ in pa.sorted_terms() if e[v])
-                        return SupportWitness((r, c), v, Poly(nb, {exps: 1}), route)
+                        return {
+                            "entry": [r, c],
+                            "variable": names[v],
+                            "monomial": format_poly(Poly(len(names), {exps: 1}), names),
+                            "route": route,
+                        }
     return None
 
 
-def _eval_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[EvalWitness]:
+def _eval_witness(names: Sequence[str], a: Mat2, b: Mat2) -> Optional[dict]:
     """A rational point at which no scalar matches the two routes.
 
     The point is the lexicographically first one of {0..3}^(m+n-1) where
@@ -468,8 +436,10 @@ def _eval_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[EvalWitness]:
     from every entry changes no cross-difference, so zeroing it in the
     first hit gives a hit no later in lex order, and that hit is scanned.
     Certificates have k = 3 (h_1, h_m, hb_1), so at most 64 points.
+    Returns the certificate's dict over names, the base variables' names:
+    the point, the entry pair and both sides.
     """
-    nb = ring.base_nvars
+    nb = len(names)
     cells = [(r, c) for r in range(2) for c in range(2)]
     entries = [mat[e] for mat in (a, b) for e in cells]
     scanned = sorted({v for p in entries for v in p.variables()})
@@ -483,7 +453,12 @@ def _eval_witness(ring: CertRing, a: Mat2, b: Mat2) -> Optional[EvalWitness]:
             lhs, rhs = va[e1] * vb[e2], va[e2] * vb[e1]
             if lhs != rhs:
                 point = dict(zip(scanned, coords))
-                return EvalWitness(tuple(point.get(v, 0) for v in range(nb)), (e1, e2), lhs, rhs)
+                return {
+                    "point": {name: str(point.get(v, 0)) for v, name in enumerate(names)},
+                    "entries": [list(e1), list(e2)],
+                    "lhs": str(lhs),
+                    "rhs": str(rhs),
+                }
     return None
 
 
@@ -542,13 +517,14 @@ def _universal() -> str:
     survivors = []
     for combo in itertools.product(BRANCHES, repeat=4):
         choices = dict(zip(PAIR_KEYS, combo))
-        witness, constraint = _routes_reconcilable(route("up1", choices), route("upn", choices))
+        witness, constraint = _routes_reconcilable(
+            base, route("up1", choices), route("upn", choices)
+        )
         if witness is not None:
-            log.append(BranchOutcome(choices, False, witness.to_dict(base), None, None))
+            log.append(BranchOutcome(choices, False, witness, None, None))
             continue
         da, db = route("down1", choices), route("downn", choices)
-        ok, _, w2 = _proportionality(da, db)
-        detail = w2 and w2.to_dict(base)
+        ok, _, detail = _proportionality(base, da, db)
         log.append(BranchOutcome(choices, True, {"scalar_constraint": constraint}, ok, detail))
         if ok:
             raise InvariantBreach(
@@ -560,14 +536,13 @@ def _universal() -> str:
             f"expected exactly one branch to reach the second stage, got {len(survivors)}"
         )
     choices, da, db = survivors[0]
-    support = _support_witness(ring, da.mat, db.mat)
-    point = _eval_witness(ring, da.mat, db.mat)
+    support = _support_witness(base, da.mat, db.mat)
+    point = _eval_witness(base, da.mat, db.mat)
     if support is None or point is None:
         raise InvariantBreach("non-proportionality witnesses not found")
     forms = [view.file_form(SLOT_NAMES).to_dict() for view in (da, db)]
-    texts = [w and w.to_dict(base) for w in (support, point)]
     # a BranchOutcome is a tuple, so json writes it as the array BranchOutcome(*o) reads
-    return json.dumps([log, choices, *forms, *texts])
+    return json.dumps([log, choices, *forms, support, point])
 
 
 def _pinned_roots(ring: CertRing, key: str) -> tuple[Root, Root]:

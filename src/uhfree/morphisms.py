@@ -447,18 +447,10 @@ def idempotent_scan(p: Presentation, sols: Sequence[HomSolution]) -> list[Mat2]:
 
 
 def _in_span(target: Poly, basis: Sequence[Poly]) -> bool:
-    monos = sorted({e for f in list(basis) + [target] for e in f.terms})
-    rows: list[dict[int, Fraction]] = []
-    ncols = len(basis) + 1
-    for e in monos:
-        row = {k: f.terms.get(e, Fraction(0)) for k, f in enumerate(basis)}
-        row[len(basis)] = -target.terms.get(e, Fraction(0))
-        rows.append(row)
+    """Is target a rational combination of basis?"""
+    rows = integer_rows([*enumerate(basis), (len(basis), -target)])
     # solvable iff some nullspace vector has nonzero last coordinate
-    for vec in _nullspace(rows, ncols):
-        if vec[-1]:
-            return True
-    return False
+    return any(vec[-1] for vec in _nullspace(rows, len(basis) + 1))
 
 
 # -- submodules and filtrations ----------------------------------------------------

@@ -429,9 +429,8 @@ def verified_report(p: Presentation) -> RelationReport:
     (x, y) scales by c(x) c(y).  If [x, y] is a root vector its right
     side scales by c(x + y) = c(x) c(y); if [x, y] lies in h then
     y = -x, c(x) c(y) = 1 and the right side, a Cartan term, does not
-    scale.  So each identity holds at a exactly when it holds at 1.
-    The generating set and its order do not depend on a, so a pass
-    gives the same report (True, (), k(k+1)/2, direct) at both.
+    scale.  So each identity holds at a exactly when it holds at 1,
+    and a pass gives the same report (True, (), k(k+1)/2) at both.
 
     Lemma (index symmetry).  Let t = |S| and let sigma be the
     permutation of 1..m that maps S onto {1..t} and the other indices
@@ -452,7 +451,7 @@ def verified_report(p: Presentation) -> RelationReport:
     renamed shift is tau_ij and that the renamed matrix is M(1, S)'s,
     so N = M(1, S) at every odd generator; the evens of both are
     derived through b1, which sigma fixes.  A pass report
-    (True, (), k(k+1)/2, direct) depends on (m, n) alone, so
+    (True, (), k(k+1)/2) depends on (m, n) alone, so
     `_shape_report` gives R's report for M(1, S).  A failing R proves
     nothing about M(1, S): the fallback below decides instead.
 

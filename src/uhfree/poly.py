@@ -23,7 +23,8 @@ of variables for a monomial of few factors.
 
 The kernels add, multiply, shift and specialize integer term maps and
 reduce by one gcd per result; `Poly.terms` is a read-only view
-{exponents: Fraction} of the same value, built on first use.  It also
+{exponents: Fraction} of the same value, built on each access, so a
+caller that reads it more than once keeps the view.  The module also
 provides the shift automorphisms h_i -> h_i - s_i that encode the weights
 of root-vector actions, exact division, and a gcd: the heuristic GCDHEU
 (integer gcds at evaluation points, each candidate checked by exact
@@ -238,8 +239,7 @@ def _shift_terms(terms: dict, shifts: tuple[int, ...]) -> dict:
 class Poly:
     """Immutable multivariate polynomial with rational coefficients."""
 
-    # _view and _hash stay unset until first asked for
-    __slots__ = ("nvars", "_num", "_den", "_view", "_hash")
+    __slots__ = ("nvars", "_num", "_den")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[int, Fraction] = {}
@@ -304,14 +304,9 @@ class Poly:
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
-        """Read-only {exponents: nonzero Fraction} view, built once on demand."""
-        try:
-            return self._view
-        except AttributeError:
-            den, nv = self._den, self.nvars
-            view = MappingProxyType({_exps(k, nv): Fraction(n, den) for k, n in self._num.items()})
-            _set(self, "_view", view)
-            return view
+        """Read-only {exponents: nonzero Fraction} view, built on each access."""
+        den, nv = self._den, self.nvars
+        return MappingProxyType({_exps(k, nv): Fraction(n, den) for k, n in self._num.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -468,15 +463,10 @@ class Poly:
         )
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            # A constant hashes like its value, so a Poly equal to an int or
-            # a Fraction hashes like it; zero hashes like 0.
-            c = self.constant_value()
-            h = hash((self.nvars, self._den, frozenset(self._num.items())) if c is None else c)
-            _set(self, "_hash", h)
-            return h
+        # A constant hashes like its value, so a Poly equal to an int or
+        # a Fraction hashes like it; zero hashes like 0.
+        c = self.constant_value()
+        return hash((self.nvars, self._den, frozenset(self._num.items())) if c is None else c)
 
     def __bool__(self):
         return bool(self._num)

@@ -384,16 +384,12 @@ class RelationReport(NamedTuple):
     """Outcome of a relation check.
 
     `checked` counts the relations established, directly or by the
-    generating-set lemma of `verify_relations`; `direct` counts the
-    identities actually evaluated.  When the relations are proved
-    through the sl(m|1) classification, the identities evaluated are
-    the family member's, so `direct` counts those.
+    generating-set lemma of `verify_relations`.
     """
 
     ok: bool
     violations: tuple[Violation, ...]
     checked: int
-    direct: int
 
     def describe(self, m: int, n: int) -> list[str]:
         alg = algebra(m, n)
@@ -487,23 +483,21 @@ def verify_relations(p: Presentation) -> RelationReport:
 
     The root structure used is that of sl(m|n) as in Kac, "Lie
     superalgebras", Adv. Math. 26 (1977).  So a pass establishes all
-    k(k+1)/2 root-pair relations, which is what `checked` reports;
-    `direct` is the number of identities evaluated.  (ii) is evaluated
-    because the proof uses it: on random inputs (i) alone has also
-    agreed with the full set, so no test tells them apart.  If any
-    generating identity fails, every pair is checked in the fixed order,
-    so the violations listed do not depend on the shortcut.
+    k(k+1)/2 root-pair relations, which is what `checked` reports.
+    (ii) is evaluated because the proof uses it: on random inputs (i)
+    alone has also agreed with the full set, so no test tells them
+    apart.  If any generating identity fails, every pair is checked in
+    the fixed order, so the violations listed do not depend on the
+    shortcut.
     """
     alg = p.algebra
     roots = alg.root_vectors()
-    direct = 0
     for x, y in _generating_pairs(alg):
-        direct += 1
         if _violation(p, x, y) is not None:
             break
     else:
         k = len(roots)
-        return RelationReport(True, (), k * (k + 1) // 2, direct)
+        return RelationReport(True, (), k * (k + 1) // 2)
     violations: list[Violation] = []
     checked = 0
     for a in range(len(roots)):
@@ -512,7 +506,7 @@ def verify_relations(p: Presentation) -> RelationReport:
             v = _violation(p, roots[a], roots[b])
             if v is not None:
                 violations.append(v)
-    return RelationReport(not violations, tuple(violations), checked, direct + checked)
+    return RelationReport(not violations, tuple(violations), checked)
 
 
 def pointwise_check(p: Presentation, max_deg: int = 2) -> RelationReport:
@@ -541,7 +535,7 @@ def pointwise_check(p: Presentation, max_deg: int = 2) -> RelationReport:
                 checked += 2
                 if lhs != rhs:
                     violations.append(Violation(x, y, lhs, rhs))
-    return RelationReport(not violations, tuple(violations), checked, checked)
+    return RelationReport(not violations, tuple(violations), checked)
 
 
 # (basis pair, sample) checks of pointwise_check; each costs more as the degree grows
@@ -707,18 +701,6 @@ def _some_keys(keys: Iterable[str], total: int) -> str:
     if total > MAX_SHOWN_VIOLATIONS:
         text += f" and {total - MAX_SHOWN_VIOLATIONS} more"
     return text
-
-
-def presentation_to_dict(p: Presentation) -> dict:
-    alg = p.algebra
-    names = default_names(alg.nvars, p.m)
-    return {
-        "format": FORMAT_PRESENTATION,
-        "m": p.m,
-        "n": p.n,
-        "grading": p.grading,
-        "E": {_gen_label(alg, *pos): mat.to_strings(names) for pos, mat in p.odd},
-    }
 
 
 def presentation_from_dict(data: Mapping) -> Presentation:

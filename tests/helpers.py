@@ -4,8 +4,15 @@ import contextlib
 import signal
 from fractions import Fraction
 
-from uhfree.poly import Poly, compose_univariate, divides_exactly
-from uhfree.presentation import Mat2, build_mas, conjugate, dump_json, presentation_to_dict
+from uhfree.poly import Poly, compose_univariate, default_names, divides_exactly
+from uhfree.presentation import (
+    FORMAT_PRESENTATION,
+    Mat2,
+    _gen_label,
+    build_mas,
+    conjugate,
+    dump_json,
+)
 
 
 def build_mas_bar(m, a, s):
@@ -22,6 +29,19 @@ def apply_witness_pair(p, q, sigma, w):
     of a witness on a (P, Q) pair."""
     winv = w.inverse_unimodular()
     return winv * p * w.shifted(sigma), winv * q * w.shifted(tuple(-x for x in sigma))
+
+
+def presentation_to_dict(p):
+    """The presentation file's data for p, as `presentation_from_dict` reads it."""
+    alg = p.algebra
+    names = default_names(alg.nvars, p.m)
+    return {
+        "format": FORMAT_PRESENTATION,
+        "m": p.m,
+        "n": p.n,
+        "grading": p.grading,
+        "E": {_gen_label(alg, *pos): mat.to_strings(names) for pos, mat in p.odd},
+    }
 
 
 def presentation_to_json(p):

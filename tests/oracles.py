@@ -199,7 +199,7 @@ def all_pairs_report(p) -> RelationReport:
             checked += 1
             if lhs != rhs:
                 violations.append(Violation(x, y, lhs, rhs))
-    return RelationReport(not violations, tuple(violations), checked, checked)
+    return RelationReport(not violations, tuple(violations), checked)
 
 
 # -- the hom system, one unknown at a time ---------------------------------------------

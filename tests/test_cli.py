@@ -119,7 +119,7 @@ class TestExitCodes:
         assert "pointwise" in capsys.readouterr().out
 
     def test_verify_pointwise_failure_is_exit_1(self, family_file, capsys, monkeypatch):
-        failing = presentation.RelationReport(False, (), 5, 5)
+        failing = presentation.RelationReport(False, (), 5)
         monkeypatch.setattr(cli, "pointwise_check", lambda p, deg: failing)
         assert main(["verify", family_file, "--pointwise", "1"]) == 1
         assert "FAIL: pointwise cross-check on 5 sampled identities" in capsys.readouterr().out
@@ -314,6 +314,8 @@ class TestExitCodes:
                 ["classify", "{sl22}"],
                 "classification applies to sl(m|1); see empty-check for m, n >= 2",
             ),
+            # empty-check refuses m = 1, so it is not suggested
+            (["classify", "{sl12}"], "classification applies to sl(m|1)"),
             (["canon-sl11", "{file}"], "canon-sl11 expects a presentation with m = n = 1"),
             (["empty-check", "--m", "2"], "empty-check needs --m and --n (or --verify FILE)"),
         ],
@@ -322,16 +324,18 @@ class TestExitCodes:
             "pointwise", "max-deg", "gen-off-sl11", "lambdas-on-sl11", "gen-over-degree-limit",
             "length-on-sl11",
             "verify-with-m", "verify-with-n-graded", "verify-empty-path-with-m",
-            "classify-sl22", "canon-sl11-on-sl21", "empty-check-without-n",
+            "classify-sl22", "classify-sl12", "canon-sl11-on-sl21", "empty-check-without-n",
         ],
     )
     def test_bad_argument_is_exit_2(self, family_file, tmp_path, capsys, argv, message):
         out = tmp_path / "out.json"
         sl22 = make_presentation(2, 2, {pos: Mat2.zero(3) for pos in odd_positions(2, 2)})
+        sl12 = make_presentation(1, 2, {pos: Mat2.zero(2) for pos in odd_positions(1, 2)})
         files = {
             "file": family_file,
             "sl11": write(tmp_path, "sl11.json", build_mas(1, (1,), (1,))),
             "sl22": write(tmp_path, "sl22.json", sl22),
+            "sl12": write(tmp_path, "sl12.json", sl12),
             "cert": str(DATA / "cert_2x2.json"),
         }
         argv = [a.format(**files) for a in argv] + ["--out", str(out)]

@@ -20,8 +20,6 @@ from uhfree.superlie import Root, algebra
 from uhfree.emptiness import (
     CertRing,
     EmptinessError,
-    EvalWitness,
-    MismatchWitness,
     RouteView,
     ScaledMat,
     _proportionality,
@@ -340,11 +338,16 @@ def test_zero_route_is_not_proportional_to_a_nonzero_one():
     zero = Mat2.zero(2)
     nonzero = Mat2(((Poly.zero(2), Poly.var(2, 0)), (Poly.zero(2), Poly.zero(2))))
     delta = (1, 0, 0, -1)
+    names = ("h1", "h2")
     for a, b in ((zero, nonzero), (nonzero, zero)):
-        assert _proportionality(RouteView(delta, a), RouteView(delta, b)) == (
+        assert _proportionality(names, RouteView(delta, a), RouteView(delta, b)) == (
             False,
             None,
-            MismatchWitness((0, 1), (0, 1), a[0, 1], b[0, 1]),
+            {
+                "entries": [[0, 1], [0, 1]],
+                "lhs": format_poly(a[0, 1], names),
+                "rhs": format_poly(b[0, 1], names),
+            },
         )
 
 
@@ -354,10 +357,11 @@ def test_support_witness_ignores_term_storage_order(m, n):
     ring = cert.ring()
     # the routes' matrices over Q[h], read from the file form at the units 1
     a, b = (_eval_scaled(ring, route, (1, 1, 1, 1)) for route in (cert.route_a, cert.route_b))
-    witness = _support_witness(ring, a, b)
-    assert witness.to_dict(ring.names[: ring.base_nvars]) == cert.support_witness
-    assert _support_witness(ring, _reversed_terms(a), _reversed_terms(b)) == witness
-    assert _support_witness(ring, _reversed_terms(a), b) == witness
+    names = ring.names[: ring.base_nvars]
+    witness = _support_witness(names, a, b)
+    assert witness == cert.support_witness
+    assert _support_witness(names, _reversed_terms(a), _reversed_terms(b)) == witness
+    assert _support_witness(names, _reversed_terms(a), b) == witness
 
 
 # -- the evaluation witness against the exhaustive grid scan ------------------------------
@@ -425,9 +429,8 @@ def _vanishing_first_coordinate_case():
 @given(route_pairs())
 def test_eval_witness_matches_the_grid_scan(case):
     ring, a, b, proportional_on_grid = case
-    found = _eval_witness(ring, a, b)
-    nb = ring.base_nvars
-    assert (found and found.to_dict(ring.names[:nb])) == eval_witness_oracle(ring, a, b)
+    found = _eval_witness(ring.names[: ring.base_nvars], a, b)
+    assert found == eval_witness_oracle(ring, a, b)
     if proportional_on_grid:
         assert found is None
 
@@ -618,7 +621,7 @@ def _consistent_survivor(monkeypatch, module):
     monkeypatch.setattr(
         module,
         "_proportionality",
-        lambda a, b: (True, Fraction(1), None) if a.delta == down1 else real(a, b),
+        lambda names, a, b: (True, Fraction(1), None) if a.delta == down1 else real(names, a, b),
     )
 
 
@@ -628,35 +631,40 @@ def _two_survivors(monkeypatch, module):
     monkeypatch.setattr(
         module,
         "_routes_reconcilable",
-        lambda a, b: (None, "planted") if next(calls) == 0 else real(a, b),
+        lambda names, a, b: (None, "planted") if next(calls) == 0 else real(names, a, b),
     )
 
 
 def _no_support_witness(monkeypatch, module):
-    monkeypatch.setattr(module, "_support_witness", lambda ring, a, b: None)
+    monkeypatch.setattr(module, "_support_witness", lambda names, a, b: None)
 
 
 def _support_in_the_wrong_route(monkeypatch, module):
     # names the entry that lacks the variable as the one that has it
     real = module._support_witness
 
-    def swapped(ring, a, b):
-        witness = real(ring, a, b)
-        return witness._replace(route="B" if witness.route == "A" else "A")
+    def swapped(names, a, b):
+        witness = real(names, a, b)
+        return witness | {"route": "B" if witness["route"] == "A" else "A"}
 
     monkeypatch.setattr(module, "_support_witness", swapped)
 
 
 def _agreeing_point(monkeypatch, module):
     # a point and an entry pair where the two cross products agree, recorded truthfully
-    def agreeing(ring, a, b):
+    def agreeing(names, a, b):
         cells = [(r, c) for r in range(2) for c in range(2)]
-        for coords in itertools.product(range(4), repeat=ring.base_nvars):
+        for coords in itertools.product(range(4), repeat=len(names)):
             for e1, e2 in itertools.combinations(cells, 2):
                 lhs = a[e1].evaluate(coords) * b[e2].evaluate(coords)
                 rhs = a[e2].evaluate(coords) * b[e1].evaluate(coords)
                 if lhs == rhs:
-                    return EvalWitness(coords, (e1, e2), lhs, rhs)
+                    return {
+                        "point": {name: str(x) for name, x in zip(names, coords)},
+                        "entries": [list(e1), list(e2)],
+                        "lhs": str(lhs),
+                        "rhs": str(rhs),
+                    }
 
     monkeypatch.setattr(module, "_eval_witness", agreeing)
 

@@ -29,6 +29,7 @@ from uhfree.morphisms import (
     ENTRIES,
     SYSTEMS,
     MorphismError,
+    _in_span,
     _nullspace,
     check_filtration_budget,
     check_intertwiner,
@@ -100,6 +101,71 @@ def _sympy_nullspace(rows, ncols):
     dense = [[sympy.Rational(r.get(c, 0)) for c in range(ncols)] for r in rows]
     mat = sympy.Matrix(dense) if rows else sympy.zeros(0, ncols)
     return [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in mat.nullspace()]
+
+
+def _sympy_in_span(target, basis):
+    """Is the sympy polynomial target in the span of basis?  By sympy.linsolve
+    on the coefficient equations of sum c_k basis_k - target in x."""
+    x = sympy.Symbol("x")
+    cs = [sympy.Symbol(f"c{k}") for k in range(len(basis))]
+    expr = sympy.expand(sum((c * f for c, f in zip(cs, basis)), -target))
+    if expr == 0 or not cs:
+        return expr == 0
+    return sympy.linsolve(sympy.Poly(expr, x).all_coeffs(), cs) != sympy.S.EmptySet
+
+
+class TestInSpan:
+    @staticmethod
+    def both(coeffs):
+        """The univariate Poly and sympy polynomial with these coefficients, constant first."""
+        x = sympy.Symbol("x")
+        poly = Poly(1, {(k,): c for k, c in enumerate(coeffs)})
+        return poly, sum((sympy.Rational(c) * x**k for k, c in enumerate(coeffs)), sympy.S.Zero)
+
+    @staticmethod
+    def random_coeffs(rng):
+        return [
+            random_nonzero_fraction(rng) if rng.random() < 0.6 else 0
+            for _ in range(rng.randint(1, 5))
+        ]
+
+    def test_matches_sympy_linsolve(self, rng):
+        for _ in range(120):
+            members = [self.random_coeffs(rng) for _ in range(rng.randint(0, 4))]
+            if members and rng.random() < 0.5:
+                # a combination of the members, so the answer is yes
+                coeffs = [0] * 5
+                for member in members:
+                    f = random_nonzero_fraction(rng, 3)
+                    for k, c in enumerate(member):
+                        coeffs[k] += f * c
+            else:
+                coeffs = self.random_coeffs(rng)
+            basis, target = [self.both(cs) for cs in members], self.both(coeffs)
+            want = _sympy_in_span(target[1], [q for _, q in basis])
+            assert _in_span(target[0], [p for p, _ in basis]) == want
+
+    def test_empty_basis_spans_only_zero(self):
+        assert _in_span(Poly.zero(1), [])
+        assert not _in_span(Poly.one(1), [])
+        assert _sympy_in_span(sympy.S.Zero, []) and not _sympy_in_span(sympy.S.One, [])
+
+    def test_zero_target_is_in_every_span(self, rng):
+        for _ in range(10):
+            basis = [self.both(self.random_coeffs(rng)) for _ in range(rng.randint(1, 3))]
+            assert _in_span(Poly.zero(1), [p for p, _ in basis])
+            assert _sympy_in_span(sympy.S.Zero, [q for _, q in basis])
+
+    def test_cancelling_members(self):
+        # f and -f cancel, and f + g - (f + g) does too: the span is that of f, g
+        f, g = self.both([1, Fraction(1, 2)]), self.both([0, 0, 3])
+        fg = self.both([1, Fraction(1, 2), 3])
+        minus_f = self.both([-1, Fraction(-1, 2)])
+        basis = [f, minus_f, g, fg]
+        for coeffs, want in (([1, Fraction(1, 2)], True), ([2, 1, -6], True), ([0, 1], False)):
+            target = self.both(coeffs)
+            assert _sympy_in_span(target[1], [q for _, q in basis]) == want
+            assert _in_span(target[0], [p for p, _ in basis]) == want
 
 
 class TestNullspace:
@@ -258,8 +324,6 @@ class TestSolveHom:
         expected1 = Mat2(((Poly.one(nv), Poly.zero(nv)), (Poly.zero(nv), Poly.one(nv))))
         expected2 = Mat2(((c + 1, Poly.zero(nv)), (Poly.zero(nv), c)))
         fs = [endo_f_polynomial(p, s.w) for s in sols]
-        from uhfree.morphisms import _in_span
-
         assert _in_span(Poly.one(1), fs)
         assert _in_span(Poly.var(1, 0), fs)
 
@@ -273,8 +337,6 @@ class TestSolveHom:
             sols = solve_hom(p, p, bound)
             assert len(sols) == bound + 1
             fs = [endo_f_polynomial(p, sol.w) for sol in sols]
-            from uhfree.morphisms import _in_span
-
             for k in range(bound + 1):
                 assert _in_span(Poly(1, {(k,): 1}), fs)
 

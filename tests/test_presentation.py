@@ -22,7 +22,6 @@ from uhfree.presentation import (
     parity_check,
     pointwise_check,
     presentation_from_json,
-    presentation_to_dict,
     twisted_bracket,
     verify_relations,
 )
@@ -31,6 +30,7 @@ from uhfree.superlie import Cartan, Root, algebra
 
 from .helpers import (
     build_mas_bar,
+    presentation_to_dict,
     presentation_to_json,
     random_nonzero_fraction,
     random_poly,
@@ -270,14 +270,29 @@ class TestGeneratingSet:
     alone has also agreed with every pair on random perturbations, so no
     test here shows what dropping it would break."""
 
+    @staticmethod
+    def evaluated(monkeypatch, p):
+        """verify_relations(p) and the number of identities it evaluated."""
+        real, calls = presentation._violation, []
+
+        def counting(q, x, y):
+            calls.append((x, y))
+            return real(q, x, y)
+
+        monkeypatch.setattr(presentation, "_violation", counting)
+        return verify_relations(p), len(calls)
+
     @pytest.mark.parametrize(
-        "m, direct, checked",
+        "m, evaluated, checked",
         [(3, 39, 78), (6, 168, 903), (8, 304, 2628), (10, 480, 6105)],
     )
-    def test_pass_evaluates_the_generating_set_and_counts_every_pair(self, m, direct, checked):
-        report = verify_relations(build_mas(m, range(1, m + 1), range(1, m + 1, 2)))
+    def test_pass_evaluates_the_generating_set_and_counts_every_pair(
+        self, monkeypatch, m, evaluated, checked
+    ):
+        p = build_mas(m, range(1, m + 1), range(1, m + 1, 2))
+        report, calls = self.evaluated(monkeypatch, p)
         assert report.ok
-        assert (report.direct, report.checked) == (direct, checked)
+        assert (calls, report.checked) == (evaluated, checked)
 
     @pytest.mark.parametrize("m, n, size", [(3, 1, 39), (2, 2, 64), (3, 2, 142), (1, 3, 39)])
     def test_size_leaves_out_only_the_pairs_that_define_evens(self, m, n, size):
@@ -306,10 +321,10 @@ class TestGeneratingSet:
         assert not report.ok
         assert not left_out & {(v.left, v.right) for v in report.violations}
 
-    def test_failure_counts_the_tried_identities_and_the_full_loop(self):
+    def test_failure_counts_the_tried_identities_and_the_full_loop(self, monkeypatch):
         # odd x odd in order: [x, x] holds, [x, y] = h fails, then all 3 pairs
-        report = verify_relations(sl11(Mat2.zero(1), Mat2.zero(1)))
-        assert (report.ok, report.checked, report.direct) == (False, 3, 2 + 3)
+        report, calls = self.evaluated(monkeypatch, sl11(Mat2.zero(1), Mat2.zero(1)))
+        assert (report.ok, report.checked, calls) == (False, 3, 2 + 3)
 
     @settings(max_examples=60, deadline=None)
     @given(family_cases())
