@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 from typing import NamedTuple
 
 from .poly import (
@@ -543,7 +543,7 @@ def relation_work(p: Presentation) -> int:
 def _entry_sizes(mat: Mat2, v: int) -> tuple[int, int]:
     """The most terms of an entry of mat, and a bound on the terms of a shifted entry."""
     entries = [f for row in mat.rows for f in row]
-    shifted = max(sum(prod(e + 1 for e in exps) for exps in f.terms) for f in entries)
+    shifted = max(f.shift_bound() for f in entries)
     dense = comb(max(f.total_degree() for f in entries) + v, v)
     return max(f.term_count() for f in entries), min(shifted, dense)
 

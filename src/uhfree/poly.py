@@ -22,11 +22,13 @@ nonzero fields of a key, so no kernel does work quadratic in the number
 of variables for a monomial of few factors.
 
 The kernels add, multiply, shift and specialize integer term maps and
-reduce by one gcd per result; `Poly.terms` is a read-only view
+reduce by one gcd per result (`sum_of_products` forms x1 y1 + x2 y2, an
+entry of a 2x2 product, with one reduction); `Poly.terms` is a read-only view
 {exponents: Fraction} of the same value, built on each access, so a
 caller that reads it more than once keeps the view.  The module also
 provides the shift automorphisms h_i -> h_i - s_i that encode the weights
-of root-vector actions, exact division, and a gcd: the heuristic GCDHEU
+of root-vector actions, exact division on the integer numerators
+(`divides_exactly`), and a gcd: the heuristic GCDHEU
 (integer gcds at evaluation points, each candidate checked by exact
 division), with a primitive-part Euclidean gcd as its fallback.
 `integer_rows` reads a linear combination of polynomials straight from
@@ -165,8 +167,12 @@ def _add_terms(a: dict, b: dict, k: int = 1) -> dict:
     return out
 
 
-def _mul_terms(a: dict, b: dict) -> dict:
-    """a*b; the caller has checked the degree of the product."""
+def _mul_terms(a: dict, b: dict, nv: int) -> dict:
+    """a*b for nonzero term maps over nv variables, after the degree check."""
+    # the degree field of the sum of the leading keys is the product's degree
+    d = (max(a) + max(b)) >> (nv << 4)
+    if d >= DEGREE_LIMIT:
+        raise PolyError(_OVER_LIMIT % d)
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
@@ -322,7 +328,27 @@ class Poly:
         return max(self._num) >> (self.nvars << 4)
 
     def degree_in(self, i: int) -> int:
-        return max((_exps(k, self.nvars)[i] for k in self._num), default=-1)
+        """The degree in h_i, read from its field of each key; -1 for zero."""
+        if not 0 <= i < self.nvars:
+            raise PolyError(f"variable index {i} out of range for {self.nvars} variables")
+        off = (self.nvars - 1 - i) << 4
+        return max(((k >> off) & 0xFFFF for k in self._num), default=-1)
+
+    def shift_bound(self) -> int:
+        """A bound on the terms of any shift of self: the sum over its
+        monomials h^e of (e_1 + 1)...(e_v + 1), read from the nonzero fields
+        of each key as `_shift_terms` reads them."""
+        low = (1 << (self.nvars << 4)) - 1
+        total = 0
+        for key in self._num:
+            bits, n = key & low, 1
+            while bits:
+                off = (bits.bit_length() - 1) & ~15
+                e = bits >> off
+                bits ^= e << off
+                n *= e + 1
+            total += n
+        return total
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading (exponents, coefficient) under graded lex; zero is an error."""
@@ -424,11 +450,7 @@ class Poly:
                 return self
             if not b:
                 return other
-            # the degree field of the sum of the leading keys is the product's degree
-            d = (max(a) + max(b)) >> (nv << 4)
-            if d >= DEGREE_LIMIT:
-                raise PolyError(_OVER_LIMIT % d)
-            return Poly._reduced(nv, _mul_terms(a, b), self._den * other._den)
+            return Poly._reduced(nv, _mul_terms(a, b, nv), self._den * other._den)
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Poly.zero(self.nvars)
@@ -546,6 +568,37 @@ class Poly:
         return Poly._of(n, num, self._den)
 
 
+# -- products ------------------------------------------------------------------
+
+
+def sum_of_products(x1: Poly, y1: Poly, x2: Poly, y2: Poly, sign: int = 1) -> Poly:
+    """x1*y1 + sign*x2*y2 for sign = 1 or -1, summed on the term maps and reduced once.
+
+    Each entry of a 2x2 product and a determinant is one such sum.  The
+    checks and their messages are those of `x1 * y1 + x2 * y2`: each
+    product's variable counts and degree in turn, then the two products'
+    variable counts.
+    """
+    nv = x1.nvars
+    if y1.nvars != nv or x2.nvars != nv or y2.nvars != nv:
+        # the entrywise sum raises the variable-count error
+        return x1 * y1 + sign * (x2 * y2)
+    # Most entries of the classifier's matrices are zero: a zero factor
+    # costs one test, and a zero sum of zero products is a zero factor.
+    a1, b1, a2, b2 = x1._num, y1._num, x2._num, y2._num
+    first = _mul_terms(a1, b1, nv) if a1 and b1 else None
+    da = x1._den * y1._den
+    if not (a2 and b2):
+        return (x1 if not a1 else y1) if first is None else Poly._reduced(nv, first, da)
+    second, db = _mul_terms(a2, b2, nv), x2._den * y2._den
+    if first is None:
+        first, da = {}, db
+    den = lcm(da, db)
+    fa = den // da
+    first = {k: fa * n for k, n in first.items()} if fa != 1 else first
+    return Poly._reduced(nv, _add_terms(first, second, sign * (den // db)), den)
+
+
 # -- shift automorphisms ------------------------------------------------------
 
 
@@ -568,31 +621,62 @@ def apply_shift(s: tuple[int, ...], p: Poly) -> Poly:
 
 
 def divides_exactly(d: Poly, p: Poly) -> Optional[Poly]:
-    """Return q with p = d*q when d divides p exactly, else None."""
+    """Return q with p = d*q when d divides p exactly, else None.
+
+    The division runs on the integer numerators.  Write d = (c/e) D and
+    p = P/f, with P in Z[h], D in Z[h] primitive, and c, e, f positive
+    integers.  d divides p in Q[h] exactly when D divides P there, and
+    then q = (e/(c f)) P/D.
+
+    If D divides P in Q[h], the quotient Q = P/D lies in Z[h] (Gauss's
+    lemma; Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
+    1992, ch. 2).  Write Q = (r/s) Q0 with Q0 primitive, s >= 1 and
+    gcd(r, s) = 1: then s P = r D Q0, and D Q0 is primitive, so the
+    contents give s cont(P) = |r|, s divides r, and s = 1.  Long division
+    finds the terms of Q from the highest down.  Before each step the
+    remainder is R = P - D Q' = D (Q - Q'), with Q' the terms found so far
+    and Q - Q' in Z[h]; the leading term of a product is the product of
+    the leading terms, so lt(R) = lt(D) lt(Q - Q').  Hence the leading
+    monomial of D divides R's and its leading coefficient divides R's in
+    Z.  A step where either fails proves that D does not divide P, and
+    the division stops there with None; no step leaves Z.
+    """
     if d.nvars != p.nvars:
         raise PolyError("variable-count mismatch")
     if d.is_zero:
         raise PolyError("division by the zero polynomial")
     if p.is_zero:
         return p
-    nv = p.nvars
-    d_key, d_coeff = max(d._num), d.leading_coeff()
+    nv, dn = p.nvars, d._num
+    d_key = max(dn)
+    c = gcd(*dn.values())
+    lead = dn[d_key] // c
+    # the other terms of D, each as its key's offset from the leading key
+    tail = [(k - d_key, n // c) for k, n in dn.items() if k != d_key]
     # The top bit of every field, degree included, is zero in a key.  Set
     # in r, it stays set in r - d_key exactly where r's field is at least
     # d_key's, and no field borrows from its neighbour.
     guards = int.from_bytes(b"\x80\0" * (nv + 1), "big")
-    quo: dict[int, Fraction] = {}
-    rem = p
-    while rem._num:
-        r_key = max(rem._num)
+    quo = {}
+    rem = dict(p._num)
+    get = rem.get
+    while rem:
+        r_key = max(rem)
         if ((r_key | guards) - d_key) & guards != guards:
             return None
-        q_key = r_key - d_key
-        q_coeff = Fraction(rem._num[r_key], rem._den) / d_coeff
-        quo[q_key] = q_coeff
-        mono = Poly._of(nv, {q_key: q_coeff.numerator}, q_coeff.denominator)
-        rem = rem - mono * d
-    return Poly._of(nv, *_over_den(quo))
+        q, r = divmod(rem.pop(r_key), lead)
+        if r:
+            return None
+        quo[r_key - d_key] = q
+        for off, n in tail:
+            key = r_key + off
+            acc = get(key, 0) - q * n
+            if acc:
+                rem[key] = acc
+            else:
+                del rem[key]
+    e = d._den
+    return Poly._reduced(nv, {k: e * q for k, q in quo.items()}, c * p._den)
 
 
 def _max_active_var(*polys: Poly) -> Optional[int]:

@@ -39,6 +39,7 @@ from .poly import (
     format_poly,
     monomials,
     parse_poly,
+    sum_of_products,
 )
 from .superlie import BasisElement, Cartan, Root, SuperAlgebra, algebra
 
@@ -154,7 +155,12 @@ class Mat2:
         if isinstance(other, Mat2):
             (a, b), (c, d) = self.rows
             (e, f), (g, h) = other.rows
-            return Mat2._of(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
+            return Mat2._of(
+                (
+                    (sum_of_products(a, e, b, g), sum_of_products(a, f, b, h)),
+                    (sum_of_products(c, e, d, g), sum_of_products(c, f, d, h)),
+                )
+            )
         if isinstance(other, (int, Fraction, Poly)):
             return Mat2._of(tuple(tuple(a * other for a in r) for r in self.rows))
         return NotImplemented
@@ -203,7 +209,7 @@ class Mat2:
 
     def det(self) -> Poly:
         (a, b), (c, d) = self.rows
-        return a * d - b * c
+        return sum_of_products(a, d, b, c, -1)
 
     def is_unimodular(self) -> bool:
         v = self.det().constant_value()

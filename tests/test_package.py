@@ -100,7 +100,7 @@ def private_poly_access(path: Path) -> list[str]:
     for node in ast.walk(ast.parse(path.read_text())):
         if not isinstance(node, ast.Attribute):
             continue
-        storage = node.attr in ("_num", "_den", "_view")
+        storage = node.attr in ("_num", "_den")
         constructor = node.attr in ("_of", "_reduced") and (
             isinstance(node.value, ast.Name) and node.value.id == "Poly"
         )

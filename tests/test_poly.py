@@ -2,7 +2,7 @@ import itertools
 import sys
 import time
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import pytest
 import sympy
@@ -22,6 +22,7 @@ from uhfree.poly import (
     monomials,
     parse_poly,
     poly_gcd,
+    sum_of_products,
 )
 
 from .helpers import time_limit
@@ -589,6 +590,146 @@ class TestDivision:
     def test_zero_divisor_rejected(self):
         with pytest.raises(PolyError):
             divides_exactly(Poly.zero(2), H1)
+
+
+@st.composite
+def division_cases(draw):
+    """(d, q, r) over 1..9 variables at total degree up to 12: d nonzero,
+    scaled by a rational of either sign whose numerator is a non-unit."""
+    n = draw(st.integers(1, 9))
+    d = draw(scale_polys(n, max_deg=12))
+    if d.is_zero:
+        d = Poly.var(n, n - 1) + 1
+    scale = Fraction(draw(st.sampled_from((-1, 1))) * draw(st.integers(2, 12)), draw(st.integers(1, 7)))
+    return d * scale, draw(scale_polys(n, max_deg=12)), draw(scale_polys(n, max_deg=12))
+
+
+def _division_example(text_d, text_q, text_r, names=NAMES2):
+    return example((P(text_d, names), P(text_q, names), P(text_r, names)))
+
+
+class TestIntegerDivisionAgainstSympy:
+    """`divides_exactly` long-divides integer numerators by the primitive
+    part of the divisor; sympy divides the same pairs over Q."""
+
+    @staticmethod
+    def _syms(p):
+        return sympy.symbols(default_names(p.nvars))
+
+    @settings(max_examples=40, deadline=None)
+    @given(division_cases())
+    # negative leading coefficients, contents 2 and 6, and denominators
+    @_division_example("-6*h1^2 + 4/5*h2 - 2", "3/7*h1*h2 - 1/2", "0")
+    @_division_example("-12/5*h1*h2^3 + 18*h2", "h1^3 - 5/3*h2", "0")
+    def test_divisible_pairs(self, case):
+        d, q, _ = case
+        p = d * q
+        got = divides_exactly(d, p)
+        assert _canonical(got) == q
+        assert got == division_oracle(d, p, self._syms(p))
+
+    @settings(max_examples=40, deadline=None)
+    @given(division_cases())
+    @_division_example("-6*h1^2 + 4/5*h2 - 2", "3/7*h1*h2 - 1/2", "h2")
+    @_division_example("2*h1 + h2", "h1", "h1*h2")
+    def test_any_pair(self, case):
+        d, q, r = case
+        p = d * q + r
+        got = divides_exactly(d, p)
+        assert got == division_oracle(d, p, self._syms(p))
+        if got is not None:
+            assert _canonical(got) * d == p
+
+    @pytest.mark.parametrize("scale_d", [1, -1, Fraction(-3, 5), 4])
+    @pytest.mark.parametrize("scale_p", [1, Fraction(7, 4), -2])
+    def test_a_non_integral_step_is_no_quotient(self, scale_d, scale_p):
+        # D = 2*h1 + h2 is primitive; dividing P = 2*h1^2 + 2*h1*h2 leaves
+        # h1*h2 after the first step, whose coefficient 1 is not a multiple
+        # of 2: over Q that step gives h2/2, and then -h2^2/2 is left over
+        d, p = P("2*h1 + h2") * scale_d, P("2*h1^2 + 2*h1*h2") * scale_p
+        assert divides_exactly(d, p) is None
+        assert division_oracle(d, p, SYMS2) is None
+        # with that term's coefficient even, every step is integral
+        p = P("2*h1^2 + 3*h1*h2 + h2^2") * scale_p
+        assert divides_exactly(d, p) == P("h1 + h2") * (Fraction(scale_p) / scale_d)
+
+    def test_a_leading_monomial_the_divisor_does_not_divide(self):
+        assert divides_exactly(P("-2*h1*h2 + 1"), P("2*h2^3")) is None
+        assert divides_exactly(P("h1^2"), P("h1*h2 + h1^2")) is None
+
+    def test_the_loop_builds_no_fraction_and_no_poly_arithmetic(self, monkeypatch):
+        d, q = P("-4/3*h1^2 + 2*h1*h2 - 6"), P("5/2*h2^3 - h1 + 1/7")
+        p = d * q
+        off = p + 1
+
+        def refuse(*args):
+            raise AssertionError("divides_exactly built a Fraction or did Poly arithmetic")
+
+        monkeypatch.setattr(poly, "Fraction", refuse)
+        for name in ("__init__", "__mul__", "__add__", "__sub__", "__neg__", "_plus"):
+            monkeypatch.setattr(Poly, name, refuse)
+        got = divides_exactly(d, p)
+        assert divides_exactly(d, off) is None
+        monkeypatch.undo()
+        assert got == q
+
+
+class TestFieldReads:
+    @_at_scale(25)
+    def test_degree_in_reads_each_field(self, case):
+        p = case[0] * case[1] + case[0]
+        for i in range(p.nvars):
+            assert p.degree_in(i) == max((e[i] for e in p.terms), default=-1)
+
+    def test_degree_in_reads_the_whole_field(self):
+        p = P("h1^20000*h2^12767 + h1^257 + h2^32767")
+        assert (p.degree_in(0), p.degree_in(1)) == (20000, 32767)
+
+    @pytest.mark.parametrize("i", [-1, 2, 3])
+    def test_degree_in_refuses_a_bad_index(self, i):
+        with pytest.raises(PolyError, match="out of range for 2 variables"):
+            P("h1^2*h2").degree_in(i)
+
+    @_at_scale(10)
+    def test_shift_bound_is_the_product_of_exponents_plus_one(self, case):
+        p, _, shift, _ = case
+        bound = p.shift_bound()
+        assert bound == sum(prod(e + 1 for e in exps) for exps in p.terms)
+        assert apply_shift(shift, p).term_count() <= bound
+
+
+class TestSumOfProducts:
+    @_at_scale(25)
+    def test_against_sympy(self, case):
+        p, q, _, _ = case
+        syms = sympy.symbols(default_names(p.nvars))
+        x, y = to_sympy(p, syms), to_sympy(q, syms)
+        r = q * Fraction(-3, 4) + 1
+        z = to_sympy(r, syms)
+        for sign in (1, -1):
+            got = sum_of_products(p, q, r, p, sign)
+            assert _canonical(got) == from_sympy(x * y + sign * z * x, syms)
+        assert sum_of_products(p, Poly.zero(p.nvars), q, Poly.zero(p.nvars)).is_zero
+        assert sum_of_products(p, q, p, -q).is_zero
+
+    def test_checks_each_product_then_the_sum_in_order(self):
+        h3 = Poly.var(3, 0)
+        big, bigger = H1**16384, H2**20000
+        cases = [
+            (big, big, bigger, bigger),  # the first product's degree
+            (H1, H1, bigger, bigger),  # the second's
+            (Poly.zero(2), big, bigger, bigger),  # a zero factor skips its check
+            (H1, h3, h3, H1),  # the first product's variable counts
+            (H1, H2, h3, H1),  # the second's
+            (H1, H2, h3, h3),  # the two products'
+        ]
+        for x1, y1, x2, y2 in cases:
+            with pytest.raises(PolyError) as entrywise:
+                x1 * y1 + x2 * y2
+            with pytest.raises(PolyError) as fused:
+                sum_of_products(x1, y1, x2, y2)
+            assert str(fused.value) == str(entrywise.value)
+        assert str(entrywise.value) == "variable-count mismatch: 2 vs 3"
 
 
 class TestGcd:

@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from uhfree import normalform, presentation
-from uhfree.poly import Poly, apply_shift, default_names
+from uhfree.poly import Poly, PolyError, apply_shift, default_names
 from uhfree.presentation import (
     Mat2,
     Presentation,
@@ -36,7 +37,7 @@ from .helpers import (
     random_poly,
     random_unimodular,
 )
-from .oracles import all_pairs_report
+from .oracles import all_pairs_report, from_sympy, to_sympy
 
 H = Poly.var(1, 0)
 
@@ -60,6 +61,79 @@ class TestMat2:
         assert not w.is_unimodular()
         with pytest.raises(PresentationError):
             w.inverse_unimodular()
+
+
+@st.composite
+def mat2_pairs(draw):
+    """Two 2x2 matrices over 1..9 variables; each entry is zero, a constant
+    or up to four terms of total degree <= 12 on at most three variables,
+    with coefficients n/d, d in 1..6."""
+    n = draw(st.integers(1, 9))
+
+    def entry():
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            exps = [0] * n
+            for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+                exps[i] += draw(st.integers(0, 12 - sum(exps)))
+            terms[tuple(exps)] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+        return Poly(n, terms)
+
+    return tuple(Mat2(((entry(), entry()), (entry(), entry()))) for _ in range(2))
+
+
+def mat2_sympy(w, syms):
+    return sympy.Matrix([[to_sympy(f, syms) for f in row] for row in w.rows])
+
+
+class TestMat2AgainstSympy:
+    """The fused entries of `Mat2.__mul__` and `Mat2.det` against sympy.Matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mat2_pairs())
+    def test_product_and_det(self, pair):
+        x, y = pair
+        syms = sympy.symbols(default_names(x.nvars))
+        want = mat2_sympy(x, syms) * mat2_sympy(y, syms)
+        got = x * y
+        for r in range(2):
+            for c in range(2):
+                assert got[r, c] == from_sympy(sympy.expand(want[r, c]), syms)
+        assert x.det() == from_sympy(sympy.expand(mat2_sympy(x, syms).det()), syms)
+        assert (x * y).det() == x.det() * y.det()
+
+    def test_zero_and_identity_factors(self):
+        h1, h2 = Poly.var(2, 0), Poly.var(2, 1)
+        x = Mat2.of(2, ((h1, 0), (Fraction(1, 3), h2 - 1)))
+        assert x * Mat2.zero(2) == Mat2.zero(2) == Mat2.zero(2) * x
+        assert x * Mat2.identity(2) == x == Mat2.identity(2) * x
+        assert x * Mat2.swap(2) == Mat2.of(2, ((0, h1), (h2 - 1, Fraction(1, 3))))
+        assert x.det() == h1 * h2 - h1 and Mat2.swap(2).det() == -1
+
+    def test_an_entry_over_the_degree_limit_raises_as_the_entrywise_product(self):
+        h1, h2 = Poly.var(2, 0), Poly.var(2, 1)
+        top = Mat2.of(2, ((h1**16384, h2**20000), (0, 1)))
+        cases = [
+            # entry (0, 0): a*e reaches 2^15 before b*g reaches 40000
+            (top, Mat2.of(2, ((h1**16384, 0), (h2**20000, 0)))),
+            # a*e reaches exactly 2^15 - 1, b*g goes over
+            (top, Mat2.of(2, ((h1**16383, 0), (h2**12768, 0)))),
+            # only entry (1, 1) goes over, through d*h
+            (Mat2.of(2, ((1, 0), (0, h2**16384))), Mat2.of(2, ((1, 0), (0, h1**16384)))),
+        ]
+        for x, y in cases:
+            with pytest.raises(PolyError) as entrywise:
+                (a, b), (c, d) = x.rows
+                (e, f), (g, h) = y.rows
+                (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            with pytest.raises(PolyError) as fused:
+                x * y
+            assert str(fused.value) == str(entrywise.value)
+        assert str(entrywise.value) == "total degree 32768 is over the limit of 32767"
+        with pytest.raises(PolyError, match="^total degree 32768 is over the limit of 32767$"):
+            Mat2.of(2, ((h1**16384, 0), (0, h2**16384))).det()
+        with pytest.raises(PolyError, match="^variable-count mismatch: 2 vs 3$"):
+            Mat2.identity(2) * Mat2.identity(3)
 
 
 class TestAct:
