@@ -377,9 +377,9 @@ def cmd_empty_check(args) -> Outcome:
         f"(variable {cert.support_witness['variable']})"
     )
     lines.append("branch log:")
-    for outcome in cert.branch_log:
-        choices = json.dumps(outcome.choices, sort_keys=True)
-        if not outcome.stage1_equal:
+    for entry in cert.branch_log:
+        choices = json.dumps(entry["choices"], sort_keys=True)
+        if not entry["stage1"]["equal"]:
             lines.append(f"  {choices}: routes for the raising even matrix differ")
         else:
             lines.append(

@@ -248,8 +248,6 @@ def _pair_matrices(ring: CertRing, key: str, branch: str) -> tuple[RouteView, Ro
     """Action matrices (raising, lowering) of a pair in the chosen branch:
     a_k [[0, x], [0, 0]] and a_k^-1 [[0, 0], [y, 0]], with (x, y) = (phi, 1)
     in branch S and (1, phi) in branch O."""
-    if branch not in BRANCHES:
-        raise EmptinessError(f"unknown branch {branch!r}")
     k = PAIR_KEYS.index(key)
     unit = tuple(1 if j == k else 0 for j in range(4))
     nb = ring.base_nvars
@@ -342,20 +340,15 @@ def _ratio_text(da, db, lam) -> str:
 # -- certificates ------------------------------------------------------------------------
 
 
-class BranchOutcome(NamedTuple):
-    choices: dict
-    stage1_equal: bool
-    stage1_detail: Optional[dict]
-    stage2_proportional: Optional[bool]
-    stage2_detail: Optional[dict]
-
-
 class EmptinessCertificate(NamedTuple):
+    """A certificate; a branch_log entry is its dict in the file, {"choices",
+    "stage1": {"equal", "detail"}, "stage2": {"proportional", "detail"} or None}."""
+
     m: int
     n: int
     i: int
     graded: bool
-    branch_log: tuple[BranchOutcome, ...]
+    branch_log: tuple[dict, ...]
     surviving_choices: dict
     route_a: ScaledMat
     route_b: ScaledMat
@@ -373,21 +366,7 @@ class EmptinessCertificate(NamedTuple):
             "i": self.i,
             "graded": self.graded,
             "unit_names": list(UNIT_NAMES),
-            "branch_log": [
-                {
-                    "choices": o.choices,
-                    "stage1": {"equal": o.stage1_equal, "detail": o.stage1_detail},
-                    "stage2": (
-                        None
-                        if o.stage2_proportional is None
-                        else {
-                            "proportional": o.stage2_proportional,
-                            "detail": o.stage2_detail,
-                        }
-                    ),
-                }
-                for o in self.branch_log
-            ],
+            "branch_log": list(self.branch_log),
             "surviving": {
                 "choices": self.surviving_choices,
                 "routeA": self.route_a.to_dict(),
@@ -485,10 +464,10 @@ def _universal() -> str:
     reaches the second stage; its routes and both non-proportionality
     witnesses go into the certificate.
 
-    Returns the sl(2|2) certificate's branch log (BranchOutcome's fields
-    per outcome), surviving choices, routes A and B, and support and
-    evaluation witnesses as one JSON text, written over SLOT_NAMES; the
-    evaluation point names the three base variables only.
+    Returns the sl(2|2) certificate's branch log (its entries as the
+    certificate file writes them), surviving choices, routes A and B, and
+    support and evaluation witnesses as one JSON text, written over
+    SLOT_NAMES; the evaluation point names the three base variables only.
     """
     ring = UNIVERSAL
     mats = {
@@ -513,7 +492,7 @@ def _universal() -> str:
         return routes[key]
 
     base = SLOT_NAMES[: ring.base_nvars]
-    log: list[BranchOutcome] = []
+    log: list[dict] = []
     survivors = []
     for combo in itertools.product(BRANCHES, repeat=4):
         choices = dict(zip(PAIR_KEYS, combo))
@@ -521,11 +500,18 @@ def _universal() -> str:
             base, route("up1", choices), route("upn", choices)
         )
         if witness is not None:
-            log.append(BranchOutcome(choices, False, witness, None, None))
+            stage1 = {"equal": False, "detail": witness}
+            log.append({"choices": choices, "stage1": stage1, "stage2": None})
             continue
         da, db = route("down1", choices), route("downn", choices)
         ok, _, detail = _proportionality(base, da, db)
-        log.append(BranchOutcome(choices, True, {"scalar_constraint": constraint}, ok, detail))
+        log.append(
+            {
+                "choices": choices,
+                "stage1": {"equal": True, "detail": {"scalar_constraint": constraint}},
+                "stage2": {"proportional": ok, "detail": detail},
+            }
+        )
         if ok:
             raise InvariantBreach(
                 f"branch {choices} admits a consistent module; emptiness fails"
@@ -541,7 +527,6 @@ def _universal() -> str:
     if support is None or point is None:
         raise InvariantBreach("non-proportionality witnesses not found")
     forms = [view.file_form(SLOT_NAMES).to_dict() for view in (da, db)]
-    # a BranchOutcome is a tuple, so json writes it as the array BranchOutcome(*o) reads
     return json.dumps([log, choices, *forms, support, point])
 
 
@@ -599,7 +584,7 @@ def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCert
         n=n,
         i=1,
         graded=graded,
-        branch_log=tuple(BranchOutcome(*o) for o in log),
+        branch_log=tuple(log),
         surviving_choices=choices,
         route_a=route(route_a),
         route_b=route(route_b),
@@ -640,6 +625,7 @@ def certificate_from_dict(data: Mapping) -> EmptinessCertificate:
         den = json_array(d.get("den"), 4, int, f"{where}.den", EmptinessError)
         return ScaledMat.of(mat, tuple(den), names)
 
+    # a missing stage2 or detail is read as null, as the file writes it
     log = []
     for entry in _field(data, "branch_log", list, "certificate"):
         if not isinstance(entry, dict):
@@ -653,13 +639,19 @@ def certificate_from_dict(data: Mapping) -> EmptinessCertificate:
                 raise EmptinessError("branch_log entry: stage2 must be an object or null")
             _keys(stage2, ("proportional", "detail"), "stage2")
         log.append(
-            BranchOutcome(
-                _field(entry, "choices", dict, "branch_log entry"),
-                _field(stage1, "equal", bool, "stage1"),
-                stage1.get("detail"),
-                None if stage2 is None else _field(stage2, "proportional", bool, "stage2"),
-                None if stage2 is None else stage2.get("detail"),
-            )
+            {
+                "choices": _field(entry, "choices", dict, "branch_log entry"),
+                "stage1": {
+                    "equal": _field(stage1, "equal", bool, "stage1"),
+                    "detail": stage1.get("detail"),
+                },
+                "stage2": None
+                if stage2 is None
+                else {
+                    "proportional": _field(stage2, "proportional", bool, "stage2"),
+                    "detail": stage2.get("detail"),
+                },
+            }
         )
     surv = _field(data, "surviving", dict, "certificate")
     _keys(surv, ("choices", "routeA", "routeB", "support_witness", "eval_witness"), "surviving")
@@ -725,12 +717,11 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
         raise EmptinessError("certificate does not match a fresh replay")
     report.append(f"replayed all {len(cert.branch_log)} branch combinations")
 
-    for outcome in cert.branch_log:
-        for detail in (outcome.stage1_detail, outcome.stage2_detail):
+    for entry in cert.branch_log:
+        for stage in (entry["stage1"], entry["stage2"]):
+            detail = stage and stage["detail"]
             if detail and "lhs" in detail and detail["lhs"] == detail["rhs"]:
-                raise EmptinessError(
-                    f"recorded failing identity holds for {outcome.choices}"
-                )
+                raise EmptinessError(f"recorded failing identity holds for {entry['choices']}")
     report.append("all recorded branch-killing identities re-fail")
 
     ring = cert.ring()

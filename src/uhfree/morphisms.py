@@ -11,8 +11,8 @@ unknown coefficients of W and returns a basis of solutions.  The
 unknown h^mu at entry (r, c) of W enters the identity of g through two
 blocks only, h^mu E_g^src[c, .] in row r and E_g^dst[., r] tau_g(h^mu)
 in column c, so `_hom_rows` forms just those products and reads them
-as integer rows (`poly.integer_rows`).  `_nullspace` eliminates them
-fraction-free, on primitive integer rows, and divides only when it
+as integer rows (`poly.integer_rows`).  `_nullspace` takes those rows
+as they are, eliminates them fraction-free, and divides only when it
 writes the basis.  Every solution is then re-verified by
 `check_intertwiner`, which multiplies whole matrices and shares no code
 with that assembly.
@@ -35,12 +35,11 @@ strictly decreasing filtrations of any prescribed finite length.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .poly import (
     Poly,
-    Scalar,
     UhfreeError,
     apply_shift,
     compose_univariate,
@@ -86,29 +85,25 @@ def _eliminate(target: dict[int, int], p: int, row: dict[int, int]) -> dict[int,
     return out
 
 
-def _nullspace(rows: Sequence[Mapping[int, Scalar]], ncols: int) -> list[list[Fraction]]:
+def _nullspace(rows: Sequence[Mapping[int, int]], ncols: int) -> list[list[Fraction]]:
     """Basis of the solution space of a homogeneous system over Q.
 
     Fraction-free Gauss-Jordan on the sparse rows, one row at a time.
-    Each given row, of ints or Fractions, is scaled to a primitive
-    integer row, and a row seen before is skipped.  `rref` maps each
-    pivot column to a primitive integer row, positive at its pivot and 0
-    at every other pivot, that is a multiple of its row of the reduced
-    row echelon form.  A new row is reduced against it by integer
-    combinations (`_eliminate`), pivots at its leftmost column and is
-    eliminated from the older rows, each made primitive again.  The RREF
-    does not depend on row order, so neither does the basis, and
-    division happens only there: 1 at each free column f and
-    -rref[p][f] / rref[p][p] at each pivot p.
+    Each given row is nonempty with nonzero int entries, as
+    `poly.integer_rows` writes it; it is made primitive, and a row seen
+    before is skipped.  `rref` maps each pivot column to a primitive
+    integer row, positive at its pivot and 0 at every other pivot, that
+    is a multiple of its row of the reduced row echelon form.  A new row
+    is reduced against it by integer combinations (`_eliminate`), pivots
+    at its leftmost column and is eliminated from the older rows, each
+    made primitive again.  The RREF does not depend on row order, so
+    neither does the basis, and division happens only there: 1 at each
+    free column f and -rref[p][f] / rref[p][p] at each pivot p.
     """
     rref: dict[int, dict[int, int]] = {}
     seen = set()
     for given in rows:
-        den = lcm(*(x.denominator for x in given.values()))
-        row = {c: x.numerator * (den // x.denominator) for c, x in given.items() if x}
-        if not row:
-            continue
-        row = _primitive(row)
+        row = _primitive(given)
         key = frozenset(row.items())
         if key in seen:
             continue
@@ -438,7 +433,7 @@ def idempotent_scan(p: Presentation, sols: Sequence[HomSolution]) -> list[Mat2]:
     integral domain Q[X] forces F in {0, 1}, so the scan reduces to
     membership of the constants in the solved span.
     """
-    fs = [endo_f_polynomial(p, s.w) for s in sols if not s.w.is_zero]
+    fs = [endo_f_polynomial(p, s.w) for s in sols]
     nv = p.nvars
     out = [Mat2.zero(nv)]
     if _in_span(Poly.one(1), fs):

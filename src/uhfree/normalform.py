@@ -73,18 +73,6 @@ class NilParams(NamedTuple):
     beta: Poly
 
 
-def reconstruct_nil(params: NilParams, tau: tuple[int, ...]) -> Mat2:
-    theta, alpha, beta = params.theta, params.alpha, params.beta
-    ta = apply_shift(tau, alpha)
-    tb = apply_shift(tau, beta)
-    return Mat2(
-        (
-            (theta * beta * ta, -theta * alpha * ta),
-            (theta * beta * tb, -theta * alpha * tb),
-        )
-    )
-
-
 def nil_factor(p: Mat2, tau: tuple[int, ...]) -> NilParams:
     """Factor a solution of P * tau^{-1}(P) = 0 through its kernel vector.
 
@@ -113,6 +101,12 @@ def _check_twisted_square(p: Mat2, tau: tuple[int, ...]) -> None:
 
 
 def _factor_nil(p: Mat2, tau: tuple[int, ...]) -> NilParams:
+    """(theta, alpha, beta) from the first nonzero row of p, checked as theta K = P.
+
+    K = tau(k) r, in 4 products, is nonzero since tau(k) and r are.
+    theta is read at K's first nonzero entry: if that entry does not
+    divide P's there, no theta gives theta K = P.
+    """
     nv = p.nvars
     if p.is_zero:
         return NilParams(Poly.zero(nv), Poly.one(nv), Poly.zero(nv))
@@ -126,15 +120,10 @@ def _factor_nil(p: Mat2, tau: tuple[int, ...]) -> NilParams:
     lead = (alpha if not alpha.is_zero else beta).leading_coeff()
     alpha = alpha * (1 / lead)
     beta = beta * (1 / lead)
-    kmat = reconstruct_nil(NilParams(Poly.one(nv), alpha, beta), tau)
-    theta = None
-    for r in range(2):
-        for c in range(2):
-            if not kmat[r, c].is_zero:
-                theta = divides_exactly(kmat[r, c], p[r, c])
-                break
-        if theta is not None:
-            break
+    ta, tb = apply_shift(tau, alpha), apply_shift(tau, beta)
+    kmat = Mat2._of(((beta * ta, -alpha * ta), (beta * tb, -alpha * tb)))
+    r, c = next((r, c) for r in range(2) for c in range(2) if not kmat[r, c].is_zero)
+    theta = divides_exactly(kmat[r, c], p[r, c])
     if theta is None or kmat * theta != p:
         raise InvariantBreach("matrix is not of the factored form")
     return NilParams(theta, alpha, beta)
@@ -232,43 +221,17 @@ def _construct_pair(p: Mat2, q: Mat2, sigma: tuple[int, ...], a: Poly):
 # -- classification ------------------------------------------------------------------
 
 
-class CanonParams:
-    """Classification data: parameters a, subset S, parity convention.
+class CanonParams(NamedTuple):
+    """Classification data: parameters a, subset S, parity convention."""
 
-    Immutable like Mat2.  Equality, hash and repr cover (a, s, bar) only,
-    not the cached family member.
-    """
-
-    __slots__ = ("a", "s", "bar", "_family")
-
-    def __init__(self, a: tuple[Fraction, ...], s: frozenset[int], bar: bool = False):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "bar", bar)
-        object.__setattr__(self, "_family", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CanonParams is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, CanonParams):
-            return NotImplemented
-        return (self.a, self.s, self.bar) == (other.a, other.s, other.bar)
-
-    def __hash__(self):
-        return hash((self.a, self.s, self.bar))
-
-    def __repr__(self):
-        return f"CanonParams(a={self.a!r}, s={self.s!r}, bar={self.bar!r})"
+    a: tuple[Fraction, ...]
+    s: frozenset[int]
+    bar: bool = False
 
     @property
     def family(self) -> Presentation:
-        """M(a, S), the member `check_family_form` compares with (also when bar), built once."""
-        member = self._family
-        if member is None:
-            member = build_mas(len(self.a), self.a, self.s)
-            object.__setattr__(self, "_family", member)
-        return member
+        """M(a, S), the member `check_family_form` compares with (also when bar)."""
+        return build_mas(len(self.a), self.a, self.s)
 
     def normalized(self) -> "CanonParams":
         """The unique representative with first parameter 1."""

@@ -4,7 +4,7 @@ import contextlib
 import signal
 from fractions import Fraction
 
-from uhfree.poly import Poly, compose_univariate, default_names, divides_exactly
+from uhfree.poly import Poly, apply_shift, compose_univariate, default_names, divides_exactly
 from uhfree.presentation import (
     FORMAT_PRESENTATION,
     Mat2,
@@ -29,6 +29,19 @@ def apply_witness_pair(p, q, sigma, w):
     of a witness on a (P, Q) pair."""
     winv = w.inverse_unimodular()
     return winv * p * w.shifted(sigma), winv * q * w.shifted(tuple(-x for x in sigma))
+
+
+def reconstruct_nil(params, tau):
+    """theta * tau(k) r, the matrix `nil_factor` factors, with k = (alpha, beta) and r = (beta, -alpha)."""
+    theta, alpha, beta = params
+    ta = apply_shift(tau, alpha)
+    tb = apply_shift(tau, beta)
+    return Mat2(
+        (
+            (theta * beta * ta, -theta * alpha * ta),
+            (theta * beta * tb, -theta * alpha * tb),
+        )
+    )
 
 
 def presentation_to_dict(p):

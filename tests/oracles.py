@@ -22,7 +22,7 @@ from math import lcm
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from uhfree.normalform import ClassificationError, NilParams, reconstruct_nil
+from uhfree.normalform import ClassificationError, NilParams
 from uhfree.poly import (
     DEGREE_LIMIT,
     _OVER_LIMIT,
@@ -35,6 +35,8 @@ from uhfree.poly import (
 )
 from uhfree.presentation import InvariantBreach, Mat2, RelationReport, Violation
 from uhfree.superlie import Cartan, Root
+
+from .helpers import reconstruct_nil
 
 
 def to_sympy(p: Poly, symbols):

@@ -26,7 +26,6 @@ from uhfree.normalform import (
     classify_sl11,
     classify_sl_m1,
     nil_factor,
-    reconstruct_nil,
 )
 from uhfree.morphisms import (
     check_intertwiner,
@@ -51,6 +50,7 @@ from .helpers import (
     random_nonzero_fraction,
     random_poly,
     random_unimodular,
+    reconstruct_nil,
 )
 from .oracles import shift_oracle
 

@@ -844,6 +844,34 @@ class TestEmptyCheckCommand:
         assert capsys.readouterr().out.startswith("FAIL: ")
 
     @pytest.mark.parametrize(
+        "path, code",
+        [
+            (("branch_log", 0, "stage2"), 0),
+            (("branch_log", 0, "stage1", "detail"), 1),
+            (("branch_log", 10, "stage2", "detail"), 1),
+        ],
+        ids=["stage2", "stage1-detail", "stage2-detail"],
+    )
+    def test_a_missing_stage2_or_detail_is_read_as_null(self, tmp_path, capsys, path, code):
+        # the file holds null for the stage2 of a branch that dies at stage 1,
+        # so leaving that out verifies; a recorded detail is never null, so
+        # leaving one out fails the replay
+        data = json.loads(json.dumps(CERT_DATA))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(data))
+        assert main(["empty-check", "--verify", str(cert_path)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if code:
+            assert captured.out == "FAIL: certificate does not match a fresh replay\n"
+        else:
+            assert captured.out.startswith("certificate for sl(2|2) re-verified:\n")
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda d: d.update(i=True), "certificate: i must be an integer, got bool"),

@@ -45,16 +45,16 @@ def cert22():
 class TestCertificate22(object):
     def test_every_branch_combination_dies(self, cert22):
         assert len(cert22.branch_log) == 16
-        for outcome in cert22.branch_log:
-            if outcome.stage1_equal:
-                assert outcome.stage2_proportional is False
+        for entry in cert22.branch_log:
+            if entry["stage1"]["equal"]:
+                assert entry["stage2"]["proportional"] is False
             else:
-                assert outcome.stage2_proportional is None
+                assert entry["stage2"] is None
 
     def test_exactly_one_branch_survives_stage_one(self, cert22):
-        survivors = [o for o in cert22.branch_log if o.stage1_equal]
+        survivors = [e for e in cert22.branch_log if e["stage1"]["equal"]]
         assert len(survivors) == 1
-        assert survivors[0].choices == cert22.surviving_choices
+        assert survivors[0]["choices"] == cert22.surviving_choices
 
     def test_surviving_branch_shapes(self, cert22):
         # constant raising generators towards i, polynomial ones towards m
@@ -314,10 +314,8 @@ def test_editing_a_rendered_certificate_leaves_the_next_unchanged():
     cert = emptiness_certificate(3, 5, graded=True)
     for held in (cert.surviving_choices, cert.support_witness, cert.eval_witness):
         _edit_everything(held)
-    for outcome in cert.branch_log:
-        for held in (outcome.choices, outcome.stage1_detail, outcome.stage2_detail):
-            if held is not None:
-                _edit_everything(held)
+    for entry in cert.branch_log:
+        _edit_everything(entry)
     _edit_everything(cert.to_dict())
     assert dump_json(cert.to_dict()) != want
     assert dump_json(emptiness_certificate(3, 5, graded=True).to_dict()) == want

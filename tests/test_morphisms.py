@@ -97,6 +97,21 @@ def _random_system(rng, nrows, ncols, draw=random_nonzero_fraction):
     return rows
 
 
+def _integer_rows(rows, rng=None):
+    """A rational system as `poly.integer_rows` writes it: each row times a
+    common multiple of its denominators (the least, or a random multiple of
+    it with either sign), its zero entries and its empty rows left out."""
+    out = []
+    for r in rows:
+        den = lcm(*(x.denominator for x in r.values()))
+        if rng is not None:
+            den *= rng.choice((-6, 1, 35))
+        row = {c: int(x * den) for c, x in r.items() if x}
+        if row:
+            out.append(row)
+    return out
+
+
 def _sympy_nullspace(rows, ncols):
     dense = [[sympy.Rational(r.get(c, 0)) for c in range(ncols)] for r in rows]
     mat = sympy.Matrix(dense) if rows else sympy.zeros(0, ncols)
@@ -177,13 +192,13 @@ class TestNullspace:
         for _ in range(6):
             rows = _random_system(rng, nrows, ncols)
             want = _sympy_nullspace(rows, ncols)
-            assert _nullspace(rows, ncols) == want
-            shuffled = [dict(r) for r in rows]
+            assert _nullspace(_integer_rows(rows), ncols) == want
+            shuffled = _integer_rows(rows)
             rng.shuffle(shuffled)
             assert _nullspace(shuffled, ncols) == want
 
     def test_rows_are_not_modified(self, rng):
-        rows = _random_system(rng, 12, 10)
+        rows = _integer_rows(_random_system(rng, 12, 10))
         before = [dict(r) for r in rows]
         _nullspace(rows, 10)
         assert rows == before
@@ -201,19 +216,17 @@ class TestNullspace:
             rows = _random_system(rng, nrows, ncols, draw)
             biggest = max([biggest] + [abs(x.numerator) for r in rows for x in r.values()])
             want = _sympy_nullspace(rows, ncols)
-            assert _nullspace(rows, ncols) == want
+            assert _nullspace(_integer_rows(rows), ncols) == want
             rng.shuffle(rows)
-            assert _nullspace(rows, ncols) == want
+            assert _nullspace(_integer_rows(rows), ncols) == want
         assert biggest > 10**29
 
     def test_integer_and_fraction_rows_agree(self, rng):
         # each row times a common multiple of its denominators, not the least
         rows = _random_system(rng, 15, 12)
-        scaled = []
-        for r in rows:
-            den = rng.choice((-6, 1, 35)) * lcm(*(x.denominator for x in r.values()))
-            scaled.append({c: int(x * den) for c, x in r.items()})
-        assert _nullspace(scaled, 12) == _nullspace(rows, 12)
+        scaled = _integer_rows(rows, rng)
+        assert _nullspace(scaled, 12) == _nullspace(_integer_rows(rows), 12)
+        assert _nullspace(scaled, 12) == _sympy_nullspace(rows, 12)
 
 
 def test_every_hom_basis_matches_its_digest():

@@ -1,5 +1,6 @@
-"""Package-wide guards: every import is used, no module imports a layer
-above it, Poly's storage stays inside poly.py, every traced name exists."""
+"""Package-wide guards: every import is used, every module-level function
+and class is named somewhere, no module imports a layer above it, Poly's
+storage stays inside poly.py, every traced name exists."""
 
 import ast
 import importlib
@@ -41,6 +42,35 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in unused_imports(path)]
+    assert found == []
+
+
+def package_names() -> set[str]:
+    """Every name the package's modules read, as a Name, an Attribute or an import."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_definition_is_named():
+    # a definition site is a FunctionDef or ClassDef, not a Name; main looks
+    # the cmd_* handlers up by name
+    named = package_names()
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("cmd_")
+        and node.name not in named
+    ]
     assert found == []
 
 
