@@ -31,7 +31,6 @@ from .presentation import (
     MAX_SHOWN_VIOLATIONS,
     Presentation,
     PresentationError,
-    check_degree_budget,
     check_pointwise_budget,
     dump_json,
     parity_check,
@@ -83,9 +82,7 @@ def _read_input(path: str, error: type[ValueError]) -> str:
 
 
 def _load_presentation(path: str) -> Presentation:
-    p = presentation_from_json(_read_input(path, PresentationError))
-    check_degree_budget(p)
-    return p
+    return presentation_from_json(_read_input(path, PresentationError))
 
 
 # an integer, p/q or a decimal; not 1e<k>, for which Fraction builds 10**k however large

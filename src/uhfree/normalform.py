@@ -521,24 +521,22 @@ def check_work_budget(p: Presentation) -> None:
         )
 
 
-# The family caches are bounded, so a long-lived caller that classifies
+# The family cache is bounded, so a long-lived caller that classifies
 # inputs of many sizes keeps a fixed number of reports.  sl(m|1) for
-# m = 1..6 has 27 classes (m, |S|) and 126 shapes (m, S), all kept.
-@lru_cache(maxsize=64)
-def _family_report(m: int, t: int) -> RelationReport:
-    """The report of the representative M((1, ..., 1), {1..t}) over sl(m|1)."""
-    return verify_relations(build_mas(m, (1,) * m, range(1, t + 1)))
-
-
+# m = 1..6 has 126 shapes (m, S), all kept.
 @lru_cache(maxsize=256)
 def _shape_report(m: int, s: frozenset[int]) -> RelationReport:
     """The report of M((1, ..., 1), S) over sl(m|1), cached per shape (m, S).
 
     By the lemmas of `verified_report` it is the report of M(a, S) for
-    every nonzero a; on a pass it is the report of the representative
-    of size |S|, once `_check_transport` has checked S.
+    every nonzero a.  The representative R = M(1, {1..t}), t = |S|, is
+    checked by `verify_relations`; any other S takes R's report on a
+    pass, once `_check_transport` has checked S.
     """
-    report = _family_report(m, len(s))
+    rep = frozenset(range(1, len(s) + 1))
+    if s == rep:
+        return verify_relations(build_mas(m, (1,) * m, s))
+    report = _shape_report(m, rep)
     if report.ok:
         _check_transport(m, s)
     return report

@@ -569,17 +569,6 @@ def check_pointwise_budget(p: Presentation, max_deg: int) -> None:
 DEGREE_BUDGET = 24
 
 
-def check_degree_budget(p: Presentation) -> None:
-    """Refuse a presentation with an odd generator entry of total degree over DEGREE_BUDGET."""
-    for pos, mat in p.odd:
-        degree = max(f.total_degree() for row in mat.rows for f in row)
-        if degree > DEGREE_BUDGET:
-            raise PresentationError(
-                f"{_gen_label(p.algebra, *pos)} has an entry of total degree {degree}, "
-                f"over the budget of {DEGREE_BUDGET}"
-            )
-
-
 # -- the classified family M(a, S) ------------------------------------------------
 
 
@@ -743,10 +732,17 @@ def presentation_from_dict(data: Mapping) -> Presentation:
             f"missing generator keys: {_some_keys(missing, 2 * m * n - len(given))}"
         )
     names = default_names(alg.nvars, m)
-    mats = {
-        pos: Mat2.from_strings(raw_e[label], names, label, PresentationError)
-        for label, pos in found.items()
-    }
+    mats = {}
+    # in generator order, each checked against DEGREE_BUDGET as soon as it is
+    # read, so an input over the budget costs the parse of its first such generator
+    for pos in odd_positions(m, n):
+        label = _gen_label(alg, *pos)
+        mat = mats[pos] = Mat2.from_strings(raw_e[label], names, label, PresentationError)
+        degree = max(f.total_degree() for row in mat.rows for f in row)
+        if degree > DEGREE_BUDGET:
+            raise PresentationError(
+                f"{label} has an entry of total degree {degree}, over the budget of {DEGREE_BUDGET}"
+            )
     return make_presentation(m, n, mats, grading=grading)
 
 

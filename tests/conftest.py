@@ -4,6 +4,13 @@ import pytest
 
 from uhfree import emptiness, normalform
 
+from .helpers import time_limit
+
+# Wall-time limit of one test, far above the slowest (about 3 s on a 2-CPU
+# machine), so that a kernel that never returns fails its test instead of
+# hanging the suite.
+TEST_TIME_LIMIT = 60
+
 
 @pytest.fixture
 def rng():
@@ -11,11 +18,17 @@ def rng():
 
 
 @pytest.fixture(autouse=True)
+def per_test_time_limit():
+    with time_limit(TEST_TIME_LIMIT):
+        yield
+
+
+@pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts and ends with no family representative or shape checked
-    (normalform._family_report, normalform._shape_report) and no emptiness
-    certificate built (emptiness._universal)."""
-    caches = (normalform._family_report, normalform._shape_report, emptiness._universal)
+    """Each test starts and ends with no family shape checked
+    (normalform._shape_report) and no emptiness certificate built
+    (emptiness._universal)."""
+    caches = (normalform._shape_report, emptiness._universal)
     for cache in caches:
         cache.cache_clear()
     yield

@@ -2,6 +2,7 @@
 
 import contextlib
 import signal
+import time
 from fractions import Fraction
 
 from uhfree.poly import Poly, apply_shift, compose_univariate, default_names, divides_exactly
@@ -124,15 +125,23 @@ class Expired(Exception):
 
 @contextlib.contextmanager
 def time_limit(seconds):
-    """Raise Expired inside the block once `seconds` of wall time have passed."""
+    """Raise Expired inside the block once `seconds` of wall time have passed.
+
+    An enclosing limit (the per-test one of conftest.py) gets its handler
+    back on exit, with its timer rearmed for the time it has left.
+    """
 
     def expire(signum, frame):
         raise Expired(f"over {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+        if outer:
+            # an outer limit that ran out inside the block fires at once
+            signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-3))

@@ -40,6 +40,7 @@ from .helpers import (
     build_mas_bar,
     family_entries,
     in_layer,
+    presentation_to_dict,
     presentation_to_json,
     scaled_conjugates,
     time_limit,
@@ -456,6 +457,37 @@ class TestExitCodes:
         assert main(["verify", path]) == 1
         assert "relations violated" in capsys.readouterr().out
 
+    def test_the_degree_budget_is_checked_as_the_file_is_read(self, tmp_path, capsys):
+        # e[1,b1], the first generator, is over the budget, and e[b1,2], the
+        # last, is no polynomial: the reader stops at e[1,b1]
+        data = presentation_to_dict(_odd_powers(2, presentation.DEGREE_BUDGET + 1))
+        data["E"]["e[b1,2]"][0][0] = "h1 +"
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: e[1,b1] has an entry of total degree 25, over the budget of 24\n"
+        )
+
+    def test_no_generator_after_one_over_the_budget_is_parsed(self, tmp_path, monkeypatch):
+        labels = []
+        read = Mat2.from_strings
+        monkeypatch.setattr(
+            Mat2, "from_strings", lambda rows, *rest: labels.append(rest[1]) or read(rows, *rest)
+        )
+        path = write(tmp_path, "deep.json", _odd_powers(3, presentation.DEGREE_BUDGET + 1))
+        assert main(["classify", path]) == 2
+        assert labels == ["e[1,b1]"]
+
+    @pytest.mark.parametrize("argv", [["verify"], ["empty-check", "--verify"]])
+    def test_a_file_that_is_not_json_is_exit_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "in.json"
+        path.write_text('{"m": 1,')
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: invalid JSON: [^\n]+\n", captured.err)
+
     @pytest.mark.parametrize(
         "error",
         [
@@ -698,6 +730,13 @@ class TestIsoCommand:
         assert main(["iso", a, b, "--category", "M2"]) == 0
         assert "isomorphic in M2" in capsys.readouterr().out
 
+    def test_presentations_over_different_algebras_are_exit_2(self, capsys):
+        argv = ["iso", str(DATA / "family_in_sl21_src.json"), str(DATA / "family_in_sl31_bar.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: presentations live over different superalgebras\n"
+        assert captured.out == ""
+
 
 class TestRoundTripAndDeterminism:
     def test_presentation_files_round_trip(self, family_file):
@@ -870,6 +909,19 @@ class TestEmptyCheckCommand:
             assert captured.out == "FAIL: certificate does not match a fresh replay\n"
         else:
             assert captured.out.startswith("certificate for sl(2|2) re-verified:\n")
+
+    @pytest.mark.parametrize("value", [5, True], ids=["number", "bool"])
+    def test_stage2_that_is_no_object_is_exit_2(self, tmp_path, capsys, value):
+        data = json.loads((DATA / "cert_2x2.json").read_text())
+        entry = data["branch_log"][0]
+        assert entry["stage1"]["equal"] is False and entry["stage2"] is None
+        entry["stage2"] = value
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(data))
+        assert main(["empty-check", "--verify", str(cert_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: branch_log entry: stage2 must be an object or null\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from math import lcm
@@ -408,6 +409,42 @@ class TestSolveHom:
         q = conjugate(p, Mat2.of(2, ((1, Poly.var(2, 0)), (0, 1))))
         with pytest.raises(MorphismError):
             solve_hom(p, q, 1, category="M11")
+
+
+def family_members(m, a):
+    """M(a, S) and Mbar(a, S) over sl(m|1) for every S in 1..m."""
+    for bits in range(2**m):
+        s = [i for i in range(1, m + 1) if bits >> (i - 1) & 1]
+        yield build_mas(m, a, s)
+        yield build_mas_bar(m, a, s)
+
+
+class TestInjectivity:
+    """Every nonzero morphism between rank-2 U(h)-free modules is injective,
+    det W != 0: a U(h)-torsion-free sl(m|1)-module of rank 1 is zero, so the
+    image of a nonzero morphism has rank 2."""
+
+    def test_every_nonzero_morphism_has_a_nonzero_determinant(self, rng):
+        # every ordered pair of M and Mbar shapes, in M2, M11 and M11even, at
+        # bounds 0..3 for m <= 2 and 0..1 for m = 3: 960 basis vectors, and a
+        # random combination of the vectors of each parity in a basis
+        solutions = 0
+        for m, bounds in ((1, range(4)), (2, range(4)), (3, range(2))):
+            members = list(family_members(m, (1, Fraction(-2), Fraction(1, 3))[:m]))
+            for src, dst, category, bound in itertools.product(
+                members, members, ("M2", "M11", "M11even"), bounds
+            ):
+                sols = solve_hom(src, dst, bound, category=category)
+                solutions += len(sols)
+                for parity in sorted({sol.parity for sol in sols}):
+                    ws = [sol.w for sol in sols if sol.parity == parity]
+                    combination = sum(
+                        (w * random_nonzero_fraction(rng) for w in ws[1:]),
+                        ws[0] * random_nonzero_fraction(rng),
+                    )
+                    for w in ws + [combination]:
+                        assert not w.det().is_zero, (src, dst, category, bound)
+        assert solutions == 960
 
 
 class TestReverification:

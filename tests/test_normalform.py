@@ -594,9 +594,8 @@ class TestIndexSymmetry:
             for s in subsets(m):
                 fresh = verify_relations(build_mas(m, (1,) * m, s))
                 assert normalform._shape_report(m, s) == fresh
-        # the family workload's 126 shapes and 27 classes fit: nothing was evicted
+        # the family workload's 126 shapes fit: nothing was evicted
         assert normalform._shape_report.cache_info().currsize == 126
-        assert normalform._family_report.cache_info().currsize == 27
 
     def test_one_check_per_size_of_s(self, monkeypatch):
         calls = []
@@ -641,7 +640,8 @@ class TestIndexSymmetry:
 
     def test_the_caches_are_bounded(self, monkeypatch):
         # a failing stub keeps each check cheap and skips the transport:
-        # 90 classes (m, t), m = 1..12, and 592 shapes, 512 of them at m = 9
+        # 592 shapes, the 90 representatives (m, {1..t}) for m = 1..12 and
+        # 512 shapes at m = 9
         monkeypatch.setattr(
             normalform, "verify_relations", lambda q: RelationReport(False, (), 0)
         )
@@ -650,9 +650,8 @@ class TestIndexSymmetry:
                 normalform._shape_report(m, frozenset(range(1, t + 1)))
         for s in subsets(9):
             normalform._shape_report(9, s)
-        for cache, keys in ((normalform._family_report, 90), (normalform._shape_report, 592)):
-            info = cache.cache_info()
-            assert info.misses >= keys > info.maxsize >= info.currsize
+        info = normalform._shape_report.cache_info()
+        assert info.misses >= 592 > info.maxsize >= info.currsize
 
 
 class TestGradedEquivalence:

@@ -591,6 +591,10 @@ class TestDivision:
         with pytest.raises(PolyError):
             divides_exactly(Poly.zero(2), H1)
 
+    def test_zero_divisor_is_named(self):
+        with pytest.raises(PolyError, match=r"^division by the zero polynomial$"):
+            divides_exactly(Poly.zero(2), Poly.var(2, 0))
+
 
 @st.composite
 def division_cases(draw):

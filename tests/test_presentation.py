@@ -529,13 +529,12 @@ class TestConjugation:
 
 
 def plant_shape_report(monkeypatch, member, check=verify_relations):
-    """Seed the cached report of the representative (m, |S|) = (2, 1) with check(member)."""
-    normalform._family_report.cache_clear()
+    """Seed the cached report of the representative (m, S) = (2, {1}) with check(member)."""
     normalform._shape_report.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(normalform, "build_mas", lambda m, a, s: member)
         patch.setattr(normalform, "verify_relations", check)
-        return normalform._family_report(2, 1)
+        return normalform._shape_report(2, frozenset({1}))
 
 
 class TestRelationReportFallback:
