@@ -6,11 +6,13 @@ output (deterministic JSON, no timestamps) goes to --out.  Exit codes:
 0 for pass/success verdicts, 1 for fail verdicts, 2 for usage, file, or
 grammar errors.
 
-The layers beyond poly, superlie and presentation load on first use, so
-a process compiles only what its subcommand runs: normalform, which owns
-the relation verdict, for verify, classify and canon-sl11; morphisms for
-iso, endo and submodules; stringbridge for string-check; emptiness for
-empty-check.
+Only poly and mat2 load with this module; the layers above them load on
+first use, so a process compiles only what its subcommand runs:
+presentation (with superlie) for every command that reads a presentation
+and for string-check; normalform, which owns the relation verdict, for
+verify, classify and canon-sl11; morphisms for iso, endo and submodules;
+stringbridge for string-check; emptiness (with superlie) for empty-check.
+Likewise the parser holds only the invoked subcommand's subparser.
 """
 
 from __future__ import annotations
@@ -26,17 +28,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+from .mat2 import PresentationError, dump_json
 from .poly import UhfreeError, default_names, format_poly, format_rational, parse_poly
-from .presentation import (
-    MAX_SHOWN_VIOLATIONS,
-    Presentation,
-    PresentationError,
-    check_pointwise_budget,
-    dump_json,
-    parity_check,
-    pointwise_check,
-    presentation_from_json,
-)
 
 
 def _lazy(name: str):
@@ -57,6 +50,7 @@ def _lazy(name: str):
     return module
 
 
+presentation = _lazy("presentation")
 normalform = _lazy("normalform")
 morphisms = _lazy("morphisms")
 stringbridge = _lazy("stringbridge")
@@ -81,8 +75,8 @@ def _read_input(path: str, error: type[ValueError]) -> str:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _load_presentation(path: str) -> Presentation:
-    return presentation_from_json(_read_input(path, PresentationError))
+def _load_presentation(path: str) -> presentation.Presentation:
+    return presentation.presentation_from_json(_read_input(path, PresentationError))
 
 
 # an integer, p/q or a decimal; not 1e<k>, for which Fraction builds 10**k however large
@@ -102,19 +96,20 @@ def _rational(text: str) -> Fraction:
     raise morphisms.MorphismError(f"--lambdas: {text!r} is not a rational number")
 
 
-def _names(p: Presentation):
+def _names(p: presentation.Presentation):
     return default_names(p.nvars, p.m)
 
 
 def _violation_lines(texts: list[str], rest: str) -> list[str]:
     """Indented lines for the first MAX_SHOWN_VIOLATIONS texts, then a count of the rest."""
-    lines = ["  " + t for t in texts[:MAX_SHOWN_VIOLATIONS]]
-    if len(texts) > MAX_SHOWN_VIOLATIONS:
-        lines.append(f"  ... and {len(texts) - MAX_SHOWN_VIOLATIONS} more ({rest})")
+    shown = presentation.MAX_SHOWN_VIOLATIONS
+    lines = ["  " + t for t in texts[:shown]]
+    if len(texts) > shown:
+        lines.append(f"  ... and {len(texts) - shown} more ({rest})")
     return lines
 
 
-def _require_verified(p: Presentation, lines: list[str], side: str = "") -> None:
+def _require_verified(p: presentation.Presentation, lines: list[str], side: str = "") -> None:
     """Fail (exit 1) with the violation count and list unless p satisfies the relations."""
     report = normalform.verified_report(p)
     if not report.ok:
@@ -139,7 +134,7 @@ def cmd_verify(args) -> Outcome:
         )
     p = _load_presentation(args.file)
     if args.pointwise is not None:
-        check_pointwise_budget(p, args.pointwise)
+        presentation.check_pointwise_budget(p, args.pointwise)
     lines = [f"presentation over sl({p.m}|{p.n}), grading {p.grading}"]
     report = normalform.verified_report(p)
     payload = {
@@ -147,7 +142,7 @@ def cmd_verify(args) -> Outcome:
         "checked": report.checked,
         "violations": report.describe(p.m, p.n),
     }
-    parity = parity_check(p) if p.is_graded() else None
+    parity = presentation.parity_check(p) if p.is_graded() else None
     if parity is not None:
         payload["parity_ok"] = parity.ok
         payload["parity_failures"] = list(parity.failures)
@@ -164,7 +159,7 @@ def cmd_verify(args) -> Outcome:
             lines.extend("  " + t for t in parity.failures)
             return 1, lines, payload
     if args.pointwise is not None:
-        sampled = pointwise_check(p, args.pointwise)
+        sampled = presentation.pointwise_check(p, args.pointwise)
         verdict = "PASS" if sampled.ok else "FAIL"
         lines.append(
             f"{verdict}: pointwise cross-check on {sampled.checked} sampled identities"
@@ -410,88 +405,110 @@ def cmd_canon_sl11(args) -> Outcome:
 # -- driver -----------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+# Each subcommand's help and its arguments, as (name or flag, add_argument keywords).
+SUBCOMMANDS = {
+    "verify": ("check the module relations of a presentation", (
+        ("file", {}),
+        ("--pointwise", {
+            "type": int,
+            "metavar": "DEG",
+            "help": "also sample the relations on monomial vectors up to this degree",
+        }),
+    )),
+    "classify": ("classify a verified sl(m|1) presentation", (("file", {}),)),
+    "iso": ("decide isomorphism of two presentations", (
+        ("src", {}),
+        ("dst", {}),
+        ("--category", {
+            "default": "auto",
+            "choices": ["auto", "M2", "M11", "M11even"],
+            "help": "morphism category (default: graded-even for graded inputs)",
+        }),
+        ("--expect-iso", {"action": "store_true"}),
+    )),
+    "endo": ("endomorphism space and idempotents", (
+        ("file", {}),
+        ("--bound", {"type": int, "default": 4, "help": "entry degree bound"}),
+    )),
+    "submodules": ("filtrations / submodule shapes", (
+        ("file", {}),
+        ("--length", {"type": int, "help": "filtration length (default 10; not for sl(1|1))"}),
+        ("--lambdas", {"help": "comma-separated rational roots (not for sl(1|1))"}),
+        ("--gen", {"help": "ideal generator for rank-2 sl(1|1) (default h1)"}),
+    )),
+    "string-check": ("string-module intertwining check", (
+        ("--variant", {"default": "both", "choices": ["1", "2", "both"]}),
+        ("--N", {"dest": "n", "type": int, "default": 25}),
+        ("--max-deg", {"type": int, "default": 10}),
+        ("--adjacency", {"action": "store_true", "help": "emit the arrow diagram"}),
+    )),
+    "empty-check": ("emptiness certificates for m, n >= 2", (
+        ("--m", {"type": int}),
+        ("--n", {"type": int}),
+        ("--graded", {"action": "store_true"}),
+        ("--verify", {"help": "re-verify a stored certificate"}),
+    )),
+    "canon-sl11": ("canonical form of an sl(1|1) presentation", (("file", {}),)),
+}
+
+# taken by every subcommand, after its own arguments
+COMMON_ARGUMENTS = (
+    ("--out", {"help": "write machine-readable JSON here"}),
+    ("--stamp", {"action": "store_true", "help": "append a timestamp to the human report"}),
+)
+
+
+class _Deferred(Exception):
+    """A parse error that the full parser reports, with its usage line."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Deferred
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The uhfree parser; given a command, it holds that subcommand's parser only.
+
+    The subcommand's help is the same in both.  Where the full parser
+    would print an error, a one-command parser raises _Deferred instead.
+    """
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
         prog="uhfree",
         description="Exact computations with rank-2 U(h)-free modules over sl(m|n).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--out", help="write machine-readable JSON here")
-        sp.add_argument(
-            "--stamp",
-            action="store_true",
-            help="append a timestamp to the human report",
-        )
-
-    sp = sub.add_parser("verify", help="check the module relations of a presentation")
-    sp.add_argument("file")
-    sp.add_argument(
-        "--pointwise",
-        type=int,
-        metavar="DEG",
-        help="also sample the relations on monomial vectors up to this degree",
-    )
-    common(sp)
-
-    sp = sub.add_parser("classify", help="classify a verified sl(m|1) presentation")
-    sp.add_argument("file")
-    common(sp)
-
-    sp = sub.add_parser("iso", help="decide isomorphism of two presentations")
-    sp.add_argument("src")
-    sp.add_argument("dst")
-    sp.add_argument(
-        "--category",
-        default="auto",
-        choices=["auto", "M2", "M11", "M11even"],
-        help="morphism category (default: graded-even for graded inputs)",
-    )
-    sp.add_argument("--expect-iso", action="store_true")
-    common(sp)
-
-    sp = sub.add_parser("endo", help="endomorphism space and idempotents")
-    sp.add_argument("file")
-    sp.add_argument("--bound", type=int, default=4, help="entry degree bound")
-    common(sp)
-
-    sp = sub.add_parser("submodules", help="filtrations / submodule shapes")
-    sp.add_argument("file")
-    sp.add_argument("--length", type=int, help="filtration length (default 10; not for sl(1|1))")
-    sp.add_argument("--lambdas", help="comma-separated rational roots (not for sl(1|1))")
-    sp.add_argument("--gen", help="ideal generator for rank-2 sl(1|1) (default h1)")
-    common(sp)
-
-    sp = sub.add_parser("string-check", help="string-module intertwining check")
-    sp.add_argument("--variant", default="both", choices=["1", "2", "both"])
-    sp.add_argument("--N", dest="n", type=int, default=25)
-    sp.add_argument("--max-deg", type=int, default=10)
-    sp.add_argument("--adjacency", action="store_true", help="emit the arrow diagram")
-    common(sp)
-
-    sp = sub.add_parser("empty-check", help="emptiness certificates for m, n >= 2")
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--graded", action="store_true")
-    sp.add_argument("--verify", help="re-verify a stored certificate")
-    common(sp)
-
-    sp = sub.add_parser("canon-sl11", help="canonical form of an sl(1|1) presentation")
-    sp.add_argument("file")
-    common(sp)
-
+    for name, (text, arguments) in SUBCOMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=text)
+            for flag, options in arguments + COMMON_ARGUMENTS:
+                sp.add_argument(flag, **options)
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser; parse_args leaves it unchanged."""
-    return build_parser()
+def _parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The process's one parser per command; parse_args leaves it unchanged."""
+    return build_parser(command)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse with the invoked subcommand's parser alone.
+
+    The full parser handles no command or an unknown one, and prints
+    every error, so usage lines list all subcommands as before.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in SUBCOMMANDS:
+        try:
+            return _parser(argv[0]).parse_args(argv)
+        except _Deferred:
+            pass
+    return _parser(None).parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     # the handler cmd_<command> is looked up per call, not kept in the parser
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

@@ -18,8 +18,8 @@ combination a failed polynomial identity: either the two E_{im} routes
 cannot be reconciled by any scalar choice, or the two E_{mi} routes are
 non-proportional outright.  Non-proportionality is witnessed twice
 over, by a monomial-support mismatch and by a rational evaluation
-point, and the surviving combination's routes are re-derived by the
-presentation module's `twisted_bracket`, independently of `_route`.
+point, and the surviving combination's routes are re-derived by
+`mat2.twisted_bracket`, independently of `_route`.
 
 Every matrix is computed as a unit monomial a^delta times a matrix over
 Q[h] (RouteView); the units are variables only in the file form (ScaledMat).
@@ -55,7 +55,7 @@ image of the sl(2|2) one; the evaluation point's other coordinates are
 0, as in the lex-first scan.  `_check_reduction` checks both hypotheses
 at every size in O(m + n) and raises InvariantBreach if one fails.
 Verification still re-derives the routes at the real (m, n) through
-`presentation.twisted_bracket`, independently of the lemma.
+`mat2.twisted_bracket`, independently of the lemma.
 
 So no polynomial is built at (m, n): by the text clause, an embedded
 polynomial prints as its sl(2|2) text with the names (h1, h{m}, hb1).
@@ -79,7 +79,7 @@ from .poly import (
     default_names,
     format_poly,
 )
-from .presentation import (
+from .mat2 import (
     InvariantBreach,
     Mat2,
     json_array,
@@ -596,7 +596,7 @@ def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCert
 # -- re-verification -----------------------------------------------------------------------
 
 
-# the presentation module's JSON field and key checkers, raising EmptinessError
+# mat2's JSON field and key checkers, raising EmptinessError
 _field = functools.partial(json_field, error=EmptinessError)
 _keys = functools.partial(json_keys, error=EmptinessError)
 
@@ -693,7 +693,7 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
     Checks: a fresh replay (the sl(2|2) computation rendered at (m, n),
     with the reduction lemma's hypotheses checked there) produces the same
     branch outcomes and routes; every recorded failing identity still
-    fails; the surviving routes agree with `presentation.twisted_bracket`
+    fails; the surviving routes agree with `mat2.twisted_bracket`
     of the pinned matrices at the real (m, n), through b1 and through bn
     at two scalar specializations; and both non-proportionality witnesses
     hold at (m, n).  The re-derivation writes the twisted product apart

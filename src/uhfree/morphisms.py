@@ -47,7 +47,8 @@ from .poly import (
     integer_rows,
     monomials,
 )
-from .presentation import InvariantBreach, Mat2, Presentation
+from .mat2 import InvariantBreach, Mat2
+from .presentation import Presentation
 from .normalform import classified_sl_m1
 from .superlie import Root
 

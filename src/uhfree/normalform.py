@@ -38,11 +38,9 @@ from .poly import (
     format_rational,
     poly_gcd,
 )
+from .mat2 import InvariantBreach, Mat2, PresentationError
 from .presentation import (
-    InvariantBreach,
-    Mat2,
     Presentation,
-    PresentationError,
     RelationReport,
     _intermediate,
     build_mas,

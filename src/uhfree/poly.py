@@ -67,7 +67,7 @@ class UhfreeError(ValueError):
     """Base of every error that a bad input or argument raises (CLI exit 2).
 
     It lives here, in the lowest layer, so every module can derive from it.
-    Broken internal invariants raise presentation.InvariantBreach instead.
+    Broken internal invariants raise mat2.InvariantBreach instead.
     """
 
 

@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .poly import Poly, UhfreeError
-from .presentation import Mat2, Presentation, act, build_mas
+from .mat2 import Mat2
+from .presentation import Presentation, act, build_mas
 from .superlie import Root
 
 

@@ -6,14 +6,8 @@ import time
 from fractions import Fraction
 
 from uhfree.poly import Poly, apply_shift, compose_univariate, default_names, divides_exactly
-from uhfree.presentation import (
-    FORMAT_PRESENTATION,
-    Mat2,
-    _gen_label,
-    build_mas,
-    conjugate,
-    dump_json,
-)
+from uhfree.mat2 import Mat2, dump_json
+from uhfree.presentation import FORMAT_PRESENTATION, _gen_label, build_mas, conjugate
 
 
 def build_mas_bar(m, a, s):

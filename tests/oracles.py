@@ -33,7 +33,8 @@ from uhfree.poly import (
     monomials,
     poly_gcd,
 )
-from uhfree.presentation import InvariantBreach, Mat2, RelationReport, Violation
+from uhfree.mat2 import InvariantBreach, Mat2
+from uhfree.presentation import RelationReport, Violation
 from uhfree.superlie import Cartan, Root
 
 from .helpers import reconstruct_nil

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from uhfree import (
     cli,
     emptiness,
+    mat2,
     morphisms,
     normalform,
     poly,
@@ -121,7 +122,7 @@ class TestExitCodes:
 
     def test_verify_pointwise_failure_is_exit_1(self, family_file, capsys, monkeypatch):
         failing = presentation.RelationReport(False, (), 5)
-        monkeypatch.setattr(cli, "pointwise_check", lambda p, deg: failing)
+        monkeypatch.setattr(presentation, "pointwise_check", lambda p, deg: failing)
         assert main(["verify", family_file, "--pointwise", "1"]) == 1
         assert "FAIL: pointwise cross-check on 5 sampled identities" in capsys.readouterr().out
 
@@ -593,21 +594,54 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_parser_is_built_once_per_process(self, monkeypatch, family_file, capsys):
+    def test_each_command_parser_is_built_once_per_process(self, monkeypatch, family_file, capsys):
         calls = []
         build = cli.build_parser
 
-        def counting():
-            calls.append(1)
-            return build()
+        def counting(command=None):
+            calls.append(command)
+            return build(command)
 
         monkeypatch.setattr(cli, "build_parser", counting)
-        for command in ("verify", "classify", "verify"):
-            assert main([command, family_file]) == 0
-        assert len(calls) <= 1
+        cli._parser.cache_clear()
+        requests = [
+            ["verify", family_file],
+            ["classify", family_file],
+            ["iso", family_file, family_file],
+            ["endo", family_file, "--bound", "1"],
+            ["submodules", family_file, "--length", "2"],
+            ["string-check", "--N", "9", "--max-deg", "2"],
+            ["empty-check", "--m", "2", "--n", "2"],
+            # exit 2 (m = 2) once parsed
+            ["canon-sl11", family_file],
+        ]
+        for argv in requests + requests:
+            assert main(argv) == (2 if argv[0] == "canon-sl11" else 0)
+        # one parser per subcommand, and never the full one, which holds all eight
+        assert sorted(calls) == sorted(cli.SUBCOMMANDS)
+
+    # each recorded from the parser that held all eight subparsers
+    @pytest.mark.parametrize(
+        "case",
+        json.loads((DATA / "parser_messages.json").read_text()),
+        ids=lambda case: " ".join(case["argv"]) or "no-arguments",
+    )
+    def test_help_and_parse_errors_print_what_the_full_parser_prints(
+        self, case, monkeypatch, capsys
+    ):
+        # argparse wraps its text at $COLUMNS - 2
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(case["argv"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == (
+            case["code"],
+            case["stdout"],
+            case["stderr"],
+        )
 
     def test_invariant_breach_is_not_a_user_error(self):
-        assert not issubclass(presentation.InvariantBreach, poly.UhfreeError)
+        assert not issubclass(mat2.InvariantBreach, poly.UhfreeError)
 
     NOT_UTF8 = "error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
 
@@ -1265,7 +1299,7 @@ class TestVerifyOnce:
         assert verify_calls[0] == build_mas(2, (1, 1), (1,))
 
 
-LAYERS = ("normalform", "morphisms", "stringbridge", "emptiness")
+LAYERS = ("presentation", "normalform", "morphisms", "stringbridge", "emptiness")
 
 # Runs the CLI as `python -m uhfree.cli ARGV...` does, then prints which layers
 # were executed: type() reads a module that cli loads on first use without
@@ -1328,16 +1362,17 @@ class TestLayerLoading:
         "argv, loaded",
         [
             # verify proves the relations of an sl(m|1) input through its classification
-            (["verify", "{m21}"], ["normalform"]),
-            (["verify", "{m21}", "--stamp"], ["normalform"]),
-            (["verify", "{m11}"], ["normalform"]),
-            (["classify", "{m21}"], ["normalform"]),
-            (["canon-sl11", "{m11}"], ["normalform"]),
-            (["iso", "{m21}", "{m21}"], ["normalform", "morphisms"]),
-            (["endo", "{m21}", "--bound", "1"], ["normalform", "morphisms"]),
-            (["submodules", "{m21}", "--length", "2"], ["normalform", "morphisms"]),
-            (["submodules", "{m11}"], ["normalform", "morphisms"]),
-            (["string-check", "--N", "9", "--max-deg", "2"], ["stringbridge"]),
+            (["verify", "{m21}"], ["presentation", "normalform"]),
+            (["verify", "{m21}", "--stamp"], ["presentation", "normalform"]),
+            (["verify", "{m11}"], ["presentation", "normalform"]),
+            (["classify", "{m21}"], ["presentation", "normalform"]),
+            (["canon-sl11", "{m11}"], ["presentation", "normalform"]),
+            (["iso", "{m21}", "{m21}"], ["presentation", "normalform", "morphisms"]),
+            (["endo", "{m21}", "--bound", "1"], ["presentation", "normalform", "morphisms"]),
+            (["submodules", "{m21}", "--length", "2"], ["presentation", "normalform", "morphisms"]),
+            (["submodules", "{m11}"], ["presentation", "normalform", "morphisms"]),
+            (["string-check", "--N", "9", "--max-deg", "2"], ["presentation", "stringbridge"]),
+            # an emptiness certificate reads no presentation
             (["empty-check", "--m", "2", "--n", "2"], ["emptiness"]),
             (["empty-check", "--verify", "{cert}"], ["emptiness"]),
         ],
@@ -1364,6 +1399,17 @@ class TestLayerLoading:
             "datetime": "--stamp" in argv,
             "dataclasses": False,
         }
+
+    def test_a_certificate_needs_no_presentation_module(self):
+        run = _run_python([
+            "-c",
+            "import sys\n"
+            "from uhfree.emptiness import emptiness_certificate\n"
+            "emptiness_certificate(2, 2)\n"
+            "print('uhfree.presentation' in sys.modules)",
+        ])
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "False\n"
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from uhfree.poly import Poly, format_poly, parse_poly
-from uhfree.presentation import InvariantBreach, Mat2, dump_json
+from uhfree.mat2 import InvariantBreach, Mat2, dump_json
 from uhfree import emptiness
 from uhfree.cli import main
 from uhfree.superlie import Root, algebra

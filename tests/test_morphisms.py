@@ -18,9 +18,8 @@ from uhfree.poly import (
     default_names,
     monomials,
 )
+from uhfree.mat2 import InvariantBreach, Mat2
 from uhfree.presentation import (
-    InvariantBreach,
-    Mat2,
     act,
     build_mas,
     conjugate,

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from uhfree import normalform
 from uhfree.cli import main
 from uhfree.poly import Poly, apply_shift
+from uhfree.mat2 import InvariantBreach, Mat2
 from uhfree.presentation import (
-    InvariantBreach,
-    Mat2,
     RelationReport,
     build_mas,
     conjugate,

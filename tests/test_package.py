@@ -78,6 +78,7 @@ def test_every_definition_is_named():
 LAYER = {
     "poly": 0,
     "superlie": 1,
+    "mat2": 1,
     "presentation": 2,
     "normalform": 3,
     "stringbridge": 3,

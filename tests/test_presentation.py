@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from uhfree import normalform, presentation
+from uhfree import mat2, normalform, presentation
 from uhfree.poly import Poly, PolyError, apply_shift, default_names
 from uhfree.presentation import (
     Mat2,
@@ -564,7 +564,7 @@ class TestRelationReportFallback:
         # p passes although the shape it reaches fails: no classification is kept
         p, _ = planted
         assert verified_report(p).ok
-        with pytest.raises(presentation.InvariantBreach, match="family member failed"):
+        with pytest.raises(mat2.InvariantBreach, match="family member failed"):
             normalform.classified_sl_m1(p)
 
     def test_without_the_check_the_member_would_be_reported(self, planted, monkeypatch):
@@ -576,7 +576,9 @@ class TestRelationReportFallback:
         assert report is passing and report.violations == verify_relations(broken).violations != ()
 
     def test_the_plant_stays_on_its_shape(self, planted):
-        # the cache is keyed by m and |S|: (2, {}), (2, {1, 2}) and (3, {1}) are checked afresh
+        # the one cache is keyed by (m, S) and the plant sits on the representative
+        # (2, {1}); (2, {}), (2, {1, 2}) and (3, {1}) have other representatives,
+        # so they are checked afresh
         for m, s in ((2, ()), (2, (1, 2)), (3, (1,))):
             q = build_mas(m, range(1, m + 1), s)
             assert verified_report(q).ok
@@ -587,7 +589,7 @@ class TestRelationReportFallback:
         # (2, {2}) has the planted representative too, so p falls back to its own check
         q = build_mas(2, (1, 2), (2,))
         assert verified_report(q).ok
-        with pytest.raises(presentation.InvariantBreach, match="family member failed"):
+        with pytest.raises(mat2.InvariantBreach, match="family member failed"):
             normalform.classified_sl_m1(q)
 
 
@@ -687,7 +689,7 @@ json_values = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(json_values)
 def test_dump_json_writes_what_json_writes(value):
-    assert presentation.dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert mat2.dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -713,4 +715,4 @@ def test_dump_json_writes_what_json_writes(value):
 )
 def test_dump_json_refuses_what_it_does_not_write(value):
     with pytest.raises(TypeError):
-        presentation.dump_json(value)
+        mat2.dump_json(value)
