@@ -15,7 +15,7 @@ order (h_1 largest) is the order of the keys.  Every total degree stays
 below DEGREE_LIMIT = 2^15, checked when a polynomial is built or parsed
 and before each product, so no field carries into its neighbour.
 Exponent tuples appear only at the public boundary: `Poly(nvars, {tuple:
-c})`, `Poly.terms`, `coeff`, `leading`, `sorted_terms` and `monomials`.
+c})`, `Poly.terms`, `coeff`, `sorted_terms` and `monomials`.
 Packing and unpacking go through the bytes of the key, the parser adds
 one shifted power per factor, and shifts and `specialize` visit only the
 nonzero fields of a key, so no kernel does work quadratic in the number
@@ -349,11 +349,6 @@ class Poly:
                 n *= e + 1
             total += n
         return total
-
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        """Leading (exponents, coefficient) under graded lex; zero is an error."""
-        c = self.leading_coeff()
-        return _exps(max(self._num), self.nvars), c
 
     def leading_coeff(self) -> Fraction:
         if not self._num:

@@ -300,21 +300,79 @@ def verify_relations(p: Presentation) -> RelationReport:
     """
     alg = p.algebra
     roots = alg.root_vectors()
+    k = len(roots)
+    checked = k * (k + 1) // 2
     for x, y in _generating_pairs(alg):
         if _violation(p, x, y) is not None:
             break
     else:
-        k = len(roots)
-        return RelationReport(True, (), k * (k + 1) // 2)
+        return RelationReport(True, (), checked)
     violations: list[Violation] = []
-    checked = 0
-    for a in range(len(roots)):
-        for b in range(a, len(roots)):
-            checked += 1
+    for a in range(k):
+        for b in range(a, k):
             v = _violation(p, roots[a], roots[b])
             if v is not None:
                 violations.append(v)
     return RelationReport(not violations, tuple(violations), checked)
+
+
+# Term products of the pairwise relation check of an input that does not
+# classify (`normalform.verified_report`'s fallback), as `relation_work`
+# estimates them.  Measured on a 2-CPU machine at 3-35 us per estimated
+# product: sl(6|1) with every odd matrix [[c, 1], [0, c]], c = h1 + ... + h6,
+# estimated at 273 393, took 1.6 s; sl(3|1) with x = (h1 + h2 + h3 + 1)^4
+# in place of c, at 117 600 for deriving its evens alone, 3.8 s; sl(6|1)
+# with x = h1^24, at 153 063, 3.2 s.  The largest estimate of a test-suite
+# input that reaches the check is 12 855 (family_in_sl31_perturbed.json,
+# 0.08 s), and of one from perfbench/gen.py (seeds 1-100, 10 cycles each)
+# 2 823.  A module proved by classification is not evaluated, and its
+# entries may be larger.
+WORK_BUDGET = 100_000
+
+
+def relation_work(p: Presentation) -> int:
+    """An estimate of the term products `verify_relations` makes on p.
+
+    Deriving the even matrix of e[i,j] from x = e[i,k] and y = e[k,j]
+    takes 8 products of an entry of E_x (at most t_x terms) with a
+    shifted entry of E_y (at most s_y terms), and 8 the other way round.
+    Shifting turns a monomial h^e into at most (e_1 + 1)...(e_v + 1)
+    terms, and an entry of degree d into at most C(d + v, v).  If the
+    evens' bound is within WORK_BUDGET, they are derived (once for p, as
+    `verify_relations` would), and each pair (a, b) of root vectors is
+    charged e_a e_b, the most terms of an entry of each action matrix.
+    """
+    alg, v = p.algebra, p.nvars
+    sizes = {pos: _entry_sizes(mat, v) for pos, mat in p.odd}
+    roots = alg.root_vectors()
+    work = 0
+    for r in roots:
+        if not alg.parity(r):
+            k = _intermediate(alg, r.row)
+            (tx, sx), (ty, sy) = sizes[r.row, k], sizes[k, r.col]
+            work += 8 * (tx * sy + ty * sx)
+    if work > WORK_BUDGET:
+        return work
+    e = [max(f.term_count() for row in p.E(r.row, r.col).rows for f in row) for r in roots]
+    return work + (sum(e) ** 2 + sum(x * x for x in e)) // 2
+
+
+def _entry_sizes(mat: Mat2, v: int) -> tuple[int, int]:
+    """The most terms of an entry of mat, and a bound on the terms of a shifted entry."""
+    entries = [f for row in mat.rows for f in row]
+    shifted = max(f.shift_bound() for f in entries)
+    dense = comb(max(f.total_degree() for f in entries) + v, v)
+    return max(f.term_count() for f in entries), min(shifted, dense)
+
+
+def check_work_budget(p: Presentation) -> None:
+    """Refuse a presentation whose relation_work is over WORK_BUDGET."""
+    work = relation_work(p)
+    if work > WORK_BUDGET:
+        raise PresentationError(
+            f"the relation check is estimated at {work} term products, over the "
+            f"budget of {WORK_BUDGET} for an input that does not classify"
+        )
 
 
 def pointwise_check(p: Presentation, max_deg: int = 2) -> RelationReport:

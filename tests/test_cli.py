@@ -287,6 +287,7 @@ class TestExitCodes:
                 "--pointwise must be non-negative, got -1",
             ),
             (["string-check", "--max-deg", "-3"], "max degree must be non-negative, got -3"),
+            (["endo", "{file}", "--bound", "-1"], "degree bound must be non-negative"),
             (["submodules", "{file}", "--gen", "h1"], "submodules on sl(2|1) takes no --gen"),
             (
                 ["submodules", "{sl11}", "--lambdas", "1,2"],
@@ -323,8 +324,8 @@ class TestExitCodes:
         ],
         ids=[
             "lambdas-word", "lambdas-1/0", "lambdas-empty", "lambdas-blank", "length",
-            "pointwise", "max-deg", "gen-off-sl11", "lambdas-on-sl11", "gen-over-degree-limit",
-            "length-on-sl11",
+            "pointwise", "max-deg", "endo-negative-bound", "gen-off-sl11", "lambdas-on-sl11",
+            "gen-over-degree-limit", "length-on-sl11",
             "verify-with-m", "verify-with-n-graded", "verify-empty-path-with-m",
             "classify-sl22", "classify-sl12", "canon-sl11-on-sl21", "empty-check-without-n",
         ],
@@ -346,6 +347,40 @@ class TestExitCodes:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    SL_M1_ONLY = "endomorphisms and submodules are described over sl(m|1) only"
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (
+                ["verify", "{f}"],
+                0,
+                "presentation over sl(1|2), grading ungraded\n"
+                "PASS: all 21 generator relations hold\n",
+                "",
+            ),
+            (["classify", "{f}"], 2, "", "classification applies to sl(m|1)"),
+            (["iso", "{f}", "{f}"], 2, "", "classification applies to sl(m|1)"),
+            (["endo", "{f}"], 2, "", SL_M1_ONLY),
+            (["submodules", "{f}"], 2, "", SL_M1_ONLY),
+            (["canon-sl11", "{f}"], 2, "", "canon-sl11 expects a presentation with m = n = 1"),
+        ],
+        ids=["verify", "classify", "iso", "endo", "submodules", "canon-sl11"],
+    )
+    def test_every_command_on_an_sl12_module(self, tmp_path, capsys, argv, code, out, err):
+        # M((1, 3), {1}) over sl(2|1) read as a module over sl(1|2) = sl(2|1)
+        # with the blocks swapped: position r goes to (1, 2, 0)[r], h1 <-> h2
+        moved = (1, 2, 0)
+        mats = {
+            (moved[r], moved[c]): mat.permuted([1, 0])
+            for (r, c), mat in build_mas(2, (1, 3), (1,)).odd
+        }
+        path = write(tmp_path, "sl12.json", make_presentation(1, 2, mats))
+        assert main([a.format(f=path) for a in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err == (f"error: {err}\n" if err else "")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -424,12 +459,17 @@ class TestExitCodes:
         # entries of 21 terms and 12 odds of 6, charge e_a e_b per pair
         e = [21] * 30 + [6] * 12
         work = 30 * 8 * (6 * 7 + 6 * 7) + (sum(e) ** 2 + sum(x * x for x in e)) // 2
-        assert normalform.relation_work(p) == work == 273_393
-        monkeypatch.setattr(normalform, "WORK_BUDGET", work)
-        normalform.check_work_budget(p)
-        monkeypatch.setattr(normalform, "WORK_BUDGET", work - 1)
+        assert presentation.relation_work(p) == work == 273_393
+        monkeypatch.setattr(presentation, "WORK_BUDGET", work)
+        presentation.check_work_budget(p)
+        monkeypatch.setattr(presentation, "WORK_BUDGET", work - 1)
         with pytest.raises(presentation.PresentationError, match="273393 term products, over"):
-            normalform.check_work_budget(p)
+            presentation.check_work_budget(p)
+
+    def test_a_budget_refusal_keeps_the_classifiers_refusal_as_context(self):
+        with pytest.raises(presentation.PresentationError, match="over the budget") as info:
+            verified_report(_odd_sum_powers(6, 1))
+        assert isinstance(info.value.__context__, (ClassificationError, mat2.InvariantBreach))
 
     @pytest.mark.parametrize("command", ["verify", "classify"])
     @pytest.mark.parametrize("m, k, shift", [(6, 1, 0), (3, 4, 1)], ids=["sl61-c", "sl31-c1-4"])
@@ -449,9 +489,9 @@ class TestExitCodes:
         largest = 0
         for path in sorted(DATA.glob("family_in_*.json")):
             p = presentation_from_json(path.read_text())
-            largest = max(largest, normalform.relation_work(p))
+            largest = max(largest, presentation.relation_work(p))
         # the pairwise check of family_in_sl31_perturbed.json took 0.08 s
-        assert largest == 12_855 < normalform.WORK_BUDGET // 5
+        assert largest == 12_855 < presentation.WORK_BUDGET // 5
 
     def test_degree_at_the_budget_is_checked(self, tmp_path, capsys):
         path = write(tmp_path, "deep.json", _odd_powers(2, presentation.DEGREE_BUDGET))

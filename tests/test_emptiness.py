@@ -562,7 +562,7 @@ class TestTampering:
     def test_consistently_wrong_routes_fail_the_re_derivation(self, monkeypatch):
         # a generator that doubles every route agrees with its own replay,
         # and its witnesses and recorded identities still hold; only the
-        # re-derivation through presentation.twisted_bracket sees it
+        # re-derivation through mat2.twisted_bracket sees it
         route = emptiness._route
 
         def doubled(*args):

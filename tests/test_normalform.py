@@ -1,3 +1,4 @@
+import traceback
 from fractions import Fraction
 from unittest import mock
 
@@ -553,6 +554,17 @@ class TestRelationsThroughClassification:
         monkeypatch.setattr(normalform, "classify_sl_m1", breach)
         with pytest.raises(InvariantBreach, match="planted breach"):
             verified_report(build_mas(3, (1, 2, 3), (2,)))
+
+    def test_a_kept_refusal_does_not_grow_its_traceback(self):
+        # a module whose g11bar flag contradicts its shapes: the record keeps
+        # the classifier's refusal, and each call raises that one exception
+        p = make_presentation(2, 1, dict(build_mas(2, (1, 2), (1,)).odd), "g11bar")
+        lengths = []
+        for _ in range(5):
+            with pytest.raises(ClassificationError, match="grading flag") as info:
+                classified_sl_m1(p)
+            lengths.append(len(traceback.extract_tb(info.value.__traceback__)))
+        assert lengths == [lengths[0]] * 5
 
     @settings(max_examples=30, deadline=None)
     @given(classified_modules())
