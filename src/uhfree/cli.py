@@ -227,6 +227,8 @@ def cmd_endo(args) -> Outcome:
     p = _load_presentation(args.file)
     lines = [f"endomorphisms up to entry degree {args.bound}"]
     _require_verified(p, lines)
+    # the frame that endo_ring_basis reads exists over sl(m|1) only: refuse before the solve
+    morphisms.check_sl_m1(p)
     names = _names(p)
     sols = morphisms.solve_hom(p, p, args.bound)
     basis = morphisms.endo_ring_basis(p, args.bound)

@@ -380,6 +380,12 @@ def _diagonal(upper: Poly, lower: Poly) -> Mat2:
     return Mat2(((upper, z), (z, lower)))
 
 
+def check_sl_m1(p: Presentation) -> None:
+    """Refuse a presentation over sl(m|n), n != 1, where the frame is not defined."""
+    if p.n != 1:
+        raise MorphismError("endomorphisms and submodules are described over sl(m|1) only")
+
+
 def _family_frame(p: Presentation) -> _Frame:
     """The frame of p, made once per presentation and kept with its verdict.
 
@@ -388,8 +394,7 @@ def _family_frame(p: Presentation) -> _Frame:
     """
     frame = p._memo.get("frame")
     if frame is None:
-        if p.n != 1:
-            raise MorphismError("endomorphisms and submodules are described over sl(m|1) only")
+        check_sl_m1(p)
         params, w = classified_sl_m1(p)
         nv = p.nvars
         c = sum((Poly.var(nv, j) for j in range(p.m)), Poly.zero(nv))

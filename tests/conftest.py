@@ -26,9 +26,15 @@ def per_test_time_limit():
 @pytest.fixture(autouse=True)
 def fresh_caches():
     """Each test starts and ends with no family shape checked
-    (normalform._shape_report) and no emptiness certificate built
-    (emptiness._universal)."""
-    caches = (normalform._shape_report, emptiness._universal)
+    (normalform._shape_report), no emptiness certificate built
+    (emptiness._universal), rendered at a size (emptiness._rendered) or
+    replayed for verification (emptiness._replay)."""
+    caches = (
+        normalform._shape_report,
+        emptiness._universal,
+        emptiness._rendered,
+        emptiness._replay,
+    )
     for cache in caches:
         cache.cache_clear()
     yield

@@ -363,12 +363,18 @@ class TestExitCodes:
             (["classify", "{f}"], 2, "", "classification applies to sl(m|1)"),
             (["iso", "{f}", "{f}"], 2, "", "classification applies to sl(m|1)"),
             (["endo", "{f}"], 2, "", SL_M1_ONLY),
+            (["endo", "{f}", "--bound", "12"], 2, "", SL_M1_ONLY),
             (["submodules", "{f}"], 2, "", SL_M1_ONLY),
             (["canon-sl11", "{f}"], 2, "", "canon-sl11 expects a presentation with m = n = 1"),
         ],
-        ids=["verify", "classify", "iso", "endo", "submodules", "canon-sl11"],
+        ids=["verify", "classify", "iso", "endo", "endo-bound-12", "submodules", "canon-sl11"],
     )
-    def test_every_command_on_an_sl12_module(self, tmp_path, capsys, argv, code, out, err):
+    def test_every_command_on_an_sl12_module(
+        self, tmp_path, capsys, monkeypatch, argv, code, out, err
+    ):
+        # no command solves a hom system it then refuses
+        solves = []
+        monkeypatch.setattr(morphisms, "solve_hom", lambda *args, **kwargs: solves.append(args))
         # M((1, 3), {1}) over sl(2|1) read as a module over sl(1|2) = sl(2|1)
         # with the blocks swapped: position r goes to (1, 2, 0)[r], h1 <-> h2
         moved = (1, 2, 0)
@@ -381,6 +387,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == out
         assert captured.err == (f"error: {err}\n" if err else "")
+        assert solves == []
 
     @pytest.mark.parametrize(
         "argv, message",

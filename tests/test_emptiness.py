@@ -274,23 +274,139 @@ def test_a_wrong_pair_scalar_breaks_the_reduction(monkeypatch):
 
 
 def test_the_size_keyed_caches_are_bounded():
-    # 70 sizes: more algebras and pair scalars than the caches keep
+    # 70 sizes: more algebras, pair scalars, certificate texts and replays
+    # than the caches keep
     for m in range(2, 72):
-        emptiness_certificate(m, 2)
-    for cache, keys in ((algebra, 70), (CertRing.pair_scalar, 4 * 70)):
+        for graded in (False, True):
+            verify_certificate(emptiness_certificate(m, 2, graded))
+    caches = (
+        (algebra, 70),
+        (CertRing.pair_scalar, 4 * 70),
+        (emptiness._rendered, 70),
+        (emptiness._replay, 2 * 70),
+    )
+    for cache, keys in caches:
         info = cache.cache_info()
         assert keys > info.maxsize >= info.currsize
 
 
 def test_the_emptiness_workload_fits_the_size_keyed_caches():
-    # (m, n) in {2..7}^2 twice: the second pass finds every algebra and pair scalar
+    # (m, n) in {2..7}^2 twice: the second pass finds every algebra, pair
+    # scalar and certificate text
     sizes = list(itertools.product(range(2, 8), repeat=2))
+    caches = (algebra, CertRing.pair_scalar, emptiness._rendered)
     for m, n in sizes:
         emptiness_certificate(m, n)
-    misses = [cache.cache_info().misses for cache in (algebra, CertRing.pair_scalar)]
+    misses = [cache.cache_info().misses for cache in caches]
     for m, n in sizes:
         verify_certificate(emptiness_certificate(m, n))
-    assert [cache.cache_info().misses for cache in (algebra, CertRing.pair_scalar)] == misses
+    assert [cache.cache_info().misses for cache in caches] == misses
+
+
+# -- the verification memo: one replay and one run of the size-determined checks per size
+
+
+def _verify_lines(capsys, path) -> tuple[int, str]:
+    code = main(["empty-check", "--verify", str(path)])
+    return code, capsys.readouterr().out
+
+
+def test_verifying_three_certificates_of_one_size_replays_once(monkeypatch, capsys):
+    calls = {"certificates": 0, "routes": 0, "re-derivations": 0}
+    certificate, route = emptiness.emptiness_certificate, emptiness._route
+    bracket = emptiness.twisted_bracket
+
+    def counted_certificate(*args, **kwargs):
+        calls["certificates"] += 1
+        return certificate(*args, **kwargs)
+
+    def counted_route(*args):
+        calls["routes"] += 1
+        return route(*args)
+
+    def counted_bracket(*args):
+        calls["re-derivations"] += 1
+        return bracket(*args)
+
+    monkeypatch.setattr(emptiness, "emptiness_certificate", counted_certificate)
+    monkeypatch.setattr(emptiness, "_route", counted_route)
+    monkeypatch.setattr(emptiness, "twisted_bracket", counted_bracket)
+    path = DATA / "cert_3x5.json"
+    first = _verify_lines(capsys, path)
+    assert first[0] == 0 and "evaluation witness holds" in first[1]
+    # the replay, with the one sl(2|2) enumeration it needs (at most 16
+    # routes), and the size-determined checks: 2 routes at 2 specializations
+    assert calls["certificates"] == 1 and 0 < calls["routes"] <= 16
+    assert calls["re-derivations"] == 4
+    once = dict(calls)
+    for _ in range(2):
+        assert _verify_lines(capsys, path) == first
+    assert calls == once
+
+
+def test_the_reduction_is_checked_once_per_size(monkeypatch):
+    checked = []
+    check = emptiness._check_reduction
+    monkeypatch.setattr(emptiness, "_check_reduction", lambda ring: checked.append(ring) or check(ring))
+    for graded in (False, True, False):
+        verify_certificate(emptiness_certificate(3, 5, graded))
+    emptiness_certificate(5, 3)
+    assert checked == [CertRing(3, 5), CertRing(5, 3)]
+
+
+def _tamper_route(cert: dict) -> None:
+    route = cert["surviving"]["routeB"]["mat"]
+    route[1][1] = route[1][1] + " + 1"
+
+
+def _tamper_point(cert: dict) -> None:
+    point = cert["surviving"]["eval_witness"]["point"]
+    name = sorted(point)[-1]
+    point[name] = str(int(point[name]) + 2)
+
+
+def _tamper_branch(cert: dict) -> None:
+    killed = [o for o in cert["branch_log"] if o["stage1"]["detail"] and "lhs" in o["stage1"]["detail"]]
+    detail = killed[-1]["stage1"]["detail"]
+    detail["rhs"] = detail["lhs"]
+
+
+TAMPERS = {"route": _tamper_route, "point": _tamper_point, "branch": _tamper_branch}
+
+
+@pytest.mark.parametrize("kind", sorted(TAMPERS))
+def test_a_warm_size_still_rejects_a_tampered_certificate(tmp_path, capsys, kind):
+    intact = DATA / "cert_3x5.json"
+    data = json.loads(intact.read_text())
+    TAMPERS[kind](data)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(data, indent=2, sort_keys=True))
+    rejected = (1, "FAIL: certificate does not match a fresh replay\n")
+    # on a cold size the tampered file is compared with the replay and fills nothing
+    assert _verify_lines(capsys, tampered) == rejected
+    assert emptiness._replay(3, 5, False)[1] == []
+    accepted = _verify_lines(capsys, intact)
+    assert accepted[0] == 0
+    assert _verify_lines(capsys, tampered) == rejected
+    assert _verify_lines(capsys, intact) == accepted
+
+
+def test_a_flipped_graded_flag_is_checked_against_its_own_grading(tmp_path, capsys):
+    # the flag is the only difference between the two certificates of a size,
+    # so a flipped file is the other grading's certificate: it passes with
+    # that grading's report, also when both (3, 5, graded) entries are warm
+    paths = {}
+    for graded in (False, True):
+        data = emptiness_certificate(3, 5, graded).to_dict()
+        paths[graded] = tmp_path / f"graded_{graded}.json"
+        paths[graded].write_text(dump_json(data))
+        data["graded"] = not graded
+        paths[graded, "flipped"] = tmp_path / f"flipped_{graded}.json"
+        paths[graded, "flipped"].write_text(dump_json(data))
+    reports = {graded: _verify_lines(capsys, paths[graded]) for graded in (False, True)}
+    assert reports[False] != reports[True] and "graded annotation" in reports[True][1]
+    for graded in (False, True):
+        assert _verify_lines(capsys, paths[graded, "flipped"]) == reports[not graded]
 
 
 def _edit_everything(node):

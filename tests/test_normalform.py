@@ -137,6 +137,45 @@ class TestNilFactor:
             nil_factor(Mat2.identity(1), ID1)
 
 
+class TestPlantedFaults:
+    """Checks that no valid input reaches: each is reached through a fault
+    planted in the step before it, and would let that fault through with
+    its `raise` gone."""
+
+    def test_nil_factor_re_raises_a_failed_factorization(self, monkeypatch):
+        # the twisted square of CLASS1[0] is zero, so the check before the
+        # re-raise passes and only the re-raise reports the failure
+        def failing(p, tau):
+            raise InvariantBreach("planted factorization failure")
+
+        monkeypatch.setattr(normalform, "_factor_nil", failing)
+        with pytest.raises(InvariantBreach, match="planted factorization failure"):
+            nil_factor(CLASS1[0], ID1)
+
+    def test_factor_nil_checks_the_kernel_gcd(self, monkeypatch):
+        # a gcd that divides no entry of the kernel vector (h, 0)
+        monkeypatch.setattr(normalform, "poly_gcd", lambda a, b: H + 7)
+        with pytest.raises(InvariantBreach, match="kernel gcd does not divide the kernel vector"):
+            normalform._factor_nil(CLASS2[0], ID1)
+
+    def test_construct_pair_checks_its_witness(self, monkeypatch):
+        # theta doubled and omega halved leave the normal form (u, v) and the
+        # product identity as they are, but halve the witness's second column
+        real, scales = nil_factor, [2, Fraction(1, 2)]
+
+        def planted(p, tau):
+            params = real(p, tau)
+            return params._replace(theta=params.theta * scales.pop(0))
+
+        monkeypatch.setattr(normalform, "nil_factor", planted)
+        w0 = Mat2.of(1, ((1, H * H), (0, 1)))
+        p = w0 * CLASS2[0] * w0.inverse_unimodular()
+        q = w0 * CLASS2[1] * w0.inverse_unimodular()
+        with pytest.raises(InvariantBreach, match="canonicalizing witness failed"):
+            canonicalize_pair(p, q, ID1, H)
+        assert scales == []
+
+
 class TestCanonicalizePair:
     def test_case1_example(self):
         alpha = Fraction(2)

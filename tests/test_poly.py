@@ -825,6 +825,13 @@ class TestGcd:
         assert poly._heu_gcd(f, g) == Poly.one(2)
         assert poly_gcd(f, g) == Poly.one(2) == gcd_oracle(f, g, SYMS2).monic()
 
+    def test_a_content_that_does_not_divide_is_refused(self, monkeypatch):
+        # no valid input reaches the check: the content is a gcd of the
+        # coefficients, so a planted content that divides none of them does
+        monkeypatch.setattr(poly, "_content_in", lambda p, x: P("h1 + 7"))
+        with pytest.raises(PolyError, match="^content does not divide its polynomial$"):
+            poly._primitive_in(P("h1*h2 + h2"), 1)
+
 
 class TestGrammar:
     def test_documented_strings_round_trip(self):
