@@ -122,8 +122,8 @@ def _require_verified(p: presentation.Presentation, lines: list[str], side: str 
 # -- subcommands ------------------------------------------------------------------
 
 # What each subcommand returns: (exit code, report lines, --out payload or None).
-# `main` writes the payload and prints the report.
-Outcome = tuple[int, list[str], Optional[dict]]
+# `main` writes the payload, as it is if it is already text, and prints the report.
+Outcome = tuple[int, list[str], Optional[dict | str]]
 
 
 def cmd_verify(args) -> Outcome:
@@ -345,44 +345,18 @@ def cmd_empty_check(args) -> Outcome:
                 f"--verify takes no {' or '.join(given)}: "
                 "the certificate gives m, n and the grading"
             )
-        cert = emptiness.certificate_from_json(_read_input(args.verify, emptiness.EmptinessError))
+        text = _read_input(args.verify, emptiness.EmptinessError)
         try:
-            report = emptiness.verify_certificate(cert)
-        except emptiness.EmptinessError as exc:
+            m, n, report = emptiness.verify_text(text)
+        except emptiness.CertificateRejected as exc:
             raise _Failure([f"FAIL: {exc}"]) from None
-        lines = [f"certificate for sl({cert.m}|{cert.n}) re-verified:"]
+        lines = [f"certificate for sl({m}|{n}) re-verified:"]
         lines.extend("  " + t for t in report)
         return 0, lines, None
     if args.m is None or args.n is None:
         raise emptiness.EmptinessError("empty-check needs --m and --n (or --verify FILE)")
-    cert = emptiness.emptiness_certificate(args.m, args.n, graded=args.graded)
-    lines = [
-        f"category of rank-2 modules over sl({cert.m}|{cert.n}) is empty",
-        f"branch combinations examined: {len(cert.branch_log)}; "
-        f"surviving to the final contradiction: 1",
-        f"surviving branch: {json.dumps(cert.surviving_choices, sort_keys=True)}",
-    ]
-    for via, route in (("b1", cert.route_a), ("bn", cert.route_b)):
-        lines.append(f"route through {via}:")
-        lines.extend("    " + str(r) for r in route.to_dict()["mat"])
-        lines.append(f"  divided by unit monomial exponents {list(route.den)}")
-    lines.append(
-        f"support witness: {cert.support_witness['monomial']} "
-        f"(variable {cert.support_witness['variable']})"
-    )
-    lines.append("branch log:")
-    for entry in cert.branch_log:
-        choices = json.dumps(entry["choices"], sort_keys=True)
-        if not entry["stage1"]["equal"]:
-            lines.append(f"  {choices}: routes for the raising even matrix differ")
-        else:
-            lines.append(
-                f"  {choices}: survives to the lowering even matrix, "
-                "whose two routes are non-proportional"
-            )
-    if cert.graded:
-        lines.append("graded categories annotated empty as well")
-    return 0, lines, cert.to_dict()
+    text, lines = emptiness.certificate_text(args.m, args.n, graded=args.graded)
+    return 0, lines, text
 
 
 def cmd_canon_sl11(args) -> Outcome:
@@ -516,7 +490,7 @@ def main(argv=None) -> int:
     try:
         code, lines, payload = command(args)
         if args.out and payload is not None:
-            Path(args.out).write_text(dump_json(payload))
+            Path(args.out).write_text(payload if type(payload) is str else dump_json(payload))
         if args.stamp:
             from datetime import datetime, timezone
 

@@ -65,11 +65,15 @@ SLOT, `_rendered` fills the slot with "h{m}" once per size, after the
 reduction check, and `emptiness_certificate` reads that text into fresh
 dicts and pads the evaluation point with "0".
 
-Verification has a per-file and a per-size half (see
-`verify_certificate`).  Every file is parsed and its canonical text
-compared with the replay's; the checks after that comparison read only
-values equal to the replay's, so they run once per (m, n, graded) per
-process, and `_replay` keeps their report next to the replay's text.
+One text per certificate: its file form, `dump_json(cert.to_dict())`,
+the bytes `empty-check --out` writes.  `_replay` builds each (m, n,
+graded) certificate once per process and keeps its file form, the
+`empty-check` report of it and, once a certificate has passed them, the
+report of the verification checks, which depend on the size only (see
+`verify_certificate`).  `verify_text` compares a file's text with the
+kept form before it parses anything: equal text parses to the fresh
+certificate, so it gets the kept report, and any other file is parsed
+and its file form compared with the kept one.
 """
 
 from __future__ import annotations
@@ -90,6 +94,7 @@ from .poly import (
 from .mat2 import (
     InvariantBreach,
     Mat2,
+    dump_json,
     json_array,
     json_field,
     json_keys,
@@ -116,6 +121,10 @@ ROUTES = {
 
 class EmptinessError(UhfreeError):
     """Out-of-scope sizes or an invalid certificate."""
+
+
+class CertificateRejected(EmptinessError):
+    """A well-formed certificate that fails re-verification."""
 
 
 # m + n of a certificate.  The file ring has m + n + 3 variables, the
@@ -610,6 +619,44 @@ def emptiness_certificate(m: int, n: int, graded: bool = False) -> EmptinessCert
     )
 
 
+def _generation_lines(cert: EmptinessCertificate) -> list[str]:
+    """`empty-check`'s report of a generated certificate."""
+    lines = [
+        f"category of rank-2 modules over sl({cert.m}|{cert.n}) is empty",
+        f"branch combinations examined: {len(cert.branch_log)}; "
+        f"surviving to the final contradiction: 1",
+        f"surviving branch: {json.dumps(cert.surviving_choices, sort_keys=True)}",
+    ]
+    for via, route in (("b1", cert.route_a), ("bn", cert.route_b)):
+        lines.append(f"route through {via}:")
+        lines.extend("    " + str(r) for r in route.to_dict()["mat"])
+        lines.append(f"  divided by unit monomial exponents {list(route.den)}")
+    lines.append(
+        f"support witness: {cert.support_witness['monomial']} "
+        f"(variable {cert.support_witness['variable']})"
+    )
+    lines.append("branch log:")
+    for entry in cert.branch_log:
+        choices = json.dumps(entry["choices"], sort_keys=True)
+        if not entry["stage1"]["equal"]:
+            lines.append(f"  {choices}: routes for the raising even matrix differ")
+        else:
+            lines.append(
+                f"  {choices}: survives to the lowering even matrix, "
+                "whose two routes are non-proportional"
+            )
+    if cert.graded:
+        lines.append("graded categories annotated empty as well")
+    return lines
+
+
+def certificate_text(m: int, n: int, graded: bool = False) -> tuple[str, list[str]]:
+    """The file form of the (m, n, graded) certificate and `empty-check`'s
+    report of it, both kept by `_replay`."""
+    text, _, lines, _ = _replay(m, n, graded)
+    return text, list(lines)
+
+
 # -- re-verification -----------------------------------------------------------------------
 
 
@@ -686,10 +733,6 @@ def certificate_from_dict(data: Mapping) -> EmptinessCertificate:
     )
 
 
-def certificate_from_json(text: str) -> EmptinessCertificate:
-    return certificate_from_dict(load_json(text, EmptinessError))
-
-
 def _eval_scaled(ring: CertRing, sm: ScaledMat, units: Sequence[Fraction]) -> Mat2:
     """Specialize the unit variables to concrete scalars, over the base ring."""
     values = [None] * ring.base_nvars + list(units)
@@ -704,45 +747,114 @@ def _scaled(mat: Mat2, units: Sequence[Fraction], delta: Sequence[int]) -> Mat2:
     return mat if num == den else mat * Fraction(num, den)
 
 
-def _canonical(cert: EmptinessCertificate) -> str:
-    # JSON text, since 1, 1.0 and true are equal as Python values; a parsed
-    # certificate's to_dict re-prints its routes, so non-canonical route text
-    # of the same polynomial matches; compact, since json's C encoder writes
-    # that fastest
-    return json.dumps(cert.to_dict(), sort_keys=True)
+def _canonical(cert: EmptinessCertificate) -> Optional[str]:
+    # The file form.  JSON text, since 1, 1.0 and true are equal as Python
+    # values; dump_json sorts keys, and a parsed certificate's to_dict
+    # re-prints its routes, so key order, layout and non-canonical route
+    # text of the same polynomials do not count.  dump_json writes no
+    # float, and no certificate holds one: such a file has no file form
+    # (None) and matches no replay.
+    try:
+        return dump_json(cert.to_dict())
+    except TypeError:
+        return None
 
 
 # the `emptiness` workload uses 72 keys
 @functools.lru_cache(maxsize=128)
-def _replay(m: int, n: int, graded: bool) -> tuple[str, list[str]]:
-    """The canonical text of the fresh certificate for (m, n, graded), and
-    the report of the size-determined checks, empty until a certificate
-    whose text matched has passed them."""
-    return _canonical(emptiness_certificate(m, n, graded=graded)), []
+def _replay(m: int, n: int, graded: bool) -> tuple[str, list[str], tuple[str, ...], list]:
+    """The (m, n, graded) certificate, built once: its file form, the
+    report of the size-determined checks, `empty-check`'s report of it,
+    and a list holding the certificate itself.
+
+    The check report is empty until a certificate whose file form is the
+    kept one has passed the checks; then the list is emptied, since only
+    the checks read the certificate.
+    """
+    cert = emptiness_certificate(m, n, graded=graded)
+    return _canonical(cert), [], tuple(_generation_lines(cert)), [cert]
+
+
+def _checked(record: tuple, cert: Optional[EmptinessCertificate] = None) -> list[str]:
+    """The record's check report.  If none is kept yet, the checks run on
+    cert, whose file form must be the record's text, or else on the
+    record's certificate, and their report is kept."""
+    _, report, _, fresh = record
+    if cert is None:
+        # read before the report: the list is emptied only after the report
+        # is filled, so a None here comes with a filled report
+        cert = next(iter(fresh), None)
+    if not report:
+        report[:] = _size_checks(cert)
+        fresh.clear()
+    return list(report)
+
+
+def _size_key(data) -> Optional[tuple[int, int, bool]]:
+    """(m, n, graded) of a loaded file in the certificate format and in
+    scope, else None; nothing here raises."""
+    if type(data) is not dict or data.get("format") != FORMAT_CERT:
+        return None
+    m, n, graded = data.get("m"), data.get("n"), data.get("graded")
+    if type(m) is not int or type(n) is not int or type(graded) is not bool:
+        return None
+    if m < 2 or n < 2 or m + n > SIZE_BUDGET:
+        return None
+    return m, n, graded
+
+
+def verify_text(text: str) -> tuple[int, int, list[str]]:
+    """Re-verify a certificate file's text; returns its m, n and report.
+
+    Malformed text raises EmptinessError, with `certificate_from_dict`'s
+    messages; a well-formed certificate that fails raises
+    CertificateRejected.  A text equal to its size's kept file form is
+    the fresh certificate's, so it builds no certificate object: it gets
+    the kept report, or the checks run once on the fresh certificate.
+    Any other text is parsed and goes through `verify_certificate`.
+    """
+    data = load_json(text, EmptinessError)
+    key = _size_key(data)
+    if key is not None:
+        record = _replay(*key)
+        if text == record[0]:
+            return key[0], key[1], _checked(record)
+    cert = certificate_from_dict(data)
+    return cert.m, cert.n, verify_certificate(cert)
 
 
 def verify_certificate(cert: EmptinessCertificate) -> list[str]:
-    """Independently re-check a certificate; returns a report, raises on failure.
+    """Independently re-check a certificate; returns a report, raises
+    CertificateRejected on failure.
 
-    Per file: the certificate's canonical text must equal that of a fresh
-    replay, the sl(2|2) computation rendered at (m, n), with the reduction
+    Per certificate: its file form must equal that of a fresh replay,
+    the sl(2|2) computation rendered at (m, n), with the reduction
     lemma's hypotheses checked there.  Per (m, n, graded), once per
-    process: every recorded failing identity still fails; the surviving
-    routes agree with `mat2.twisted_bracket` of the pinned matrices at the
-    real (m, n), through b1 and through bn at two scalar specializations;
-    and both non-proportionality witnesses hold at (m, n).  The
-    re-derivation writes the twisted product apart from the generator's
-    `_route` and does not use the lemma, so it catches a generator whose
-    replay agrees with itself but whose routes are wrong.
+    process (`_size_checks`): every recorded failing identity still
+    fails; the surviving routes agree with `mat2.twisted_bracket` of the
+    pinned matrices at the real (m, n), through b1 and through bn at two
+    scalar specializations; and both non-proportionality witnesses hold
+    at (m, n).  The re-derivation writes the twisted product apart from
+    the generator's `_route` and does not use the lemma, so it catches a
+    generator whose replay agrees with itself but whose routes are wrong.
 
-    The second half reads the certificate's branch log, choices, witness
-    dicts and parsed routes.  Once the texts match, each of these equals
+    The checks read the certificate's branch log, choices, witness dicts
+    and parsed routes.  Once the file forms match, each of these equals
     the replay's: a route's text is format_poly of its matrix, and
     parse_poly(format_poly(p)) == p.  So the outcome and report of the
-    second half depend only on (m, n, graded); `_replay` keeps the report
-    of the first matching certificate that passes it and returns it for
-    every later match.  A file that does not match stops at the
+    checks depend only on (m, n, graded); `_replay` keeps the report of
+    the first matching certificate that passes them and returns it for
+    every later match.  A certificate that does not match stops at the
     comparison and fills nothing.
+    """
+    record = _replay(cert.m, cert.n, cert.graded)
+    if _canonical(cert) != record[0]:
+        raise CertificateRejected("certificate does not match a fresh replay")
+    return _checked(record, cert)
+
+
+def _size_checks(cert: EmptinessCertificate) -> list[str]:
+    """The checks after the file-form comparison, and their report.
 
     The recorded identities are checked as text.  Once the replay
     matches, each recorded lhs/rhs pair is format_poly of a fresh witness
@@ -750,18 +862,12 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
     == p, so two different texts name two different polynomials: an
     identity re-fails exactly when its lhs and rhs texts differ.
     """
-    replayed, kept = _replay(cert.m, cert.n, cert.graded)
-    if _canonical(cert) != replayed:
-        raise EmptinessError("certificate does not match a fresh replay")
-    if kept:
-        return list(kept)
     report = [f"replayed all {len(cert.branch_log)} branch combinations"]
-
     for entry in cert.branch_log:
         for stage in (entry["stage1"], entry["stage2"]):
             detail = stage and stage["detail"]
             if detail and "lhs" in detail and detail["lhs"] == detail["rhs"]:
-                raise EmptinessError(f"recorded failing identity holds for {entry['choices']}")
+                raise CertificateRejected(f"recorded failing identity holds for {entry['choices']}")
     report.append("all recorded branch-killing identities re-fail")
 
     ring = cert.ring()
@@ -781,7 +887,7 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
             ex, ey = (_scaled(pinned[r].mat, units, pinned[r].delta) for r in (x, y))
             value = _eval_scaled(ring, recorded, units)
             if value != twisted_bracket(alg, x, ex, y, ey):
-                raise EmptinessError(
+                raise CertificateRejected(
                     "recorded route disagrees with the independent derivation"
                 )
             at_one.append(value)
@@ -795,7 +901,7 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
     pa = da[r, c] if sw["route"] == "A" else db[r, c]
     pb = db[r, c] if sw["route"] == "A" else da[r, c]
     if pa.degree_in(v) <= 0 or pb.degree_in(v) > 0 or pb.is_zero:
-        raise EmptinessError("support witness does not hold")
+        raise CertificateRejected("support witness does not hold")
     report.append(
         f"support witness holds: {sw['monomial']} in route {sw['route']} "
         f"entry {tuple(sw['entry'])}, variable {sw['variable']} absent opposite"
@@ -808,12 +914,11 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
     lhs = da[r1, c1].evaluate(point) * db[r2, c2].evaluate(point)
     rhs = da[r2, c2].evaluate(point) * db[r1, c1].evaluate(point)
     if lhs == rhs or str(lhs) != ew["lhs"] or str(rhs) != ew["rhs"]:
-        raise EmptinessError("evaluation witness does not hold")
+        raise CertificateRejected("evaluation witness does not hold")
     report.append("evaluation witness holds: routes are non-proportional at a point")
     if cert.graded:
         report.append(
             "graded annotation: a graded rank-(1|1) object would be an "
             "ungraded rank-2 object, so the graded categories are empty too"
         )
-    kept[:] = report
     return report

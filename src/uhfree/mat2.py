@@ -157,12 +157,31 @@ class Mat2:
 
     @classmethod
     def from_strings(
-        cls, rows, names: Sequence[str], where: str, error: type[ValueError]
+        cls,
+        rows,
+        names: Sequence[str],
+        where: str,
+        error: type[ValueError],
+        max_degree: int | None = None,
     ) -> "Mat2":
-        """Read a 2x2 JSON array of polynomial strings; any other shape raises `error`."""
+        """Read a 2x2 JSON array of polynomial strings; any other shape raises `error`.
+
+        So does an entry of total degree over max_degree, as soon as it is
+        read, so the entries after it are not parsed.
+        """
+
+        def entry(text: str) -> Poly:
+            p = parse_poly(text, names)
+            if max_degree is not None and p.total_degree() > max_degree:
+                raise error(
+                    f"{where} has an entry of total degree {p.total_degree()}, "
+                    f"over the budget of {max_degree}"
+                )
+            return p
+
         return cls._of(
             tuple(
-                tuple(parse_poly(s, names) for s in json_array(r, 2, str, where, error))
+                tuple(entry(s) for s in json_array(r, 2, str, where, error))
                 for r in json_array(rows, 2, list, where, error)
             )
         )

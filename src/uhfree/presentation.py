@@ -593,16 +593,12 @@ def presentation_from_dict(data: Mapping) -> Presentation:
         )
     names = default_names(alg.nvars, m)
     mats = {}
-    # in generator order, each checked against DEGREE_BUDGET as soon as it is
-    # read, so an input over the budget costs the parse of its first such generator
+    # in generator order, each entry checked against DEGREE_BUDGET as soon as
+    # it is read, so an input over the budget costs the parse of its first
+    # such entry and of the entries before it
     for pos in odd_positions(m, n):
         label = _gen_label(alg, *pos)
-        mat = mats[pos] = Mat2.from_strings(raw_e[label], names, label, PresentationError)
-        degree = max(f.total_degree() for row in mat.rows for f in row)
-        if degree > DEGREE_BUDGET:
-            raise PresentationError(
-                f"{label} has an entry of total degree {degree}, over the budget of {DEGREE_BUDGET}"
-            )
+        mats[pos] = Mat2.from_strings(raw_e[label], names, label, PresentationError, DEGREE_BUDGET)
     return make_presentation(m, n, mats, grading=grading)
 
 

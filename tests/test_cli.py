@@ -527,6 +527,22 @@ class TestExitCodes:
         assert main(["classify", path]) == 2
         assert labels == ["e[1,b1]"]
 
+    def test_no_entry_after_one_over_the_budget_is_parsed(self, tmp_path, capsys, monkeypatch):
+        # e[1,b1] is [[h1^25, 1], [0, h1^30]]: the reader stops at its first
+        # entry and names that entry's degree
+        data = presentation_to_dict(_odd_powers(2, presentation.DEGREE_BUDGET + 1))
+        data["E"]["e[1,b1]"][1][1] = "h1^30"
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        texts = []
+        read = mat2.parse_poly
+        monkeypatch.setattr(mat2, "parse_poly", lambda text, names: texts.append(text) or read(text, names))
+        assert main(["classify", str(path)]) == 2
+        assert texts == ["h1^25"]
+        assert capsys.readouterr().err == (
+            "error: e[1,b1] has an entry of total degree 25, over the budget of 24\n"
+        )
+
     @pytest.mark.parametrize("argv", [["verify"], ["empty-check", "--verify"]])
     def test_a_file_that_is_not_json_is_exit_2(self, tmp_path, capsys, argv):
         path = tmp_path / "in.json"

@@ -27,7 +27,6 @@ from uhfree.emptiness import (
     _eval_witness,
     _support_witness,
     certificate_from_dict,
-    certificate_from_json,
     emptiness_certificate,
     verify_certificate,
 )
@@ -409,6 +408,106 @@ def test_a_flipped_graded_flag_is_checked_against_its_own_grading(tmp_path, caps
         assert _verify_lines(capsys, paths[graded, "flipped"]) == reports[not graded]
 
 
+# -- one text per certificate: the kept file form is compared before any parse
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("parsed a certificate")
+
+
+def test_a_warm_intact_file_is_verified_without_a_parse(monkeypatch, capsys):
+    path = DATA / "cert_3x5.json"
+    first = _verify_lines(capsys, path)
+    assert first[0] == 0 and "evaluation witness holds" in first[1]
+    monkeypatch.setattr(emptiness, "certificate_from_dict", _refuse)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("uhfree") and hasattr(module, "parse_poly"):
+            monkeypatch.setattr(module, "parse_poly", _refuse)
+    assert _verify_lines(capsys, path) == first
+
+
+def test_a_cold_intact_file_builds_no_certificate_object(monkeypatch, capsys):
+    # the checks run once on the fresh certificate, with today's report
+    want = verify_certificate(certificate_from_dict(json.loads((DATA / "cert_3x5.json").read_text())))
+    emptiness._replay.cache_clear()
+    monkeypatch.setattr(emptiness, "certificate_from_dict", _refuse)
+    code, out = _verify_lines(capsys, DATA / "cert_3x5.json")
+    assert code == 0
+    assert out == "".join(f"{line}\n" for line in ["certificate for sl(3|5) re-verified:"] + ["  " + t for t in want])
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_generate_then_verify_builds_and_encodes_the_certificate_once(
+    monkeypatch, tmp_path, capsys, graded
+):
+    calls = {"certificates": 0, "encodings": 0}
+    certificate, encode = emptiness.emptiness_certificate, dump_json
+
+    def counted_certificate(*args, **kwargs):
+        calls["certificates"] += 1
+        return certificate(*args, **kwargs)
+
+    def counted_encode(payload):
+        calls["encodings"] += 1
+        return encode(payload)
+
+    monkeypatch.setattr(emptiness, "emptiness_certificate", counted_certificate)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("uhfree") and hasattr(module, "dump_json"):
+            monkeypatch.setattr(module, "dump_json", counted_encode)
+    out = tmp_path / "cert.json"
+    argv = ["empty-check", "--m", "3", "--n", "5", "--out", str(out)] + ["--graded"] * graded
+    assert main(argv) == 0
+    assert calls == {"certificates": 1, "encodings": 1}
+    code, report = _verify_lines(capsys, out)
+    assert code == 0 and "evaluation witness holds" in report
+    assert ("graded annotation" in report) == graded
+    assert calls == {"certificates": 1, "encodings": 1}
+    if not graded:
+        assert out.read_bytes() == (DATA / "cert_3x5.json").read_bytes()
+
+
+def _ascending(text: str, names) -> str:
+    """The polynomial of text, printed with its terms in ascending order."""
+    p = parse_poly(text, names)
+    out = ""
+    for exps, c in reversed(p.sorted_terms()):
+        term = format_poly(Poly(p.nvars, {exps: c}), names)
+        out += (" - " + term[1:]) if term.startswith("-") else (" + " + term)
+    return out[3:] if out.startswith(" + ") else "-" + out[3:]
+
+
+def test_a_file_in_another_layout_or_route_text_still_verifies(tmp_path, capsys):
+    intact = DATA / "cert_3x5.json"
+    accepted = _verify_lines(capsys, intact)
+    data = json.loads(intact.read_text())
+    reformatted = tmp_path / "indent4.json"
+    reformatted.write_text(json.dumps(data, indent=4))
+    assert reformatted.read_text() != intact.read_text()
+    names = CertRing(3, 5).names
+    mat = data["surviving"]["routeA"]["mat"]
+    entry = next(e for row in mat for e in row if " " in e)
+    text = _ascending(entry, names)
+    assert text != entry
+    mat[:] = [[text if e == entry else e for e in row] for row in mat]
+    rewritten = tmp_path / "route_text.json"
+    rewritten.write_text(dump_json(data))
+    for path in (reformatted, rewritten, reformatted, intact):
+        assert _verify_lines(capsys, path) == accepted
+
+
+def test_a_float_in_a_branch_log_detail_is_rejected(tmp_path, capfd):
+    data = json.loads((DATA / "cert_3x5.json").read_text())
+    detail = next(o["stage1"]["detail"] for o in data["branch_log"] if "entries" in o["stage1"]["detail"])
+    detail["entries"][0][0] = float(detail["entries"][0][0])
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(data, indent=2, sort_keys=True))
+    for _ in range(2):
+        assert main(["empty-check", "--verify", str(path)]) == 1
+        assert capfd.readouterr() == ("FAIL: certificate does not match a fresh replay\n", "")
+    assert emptiness._replay(3, 5, False)[1] == []
+
+
 def _edit_everything(node):
     """Change every string, number and list in a JSON-like tree in place."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -694,14 +793,8 @@ class TestTampering:
         data = json.loads(dump_json(cert22.to_dict()))
         names = cert22.ring().names
         detail = next(d for d in self._identities(data) if " " in d["lhs"])
-        p = parse_poly(detail["lhs"], names)
-        # the same polynomial with its terms printed in ascending order
-        text = ""
-        for exps, c in reversed(p.sorted_terms()):
-            term = format_poly(Poly(p.nvars, {exps: c}), names)
-            text += (" - " + term[1:]) if term.startswith("-") else (" + " + term)
-        text = text[3:] if text.startswith(" + ") else "-" + text[3:]
-        assert text != detail["lhs"] and parse_poly(text, names) == p
+        text = _ascending(detail["lhs"], names)
+        assert text != detail["lhs"] and parse_poly(text, names) == parse_poly(detail["lhs"], names)
         detail["lhs"] = text
         with pytest.raises(EmptinessError, match="fresh replay"):
             verify_certificate(certificate_from_dict(data))
@@ -822,7 +915,7 @@ def test_verify_parses_only_the_route_entries(monkeypatch):
             monkeypatch.setattr(module, "parse_poly", counting)
     text = (DATA / "cert_3x5.json").read_text()
     data = json.loads(text)
-    cert = certificate_from_json(text)
+    cert = certificate_from_dict(data)
     routes = [data["surviving"][r]["mat"] for r in ("routeA", "routeB")]
     assert texts == [entry for mat in routes for row in mat for entry in row]
     verify_certificate(cert)
