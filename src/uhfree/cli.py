@@ -12,7 +12,10 @@ presentation (with superlie) for every command that reads a presentation
 and for string-check; normalform, which owns the relation verdict, for
 verify, classify and canon-sl11; morphisms for iso, endo and submodules;
 stringbridge for string-check; emptiness (with superlie) for empty-check.
-Likewise the parser holds only the invoked subcommand's subparser.
+Likewise a request's parser holds only the invoked subcommand's
+subparser and prints that subcommand's help and parse errors itself; the
+full parser, with all eight, is built only when no known subcommand is
+named.
 """
 
 from __future__ import annotations
@@ -434,26 +437,19 @@ COMMON_ARGUMENTS = (
 )
 
 
-class _Deferred(Exception):
-    """A parse error that the full parser reports, with its usage line."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _Deferred
-
-
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The uhfree parser; given a command, it holds that subcommand's parser only.
 
-    The subcommand's help is the same in both.  Where the full parser
-    would print an error, a one-command parser raises _Deferred instead.
+    A one-command parser names all subcommands in its usage line, so its
+    help and its errors print as the full parser's do.
     """
-    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+    parser = argparse.ArgumentParser(
         prog="uhfree",
         description="Exact computations with rank-2 U(h)-free modules over sl(m|n).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the full parser's own errors name `command`, so only the other one takes a metavar
+    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (text, arguments) in SUBCOMMANDS.items():
         if command in (None, name):
             sp = sub.add_parser(name, help=text)
@@ -471,16 +467,10 @@ def _parser(command: Optional[str]) -> argparse.ArgumentParser:
 def _parse_args(argv) -> argparse.Namespace:
     """Parse with the invoked subcommand's parser alone.
 
-    The full parser handles no command or an unknown one, and prints
-    every error, so usage lines list all subcommands as before.
+    The full parser handles no command or an unknown one.
     """
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in SUBCOMMANDS:
-        try:
-            return _parser(argv[0]).parse_args(argv)
-        except _Deferred:
-            pass
-    return _parser(None).parse_args(argv)
+    return _parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -489,7 +479,7 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         code, lines, payload = command(args)
-        if args.out and payload is not None:
+        if args.out is not None and payload is not None:
             Path(args.out).write_text(payload if type(payload) is str else dump_json(payload))
         if args.stamp:
             from datetime import datetime, timezone

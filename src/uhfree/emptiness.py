@@ -173,9 +173,6 @@ class CertRing(NamedTuple):
         col = m if key[1] == "1" else m + n - 1
         return row, col
 
-    # one polynomial per (ring, pair): building it costs more than a lookup.
-    # Bounded like superlie.algebra: (m, n) in {2..7}^2 and sl(2|2) use 148.
-    @functools.lru_cache(maxsize=256)
     def pair_scalar(self, key: str) -> Poly:
         """The pair's [e_IJ, e_JI], an element of h, as a polynomial in the base variables."""
         row, col = self.pair_positions(key)

@@ -113,6 +113,22 @@ def in_layer(g1, g2, v):
     return all(divides(g1, v[0, col]) and divides(g2, v[1, col]) for col in (0, 1))
 
 
+class Foreign:
+    """An operand no uhfree type knows; it answers reflected arithmetic and == itself."""
+
+    def __radd__(self, other):
+        return "radd"
+
+    def __rsub__(self, other):
+        return "rsub"
+
+    def __rmul__(self, other):
+        return "rmul"
+
+    def __eq__(self, other):
+        return True
+
+
 class Expired(Exception):
     pass
 

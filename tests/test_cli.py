@@ -680,8 +680,55 @@ class TestExitCodes:
         ]
         for argv in requests + requests:
             assert main(argv) == (2 if argv[0] == "canon-sl11" else 0)
+        # a parse error is printed by the subcommand's own parser too
+        for command in cli.SUBCOMMANDS:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--no-such-option"])
+            assert exc.value.code == 2
+        capsys.readouterr()
         # one parser per subcommand, and never the full one, which holds all eight
         assert sorted(calls) == sorted(cli.SUBCOMMANDS)
+
+    @staticmethod
+    def parser_argvs(command):
+        """Help, parse errors and edge cases for one subcommand, read off its arguments."""
+        arguments = cli.SUBCOMMANDS[command][1] + cli.COMMON_ARGUMENTS
+        positionals = [flag for flag, _ in arguments if not flag.startswith("-")]
+        ints = [flag for flag, options in arguments if options.get("type") is int]
+        valid = [command] + ["x.json"] * len(positionals)
+        missing = [valid[:-1]] if positionals else []
+        return (
+            [[command, "-h"]]
+            + missing
+            + [valid + [flag, "two"] for flag in ints]
+            + [
+                valid + ["--no-such-option"],
+                valid + ["extra"],
+                valid + ["--ou", "out.json"],  # a prefix of --out
+                [command, "--"] + valid[1:],
+            ]
+        )
+
+    @staticmethod
+    def parse_outcome(parser, argv):
+        """The namespace of a successful parse, else (exit code, stdout, stderr)."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                return vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                return exc.code, stdout.getvalue(), stderr.getvalue()
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("command", list(cli.SUBCOMMANDS))
+    def test_a_command_parser_prints_what_the_full_parser_prints(
+        self, command, columns, monkeypatch
+    ):
+        # argparse wraps its text at $COLUMNS - 2
+        monkeypatch.setenv("COLUMNS", columns)
+        one, full = cli.build_parser(command), cli.build_parser()
+        for argv in self.parser_argvs(command):
+            assert self.parse_outcome(one, argv) == self.parse_outcome(full, argv), argv
 
     # each recorded from the parser that held all eight subparsers
     @pytest.mark.parametrize(
@@ -717,16 +764,20 @@ class TestExitCodes:
             (["empty-check", "--verify", "{dir}"], "error: {dir}: Is a directory\n"),
             # an empty path reads as the current directory, as for verify
             (["empty-check", "--verify", ""], "error: .: Is a directory\n"),
+            # and so does an empty --out, once the command has run
+            (["empty-check", "--m", "2", "--n", "2", "--out", ""], "error: .: Is a directory\n"),
+            (["classify", "{data}/family_in_sl31_bar.json", "--out", ""],
+             "error: .: Is a directory\n"),
         ],
         ids=[
             "verify-not-utf8", "cert-not-utf8", "verify-directory", "cert-directory",
-            "cert-empty-path",
+            "cert-empty-path", "cert-empty-out", "classify-empty-out",
         ],
     )
     def test_unreadable_input_is_exit_2(self, tmp_path, capsys, argv, message):
         bad = tmp_path / "bom16.json"
         bad.write_bytes(b"\xff\xfe{}")
-        paths = {"bad": str(bad), "dir": str(tmp_path)}
+        paths = {"bad": str(bad), "dir": str(tmp_path), "data": str(DATA)}
         assert main([a.format(**paths) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.err == message.format(**paths)

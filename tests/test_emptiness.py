@@ -31,6 +31,7 @@ from uhfree.emptiness import (
     verify_certificate,
 )
 
+from .helpers import Foreign
 from .oracles import eval_witness_oracle, from_sympy, to_sympy
 
 DATA = Path(__file__).parent / "data"
@@ -273,14 +274,13 @@ def test_a_wrong_pair_scalar_breaks_the_reduction(monkeypatch):
 
 
 def test_the_size_keyed_caches_are_bounded():
-    # 70 sizes: more algebras, pair scalars, certificate texts and replays
-    # than the caches keep
+    # 70 sizes: more algebras, certificate texts and replays than the
+    # caches keep
     for m in range(2, 72):
         for graded in (False, True):
             verify_certificate(emptiness_certificate(m, 2, graded))
     caches = (
         (algebra, 70),
-        (CertRing.pair_scalar, 4 * 70),
         (emptiness._rendered, 70),
         (emptiness._replay, 2 * 70),
     )
@@ -290,10 +290,10 @@ def test_the_size_keyed_caches_are_bounded():
 
 
 def test_the_emptiness_workload_fits_the_size_keyed_caches():
-    # (m, n) in {2..7}^2 twice: the second pass finds every algebra, pair
-    # scalar and certificate text
+    # (m, n) in {2..7}^2 twice: the second pass finds every algebra and
+    # certificate text
     sizes = list(itertools.product(range(2, 8), repeat=2))
-    caches = (algebra, CertRing.pair_scalar, emptiness._rendered)
+    caches = (algebra, emptiness._rendered)
     for m, n in sizes:
         emptiness_certificate(m, n)
     misses = [cache.cache_info().misses for cache in caches]
@@ -577,6 +577,19 @@ def test_support_witness_ignores_term_storage_order(m, n):
     assert _support_witness(names, _reversed_terms(a), b) == witness
 
 
+def test_support_witness_skips_an_entry_whose_opposite_is_zero():
+    # h1 at [0, 0] has no opposite entry to be absent from; h2 at [0, 1] has one
+    h1, h2 = Poly.var(2, 0), Poly.var(2, 1)
+    a = Mat2.of(2, ((h1, h2), (0, 0)))
+    b = Mat2.of(2, ((0, 1), (0, 0)))
+    assert _support_witness(("h1", "h2"), a, b) == {
+        "entry": [0, 1],
+        "variable": "h2",
+        "monomial": "h2",
+        "route": "A",
+    }
+
+
 # -- the evaluation witness against the exhaustive grid scan ------------------------------
 
 
@@ -693,6 +706,11 @@ class TestScaledMat:
         assert len(calls) == 1
         assert form == kept and hash(form) == hash(kept) and repr(form) == repr(kept)
         assert form != ScaledMat(kept.text, (0, 0, 0, 2), kept.names)
+
+    def test_a_foreign_operand_is_left_to_the_other_side(self):
+        form = ScaledMat.of(self.matrix(), (0, 0, 0, 0), self.RING.names)
+        assert not form == object() and form != object()
+        assert form == Foreign()
 
     @pytest.mark.parametrize("name", ["text", "den", "names", "num", "_parsed", "other"])
     def test_every_attribute_is_read_only(self, name):

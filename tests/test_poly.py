@@ -25,7 +25,7 @@ from uhfree.poly import (
     sum_of_products,
 )
 
-from .helpers import time_limit
+from .helpers import Foreign, time_limit
 from .oracles import (
     common_divisors_oracle,
     division_oracle,
@@ -77,6 +77,22 @@ class TestArithmetic:
     def test_zero_polynomial_keeps_nvars(self):
         assert Poly.zero(3).nvars == 3
         assert (P("h1") - P("h1")).nvars == 2
+
+    @pytest.mark.parametrize("c", [0, 3, -7, Fraction(2, 3), Fraction(-5, 4)])
+    def test_a_number_minus_a_polynomial_matches_sympy(self, c):
+        p = P("1/2*h1^2 - 3*h1*h2 + 4")
+        want = sympy.Rational(c.numerator, c.denominator) - to_sympy(p, SYMS2)
+        assert _canonical(c - p) == from_sympy(want, SYMS2)
+
+    def test_a_foreign_operand_is_left_to_the_other_side(self):
+        p = P("h1 + 1")
+        for op in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(TypeError):
+                op(p, "h1")
+            with pytest.raises(TypeError):
+                op("h1", p)
+        assert (p + Foreign(), p - Foreign()) == ("radd", "rsub")
+        assert p == Foreign() and p != "h1 + 1"
 
 
 class TestShifts:
@@ -746,6 +762,15 @@ class TestGcd:
         expected = gcd_oracle(P("h1*h2 + h2"), P("h1^2 - 1"), SYMS2)
         assert expected == P("h1 + 1")
         assert poly_gcd(P("h1*h2 + h2"), P("h1^2 - 1")) == expected
+
+    @pytest.mark.parametrize("tries", [0, 1])
+    def test_euclid_answers_when_the_heuristic_gives_up(self, monkeypatch, tries):
+        # with no point per level the loop gives up at once; with one, the
+        # univariate level's one point fails, so the level above gives up too
+        monkeypatch.setattr(poly, "HEU_GCD_MAX", tries)
+        f, g = P("h1 - 1") ** 2, P("h1 - 1") * P("h1*h2 + 1")
+        assert poly._heu_gcd(f, g) is None
+        assert poly_gcd(f, g) == gcd_oracle(f, g, SYMS2) == P("h1 - 1")
 
     def test_zero_conventions(self):
         assert poly_gcd(Poly.zero(2), P("2*h1")) == H1

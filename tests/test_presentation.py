@@ -30,6 +30,7 @@ from uhfree.normalform import verified_report
 from uhfree.superlie import Cartan, Root, algebra
 
 from .helpers import (
+    Foreign,
     build_mas_bar,
     presentation_to_dict,
     presentation_to_json,
@@ -61,6 +62,14 @@ class TestMat2:
         assert not w.is_unimodular()
         with pytest.raises(PresentationError):
             w.inverse_unimodular()
+
+    def test_a_foreign_operand_is_left_to_the_other_side(self):
+        w = Mat2.identity(2)
+        with pytest.raises(TypeError):
+            w * "h1"
+        with pytest.raises(TypeError):
+            "h1" * w
+        assert w * Foreign() == "rmul"
 
 
 @st.composite
