@@ -349,17 +349,19 @@ def cmd_empty_check(args) -> Outcome:
                 "the certificate gives m, n and the grading"
             )
         text = _read_input(args.verify, emptiness.EmptinessError)
-        try:
-            m, n, report = emptiness.verify_text(text)
-        except emptiness.CertificateRejected as exc:
-            raise _Failure([f"FAIL: {exc}"]) from None
-        lines = [f"certificate for sl({m}|{n}) re-verified:"]
-        lines.extend("  " + t for t in report)
-        return 0, lines, None
-    if args.m is None or args.n is None:
+    elif args.m is None or args.n is None:
         raise emptiness.EmptinessError("empty-check needs --m and --n (or --verify FILE)")
-    text, lines = emptiness.certificate_text(args.m, args.n, graded=args.graded)
-    return 0, lines, text
+    # generation runs the verification checks too, so both branches can fail one
+    try:
+        if args.verify is None:
+            text, lines = emptiness.certificate_text(args.m, args.n, graded=args.graded)
+            return 0, lines, text
+        m, n, report = emptiness.verify_text(text)
+    except emptiness.CertificateRejected as exc:
+        raise _Failure([f"FAIL: {exc}"]) from None
+    lines = [f"certificate for sl({m}|{n}) re-verified:"]
+    lines.extend("  " + t for t in report)
+    return 0, lines, None
 
 
 def cmd_canon_sl11(args) -> Outcome:

@@ -67,13 +67,15 @@ dicts and pads the evaluation point with "0".
 
 One text per certificate: its file form, `dump_json(cert.to_dict())`,
 the bytes `empty-check --out` writes.  `_replay` builds each (m, n,
-graded) certificate once per process and keeps its file form, the
-`empty-check` report of it and, once a certificate has passed them, the
-report of the verification checks, which depend on the size only (see
-`verify_certificate`).  `verify_text` compares a file's text with the
-kept form before it parses anything: equal text parses to the fresh
-certificate, so it gets the kept report, and any other file is parsed
-and its file form compared with the kept one.
+graded) record once per process, whole, from one fresh certificate that
+it then drops: the file form, the report of the verification checks,
+which depend on the size only (see `verify_certificate`) and so run on
+the fresh certificate, and the `empty-check` report.  So `empty-check`
+writes only a certificate that has passed the checks.  `verify_text`
+compares a file's text with the kept form before it parses anything:
+equal text parses to the fresh certificate, so it gets the kept report,
+and any other file is parsed and its file form compared with the kept
+one.
 """
 
 from __future__ import annotations
@@ -180,58 +182,25 @@ class CertRing(NamedTuple):
         return sum((self.hvar(b.var) * c for b, c in combo.items()), Poly.zero(self.base_nvars))
 
 
-class ScaledMat:
+class ScaledMat(NamedTuple):
     """The file form of a route: num / (a1^d1 a2^d2 a3^d3 a4^d4), num over Q[h, a].
 
-    It holds num's entries as text over `names` and parses num on first
-    use; `of` keeps the num it prints.  Either way num is the parse of
-    the text, which `verify_certificate` relies on once a text matched.
-    Immutable like Mat2: equality, hash and repr cover (text, den, names)
-    only.
+    It holds num's entries as text over `names`, and `num` parses them.
     """
 
-    __slots__ = ("text", "den", "names", "_parsed")
-
-    def __init__(
-        self,
-        text: tuple[tuple[str, str], tuple[str, str]],
-        den: tuple[int, int, int, int],
-        names: tuple[str, ...],
-    ):
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_parsed", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScaledMat is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ScaledMat):
-            return NotImplemented
-        return (self.text, self.den, self.names) == (other.text, other.den, other.names)
-
-    def __hash__(self):
-        return hash((self.text, self.den, self.names))
-
-    def __repr__(self):
-        return f"ScaledMat(text={self.text!r}, den={self.den!r}, names={self.names!r})"
+    text: tuple[tuple[str, str], tuple[str, str]]
+    den: tuple[int, int, int, int]
+    names: tuple[str, ...]
 
     @property
     def num(self) -> Mat2:
-        num = self._parsed
-        if num is None:
-            rows = [list(row) for row in self.text]
-            num = Mat2.from_strings(rows, self.names, "route", EmptinessError)
-            object.__setattr__(self, "_parsed", num)
-        return num
+        rows = [list(row) for row in self.text]
+        return Mat2.from_strings(rows, self.names, "route", EmptinessError)
 
     @classmethod
     def of(cls, num: Mat2, den: tuple[int, int, int, int], names: tuple[str, ...]) -> ScaledMat:
-        """The form of polynomial entries: their canonical text, with num kept."""
-        form = cls(tuple(map(tuple, num.to_strings(names))), den, names)
-        object.__setattr__(form, "_parsed", num)
-        return form
+        """The form of polynomial entries: their canonical text."""
+        return cls(tuple(map(tuple, num.to_strings(names))), den, names)
 
     def to_dict(self) -> dict:
         return {"den": list(self.den), "mat": [list(row) for row in self.text]}
@@ -649,9 +618,10 @@ def _generation_lines(cert: EmptinessCertificate) -> list[str]:
 
 def certificate_text(m: int, n: int, graded: bool = False) -> tuple[str, list[str]]:
     """The file form of the (m, n, graded) certificate and `empty-check`'s
-    report of it, both kept by `_replay`."""
-    text, _, lines, _ = _replay(m, n, graded)
-    return text, list(lines)
+    report of it, both kept by `_replay`, which raises CertificateRejected
+    if the certificate fails the verification checks."""
+    form, _, lines = _replay(m, n, graded)
+    return form, list(lines)
 
 
 # -- re-verification -----------------------------------------------------------------------
@@ -730,11 +700,11 @@ def certificate_from_dict(data: Mapping) -> EmptinessCertificate:
     )
 
 
-def _eval_scaled(ring: CertRing, sm: ScaledMat, units: Sequence[Fraction]) -> Mat2:
-    """Specialize the unit variables to concrete scalars, over the base ring."""
+def _eval_scaled(ring: CertRing, num: Mat2, den: Sequence[int], units: Sequence[Fraction]) -> Mat2:
+    """The file form num / a^den, num parsed, at the given units, over the base ring."""
     values = [None] * ring.base_nvars + list(units)
-    rows = tuple(tuple(p.specialize(values) for p in row) for row in sm.num.rows)
-    return _scaled(Mat2._of(rows), units, [-d for d in sm.den])
+    rows = tuple(tuple(p.specialize(values) for p in row) for row in num.rows)
+    return _scaled(Mat2._of(rows), units, [-d for d in den])
 
 
 def _scaled(mat: Mat2, units: Sequence[Fraction], delta: Sequence[int]) -> Mat2:
@@ -759,43 +729,27 @@ def _canonical(cert: EmptinessCertificate) -> Optional[str]:
 
 # the `emptiness` workload uses 72 keys
 @functools.lru_cache(maxsize=128)
-def _replay(m: int, n: int, graded: bool) -> tuple[str, list[str], tuple[str, ...], list]:
-    """The (m, n, graded) certificate, built once: its file form, the
-    report of the size-determined checks, `empty-check`'s report of it,
-    and a list holding the certificate itself.
-
-    The check report is empty until a certificate whose file form is the
-    kept one has passed the checks; then the list is emptied, since only
-    the checks read the certificate.
-    """
+def _replay(m: int, n: int, graded: bool) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """The (m, n, graded) record, built whole from one fresh certificate,
+    which it does not keep: the file form, the report of the checks
+    after the file-form comparison (`verify_certificate`) and
+    `empty-check`'s report.  A certificate that fails the checks raises
+    CertificateRejected, and no record is kept."""
     cert = emptiness_certificate(m, n, graded=graded)
-    return _canonical(cert), [], tuple(_generation_lines(cert)), [cert]
-
-
-def _checked(record: tuple, cert: Optional[EmptinessCertificate] = None) -> list[str]:
-    """The record's check report.  If none is kept yet, the checks run on
-    cert, whose file form must be the record's text, or else on the
-    record's certificate, and their report is kept."""
-    _, report, _, fresh = record
-    if cert is None:
-        # read before the report: the list is emptied only after the report
-        # is filled, so a None here comes with a filled report
-        cert = next(iter(fresh), None)
-    if not report:
-        report[:] = _size_checks(cert)
-        fresh.clear()
-    return list(report)
+    return _canonical(cert), tuple(_size_checks(cert)), tuple(_generation_lines(cert))
 
 
 def _size_key(data) -> Optional[tuple[int, int, bool]]:
     """(m, n, graded) of a loaded file in the certificate format and in
-    scope, else None; nothing here raises."""
+    scope (`check_size`), else None; nothing here raises."""
     if type(data) is not dict or data.get("format") != FORMAT_CERT:
         return None
     m, n, graded = data.get("m"), data.get("n"), data.get("graded")
     if type(m) is not int or type(n) is not int or type(graded) is not bool:
         return None
-    if m < 2 or n < 2 or m + n > SIZE_BUDGET:
+    try:
+        check_size(m, n)
+    except EmptinessError:
         return None
     return m, n, graded
 
@@ -806,16 +760,16 @@ def verify_text(text: str) -> tuple[int, int, list[str]]:
     Malformed text raises EmptinessError, with `certificate_from_dict`'s
     messages; a well-formed certificate that fails raises
     CertificateRejected.  A text equal to its size's kept file form is
-    the fresh certificate's, so it builds no certificate object: it gets
-    the kept report, or the checks run once on the fresh certificate.
-    Any other text is parsed and goes through `verify_certificate`.
+    the fresh certificate's, so it builds no certificate object and gets
+    the kept report.  Any other text is parsed and goes through
+    `verify_certificate`.
     """
     data = load_json(text, EmptinessError)
     key = _size_key(data)
     if key is not None:
-        record = _replay(*key)
-        if text == record[0]:
-            return key[0], key[1], _checked(record)
+        form, report, _ = _replay(*key)
+        if text == form:
+            return key[0], key[1], list(report)
     cert = certificate_from_dict(data)
     return cert.m, cert.n, verify_certificate(cert)
 
@@ -838,16 +792,15 @@ def verify_certificate(cert: EmptinessCertificate) -> list[str]:
     The checks read the certificate's branch log, choices, witness dicts
     and parsed routes.  Once the file forms match, each of these equals
     the replay's: a route's text is format_poly of its matrix, and
-    parse_poly(format_poly(p)) == p.  So the outcome and report of the
-    checks depend only on (m, n, graded); `_replay` keeps the report of
-    the first matching certificate that passes them and returns it for
-    every later match.  A certificate that does not match stops at the
-    comparison and fills nothing.
+    parse_poly(format_poly(p)) == p.  So the checks give a matching
+    certificate the outcome and report they give the fresh one, and
+    `_replay` runs them on the fresh certificate when it builds the
+    record.
     """
-    record = _replay(cert.m, cert.n, cert.graded)
-    if _canonical(cert) != record[0]:
+    form, report, _ = _replay(cert.m, cert.n, cert.graded)
+    if _canonical(cert) != form:
         raise CertificateRejected("certificate does not match a fresh replay")
-    return _checked(record, cert)
+    return list(report)
 
 
 def _size_checks(cert: EmptinessCertificate) -> list[str]:
@@ -876,13 +829,15 @@ def _size_checks(cert: EmptinessCertificate) -> list[str]:
     for key in PAIR_KEYS:
         views = _pair_matrices(ring, key, cert.surviving_choices[key])
         pinned.update(zip(_pinned_roots(ring, key), views))
+    # E_{mi} through b1 (route A) and through bn (route B), each parsed once
+    recorded = ((cert.route_a, m), (cert.route_b, m + n - 1))
+    parsed = [(route.num, route.den, via) for route, via in recorded]
     at_one = []
     for units in ((1, 1, 1, 1), (2, 3, 5, 7)):
-        # E_{mi} through b1 (route A) and through bn (route B)
-        for recorded, via in ((cert.route_a, m), (cert.route_b, m + n - 1)):
+        for num, den, via in parsed:
             x, y = Root(m - 1, via), Root(via, 0)
             ex, ey = (_scaled(pinned[r].mat, units, pinned[r].delta) for r in (x, y))
-            value = _eval_scaled(ring, recorded, units)
+            value = _eval_scaled(ring, num, den, units)
             if value != twisted_bracket(alg, x, ex, y, ey):
                 raise CertificateRejected(
                     "recorded route disagrees with the independent derivation"

@@ -111,7 +111,7 @@ def test_unit_specialization_matches_sympy(m, n):
         scale = sympy.Integer(1)
         for x, d in zip(unit_syms, route.den):
             scale *= at_units[x] ** d
-        got = _eval_scaled(ring, route, units)
+        got = _eval_scaled(ring, route.num, route.den, units)
         for r in range(2):
             for c in range(2):
                 want = to_sympy(route.num[r, c], syms).subs(at_units) / scale
@@ -381,9 +381,7 @@ def test_a_warm_size_still_rejects_a_tampered_certificate(tmp_path, capsys, kind
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(data, indent=2, sort_keys=True))
     rejected = (1, "FAIL: certificate does not match a fresh replay\n")
-    # on a cold size the tampered file is compared with the replay and fills nothing
     assert _verify_lines(capsys, tampered) == rejected
-    assert emptiness._replay(3, 5, False)[1] == []
     accepted = _verify_lines(capsys, intact)
     assert accepted[0] == 0
     assert _verify_lines(capsys, tampered) == rejected
@@ -505,7 +503,49 @@ def test_a_float_in_a_branch_log_detail_is_rejected(tmp_path, capfd):
     for _ in range(2):
         assert main(["empty-check", "--verify", str(path)]) == 1
         assert capfd.readouterr() == ("FAIL: certificate does not match a fresh replay\n", "")
-    assert emptiness._replay(3, 5, False)[1] == []
+
+
+def _held_values(record):
+    """The values a record holds, tuples opened."""
+    for value in record:
+        yield from _held_values(value) if type(value) is tuple else (value,)
+
+
+def _assert_records_hold_only_text(keys):
+    """The kept _replay records are those of keys, each str and tuples of str."""
+    assert emptiness._replay.cache_info().currsize == len(keys)
+    for key in keys:
+        record = emptiness._replay(*key)
+        assert type(record) is tuple and len(record) == 3
+        assert all(type(value) is str for value in _held_values(record))
+
+
+def test_a_replay_record_holds_only_text(tmp_path, capsys):
+    # built whole from one fresh certificate, which it does not keep, so
+    # generating and verifying intact, tampered, float and flipped files
+    # leave every record as built: str and tuples of str
+    out = tmp_path / "cert.json"
+    argv = ["empty-check", "--m", "3", "--n", "5", "--out", str(out)]
+    keys = [(3, 5, False), (3, 5, True)]
+    for graded in (False, True):
+        assert main(argv + ["--graded"] * graded) == 0
+    _assert_records_hold_only_text(keys)
+    intact = json.loads((DATA / "cert_3x5.json").read_text())
+    variants = [dict(intact, graded=True)]
+    for tamper in TAMPERS.values():
+        variants.append(json.loads(json.dumps(intact)))
+        tamper(variants[-1])
+    variants.append(json.loads(json.dumps(intact)))
+    details = (o["stage1"]["detail"] for o in variants[-1]["branch_log"])
+    detail = next(d for d in details if "entries" in d)
+    detail["entries"][0][0] = float(detail["entries"][0][0])
+    paths = [DATA / "cert_3x5.json"]
+    for k, data in enumerate(variants):
+        paths.append(tmp_path / f"variant{k}.json")
+        paths[-1].write_text(json.dumps(data, indent=2, sort_keys=True))
+    for path, code in zip(paths, [0, 0, 1, 1, 1, 1], strict=True):
+        assert _verify_lines(capsys, path)[0] == code
+        _assert_records_hold_only_text(keys)
 
 
 def _edit_everything(node):
@@ -569,7 +609,9 @@ def test_support_witness_ignores_term_storage_order(m, n):
     cert = emptiness_certificate(m, n)
     ring = cert.ring()
     # the routes' matrices over Q[h], read from the file form at the units 1
-    a, b = (_eval_scaled(ring, route, (1, 1, 1, 1)) for route in (cert.route_a, cert.route_b))
+    a, b = (
+        _eval_scaled(ring, route.num, route.den, (1, 1, 1, 1)) for route in (cert.route_a, cert.route_b)
+    )
     names = ring.names[: ring.base_nvars]
     witness = _support_witness(names, a, b)
     assert witness == cert.support_witness
@@ -679,11 +721,11 @@ def test_file_form_evaluates_to_the_view(case):
     form = view.file_form(ring.names)
     assert form.den == tuple(max(-d, 0) for d in view.delta)
     scale = prod(u**d for u, d in zip(units, view.delta))
-    assert _eval_scaled(ring, form, units) == view.mat * scale
+    assert _eval_scaled(ring, form.num, form.den, units) == view.mat * scale
 
 
 class TestScaledMat:
-    """ScaledMat is immutable; its parsed matrix stays out of equality and hash."""
+    """ScaledMat is an immutable NamedTuple whose num is the parse of its text."""
 
     RING = CertRing(2, 2)
 
@@ -692,20 +734,16 @@ class TestScaledMat:
         entries = (("h1*a1 + 1/2", "0"), ("0", "hb1 - a4^2"))
         return Mat2._of(tuple(tuple(parse_poly(e, names) for e in row) for row in entries))
 
-    def test_num_parses_once_and_equals_its_matrix(self, monkeypatch):
-        calls = []
-        real = Mat2.from_strings.__func__
-        monkeypatch.setattr(
-            Mat2, "from_strings", classmethod(lambda *args: calls.append(args) or real(*args))
-        )
+    def test_num_is_the_parsed_matrix_and_the_fields_define_the_form(self):
         mat = self.matrix()
         kept = ScaledMat.of(mat, (0, 1, 0, 2), self.RING.names)
-        assert kept.num is mat and calls == []
+        assert kept.num == mat
         form = ScaledMat(kept.text, kept.den, kept.names)
-        assert form.num == mat and form.num is form.num
-        assert len(calls) == 1
+        assert form.num == mat
         assert form == kept and hash(form) == hash(kept) and repr(form) == repr(kept)
+        assert repr(form) == f"ScaledMat(text={kept.text!r}, den={kept.den!r}, names={kept.names!r})"
         assert form != ScaledMat(kept.text, (0, 0, 0, 2), kept.names)
+        assert form != ScaledMat(kept.text, kept.den, CertRing(2, 3).names)
 
     def test_a_foreign_operand_is_left_to_the_other_side(self):
         form = ScaledMat.of(self.matrix(), (0, 0, 0, 0), self.RING.names)
@@ -920,8 +958,9 @@ def test_each_certificate_check_rejects_its_mutant(monkeypatch, name):
         assert mutant.verify_certificate(cert)
 
 
-def test_verify_parses_only_the_route_entries(monkeypatch):
-    """Reading cert_3x5.json parses its 8 route entries; verifying parses none."""
+def test_verify_parses_only_the_route_entries(monkeypatch, capsys):
+    """The first verify of a size parses the fresh certificate's 8 route
+    entries once, for both unit specializations; a second parses nothing."""
     texts = []
 
     def counting(text, names):
@@ -931,10 +970,28 @@ def test_verify_parses_only_the_route_entries(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("uhfree") and hasattr(module, "parse_poly"):
             monkeypatch.setattr(module, "parse_poly", counting)
-    text = (DATA / "cert_3x5.json").read_text()
-    data = json.loads(text)
-    cert = certificate_from_dict(data)
+    path = DATA / "cert_3x5.json"
+    first = _verify_lines(capsys, path)
+    assert first[0] == 0
+    data = json.loads(path.read_text())
     routes = [data["surviving"][r]["mat"] for r in ("routeA", "routeB")]
     assert texts == [entry for mat in routes for row in mat for entry in row]
-    verify_certificate(cert)
+    assert _verify_lines(capsys, path) == first
     assert len(texts) == 8
+
+
+def test_a_generated_certificate_that_fails_a_check_is_not_written(monkeypatch, tmp_path, capfd):
+    # generation runs the verification checks, and reports a failure as --verify does
+    _support_in_the_wrong_route(monkeypatch, emptiness)
+    out = tmp_path / "cert.json"
+    assert main(["empty-check", "--m", "2", "--n", "2", "--out", str(out)]) == 1
+    assert capfd.readouterr() == ("FAIL: support witness does not hold\n", "")
+    assert not out.exists()
+
+
+def test_support_witness_is_none_when_the_supports_agree():
+    # each nonzero entry has the variables of its opposite entry
+    h1, h2 = Poly.var(2, 0), Poly.var(2, 1)
+    a = Mat2.of(2, ((h1 * h2, 0), (1, h2)))
+    b = Mat2.of(2, ((h1 * h2 + h1, 0), (2, 3 * h2)))
+    assert _support_witness(("h1", "h2"), a, b) is None

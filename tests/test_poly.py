@@ -830,6 +830,13 @@ class TestGcd:
         got = poly._euclid_gcd(a * c, b * c)
         assert _canonical(got) == gcd_oracle(a * c, b * c, sympy.symbols(f"h1:{n + 1}")).monic()
 
+    @pytest.mark.parametrize("text", ["3/2*h1*h2^2 - 6*h1", "-2*h1 + 4/3"])
+    def test_euclid_with_a_zero_operand_is_the_other_made_monic(self, text):
+        p, zero = P(text), Poly.zero(2)
+        want = gcd_oracle(p, zero, SYMS2).monic()
+        assert poly._euclid_gcd(p, zero) == want
+        assert poly._euclid_gcd(zero, p) == want
+
     GIVE_UP_CASES = [
         ("h1^2 - 1", "h1^2 + 2*h1 + 1"),
         ("3/2*h1*h2^2 - 6*h1", "h1^2*h2 + 2*h1^2 + h2 + 2"),

@@ -54,6 +54,11 @@ class TestCartanExpr:
             alg.cartan_diag_pair(4)
 
 
+def test_show_names_cartan_elements_by_position():
+    alg = algebra(2, 2)
+    assert [alg.show(Cartan(v)) for v in range(alg.nvars)] == ["h[1]", "h[2]", "h[b1]"]
+
+
 class TestParity:
     def test_mixed_roots_are_odd(self):
         alg = algebra(2, 2)

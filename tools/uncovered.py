@@ -14,6 +14,11 @@ statements here.  A compound statement (def, if, for, with, ...) counts
 as executed when its header ran, and a `try` is left out: its body and
 handlers are listed on their own.
 
+Hypothesis runs under a derandomized profile (`derandomize=True`, which
+also turns off its example database), loaded before pytest imports the
+tests, so each property test draws the same examples on every run and
+the list is a function of the tree.
+
 Only this process is traced.  Tests that run `python -m uhfree.cli` in a
 subprocess execute nothing here, so what only they reach is listed too,
 such as the body of `cli._lazy`'s loader and the `__main__` guard.
@@ -21,7 +26,8 @@ Line tracing slows the package down several times, so tests that assert
 a wall time may fail under the hook; the pytest exit status is printed,
 and such a failure can leave the rest of its test unexecuted.
 
-Standard library only.  This is a manual tool, not part of the suite.
+Besides the standard library it needs only pytest and hypothesis, the
+suite's own dependencies.  This is a manual tool, not part of the suite.
 """
 
 from __future__ import annotations
@@ -66,6 +72,18 @@ def statements(path: Path) -> dict[int, tuple[int, int]]:
     return found
 
 
+class Derandomized:
+    """A pytest plugin that loads a derandomized hypothesis profile before
+    the test modules, whose @settings read the loaded profile, are imported."""
+
+    @staticmethod
+    def pytest_configure(config) -> None:
+        from hypothesis import settings
+
+        settings.register_profile("uncovered", derandomize=True)
+        settings.load_profile("uncovered")
+
+
 def main(args: list[str]) -> int:
     files = {str(path): path for path in sorted(PACKAGE.glob("*.py"))}
     hit: dict[str, set[int]] = {name: set() for name in files}
@@ -96,7 +114,9 @@ def main(args: list[str]) -> int:
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
-        status = pytest.main(args or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        status = pytest.main(
+            args or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")], plugins=[Derandomized]
+        )
     finally:
         sys.settrace(None)
         threading.settrace(None)
