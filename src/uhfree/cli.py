@@ -15,7 +15,9 @@ stringbridge for string-check; emptiness (with superlie) for empty-check.
 Likewise a request's parser holds only the invoked subcommand's
 subparser and prints that subcommand's help and parse errors itself; the
 full parser, with all eight, is built only when no known subcommand is
-named.
+named.  A request that names one is parsed in one argparse pass, by that
+subcommand's subparser alone; the one-command parser parses it again
+only to print an "unrecognized arguments" error.
 """
 
 from __future__ import annotations
@@ -443,7 +445,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The uhfree parser; given a command, it holds that subcommand's parser only.
 
     A one-command parser names all subcommands in its usage line, so its
-    help and its errors print as the full parser's do.
+    help and its errors print as the full parser's do.  Its `commands`
+    attribute maps each subcommand it holds to that subcommand's parser.
     """
     parser = argparse.ArgumentParser(
         prog="uhfree",
@@ -452,9 +455,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     # the full parser's own errors name `command`, so only the other one takes a metavar
     metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    parser.commands = {}
     for name, (text, arguments) in SUBCOMMANDS.items():
         if command in (None, name):
-            sp = sub.add_parser(name, help=text)
+            sp = parser.commands[name] = sub.add_parser(name, help=text)
             for flag, options in arguments + COMMON_ARGUMENTS:
                 sp.add_argument(flag, **options)
     return parser
@@ -467,12 +471,23 @@ def _parser(command: Optional[str]) -> argparse.ArgumentParser:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse with the invoked subcommand's parser alone.
+    """Parse with the invoked subcommand's parser alone, in one argparse pass.
 
-    The full parser handles no command or an unknown one.
+    The tokens after the command go straight to its subparser, as the
+    one-command parser's subparsers action would hand them on; only when
+    some are left over does that parser run, to print its "unrecognized
+    arguments" error.  The full parser handles no command or an unknown one.
     """
     argv = sys.argv[1:] if argv is None else argv
-    return _parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    parser = _parser(command)
+    if command is not None:
+        args, extras = parser.commands[command].parse_known_args(
+            argv[1:], argparse.Namespace(command=command)
+        )
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:

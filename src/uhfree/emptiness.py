@@ -72,9 +72,11 @@ it then drops: the file form, the report of the verification checks,
 which depend on the size only (see `verify_certificate`) and so run on
 the fresh certificate, and the `empty-check` report.  So `empty-check`
 writes only a certificate that has passed the checks.  `verify_text`
-compares a file's text with the kept form before it parses anything:
-equal text parses to the fresh certificate, so it gets the kept report,
-and any other file is parsed and its file form compared with the kept
+compares a file's text with the kept form before it parses anything: it
+reads (m, n, graded) off the text's top-level header lines, which every
+file form has, and compares the text with that size's kept form.  Equal
+text parses to the fresh certificate, so it gets the kept report; any
+other file is parsed as JSON and its file form compared with the kept
 one.
 """
 
@@ -83,6 +85,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import re
 from fractions import Fraction
 from math import prod
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -739,14 +742,22 @@ def _replay(m: int, n: int, graded: bool) -> tuple[str, tuple[str, ...], tuple[s
     return _canonical(cert), tuple(_size_checks(cert)), tuple(_generation_lines(cert))
 
 
-def _size_key(data) -> Optional[tuple[int, int, bool]]:
-    """(m, n, graded) of a loaded file in the certificate format and in
-    scope (`check_size`), else None; nothing here raises."""
-    if type(data) is not dict or data.get("format") != FORMAT_CERT:
+# The top-level graded, i, m and n lines of a file form.  dump_json sorts
+# keys and indents nested lines deeper, and a JSON string holds no raw
+# newline, so in a file form these lines follow one another and their
+# first match is the top-level one.  At most 5 digits: m + n <= SIZE_BUDGET.
+_HEADER = re.compile(
+    r'\n  "graded": (true|false),\n  "i": [^\n]*\n  "m": ([0-9]{1,5}),\n  "n": ([0-9]{1,5}),\n'
+)
+
+
+def _header_key(text: str) -> Optional[tuple[int, int, bool]]:
+    """(m, n, graded) from a text's header lines, if it has them and the
+    size is in scope (`check_size`), else None; nothing here raises."""
+    header = _HEADER.search(text)
+    if header is None:
         return None
-    m, n, graded = data.get("m"), data.get("n"), data.get("graded")
-    if type(m) is not int or type(n) is not int or type(graded) is not bool:
-        return None
+    graded, m, n = header[1] == "true", int(header[2]), int(header[3])
     try:
         check_size(m, n)
     except EmptinessError:
@@ -759,18 +770,22 @@ def verify_text(text: str) -> tuple[int, int, list[str]]:
 
     Malformed text raises EmptinessError, with `certificate_from_dict`'s
     messages; a well-formed certificate that fails raises
-    CertificateRejected.  A text equal to its size's kept file form is
-    the fresh certificate's, so it builds no certificate object and gets
-    the kept report.  Any other text is parsed and goes through
-    `verify_certificate`.
+    CertificateRejected.  Three steps: the size is read off the text's
+    header lines (`_HEADER`, then `check_size`); a text equal to that
+    size's kept file form gets the kept report without being parsed, as
+    it is the fresh certificate's text; any other text, and one without
+    such lines or out of scope, is parsed and goes through
+    `verify_certificate`.  A file form of (m, n, graded) reads as (m, n,
+    graded) in the first step, so every text equal to a kept form takes
+    the second.  A malformed text whose header lines read as a size in
+    scope builds that size's record before the parse refuses it.
     """
-    data = load_json(text, EmptinessError)
-    key = _size_key(data)
+    key = _header_key(text)
     if key is not None:
         form, report, _ = _replay(*key)
         if text == form:
             return key[0], key[1], list(report)
-    cert = certificate_from_dict(data)
+    cert = certificate_from_dict(load_json(text, EmptinessError))
     return cert.m, cert.n, verify_certificate(cert)
 
 

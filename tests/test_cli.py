@@ -710,12 +710,12 @@ class TestExitCodes:
         )
 
     @staticmethod
-    def parse_outcome(parser, argv):
+    def parse_outcome(parse, argv):
         """The namespace of a successful parse, else (exit code, stdout, stderr)."""
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
-                return vars(parser.parse_args(argv))
+                return vars(parse(argv))
             except SystemExit as exc:
                 return exc.code, stdout.getvalue(), stderr.getvalue()
 
@@ -728,7 +728,10 @@ class TestExitCodes:
         monkeypatch.setenv("COLUMNS", columns)
         one, full = cli.build_parser(command), cli.build_parser()
         for argv in self.parser_argvs(command):
-            assert self.parse_outcome(one, argv) == self.parse_outcome(full, argv), argv
+            want = self.parse_outcome(full.parse_args, argv)
+            assert self.parse_outcome(one.parse_args, argv) == want, argv
+            # and so does a request's one pass through the subcommand's parser
+            assert self.parse_outcome(cli._parse_args, argv) == want, argv
 
     # each recorded from the parser that held all eight subparsers
     @pytest.mark.parametrize(

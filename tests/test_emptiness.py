@@ -12,8 +12,8 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from uhfree.poly import Poly, format_poly, parse_poly
-from uhfree.mat2 import InvariantBreach, Mat2, dump_json
+from uhfree.poly import Poly, UhfreeError, format_poly, parse_poly
+from uhfree.mat2 import InvariantBreach, Mat2, dump_json, load_json
 from uhfree import emptiness
 from uhfree.cli import main
 from uhfree.superlie import Root, algebra
@@ -417,6 +417,8 @@ def test_a_warm_intact_file_is_verified_without_a_parse(monkeypatch, capsys):
     path = DATA / "cert_3x5.json"
     first = _verify_lines(capsys, path)
     assert first[0] == 0 and "evaluation witness holds" in first[1]
+    # not even as JSON: the header lines give the size, then the bytes are compared
+    monkeypatch.setattr(emptiness, "load_json", _refuse)
     monkeypatch.setattr(emptiness, "certificate_from_dict", _refuse)
     for name, module in list(sys.modules.items()):
         if name.startswith("uhfree") and hasattr(module, "parse_poly"):
@@ -428,6 +430,7 @@ def test_a_cold_intact_file_builds_no_certificate_object(monkeypatch, capsys):
     # the checks run once on the fresh certificate, with today's report
     want = verify_certificate(certificate_from_dict(json.loads((DATA / "cert_3x5.json").read_text())))
     emptiness._replay.cache_clear()
+    monkeypatch.setattr(emptiness, "load_json", _refuse)
     monkeypatch.setattr(emptiness, "certificate_from_dict", _refuse)
     code, out = _verify_lines(capsys, DATA / "cert_3x5.json")
     assert code == 0
@@ -492,6 +495,42 @@ def test_a_file_in_another_layout_or_route_text_still_verifies(tmp_path, capsys)
     rewritten.write_text(dump_json(data))
     for path in (reformatted, rewritten, reformatted, intact):
         assert _verify_lines(capsys, path) == accepted
+
+
+def _with_m_line(text: str, m: int, value: int) -> str:
+    """text with its top-level "m" line reading value in place of m."""
+    line = f'\n  "m": {m},\n'
+    assert text.count(line) == 1
+    return text.replace(line, f'\n  "m": {value},\n')
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_verify_text_answers_as_the_parse_path_does(graded):
+    # the header read and the byte comparison change no outcome: the same
+    # return value, or the same exception and message, as parsing each text
+    def outcome(verify, text):
+        try:
+            return verify(text)
+        except UhfreeError as exc:
+            return type(exc), str(exc)
+
+    def parsed(text):
+        cert = certificate_from_dict(load_json(text, EmptinessError))
+        return cert.m, cert.n, verify_certificate(cert)
+
+    for m, n in itertools.product(range(2, 6), repeat=2):
+        form = emptiness.certificate_text(m, n, graded)[0]
+        texts = [form, form[:-1], json.dumps(json.loads(form), indent=4)]
+        for tamper in TAMPERS.values():
+            data = json.loads(form)
+            tamper(data)
+            texts.append(dump_json(data))
+        # another size in scope, m = 1, m + n over the budget, and 6 digits
+        texts += [_with_m_line(form, m, value) for value in (m % 5 + 2, 1, 20_001 - n, 100_000)]
+        # each cut short, so no longer JSON
+        texts += [text[:-2] for text in texts]
+        for text in texts:
+            assert outcome(emptiness.verify_text, text) == outcome(parsed, text), (m, n, text[-40:])
 
 
 def test_a_float_in_a_branch_log_detail_is_rejected(tmp_path, capfd):
@@ -750,7 +789,7 @@ class TestScaledMat:
         assert not form == object() and form != object()
         assert form == Foreign()
 
-    @pytest.mark.parametrize("name", ["text", "den", "names", "num", "_parsed", "other"])
+    @pytest.mark.parametrize("name", ["text", "den", "names", "num", "other"])
     def test_every_attribute_is_read_only(self, name):
         form = ScaledMat.of(self.matrix(), (0, 0, 0, 0), self.RING.names)
         with pytest.raises(AttributeError):
