@@ -17,7 +17,10 @@ subparser and prints that subcommand's help and parse errors itself; the
 full parser, with all eight, is built only when no known subcommand is
 named.  A request that names one is parsed in one argparse pass, by that
 subcommand's subparser alone; the one-command parser parses it again
-only to print an "unrecognized arguments" error.
+only to print an "unrecognized arguments" error.  A successful parse
+depends on the argv alone, so main keeps it per process for each
+distinct argv and hands every call a copy; help and parse errors exit
+and are never kept, so they print afresh on every call.
 """
 
 from __future__ import annotations
@@ -478,7 +481,6 @@ def _parse_args(argv) -> argparse.Namespace:
     some are left over does that parser run, to print its "unrecognized
     arguments" error.  The full parser handles no command or an unknown one.
     """
-    argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     parser = _parser(command)
     if command is not None:
@@ -490,8 +492,15 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+@functools.lru_cache(maxsize=128)
+def _parsed(argv: tuple) -> argparse.Namespace:
+    """_parse_args' namespace for argv, kept; a SystemExit is raised, never kept."""
+    return _parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    # a copy, so that a handler cannot alter the kept namespace
+    args = argparse.Namespace(**vars(_parsed(tuple(sys.argv[1:] if argv is None else argv))))
     # the handler cmd_<command> is looked up per call, not kept in the parser
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

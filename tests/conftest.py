@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from uhfree import emptiness, normalform
+from uhfree import cli, emptiness, normalform
 
 from .helpers import time_limit
 
@@ -25,11 +25,12 @@ def per_test_time_limit():
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts and ends with no family shape checked
-    (normalform._shape_report), no emptiness certificate built
-    (emptiness._universal), rendered at a size (emptiness._rendered) or
-    replayed for verification (emptiness._replay)."""
+    """Each test starts and ends with no argv parsed (cli._parsed), no
+    family shape checked (normalform._shape_report), no emptiness
+    certificate built (emptiness._universal), rendered at a size
+    (emptiness._rendered) or replayed for verification (emptiness._replay)."""
     caches = (
+        cli._parsed,
         normalform._shape_report,
         emptiness._universal,
         emptiness._rendered,

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import io
@@ -752,6 +753,61 @@ class TestExitCodes:
             case["stdout"],
             case["stderr"],
         )
+
+    EMPTY_CHECK = ["empty-check", "--m", "2", "--n", "2"]
+
+    def test_a_repeated_argv_is_parsed_once(self, monkeypatch, capsys):
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counting(parser, *args, **kwargs):
+            calls.append(args)
+            return parse(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert main(list(self.EMPTY_CHECK)) == 0
+        assert main(list(self.EMPTY_CHECK)) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    def test_a_handler_cannot_alter_a_kept_parse(self, monkeypatch, capsys):
+        seen = []
+
+        def handler(args):
+            seen.append(dict(vars(args)))
+            args.m = 99
+            args.planted = True
+            return 0, [], None
+
+        monkeypatch.setattr(cli, "cmd_empty_check", handler)
+        assert main(self.EMPTY_CHECK) == 0
+        assert main(self.EMPTY_CHECK) == 0
+        capsys.readouterr()
+        assert seen[1] == seen[0]
+        assert seen[1]["m"] == 2 and "planted" not in seen[1]
+
+    @pytest.mark.parametrize("command", list(cli.SUBCOMMANDS))
+    def test_help_and_parse_errors_print_on_every_call(self, command, monkeypatch):
+        # each of these argv exits, so main never returns a code
+        run = functools.partial(self.parse_outcome, main)
+        for argv in self.parser_argvs(command):
+            if isinstance(self.parse_outcome(cli._parse_args, argv), dict):
+                continue  # parses: the command would run
+            # argparse wraps its text at $COLUMNS - 2
+            for columns in ("40", "200", "40"):
+                monkeypatch.setenv("COLUMNS", columns)
+                want = self.parse_outcome(cli.build_parser().parse_args, argv)
+                assert run(argv) == want, (argv, columns)
+                assert run(argv) == want, (argv, columns)
+        assert cli._parsed.cache_info().currsize == 0
+
+    def test_argv_from_sys_argv_shares_the_kept_parse(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["uhfree", *self.EMPTY_CHECK])
+        assert main() == 0
+        assert main(list(self.EMPTY_CHECK)) == 0
+        capsys.readouterr()
+        info = cli._parsed.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     def test_invariant_breach_is_not_a_user_error(self):
         assert not issubclass(mat2.InvariantBreach, poly.UhfreeError)
